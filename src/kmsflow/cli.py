@@ -292,12 +292,14 @@ def _dispatch(args, report: dict, serialize) -> int:
         dump = {}
         if args.method in ("gns", "both"):
             calc = timed("gns_calculus", lambda: derivation.gns_calculus(gen))
-            results["calculus_invariants"] = derivation.calculus_invariants_report(
-                calc, gen
+            results["calculus_invariants"] = timed(
+                "calculus_invariants", lambda: derivation.calculus_invariants_report(calc, gen)
             ).to_json_dict()
-            fam = derivation.extract_commutators_gns(calc, gen)
+            fam = timed(
+                "extract_commutators_gns", lambda: derivation.extract_commutators_gns(calc, gen)
+            )
             results["gns_form"] = _form_report(derivation, fam, gen)
-            xi0, residual = derivation.inner_vector(calc)
+            xi0, residual = timed("inner_vector", lambda: derivation.inner_vector(calc))
             results["inner_vector_residual"] = float(residual)
             dump["gns_calculus"] = serialize.calculus_to_json(calc)
             dump["gns_family"] = serialize.family_to_json(fam)
@@ -308,8 +310,12 @@ def _dispatch(args, report: dict, serialize) -> int:
             results["kraus_form"] = _form_report(derivation, fam_k, gen)
             dump["kraus_family"] = serialize.family_to_json(fam_k)
         if args.method == "both":
-            calc_k = derivation.commutator_calculus(fam_k, gen)
-            theta, wit = derivation.uniqueness_witness(calc, calc_k, gen)
+            calc_k = timed(
+                "commutator_calculus", lambda: derivation.commutator_calculus(fam_k, gen)
+            )
+            theta, wit = timed(
+                "uniqueness_witness", lambda: derivation.uniqueness_witness(calc, calc_k, gen)
+            )
             results["uniqueness"] = wit.to_json_dict()
             results["gram_mismatch_max"] = wit.check("gram_mismatch_max").value
         if args.dump:

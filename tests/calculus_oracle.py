@@ -1,0 +1,80 @@
+"""Dense pairwise reference for the bimodule structure of a calculus.
+
+``calculus_invariants_report`` certifies the actions and the involution
+through the standard-form unitary.  The functions here check the same
+properties directly over every pair of matrix units, at O(n^4 dim_h^3)
+cost, and serve as the oracle the structure certificate is compared
+against at n <= 3.
+"""
+
+import numpy as np
+
+import kmsflow as kf
+from kmsflow.matrix_core import dagger
+from kmsflow.reports import Check
+
+STRUCTURE_CHECKS = (
+    "multiplicity_defect",
+    "standard_form_unitarity_defect",
+    "pi_l_intertwine_defect",
+    "pi_r_intertwine_defect",
+    "j_intertwine_defect",
+)
+
+
+def _maxabs(x) -> float:
+    return float(np.abs(x).max(initial=0.0))
+
+
+def pairwise_grid_defects(calc) -> dict:
+    """Largest entrywise violation over all matrix-unit pairs (E_ab, E_cd) of
+
+    - pi_l(E_ab) pi_l(E_cd) = delta_bc pi_l(E_ad),
+    - pi_r(E_ab) pi_r(E_cd) = delta_da pi_r(E_cb),
+    - [pi_l(E_ab), pi_r(E_cd)] = 0,
+    - J pi_l(E_ab) pi_r(E_cd) = pi_l(E_cd)* pi_r(E_ab)* J.
+    """
+    n = calc.dim
+    d = calc.dim_h
+    n2 = n * n
+    pl = calc.pi_l.reshape(n2, d, d)
+    pr = calc.pi_r.reshape(n2, d, d)
+    pl_wide = calc.pi_l.transpose(2, 0, 1, 3).reshape(d, n2 * d)
+    pr_wide = calc.pi_r.transpose(2, 0, 1, 3).reshape(d, n2 * d)
+
+    hom = antihom = commute = j_twist = 0.0
+    for a in range(n):
+        for b in range(n):
+            x = a * n + b
+            prod = (pl[x] @ pl_wide).reshape(d, n2, d).transpose(1, 0, 2)
+            expect = np.zeros_like(prod)
+            expect[b * n : (b + 1) * n] = calc.pi_l[a]
+            hom = max(hom, _maxabs(prod - expect))
+            prod_r = (pr[x] @ pr_wide).reshape(d, n2, d).transpose(1, 0, 2)
+            expect_r = np.zeros_like(prod_r)
+            expect_r.reshape(n, n, d, d)[:, a] = calc.pi_r[:, b]
+            antihom = max(antihom, _maxabs(prod_r - expect_r))
+            lr = (pl[x] @ pr_wide).reshape(d, n2, d).transpose(1, 0, 2)
+            rl = (pr.reshape(n2 * d, d) @ pl[x]).reshape(n2, d, d)
+            commute = max(commute, _maxabs(lr - rl))
+            lhs = (calc.jmat @ np.conj(pl[x] @ pr_wide)).reshape(d, n2, d).transpose(1, 0, 2)
+            t = dagger(pr[x]) @ calc.jmat
+            rhs = (np.conj(pl.transpose(0, 2, 1)).reshape(n2 * d, d) @ t).reshape(n2, d, d)
+            j_twist = max(j_twist, _maxabs(lhs - rhs))
+    return {
+        "pi_l_homomorphism_defect": hom,
+        "pi_r_antihomomorphism_defect": antihom,
+        "actions_commute_defect": commute,
+        "j_bimodule_twist_defect": j_twist,
+    }
+
+
+def grid_invariants_report(calc, gen, tol: float = 1e-9):
+    """The invariants report with the structure certificate replaced by the
+    pairwise grid, all at the same tol * max(1, ||L||)."""
+    rep = kf.calculus_invariants_report(calc, gen, tol=tol)
+    bound = tol * max(1.0, gen.L.norm)
+    rep.checks = [c for c in rep.checks if c.name not in STRUCTURE_CHECKS] + [
+        Check(name, value, bound, "le") for name, value in pairwise_grid_defects(calc).items()
+    ]
+    return rep

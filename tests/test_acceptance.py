@@ -15,6 +15,7 @@ import pytest
 import scipy.optimize
 
 import kmsflow as kf
+from calculus_oracle import STRUCTURE_CHECKS, pairwise_grid_defects
 from kmsflow.errors import GramMismatch
 from kmsflow.generator import cone_project
 from kmsflow.matrix_core import dagger, opnorm
@@ -186,6 +187,22 @@ def test_criterion_06_gns_calculus():
             worst_gram = min(worst_gram, gram_rel)
             worst_form = max(worst_form, rep.check("form_identity_defect").value)
     report_line(6, True, f"min Gram eig {worst_gram:.1e} ||G||, max form defect {worst_form:.1e}")
+
+
+def test_criterion_06_structure_certificate_matches_grid_oracle():
+    """At n <= 3 every defect of the pairwise matrix-unit grid stays within
+    10x of the largest standard-form structure defect, on every pipeline
+    instance."""
+    worst_ratio = 0.0
+    for n in (2, 3):
+        for seed in PIPELINE_SEEDS[n]:
+            pipe = pipeline_cache(n, seed)
+            rep = kf.calculus_invariants_report(pipe["calc"], pipe["gen"], tol=1e-9)
+            structure = max(rep.check(name).value for name in STRUCTURE_CHECKS)
+            for name, value in pairwise_grid_defects(pipe["calc"]).items():
+                assert value <= 10 * structure, (n, seed, name, value, structure)
+                worst_ratio = max(worst_ratio, value / structure)
+    report_line(6, True, f"max grid / structure defect ratio {worst_ratio:.2f} (<= 10)")
 
 
 def test_criterion_07_commutator_form():

@@ -152,6 +152,10 @@ class TestDerive:
         assert rep["results"]["uniqueness"]["pass"]
         assert rep["results"]["calculus_invariants"]["pass"]
         assert rep["results"]["inner_vector_residual"] <= 1e-7
+        assert set(rep["timings_s"]) == {
+            "gns_calculus", "calculus_invariants", "extract_commutators_gns", "inner_vector",
+            "kraus_route", "commutator_calculus", "uniqueness_witness", "total",
+        }
 
     def test_single_route(self, capsys):
         code, rep = run(capsys, "derive", "--method", "gns", "--seed", "2", "--n", "2")

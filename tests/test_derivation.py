@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from kmsflow.generator import MarkovGenerator, modular_resolvent
 from kmsflow.matrix_core import dagger, opnorm
 from kmsflow.superop import from_kraus, kms_adjoint, to_l2, zero_superop
 
+from calculus_oracle import grid_invariants_report
 from conftest import cached_generator, cached_gns, rng_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -37,6 +40,7 @@ class TestGnsCalculus:
         assert kf.verify_commutator_form(fam, gen).passed
         xi0, res = kf.inner_vector(calc)
         assert xi0.size == 0 and res == 0.0
+        assert kf.calculus_invariants_report(calc, gen).passed
 
     def test_tracial_sigma_x_form_identity(self):
         # dense oracle: evaluate both <E_ab, L(E_cd)>_rho (KMS inner product,
@@ -93,6 +97,64 @@ class TestGnsCalculus:
         )
         with pytest.raises(GramNotPSD):
             kf.gns_calculus(bad)
+
+
+def _perturbed(calc, name):
+    arr = getattr(calc, name).copy()
+    arr.flat[1] += 1e-6
+    return dataclasses.replace(calc, **{name: arr})
+
+
+def _padded_with_corner(calc):
+    """calc plus one dimension on which both actions send E_00 to 1 and every
+    other matrix unit to 0: unital and *-preserving, but dim H is not a
+    multiple of n^2 and pi_l(E_01) pi_l(E_10) = 0 there, not pi_l(E_00)."""
+    n, d = calc.dim, calc.dim_h
+    e00 = np.zeros((n, n))
+    e00[0, 0] = 1.0
+
+    def pad(x, corner):
+        out = np.zeros(x.shape[:-2] + (d + 1, d + 1), dtype=complex)
+        out[..., :d, :d] = x
+        out[..., d, d] = corner
+        return out
+
+    return dataclasses.replace(
+        calc,
+        dim_h=d + 1,
+        pi_l=pad(calc.pi_l, e00),
+        pi_r=pad(calc.pi_r, e00),
+        jmat=pad(calc.jmat, 1.0),
+        delta=np.concatenate([calc.delta, np.zeros((n, n, 1))], axis=2),
+    )
+
+
+class TestInvariantsNegativeControls:
+    """Broken calculi fail the structure certificate, and the pairwise grid
+    oracle flags the same input."""
+
+    @pytest.mark.parametrize(
+        "breaker,structure_check,oracle_check",
+        [
+            (lambda c: _perturbed(c, "pi_l"), "pi_l_intertwine_defect", "pi_l_homomorphism_defect"),
+            (lambda c: _perturbed(c, "pi_r"), "pi_r_intertwine_defect", "pi_r_antihomomorphism_defect"),
+            (lambda c: _perturbed(c, "jmat"), "j_intertwine_defect", "j_bimodule_twist_defect"),
+            # -J intertwines the bimodule exactly as J does; only delta(A*) = J delta(A) fixes the sign
+            (lambda c: dataclasses.replace(c, jmat=-c.jmat), "j_delta_defect", "j_delta_defect"),
+            (_padded_with_corner, "multiplicity_defect", "pi_l_homomorphism_defect"),
+        ],
+        ids=["pi_l_entry", "pi_r_entry", "j_entry", "j_sign", "dim_not_multiple"],
+    )
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+    def test_broken_calculus_fails(self, n, seed, breaker, structure_check, oracle_check):
+        gen, _ = cached_generator(n, seed)
+        broken = breaker(cached_gns(n, seed))
+        rep = kf.calculus_invariants_report(broken, gen, tol=1e-9)
+        assert rep.passed is False
+        assert not rep.check(structure_check).passed()
+        oracle = grid_invariants_report(broken, gen, tol=1e-9)
+        assert oracle.passed is False
+        assert not oracle.check(oracle_check).passed()
 
 
 class TestExtractGns:
