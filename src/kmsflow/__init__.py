@@ -30,7 +30,6 @@ from .matrix_core import (
     descend,
     eig_hermitian,
     embed,
-    frac_power,
     hilbert_algebra_product,
     kms_inner,
     modular_conjugation,
@@ -57,7 +56,6 @@ from .superop import (
 )
 from .vtransform import (
     markov_preservation_check,
-    modular_spectrum,
     v_transform,
     v_transform_cptp_certificate,
     v_transform_quadrature,

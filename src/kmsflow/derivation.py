@@ -46,8 +46,8 @@ from .errors import (
 )
 from .generator import (
     MarkovGenerator,
-    modular_resolvent,
     recover_cp_from_generator,
+    resolvent_generator,
 )
 from .matrix_core import (
     DensityContext,
@@ -55,10 +55,8 @@ from .matrix_core import (
     dagger,
     descend,
     hilbert_algebra_product,
-    hsnorm,
     opnorm,
     right_bounded_rep,
-    sigma_z,
 )
 from .reports import Check, Report
 from .superop import (
@@ -67,9 +65,9 @@ from .superop import (
     kraus_from_choi,
     lmul,
     rmul,
+    sandwich,
     to_algebra,
     unvec,
-    vec,
 )
 from .vtransform import v_transform
 
@@ -103,16 +101,13 @@ class FirstOrderCalculus:
         return self.pi_l.shape[0]
 
     def pi_l_of(self, x) -> np.ndarray:
-        x = as_matrix(x, self.dim)
-        return np.einsum("ab,abij->ij", x, self.pi_l)
+        return np.tensordot(as_matrix(x, self.dim), self.pi_l, axes=2)
 
     def pi_r_of(self, x) -> np.ndarray:
-        x = as_matrix(x, self.dim)
-        return np.einsum("ab,abij->ij", x, self.pi_r)
+        return np.tensordot(as_matrix(x, self.dim), self.pi_r, axes=2)
 
     def delta_of(self, a) -> np.ndarray:
-        a = as_matrix(a, self.dim)
-        return np.einsum("ab,abk->k", a, self.delta)
+        return np.tensordot(as_matrix(a, self.dim), self.delta, axes=2)
 
     def jop(self, xi) -> np.ndarray:
         return self.jmat @ np.conj(xi)
@@ -143,10 +138,12 @@ class CommutatorFamily:
         return len(self.ops)
 
 
-def _unit(n: int, a: int, b: int) -> np.ndarray:
-    e = np.zeros((n, n), dtype=complex)
-    e[a, b] = 1.0
-    return e
+def _quarter_units(ctx: DensityContext):
+    """(s_m4, s_p4) with s_m4[a, b] = sigma_{-i/4}(E_ab) = rho^{1/4} E_ab rho^{-1/4}
+    and s_p4[a, b] = sigma_{+i/4}(E_ab) = rho^{-1/4} E_ab rho^{1/4}."""
+    qr = ctx.quarter_rho
+    qi = ctx.inv_quarter_rho
+    return np.einsum("xa,by->abxy", qr, qi), np.einsum("xa,by->abxy", qi, qr)
 
 
 def _unit_perm(n: int) -> np.ndarray:
@@ -232,10 +229,7 @@ def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOr
     pi_r = np.einsum("iabcq,abcpk->pqik", class_t, lift_t)
 
     # delta(E_ab) = sigma_{-i/4}(E_ab) (x) I - I (x) sigma_{i/4}(E_ab)
-    qr = ctx.quarter_rho
-    qi = ctx.inv_quarter_rho
-    s_m4 = np.einsum("xa,by->abxy", qr, qi)  # sigma_{-i/4}(E_ab)
-    s_p4 = np.einsum("xa,by->abxy", qi, qr)  # sigma_{+i/4}(E_ab)
+    s_m4, s_p4 = _quarter_units(ctx)
     d6 = np.einsum("abxy,zw->abxyzw", s_m4, eye) - np.einsum(
         "xy,abzw->abxyzw", eye, s_p4
     )
@@ -275,9 +269,8 @@ def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOr
 def spanning_family(calc: FirstOrderCalculus) -> np.ndarray:
     """Matrix whose columns are pi_l(E_ab) delta(E_cd), indexed by
     ((a n + b) n + c) n + d."""
-    n = calc.dim
-    s = np.einsum("abik,cdk->iabcd", calc.pi_l, calc.delta)
-    return s.reshape(calc.dim_h, n**4)
+    s = np.tensordot(calc.pi_l, calc.delta, axes=([3], [2]))  # [a, b, i, c, d]
+    return s.transpose(2, 0, 1, 3, 4).reshape(calc.dim_h, calc.dim**4)
 
 
 def standard_form_unitary(calc: FirstOrderCalculus, basis: np.ndarray | None = None):
@@ -384,10 +377,7 @@ def calculus_invariants_report(
 
     # twisted Leibniz rule delta(E_ab E_cd) = pi_l(sigma_{-i/4}(E_ab)) delta(E_cd)
     #                                        + pi_r(sigma_{+i/4}(E_cd)) delta(E_ab)
-    qr = ctx.quarter_rho
-    qi = ctx.inv_quarter_rho
-    s_m4 = np.einsum("xa,by->abxy", qr, qi)
-    s_p4 = np.einsum("xa,by->abxy", qi, qr)
+    s_m4, s_p4 = _quarter_units(ctx)
     pl_s = np.tensordot(s_m4, calc.pi_l, axes=2).reshape(n2, d, d)
     pr_s = np.tensordot(s_p4, calc.pi_r, axes=2).reshape(n2, d, d)
     delta_cols = calc.delta.reshape(n2, d).T
@@ -540,21 +530,12 @@ def extract_commutators_gns(
     # coeff[j, a, b, c, d] = < F_ab (x) xi_j, delta(E_cd) >_H
     coeff = np.einsum("iabj,cdi->jabcd", np.conj(basis_vectors), calc.delta)
     comp = np.einsum("jabcd,abxy->jcdxy", coeff, f_units)  # delta_j(E_cd) as matrices
-
-    ops = []
-    worst = 0.0
-    units = [_unit(n, a, b) for a in range(n) for b in range(n)]
-    for j in range(mult):
-        dj = {}
-        for c in range(n):
-            for dd in range(n):
-                dj[c * n + dd] = qi @ comp[j, c, dd] @ qi
-        v = np.zeros((n, n), dtype=complex)
-        for a in range(n):
-            v[:, a] = dj[a * n + 0][:, 0]
-        for idx, e in enumerate(units):
-            worst = max(worst, hsnorm(dj[idx] - (v @ e - e @ v)))
-        ops.append(v)
+    dj = qi @ comp @ qi
+    vs = dj[:, :, 0, :, 0].transpose(0, 2, 1)  # V_j[:, a] = d_j(E_a0)[:, 0]
+    units = np.eye(n * n).reshape(n, n, n, n)  # units[c, d] = E_cd
+    comm = vs[:, None, None] @ units - units @ vs[:, None, None]
+    worst = float(np.linalg.norm(dj - comm, axis=(-2, -1)).max())
+    ops = list(vs)
     vscale = max(1.0, max((opnorm(v) for v in ops), default=0.0))
     if worst > 1e-7 * vscale:
         raise DerivationRecoveryFailure(
@@ -572,10 +553,7 @@ def xi_map(gen: MarkovGenerator, psi: Superoperator) -> Superoperator:
     """Xi(A) = rho^{1/4} Pv(rho^{-1/4} A rho^{-1/4}) rho^{1/4} with Pv the
     V-transform of Psi; symmetric for the trace pairing."""
     ctx = gen.ctx
-    psi_check = v_transform(psi, ctx)
-    qr = ctx.quarter_rho
-    qi = ctx.inv_quarter_rho
-    mat = np.kron(qr.T, qr) @ psi_check.mat @ np.kron(qi.T, qi)
+    mat = sandwich(v_transform(psi, ctx).mat, ctx.quarter_rho, ctx.inv_quarter_rho)
     return Superoperator(mat, gen.dim, psi.level)
 
 
@@ -602,25 +580,15 @@ def extract_commutators_kraus(
             raise InconsistentPsi(
                 "no admissible completely positive map could be recovered"
             ) from exc
-    m = psi.apply(np.eye(n))
-    m = 0.5 * (m + dagger(m))
-    k = modular_resolvent(ctx, m, +0.5)
-    rebuilt = lmul(k) + rmul(dagger(k)) - psi
-    defect = opnorm(rebuilt.mat - gen.L.mat)
+    defect = opnorm(resolvent_generator(psi, ctx).mat - gen.L.mat)
     if defect > 1e-8 * max(1.0, gen.L.norm):
         raise InconsistentPsi(
             f"Psi does not reproduce the generator (residual {defect:.3e})"
         )
 
     xi = xi_map(gen, psi)
-    # trace symmetry tr(A Xi(B)) = tr(Xi(A) B)
-    t2 = np.zeros((n * n, n * n), dtype=complex)
-    for c in range(n):
-        for d in range(n):
-            x = unvec(xi.mat[:, d * n + c], n)
-            for a in range(n):
-                for b in range(n):
-                    t2[a * n + b, c * n + d] = x[b, a]
+    # trace symmetry tr(A Xi(B)) = tr(Xi(A) B): t2[a n + b, c n + d] = Xi(E_cd)[b, a]
+    t2 = xi.mat[:, _unit_perm(n)]
     sym_defect = np.abs(t2 - t2.T).max()
     if sym_defect > 1e-8 * max(1.0, xi.norm):
         raise InconsistentPsi(
@@ -642,6 +610,8 @@ def commutator_calculus(
     """Assemble the calculus carried by a commutator family on M_n (x) C^N,
     with delta(A)_j = rho^{1/4} [V_j, A] rho^{1/4}, then trim to the cyclic
     sub-bimodule generated by the delta-image so the spanning property holds.
+    ``meta["isometry"]`` has orthonormal columns spanning that sub-bimodule,
+    in the coordinates (j, col, row) of the vectorized blocks of M_n (x) C^N.
     """
     ctx = gen.ctx
     n = gen.dim
@@ -659,36 +629,16 @@ def commutator_calculus(
     qr = ctx.quarter_rho
     dim_full = n * n * nf
 
-    units = [_unit(n, a, b) for a in range(n) for b in range(n)]
-    delta_full = np.zeros((n, n, dim_full), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            e = units[a * n + b]
-            for j, v in enumerate(family.ops):
-                block = qr @ (v @ e - e @ v) @ qr
-                delta_full[a, b, j * n * n : (j + 1) * n * n] = vec(block)
+    # H_full = M_n (x) C^N, coordinates (j, col, row) of the vectorized
+    # blocks; blocks[j, a, b] = rho^{1/4} [V_j, E_ab] rho^{1/4}
+    units = np.eye(n * n).reshape(n, n, n, n)  # units[a, b] = E_ab
+    vs = np.stack(family.ops)[:, None, None]
+    blocks = qr @ (vs @ units - units @ vs) @ qr
+    delta_full = blocks.transpose(1, 2, 0, 4, 3).reshape(n, n, dim_full)
 
-    eye_f = np.eye(nf)
-    pi_l_full = np.empty((n, n, dim_full, dim_full), dtype=complex)
-    pi_r_full = np.empty((n, n, dim_full, dim_full), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            e = units[a * n + b]
-            pi_l_full[a, b] = np.kron(eye_f, lmul(e).mat)
-            pi_r_full[a, b] = np.kron(eye_f, rmul(e).mat)
-
-    # transpose permutation on vec coordinates
-    pt = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            pt[j * n + i, i * n + j] = 1.0
-    perm = np.zeros((nf, nf))
-    for j, jstar in enumerate(family.pairing):
-        perm[jstar, j] = 1.0
-    jmat_full = -np.kron(perm, pt)
-
-    # cyclic subspace spanned by pi_l(E_ab) delta(E_cd)
-    span = np.einsum("abik,cdk->iabcd", pi_l_full, delta_full).reshape(dim_full, n**4)
+    # cyclic subspace spanned by pi_l(E_ab) delta(E_cd); E_ab X moves row b
+    # of X to row a: span[(j, col, row), (a, b, c, d)] = [row = a] blocks[j, c, d, b, col]
+    span = np.einsum("ra,jcdbk->jkrabcd", np.eye(n), blocks).reshape(dim_full, n**4)
     if np.abs(span).max(initial=0.0) == 0.0:
         q = np.zeros((dim_full, 0))
     else:
@@ -696,16 +646,26 @@ def commutator_calculus(
         q = uu[:, sv > rank_tol * sv.max()]
     dim_h = q.shape[1]
 
-    qd = dagger(q)
-    pi_l = (qd @ pi_l_full.reshape(n * n, dim_full, dim_full) @ q).reshape(n, n, dim_h, dim_h)
-    pi_r = (qd @ pi_r_full.reshape(n * n, dim_full, dim_full) @ q).reshape(n, n, dim_h, dim_h)
-    delta = np.einsum("ji,abj->abi", np.conj(q), delta_full)
-    jmat = qd @ jmat_full @ np.conj(q)
+    # Compressed actions, block by block: with rows[a] (cols[a]) the entries
+    # of q in row (column) a of every block, q* pi_l(E_ab) q = rows[a]* rows[b]
+    # and q* pi_r(E_ab) q = cols[b]* cols[a].
+    q4 = q.reshape(nf, n, n, dim_h)  # [j, col, row, k]
+    rows = q4.transpose(2, 0, 1, 3).reshape(n, nf * n, dim_h)
+    cols = q4.transpose(1, 0, 2, 3).reshape(n, nf * n, dim_h)
+    pi_l = np.conj(rows).transpose(0, 2, 1)[:, None] @ rows[None]
+    pi_r = np.conj(cols).transpose(0, 2, 1)[None] @ cols[:, None]
+    delta = (delta_full.reshape(n * n, dim_full) @ np.conj(q)).reshape(n, n, dim_h)
+    # J(X_j) = -X_{j*}^*: transpose each block and permute blocks, on conj(q)
+    j_conj_q = -np.conj(q4[list(family.pairing)]).transpose(0, 2, 1, 3)
+    jmat = dagger(q) @ j_conj_q.reshape(dim_full, dim_h)
 
-    proj_out = np.eye(dim_full) - q @ qd
-    leak = float(
-        np.abs(proj_out @ (pi_l_full.reshape(n * n, dim_full, dim_full) @ q)).max(initial=0.0)
-    )
+    # leak of pi_l(E_ab) q out of range(q): pi_l(E_ab) q - q pi_l[a, b], whose
+    # part in row r of the blocks is [r = a] rows[b] - rows[r] pi_l[a, b]
+    leak = 0.0
+    for a in range(n):
+        resid = rows[:, None] @ pi_l[a][None]  # [r, b]
+        resid[a] -= rows
+        leak = max(leak, float(np.abs(resid).max(initial=0.0)))
     return FirstOrderCalculus(
         dim_h=dim_h,
         pi_l=pi_l,
@@ -713,7 +673,12 @@ def commutator_calculus(
         jmat=jmat,
         delta=delta,
         ctx=ctx,
-        meta={"family_size": nf, "full_dim": dim_full, "compression_leak": float(leak)},
+        meta={
+            "family_size": nf,
+            "full_dim": dim_full,
+            "compression_leak": leak,
+            "isometry": q,
+        },
     )
 
 
@@ -732,16 +697,10 @@ def inner_vector(calc: FirstOrderCalculus, ctx: DensityContext | None = None):
     d = calc.dim_h
     if d == 0:
         return np.zeros(0, dtype=complex), 0.0
-    rows = []
-    rhs = []
-    for a in range(n):
-        for b in range(n):
-            e = _unit(n, a, b)
-            m = calc.pi_l_of(sigma_z(ctx, -0.25j, e)) - calc.pi_r_of(sigma_z(ctx, 0.25j, e))
-            rows.append(m)
-            rhs.append(calc.delta[a, b])
-    a_stack = np.vstack(rows)
-    b_stack = np.concatenate(rhs)
+    s_m4, s_p4 = _quarter_units(ctx)
+    a_stack = np.tensordot(s_m4, calc.pi_l, axes=2) - np.tensordot(s_p4, calc.pi_r, axes=2)
+    a_stack = a_stack.reshape(n * n * d, d)
+    b_stack = calc.delta.reshape(n * n * d)
     xi0, *_ = np.linalg.lstsq(a_stack, b_stack, rcond=None)
     resid = np.linalg.norm(a_stack @ xi0 - b_stack)
     denom = np.linalg.norm(b_stack)

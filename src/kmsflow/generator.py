@@ -42,6 +42,7 @@ from .matrix_core import (
     as_matrix,
     dagger,
     descend,
+    eigenbasis_multiply,
     embed,
     hilbert_algebra_product,
     hsnorm,
@@ -74,9 +75,19 @@ def modular_resolvent(ctx: DensityContext, m, half: float) -> np.ndarray:
     well conditioned.
     """
     m = as_matrix(m, ctx.dim)
-    mt = dagger(ctx.u) @ m @ ctx.u
-    denom = 1.0 + np.exp(half * (ctx.log_p[:, None] - ctx.log_p[None, :]))
-    return ctx.u @ (mt / denom) @ dagger(ctx.u)
+    return eigenbasis_multiply(ctx.u, 1.0 / (1.0 + np.exp(half * ctx.log_ratio)), m)
+
+
+def _resolvent_part(ctx: DensityContext, m) -> Superoperator:
+    """X -> k X + X k* with k = (1 + sigma_{-i/2})^{-1}(Herm m)."""
+    k = modular_resolvent(ctx, 0.5 * (m + dagger(m)), +0.5)
+    return lmul(k) + rmul(dagger(k))
+
+
+def resolvent_generator(psi: Superoperator, ctx: DensityContext) -> Superoperator:
+    """The generator L = k . + . k* - Psi of the resolvent representation,
+    k = (1 + sigma_{-i/2})^{-1}(Herm Psi(I))."""
+    return _resolvent_part(ctx, psi.apply(np.eye(psi.dim))) - psi
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,11 +142,7 @@ def generator_from_cp(psi: Superoperator, ctx: DensityContext, tol: float | None
     sym = is_kms_symmetric(psi, ctx, tol=tol)
     if not sym.passed:
         raise PreconditionFailed("Psi is not KMS-symmetric", sym)
-    m = psi.apply(np.eye(psi.dim))
-    m = 0.5 * (m + dagger(m))
-    k = modular_resolvent(ctx, m, +0.5)
-    lgen = lmul(k) + rmul(dagger(k)) - psi
-    return certify_generator(lgen, ctx, tol=tol)
+    return certify_generator(resolvent_generator(psi, ctx), ctx, tol=tol)
 
 
 def _hermitian_basis(n: int) -> list[np.ndarray]:
@@ -191,16 +198,12 @@ def recover_cp_from_generator(
     basis = _hermitian_basis(n)
     dim_par = len(basis)
 
-    def family_part(m: np.ndarray) -> Superoperator:
-        k = modular_resolvent(ctx, m, +0.5)
-        return lmul(k) + rmul(dagger(k))
-
     # KMS-symmetry constraint: homogeneous and, for Hermitian m, satisfied
     # identically; the null space is computed anyway as a guard.
     cols = []
     sym_cols = []
     for h in basis:
-        part = family_part(h)
+        part = _resolvent_part(ctx, h)
         cols.append(_real_stack(vec(choi(part))))
         sym_cols.append(_real_stack((part - kms_adjoint(part, ctx)).mat.ravel()))
     a_sym = np.column_stack(sym_cols)
@@ -258,15 +261,9 @@ def recover_cp_from_generator(
 
     theta = kms_null @ phi
     m = sum(t * h for t, h in zip(theta, basis))
-    m = 0.5 * (m + dagger(m))
-    psi = family_part(m) - gen.L
+    psi = _resolvent_part(ctx, m) - gen.L
     # Round trip through the public representation: recompute m from psi.
-    m2 = psi.apply(np.eye(n))
-    m2 = 0.5 * (m2 + dagger(m2))
-    rebuilt = lmul(modular_resolvent(ctx, m2, +0.5)) + rmul(
-        dagger(modular_resolvent(ctx, m2, +0.5))
-    ) - psi
-    roundtrip = opnorm(rebuilt.mat - gen.L.mat)
+    roundtrip = opnorm(resolvent_generator(psi, ctx).mat - gen.L.mat)
     rep.checks.append(Check("roundtrip_residual", roundtrip, tol * max(1.0, gen.L.norm), "le"))
     rep.checks.append(
         Check("min_choi_eig", float(np.linalg.eigvalsh(choi(psi)).min()),

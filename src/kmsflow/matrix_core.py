@@ -70,13 +70,14 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def matrix_units(n: int) -> np.ndarray:
-    """All matrix units as an (n, n, n, n) array: units[a, b] = E_ab."""
-    units = np.zeros((n, n, n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            units[a, b, a, b] = 1.0
-    return units
+def eigenbasis_multiply(basis: np.ndarray, f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """basis (f * (basis* x basis)) basis*: multiply x entrywise by f in the
+    orthonormal basis given by the columns of ``basis``.
+
+    A stack of multipliers f of shape (k, N, N) gives the k products at the
+    cost of one change of basis into the eigenbasis.
+    """
+    return basis @ (f * (dagger(basis) @ x @ basis)) @ dagger(basis)
 
 
 def eig_hermitian(h, tol: float = DEFAULT_TOL):
@@ -165,14 +166,22 @@ class DensityContext:
     def log_p(self) -> np.ndarray:
         return np.log(self.p)
 
+    @cached_property
+    def log_ratio(self) -> np.ndarray:
+        """log(p_a / p_b) at [a, b]: the log-spectrum of the modular operator
+        a -> rho a rho^{-1}, whose eigenvector for p_a / p_b is u E_ab u*."""
+        return self.log_p[:, None] - self.log_p[None, :]
+
+    @cached_property
+    def superop_basis(self) -> np.ndarray:
+        """kron(conj u, u): its column b n + a is vec(u E_ab u*), so it
+        diagonalizes the modular operator as an n^2 x n^2 matrix, with
+        eigenvalues exp(log_ratio) in vec order."""
+        return np.kron(self.u.conj(), self.u)
+
     def is_tracial(self, tol: float | None = None) -> bool:
         tol = self.tol if tol is None else tol
         return bool(np.ptp(self.p) <= tol)
-
-
-def frac_power(ctx: DensityContext, z: complex) -> np.ndarray:
-    """rho^z for the context's density matrix."""
-    return ctx.power(z)
 
 
 def kms_inner(ctx: DensityContext, a, b) -> complex:
@@ -202,9 +211,7 @@ def sigma_z(ctx: DensityContext, z: complex, a) -> np.ndarray:
             AnalyticContinuationWarning,
             stacklevel=2,
         )
-    at = dagger(ctx.u) @ a @ ctx.u
-    factors = np.exp(1j * z * (ctx.log_p[:, None] - ctx.log_p[None, :]))
-    return ctx.u @ (factors * at) @ dagger(ctx.u)
+    return eigenbasis_multiply(ctx.u, np.exp(1j * z * ctx.log_ratio), a)
 
 
 def embed(ctx: DensityContext, x) -> np.ndarray:
@@ -241,12 +248,6 @@ def hilbert_algebra_product(ctx: DensityContext, a, b) -> np.ndarray:
     a = as_matrix(a, ctx.dim)
     b = as_matrix(b, ctx.dim)
     return a @ ctx.inv_sqrt_rho @ b
-
-
-def left_bounded_rep(ctx: DensityContext, a) -> np.ndarray:
-    """The matrix x with a = x rho^{1/2}; left multiplication by x is the
-    left action of the vector a."""
-    return as_matrix(a, ctx.dim) @ ctx.inv_sqrt_rho
 
 
 def right_bounded_rep(ctx: DensityContext, b) -> np.ndarray:

@@ -25,13 +25,10 @@ levels share one implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientRange
-from .matrix_core import DensityContext, dagger, opnorm
+from .matrix_core import DensityContext, dagger, eigenbasis_multiply, opnorm
 from .reports import Check, Report
 from .superop import (
     L2,
@@ -46,32 +43,6 @@ TAIL_TARGET = 1e-14  # auto range target; the precondition itself is 1e-12
 TAIL_BOUND_LIMIT = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class ModularSpectrum:
-    """Spectral data of the modular superoperator Delta: a -> rho a rho^{-1}.
-
-    ``lam[b*n + a] = p_a / p_b`` is the eigenvalue attached to the matrix
-    unit E_ab in rho's eigenbasis, and ``basis`` is the unitary change of
-    coordinates from the computational matrix-unit basis (its columns are
-    the vectorized eigen-units U E_ab U*).
-    """
-
-    lam: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def dim2(self) -> int:
-        return self.lam.size
-
-
-@lru_cache(maxsize=64)
-def modular_spectrum(ctx: DensityContext) -> ModularSpectrum:
-    p = ctx.p
-    lam = np.outer(1.0 / p, p).flatten()  # index b*n + a -> p_a / p_b
-    basis = np.kron(ctx.u.conj(), ctx.u)
-    return ModularSpectrum(lam=lam, basis=basis)
-
-
 def delta_superop(ctx: DensityContext, power: float = 1.0, level: str = L2) -> Superoperator:
     """Delta^power as a superoperator: a -> rho^power a rho^{-power}."""
     rp = ctx.power(power)
@@ -79,26 +50,22 @@ def delta_superop(ctx: DensityContext, power: float = 1.0, level: str = L2) -> S
     return Superoperator(np.kron(rm.T, rp), ctx.dim, level)
 
 
-def _multipliers(ctx: DensityContext):
-    spec = modular_spectrum(ctx)
-    q = np.log(spec.lam)
-    ratio = np.exp((q[:, None] - q[None, :]) / 4.0)
-    w = 0.5 * (ratio + 1.0 / ratio)
-    return spec, w
+def _w_multiplier(ctx: DensityContext) -> np.ndarray:
+    """Entrywise multiplier of W in the eigenbasis of Delta:
+    w = cosh(log(lam_a / lam_b) / 4) for the coupled eigenvalues."""
+    q = ctx.log_ratio.ravel(order="F")  # log lam, vec order
+    return np.cosh((q[:, None] - q[None, :]) / 4.0)
 
 
 def _entrywise(s: Superoperator, ctx: DensityContext, mult: np.ndarray) -> Superoperator:
     if s.dim != ctx.dim:
         raise DimensionMismatch("superoperator and context dimensions differ")
-    b = modular_spectrum(ctx).basis
-    s_hat = dagger(b) @ s.mat @ b
-    return Superoperator(b @ (mult * s_hat) @ dagger(b), s.dim, s.level)
+    return Superoperator(eigenbasis_multiply(ctx.superop_basis, mult, s.mat), s.dim, s.level)
 
 
 def w_transform(s: Superoperator, ctx: DensityContext) -> Superoperator:
     """The averaged modular rotation of a superoperator (inverse of V)."""
-    _, w = _multipliers(ctx)
-    return _entrywise(s, ctx, w)
+    return _entrywise(s, ctx, _w_multiplier(ctx))
 
 
 def v_transform(s: Superoperator, ctx: DensityContext) -> Superoperator:
@@ -107,8 +74,7 @@ def v_transform(s: Superoperator, ctx: DensityContext) -> Superoperator:
     Unital (identity maps to identity) and contractive in operator norm;
     preserves KMS symmetry and complete positivity of the input map.
     """
-    _, w = _multipliers(ctx)
-    return _entrywise(s, ctx, 1.0 / w)
+    return _entrywise(s, ctx, 1.0 / _w_multiplier(ctx))
 
 
 def v_transform_quadrature(
@@ -137,8 +103,8 @@ def v_transform_quadrature(
             f"condition number {ctx.condition:.3e} exceeds "
             f"{QUADRATURE_CONDITION_LIMIT:.0e}; quadrature would under-resolve the tail"
         )
-    spec = modular_spectrum(ctx)
-    lam = 1.0 / spec.lam if invert_delta else spec.lam
+    log_lam = ctx.log_ratio.ravel(order="F")
+    lam = np.exp(-log_lam if invert_delta else log_lam)
     sq = np.sqrt(lam)
     if r_max is None:
         r_max = float(-np.log(TAIL_TARGET) / (2.0 * sq.min()))
@@ -171,10 +137,10 @@ def v_transform_quadrature(
     c_fine = coefficients(nodes, h)
     c_coarse = coefficients(nodes[::2], 2.0 * h)
 
-    b = spec.basis
-    s_hat = dagger(b) @ s.mat @ b
-    fine = Superoperator(b @ (c_fine * s_hat) @ dagger(b), s.dim, s.level)
-    coarse_mat = b @ (c_coarse * s_hat) @ dagger(b)
+    fine_mat, coarse_mat = eigenbasis_multiply(
+        ctx.superop_basis, np.stack([c_fine, c_coarse]), s.mat
+    )
+    fine = Superoperator(fine_mat, s.dim, s.level)
     info = {
         "r_max": float(r_max),
         "steps": int(steps),
@@ -193,12 +159,12 @@ def v_transform_cptp_certificate(ctx: DensityContext, tol: float = 1e-9) -> Repo
     feasible for n <= 3; for larger n only the unitality and trace checks run.
     """
     n = ctx.dim
-    spec, w = _multipliers(ctx)
-    b = spec.basis
+    b = ctx.superop_basis
+    v = 1.0 / _w_multiplier(ctx)
     n2 = n * n
 
     def v_apply(t: np.ndarray) -> np.ndarray:
-        return b @ ((1.0 / w) * (dagger(b) @ t @ b)) @ dagger(b)
+        return eigenbasis_multiply(b, v, t)
 
     rep = Report(name="v_cptp", tol=tol)
     unital_defect = opnorm(v_apply(np.eye(n2, dtype=complex)) - np.eye(n2))
@@ -217,7 +183,7 @@ def v_transform_cptp_certificate(ctx: DensityContext, tol: float = 1e-9) -> Repo
 
     if n <= 3:
         q = np.kron(b.conj(), b)
-        m_v = q @ (np.diag(vec(1.0 / w))) @ dagger(q)
+        m_v = q @ (np.diag(vec(v))) @ dagger(q)
         as_super = Superoperator(m_v, n2, L2)
         c = choi(as_super)
         w_eigs = np.linalg.eigvalsh(0.5 * (c + dagger(c)))

@@ -4,7 +4,9 @@
 through the standard-form unitary.  The functions here check the same
 properties directly over every pair of matrix units, at O(n^4 dim_h^3)
 cost, and serve as the oracle the structure certificate is compared
-against at n <= 3.
+against at n <= 3.  ``kron_commutator_actions`` is the Kronecker-product
+construction of a commutator family's uncompressed calculus, the oracle for
+the blockwise actions of ``commutator_calculus``.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import numpy as np
 import kmsflow as kf
 from kmsflow.matrix_core import dagger
 from kmsflow.reports import Check
+from kmsflow.superop import lmul, rmul, vec
 
 STRUCTURE_CHECKS = (
     "multiplicity_defect",
@@ -78,3 +81,43 @@ def grid_invariants_report(calc, gen, tol: float = 1e-9):
         Check(name, value, bound, "le") for name, value in pairwise_grid_defects(calc).items()
     ]
     return rep
+
+
+def kron_commutator_actions(family, gen) -> dict:
+    """The calculus of a commutator family on M_n (x) C^N before trimming,
+    as dense arrays over the vectorized blocks: pi_l(E_ab) = I (x) lmul(E_ab),
+    pi_r(E_ab) = I (x) rmul(E_ab), delta(E_ab)_j = vec(rho^{1/4} [V_j, E_ab]
+    rho^{1/4}), the linear part of J (pairing (x) transpose, negated) and the
+    spanning family pi_l(E_ab) delta(E_cd)."""
+    n = gen.dim
+    nf = len(family)
+    qr = gen.ctx.quarter_rho
+    dim_full = n * n * nf
+    eye_f = np.eye(nf)
+    delta_full = np.zeros((n, n, dim_full), dtype=complex)
+    pi_l_full = np.empty((n, n, dim_full, dim_full), dtype=complex)
+    pi_r_full = np.empty((n, n, dim_full, dim_full), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            e[a, b] = 1.0
+            for j, v in enumerate(family.ops):
+                block = qr @ (v @ e - e @ v) @ qr
+                delta_full[a, b, j * n * n : (j + 1) * n * n] = vec(block)
+            pi_l_full[a, b] = np.kron(eye_f, lmul(e).mat)
+            pi_r_full[a, b] = np.kron(eye_f, rmul(e).mat)
+    pt = np.zeros((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            pt[j * n + i, i * n + j] = 1.0
+    perm = np.zeros((nf, nf))
+    for j, jstar in enumerate(family.pairing):
+        perm[jstar, j] = 1.0
+    span = np.einsum("abik,cdk->iabcd", pi_l_full, delta_full).reshape(dim_full, n**4)
+    return {
+        "pi_l": pi_l_full,
+        "pi_r": pi_r_full,
+        "delta": delta_full,
+        "jmat": -np.kron(perm, pt),
+        "span": span,
+    }

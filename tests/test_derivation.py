@@ -17,7 +17,7 @@ from kmsflow.generator import MarkovGenerator, modular_resolvent
 from kmsflow.matrix_core import dagger, opnorm
 from kmsflow.superop import from_kraus, kms_adjoint, to_l2, zero_superop
 
-from calculus_oracle import grid_invariants_report
+from calculus_oracle import grid_invariants_report, kron_commutator_actions
 from conftest import cached_generator, cached_gns, rng_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -329,6 +329,35 @@ class TestCommutatorCalculus:
         calc_k = kf.commutator_calculus(fam, gen)
         rep = kf.calculus_invariants_report(calc_k, gen, tol=1e-9)
         assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]
+        assert calc_k.meta["compression_leak"] < 1e-10
+
+    @pytest.mark.parametrize("n,seed", [(2, 11), (2, 3), (3, 4)])
+    def test_blockwise_actions_match_kronecker_oracle(self, n, seed):
+        gen, psi = cached_generator(n, seed)
+        fam = kf.extract_commutators_kraus(gen, psi)
+        calc_k = kf.commutator_calculus(fam, gen)
+        full = kron_commutator_actions(fam, gen)
+        q = calc_k.meta["isometry"]
+        qd = dagger(q)
+        assert q.shape == (n * n * len(fam), calc_k.dim_h)
+
+        def maxabs(x):
+            return float(np.abs(x).max(initial=0.0))
+
+        n2, dim_full = n * n, q.shape[0]
+        for name in ("pi_l", "pi_r"):
+            projected = qd @ full[name].reshape(n2, dim_full, dim_full) @ q
+            assert maxabs(projected.reshape(n, n, *projected.shape[1:]) - getattr(calc_k, name)) <= 1e-14
+        delta = (full["delta"].reshape(n2, dim_full) @ np.conj(q)).reshape(calc_k.delta.shape)
+        assert maxabs(delta - calc_k.delta) <= 1e-14
+        assert maxabs(qd @ full["jmat"] @ np.conj(q) - calc_k.jmat) <= 1e-14
+        # q spans the oracle's cyclic subspace, which pi_l leaves invariant
+        span = full["span"]
+        sv = np.linalg.svd(span, compute_uv=False)
+        assert int((sv > 1e-10 * sv.max()).sum()) == calc_k.dim_h
+        assert maxabs(span - q @ (qd @ span)) <= 1e-12 * maxabs(span)
+        moved = full["pi_l"].reshape(n2, dim_full, dim_full) @ q
+        assert maxabs(moved - q @ (qd @ moved)) < 1e-10
         assert calc_k.meta["compression_leak"] < 1e-10
 
     def test_dimension_matches_gns(self):

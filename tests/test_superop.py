@@ -14,6 +14,7 @@ from kmsflow.matrix_core import dagger, opnorm
 from kmsflow.superop import (
     choi,
     from_kraus,
+    hermiticity_preservation_defect,
     kms_gram,
     kraus_from_choi,
     superop_from_choi,
@@ -32,6 +33,37 @@ def transpose_superop(n, level="algebra"):
         for j in range(n):
             mat[i * n + j, j * n + i] = 1.0
     return kf.Superoperator(mat, n, level)
+
+
+def choi_by_blocks(s):
+    """Choi matrix assembled block by block: block (a, b) is S(E_ab)."""
+    n = s.dim
+    c = np.zeros((n * n, n * n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            c[a * n : (a + 1) * n, b * n : (b + 1) * n] = unvec(s.mat[:, b * n + a], n)
+    return c
+
+
+def superop_from_choi_by_blocks(c):
+    n = int(round(np.sqrt(c.shape[0])))
+    mat = np.zeros((n * n, n * n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            mat[:, b * n + a] = vec(c[a * n : (a + 1) * n, b * n : (b + 1) * n])
+    return mat
+
+
+def hermiticity_defect_by_units(s):
+    """max_ab ||S(E_ab*) - S(E_ab)*||_HS, one matrix unit at a time."""
+    n = s.dim
+    worst = 0.0
+    for a in range(n):
+        for b in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            e[a, b] = 1.0
+            worst = max(worst, np.linalg.norm(s.apply(dagger(e)) - dagger(s.apply(e))))
+    return worst
 
 
 def depolarizing(n):
@@ -137,6 +169,30 @@ class TestChoiKraus:
         lhs = from_kraus([v1, v2])
         rhs = from_kraus(mixed)
         assert opnorm(lhs.mat - rhs.mat) < 1e-10 * max(1.0, lhs.norm)
+
+
+class TestLoopOracles:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_choi_matches_block_assembly(self, n):
+        rng = np.random.default_rng(20 + n)
+        s = kf.Superoperator(rng_matrix(rng, n * n), n)
+        np.testing.assert_array_equal(choi(s), choi_by_blocks(s))
+        c = rng_matrix(rng, n * n)
+        np.testing.assert_array_equal(superop_from_choi(c).mat, superop_from_choi_by_blocks(c))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_hermiticity_defect_matches_unit_loop(self, n):
+        rng = np.random.default_rng(30 + n)
+        k = rng_matrix(rng, n)
+        maps = [
+            kf.Superoperator(rng_matrix(rng, n * n), n),
+            from_kraus([k, rng_matrix(rng, n)]),  # Hermiticity-preserving
+            kf.lmul(k),
+        ]
+        for s in maps:
+            expect = hermiticity_defect_by_units(s)
+            assert abs(hermiticity_preservation_defect(s) - expect) <= 1e-14 * max(1.0, expect)
+        assert hermiticity_preservation_defect(maps[1]) < 1e-13
 
 
 class TestIsCp:
@@ -267,16 +323,30 @@ class TestIsMarkovL2:
         assert kf.is_markov_l2(t, gen.ctx).passed
 
     def test_transpose_sandwich_fails_cp(self, ctx2):
-        from kmsflow.superop import descend_superop, embed_superop
-
+        q, qi = ctx2.quarter_rho, ctx2.inv_quarter_rho
         t = kf.Superoperator(
-            embed_superop(ctx2).mat @ transpose_superop(2).mat @ descend_superop(ctx2).mat,
+            np.kron(q.T, q) @ transpose_superop(2).mat @ np.kron(qi.T, qi),
             2,
             "l2",
         )
         rep = kf.is_markov_l2(t, ctx2)
         assert not rep.passed
         assert rep.check("min_choi_eig").value < -1e-3
+
+    def test_j_breaking_map_fails_j_commutation(self, ctx2):
+        # T = I + i eps (I - P), P the projection onto rho^{1/2}: fixes the
+        # cyclic vector and its descended Choi matrix has PSD Hermitian part,
+        # but T(a*) - T(a)* = 2 i eps (a - P a)*
+        eps = 0.1
+        omega = vec(ctx2.sqrt_rho)
+        p = np.outer(omega, omega.conj())
+        t = kf.Superoperator(np.eye(4) + 1j * eps * (np.eye(4) - p), 2, "l2")
+        rep = kf.is_markov_l2(t, ctx2)
+        assert rep.check("cyclic_fix_defect").passed()
+        assert rep.check("min_choi_eig").passed()
+        assert not rep.passed
+        assert not rep.check("j_commutation_defect").passed()
+        assert rep.check("j_commutation_defect").value > eps
 
 
 class TestSuperopExp:

@@ -9,7 +9,6 @@ from kmsflow.superop import superop_exp
 from kmsflow.vtransform import (
     delta_superop,
     markov_preservation_check,
-    modular_spectrum,
     v_transform_cptp_certificate,
     v_transform_quadrature,
 )
@@ -22,19 +21,57 @@ def random_superop(seed, n, level="l2"):
     return kf.Superoperator(rng_matrix(rng, n * n), n, level)
 
 
+def dense_modular_spectrum(ctx):
+    """Spectrum of Delta: a -> rho a rho^{-1} as an n^2 x n^2 matrix.
+
+    Returns (lam, basis): lam[b*n + a] = p_a / p_b is the eigenvalue of the
+    unit E_ab of rho's eigenbasis, and the columns of basis = kron(conj u, u)
+    are the vectorized eigen-units u E_ab u*.
+    """
+    p = ctx.p
+    return np.outer(1.0 / p, p).flatten(), np.kron(ctx.u.conj(), ctx.u)
+
+
+def dense_w_multiplier(lam):
+    """((lam_a/lam_b)^{1/4} + (lam_b/lam_a)^{1/4}) / 2 over eigenvalue pairs."""
+    q = np.log(lam)
+    ratio = np.exp((q[:, None] - q[None, :]) / 4.0)
+    return 0.5 * (ratio + 1.0 / ratio)
+
+
 class TestModularSpectrum:
     def test_eigenvalue_reciprocity(self, ctx2):
-        lam = modular_spectrum(ctx2).lam
+        lam, _ = dense_modular_spectrum(ctx2)
         n = 2
         for a in range(n):
             for b in range(n):
                 assert abs(lam[b * n + a] * lam[a * n + b] - 1.0) < 1e-15
+        np.testing.assert_allclose(np.exp(ctx2.log_ratio.ravel(order="F")), lam, rtol=1e-15)
 
     def test_basis_diagonalizes_delta(self, ctx2):
-        spec = modular_spectrum(ctx2)
+        lam, basis = dense_modular_spectrum(ctx2)
+        np.testing.assert_array_equal(ctx2.superop_basis, basis)
         d = delta_superop(ctx2)
-        diag = dagger(spec.basis) @ d.mat @ spec.basis
-        np.testing.assert_allclose(diag, np.diag(spec.lam), atol=1e-12)
+        diag = dagger(basis) @ d.mat @ basis
+        np.testing.assert_allclose(diag, np.diag(lam), atol=1e-12)
+
+
+class TestDenseMultiplierOracle:
+    """V and W against the dense formula B (m * B* S B) B* in Delta's
+    eigenbasis B, with the multiplier m built from the eigenvalues."""
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (2, 5), (3, 1), (3, 4)])
+    def test_v_and_w_match_dense_formula(self, n, seed):
+        gen, _ = cached_generator(n, seed)
+        lam, b = dense_modular_spectrum(gen.ctx)
+        w = dense_w_multiplier(lam)
+        for level in ("l2", "algebra"):
+            s = random_superop(seed, n, level)
+            s_hat = dagger(b) @ s.mat @ b
+            for transform, m in ((kf.w_transform, w), (kf.v_transform, 1.0 / w)):
+                out = transform(s, gen.ctx)
+                assert out.level == level
+                assert opnorm(out.mat - b @ (m * s_hat) @ dagger(b)) <= 1e-13 * s.norm
 
 
 class TestWTransform:
@@ -69,12 +106,12 @@ class TestVTransform:
     def test_matrix_element_scaling(self, ctx2):
         # coupling between Delta-eigenvalues 3 and 1/3 is scaled by
         # 2/(3^{1/2} + 3^{-1/2}) = sqrt(3)/2
-        spec = modular_spectrum(ctx2)
-        i3 = int(np.argmin(np.abs(spec.lam - 3.0)))
-        i13 = int(np.argmin(np.abs(spec.lam - 1.0 / 3.0)))
+        lam, basis = dense_modular_spectrum(ctx2)
+        i3 = int(np.argmin(np.abs(lam - 3.0)))
+        i13 = int(np.argmin(np.abs(lam - 1.0 / 3.0)))
         m = np.zeros((4, 4), dtype=complex)
         m[i3, i13] = 1.0
-        s = kf.Superoperator(spec.basis @ m @ dagger(spec.basis), 2, "l2")
+        s = kf.Superoperator(basis @ m @ dagger(basis), 2, "l2")
         v = kf.v_transform(s, ctx2)
         np.testing.assert_allclose(v.mat, (np.sqrt(3) / 2) * s.mat, atol=1e-13)
 
