@@ -205,6 +205,9 @@ def main(argv=None) -> int:
         return EXIT_FAIL
     except KmsflowError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        for key in ("value", "bound"):
+            if getattr(exc, key, None) is not None:
+                report["error"][key] = getattr(exc, key)
         report["pass"] = False
         _emit(report, args.out, serialize)
         return EXIT_FAIL
@@ -301,14 +304,16 @@ def _dispatch(args, report: dict, serialize) -> int:
             results["gns_form"] = _form_report(derivation, fam, gen)
             xi0, residual = timed("inner_vector", lambda: derivation.inner_vector(calc))
             results["inner_vector_residual"] = float(residual)
-            dump["gns_calculus"] = serialize.calculus_to_json(calc)
-            dump["gns_family"] = serialize.family_to_json(fam)
+            if args.dump:
+                dump["gns_calculus"] = serialize.calculus_to_json(calc)
+                dump["gns_family"] = serialize.family_to_json(fam)
         if args.method in ("kraus", "both"):
             fam_k = timed(
                 "kraus_route", lambda: derivation.extract_commutators_kraus(gen, psi)
             )
             results["kraus_form"] = _form_report(derivation, fam_k, gen)
-            dump["kraus_family"] = serialize.family_to_json(fam_k)
+            if args.dump:
+                dump["kraus_family"] = serialize.family_to_json(fam_k)
         if args.method == "both":
             calc_k = timed(
                 "commutator_calculus", lambda: derivation.commutator_calculus(fam_k, gen)

@@ -169,7 +169,10 @@ def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOr
     Raises GramNotPSD when the restricted form has an eigenvalue below
     -1e-8 * ||G|| (a non-CND input slipping through certification) and
     ReconstructionFailure when <delta(A), delta(B)> fails to reproduce
-    <A, L(B)>_rho on the matrix units.
+    <A, L(B)>_rho on the matrix units.  ``meta["class_map"]`` (dim_h x n^4)
+    sends the product basis E_ab (x) E_cd, indexed ((a n + b) n + c) n + d,
+    to its class in H, and ``meta["lift"]`` (n^4 x dim_h) lifts the basis of
+    H to representatives in that product basis.
     """
     ctx = gen.ctx
     n = gen.dim
@@ -177,9 +180,12 @@ def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOr
 
     lcheck = to_algebra(v_transform(gen.L2, ctx), ctx)
     kernel_defect = opnorm(lcheck.apply(eye))
-    if kernel_defect > ctx.tol * max(1.0, lcheck.norm):
+    kernel_bound = ctx.tol * max(1.0, lcheck.norm)
+    if kernel_defect > kernel_bound:
         raise ReconstructionFailure(
-            f"V-transformed generator does not annihilate I (defect {kernel_defect:.3e})"
+            f"V-transformed generator does not annihilate I (defect {kernel_defect:.3e})",
+            value=float(kernel_defect),
+            bound=float(kernel_bound),
         )
 
     # Gram form on the product basis E_ab (x) E_cd.
@@ -198,17 +204,22 @@ def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOr
     nullbasis = scipy.linalg.null_space(mu)
     if nullbasis.shape[1] != n**4 - n * n:
         raise ReconstructionFailure(
-            f"constraint kernel has dimension {nullbasis.shape[1]}, expected {n**4 - n*n}"
+            f"constraint kernel has dimension {nullbasis.shape[1]}, expected {n**4 - n*n}",
+            value=float(nullbasis.shape[1]),
+            bound=float(n**4 - n * n),
         )
 
     gram_n = dagger(nullbasis) @ gram @ nullbasis
     gram_n = 0.5 * (gram_n + dagger(gram_n))
     eigs, w = np.linalg.eigh(gram_n)
     gnorm = max(abs(eigs).max(initial=0.0), 0.0)
-    if eigs.min(initial=0.0) < -GRAM_PSD_TOL * max(gnorm, 1e-300):
+    psd_bound = GRAM_PSD_TOL * max(gnorm, 1e-300)
+    if eigs.min(initial=0.0) < -psd_bound:
         raise GramNotPSD(
             f"restricted Gram form has eigenvalue {eigs.min():.3e} "
-            f"< -{GRAM_PSD_TOL:.0e} * ||G||"
+            f"< -{GRAM_PSD_TOL:.0e} * ||G||",
+            value=float(eigs.min()),
+            bound=float(psd_bound),
         )
     # Anchor the cutoff both to ||G|| (relative rank decision) and to the
     # assembly noise floor of the generator, so a numerically-zero L yields
@@ -223,19 +234,27 @@ def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOr
     class_map = (np.sqrt(g_kept)[:, None] * dagger(w_kept)) @ dagger(nullbasis)
     lift = nullbasis @ (w_kept / np.sqrt(g_kept)[None, :])
 
-    class_t = class_map.reshape(dim_h, n, n, n, n)
-    lift_t = lift.reshape(n, n, n, n, dim_h)
-    pi_l = np.einsum("ipbcd,qbcdk->pqik", class_t, lift_t)
-    pi_r = np.einsum("iabcq,abcpk->pqik", class_t, lift_t)
+    # pi_l[p, q] contracts the last three ambient indices of class_map and
+    # lift, with the first one fixed to p and q; pi_r[p, q] the first three,
+    # with the last one fixed to q and p.  One batched BLAS matmul each, on
+    # contiguous operands, so pi_l and pi_r come out C-contiguous.
+    n3 = n**3
+    cl = np.ascontiguousarray(class_map.reshape(dim_h, n, n3).transpose(1, 0, 2))
+    ll = lift.reshape(n, n3, dim_h)
+    pi_l = cl[:, None] @ ll[None]
+    cr = np.ascontiguousarray(class_map.reshape(dim_h, n3, n).transpose(2, 0, 1))
+    lr = np.ascontiguousarray(lift.reshape(n3, n, dim_h).transpose(1, 0, 2))
+    pi_r = cr[None] @ lr[:, None]
 
     # delta(E_ab) = sigma_{-i/4}(E_ab) (x) I - I (x) sigma_{i/4}(E_ab)
     s_m4, s_p4 = _quarter_units(ctx)
     d6 = np.einsum("abxy,zw->abxyzw", s_m4, eye) - np.einsum(
         "xy,abzw->abxyzw", eye, s_p4
     )
-    delta = np.einsum("iP,abP->abi", class_map, d6.reshape(n, n, n**4))
+    delta = (d6.reshape(n * n, n**4) @ class_map.T).reshape(n, n, dim_h)
 
     # antilinear involution: A (x) B -> -B* (x) A*
+    lift_t = lift.reshape(n, n, n, n, dim_h)
     mj_lift = -np.conj(lift_t).transpose(3, 2, 1, 0, 4).reshape(n**4, dim_h)
     jmat = class_map @ mj_lift
 
@@ -252,15 +271,20 @@ def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOr
             "ambient_dim": n**4,
             "constraint_dim": int(nullbasis.shape[1]),
             "vgen_kernel_defect": kernel_defect,
+            "class_map": class_map,
+            "lift": lift,
         },
     )
 
     form_h = np.einsum("abi,cdi->abcd", np.conj(delta), delta).reshape(n * n, n * n)
     form_l = kms_form_of_generator(gen)
     defect = np.abs(form_h - form_l).max()
-    if defect > FORM_TOL * max(1.0, gen.L.norm):
+    form_bound = FORM_TOL * max(1.0, gen.L.norm)
+    if defect > form_bound:
         raise ReconstructionFailure(
-            f"<delta(A), delta(B)> deviates from <A, L(B)>_rho by {defect:.3e}"
+            f"<delta(A), delta(B)> deviates from <A, L(B)>_rho by {defect:.3e}",
+            value=float(defect),
+            bound=float(form_bound),
         )
     calc.meta["form_identity_defect"] = float(defect)
     return calc
@@ -539,7 +563,9 @@ def extract_commutators_gns(
     vscale = max(1.0, max((opnorm(v) for v in ops), default=0.0))
     if worst > 1e-7 * vscale:
         raise DerivationRecoveryFailure(
-            f"component derivations deviate from commutators by {worst:.3e}"
+            f"component derivations deviate from commutators by {worst:.3e}",
+            value=worst,
+            bound=1e-7 * vscale,
         )
 
     fam = _close_under_adjoints(ops, pair_tol=1e-10)
@@ -661,10 +687,15 @@ def commutator_calculus(
 
     # leak of pi_l(E_ab) q out of range(q): pi_l(E_ab) q - q pi_l[a, b], whose
     # part in row r of the blocks is [r = a] rows[b] - rows[r] pi_l[a, b]
+    # = G[r, a] rows[b] with the Gram blocks G[r, a] = rows[r] rows[a]* - [r = a] I;
+    # one left index a at a time keeps the residual at the size of one pi_l[a]
+    nfn = nf * n
+    gram = rows[:, None] @ np.conj(rows).transpose(0, 2, 1)[None]
+    gram[np.arange(n), np.arange(n)] -= np.eye(nfn)
+    rows_wide = rows.transpose(1, 0, 2).reshape(nfn, n * dim_h)
     leak = 0.0
     for a in range(n):
-        resid = rows[:, None] @ pi_l[a][None]  # [r, b]
-        resid[a] -= rows
+        resid = gram[:, a].reshape(n * nfn, nfn) @ rows_wide
         leak = max(leak, float(np.abs(resid).max(initial=0.0)))
     return FirstOrderCalculus(
         dim_h=dim_h,

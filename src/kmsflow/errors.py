@@ -68,12 +68,23 @@ class InsufficientRange(KmsflowError):
     ill-conditioned) for the requested accuracy."""
 
 
-class GramNotPSD(KmsflowError):
+class MeasuredFailure(KmsflowError):
+    """Base class for errors raised when a measured quantity misses its
+    bound.  ``value`` is the quantity and ``bound`` the limit (or expected
+    value) it was checked against, both None when the raise site has none."""
+
+    def __init__(self, message, value=None, bound=None):
+        super().__init__(message)
+        self.value = value
+        self.bound = bound
+
+
+class GramNotPSD(MeasuredFailure):
     """The quotient Gram form has a negative eigenvalue beyond tolerance,
     signalling a non-CND input."""
 
 
-class ReconstructionFailure(KmsflowError):
+class ReconstructionFailure(MeasuredFailure):
     """The derivation does not reproduce the generator's sesquilinear form."""
 
 
@@ -81,7 +92,7 @@ class NonIntegralMultiplicity(KmsflowError):
     """dim H is not an integer multiple of n^2."""
 
 
-class DerivationRecoveryFailure(KmsflowError):
+class DerivationRecoveryFailure(MeasuredFailure):
     """Recovered commutator matrices do not implement the component
     derivations within tolerance."""
 

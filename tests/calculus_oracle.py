@@ -6,7 +6,9 @@ properties directly over every pair of matrix units, at O(n^4 dim_h^3)
 cost, and serve as the oracle the structure certificate is compared
 against at n <= 3.  ``kron_commutator_actions`` is the Kronecker-product
 construction of a commutator family's uncompressed calculus, the oracle for
-the blockwise actions of ``commutator_calculus``.
+the blockwise actions of ``commutator_calculus``.  ``einsum_gns_actions``
+and ``loop_compression_leak`` are the plain-einsum and per-unit-loop forms
+of the batched contractions in ``gns_calculus`` and ``commutator_calculus``.
 """
 
 import numpy as np
@@ -121,3 +123,42 @@ def kron_commutator_actions(family, gen) -> dict:
         "jmat": -np.kron(perm, pt),
         "span": span,
     }
+
+
+def einsum_gns_actions(calc) -> dict:
+    """pi_l, pi_r and delta of a GNS calculus recomputed from its quotient
+    maps (``meta["class_map"]``, ``meta["lift"]``) with plain einsums:
+    pi_l(E_pq) acts on the first ambient factor's row index, pi_r(E_pq) on
+    the second factor's column index, and delta(E_ab) is the class of
+    sigma_{-i/4}(E_ab) (x) I - I (x) sigma_{i/4}(E_ab)."""
+    n = calc.dim
+    d = calc.dim_h
+    class_t = calc.meta["class_map"].reshape(d, n, n, n, n)
+    lift_t = calc.meta["lift"].reshape(n, n, n, n, d)
+    qr = calc.ctx.quarter_rho
+    qi = calc.ctx.inv_quarter_rho
+    eye = np.eye(n)
+    s_m4 = np.einsum("xa,by->abxy", qr, qi)
+    s_p4 = np.einsum("xa,by->abxy", qi, qr)
+    d6 = np.einsum("abxy,zw->abxyzw", s_m4, eye) - np.einsum("xy,abzw->abxyzw", eye, s_p4)
+    return {
+        "pi_l": np.einsum("ipbcd,qbcdk->pqik", class_t, lift_t),
+        "pi_r": np.einsum("iabcq,abcpk->pqik", class_t, lift_t),
+        "delta": np.einsum("iP,abP->abi", calc.meta["class_map"], d6.reshape(n, n, n**4)),
+    }
+
+
+def loop_compression_leak(calc_k) -> float:
+    """Largest entry of pi_l(E_ab) q - q pi_l[a, b] over the matrix units,
+    one left index a at a time, with q = ``meta["isometry"]`` and rows[r]
+    the entries of q in row r of every block of M_n (x) C^N."""
+    n = calc_k.dim
+    q = calc_k.meta["isometry"]
+    nf = calc_k.meta["family_size"]
+    rows = q.reshape(nf, n, n, -1).transpose(2, 0, 1, 3).reshape(n, nf * n, -1)
+    leak = 0.0
+    for a in range(n):
+        resid = rows[:, None] @ calc_k.pi_l[a][None]  # [r, b]
+        resid[a] -= rows
+        leak = max(leak, _maxabs(resid))
+    return leak

@@ -15,7 +15,12 @@ import pytest
 import scipy.optimize
 
 import kmsflow as kf
-from calculus_oracle import STRUCTURE_CHECKS, pairwise_grid_defects
+from calculus_oracle import (
+    STRUCTURE_CHECKS,
+    einsum_gns_actions,
+    loop_compression_leak,
+    pairwise_grid_defects,
+)
 from kmsflow.errors import GramMismatch
 from kmsflow.generator import cone_project
 from kmsflow.matrix_core import dagger, opnorm
@@ -205,6 +210,25 @@ def test_criterion_06_structure_certificate_matches_grid_oracle():
     report_line(6, True, f"max grid / structure defect ratio {worst_ratio:.2f} (<= 10)")
 
 
+def test_criterion_06_batched_actions_match_einsum_oracle():
+    """At n <= 3 the batched pi_l, pi_r and delta of the GNS calculus equal
+    the plain-einsum contractions of its quotient maps to 1e-13 relative to
+    max(1, max |oracle|), on every pipeline instance and on one rho
+    conditioned at 1e6; pi_l and pi_r are C-contiguous."""
+    calcs = [pipeline_cache(n, seed)["calc"] for n in (2, 3) for seed in PIPELINE_SEEDS[n]]
+    gen_ill, _ = kf.random_generator(3, 1, cond_bound=1e6)
+    calcs.append(kf.gns_calculus(gen_ill))
+    worst = 0.0
+    for calc in calcs:
+        assert calc.pi_l.flags.c_contiguous and calc.pi_r.flags.c_contiguous
+        for name, ref in einsum_gns_actions(calc).items():
+            scale = max(1.0, float(np.abs(ref).max(initial=0.0)))
+            dev = float(np.abs(getattr(calc, name) - ref).max(initial=0.0)) / scale
+            assert dev <= 1e-13, (calc.dim, name, dev)
+            worst = max(worst, dev)
+    report_line(6, True, f"max batched / einsum action deviation {worst:.1e} (<= 1e-13)")
+
+
 def test_criterion_07_commutator_form():
     """Both extraction routes reproduce the generator form at 1e-7; the
     Kraus family satisfies the resolvent sum identities at 1e-8; pairings
@@ -250,6 +274,20 @@ def test_criterion_08_uniqueness_witness():
             pipeline_cache(2, 0)["calc"], pipeline_cache(2, 1)["calc"], pipeline_cache(2, 0)["gen"]
         )
     report_line(8, True, f"max Gram mismatch {worst:.3e}, negative control rejected")
+
+
+def test_criterion_08_compression_leak_matches_loop_oracle():
+    """At n <= 3 the batched compression leak of the Kraus-route calculus
+    equals the per-unit loop over pi_l(E_ab) to 1e-14, on every pipeline
+    instance."""
+    worst = 0.0
+    for n in (2, 3):
+        for seed in PIPELINE_SEEDS[n]:
+            calc_k = pipeline_cache(n, seed)["calc_kraus"]
+            dev = abs(calc_k.meta["compression_leak"] - loop_compression_leak(calc_k))
+            assert dev <= 1e-14, (n, seed, dev)
+            worst = max(worst, dev)
+    report_line(8, True, f"max batched / loop compression-leak deviation {worst:.1e} (<= 1e-14)")
 
 
 def test_criterion_09_innerness():

@@ -181,6 +181,29 @@ class TestDerive:
         assert doc["gns_calculus"]["dimH"] > 0
         assert set(doc["gns_calculus"]["delta"]) == {"00", "01", "10", "11"}
 
+    def test_no_dump_skips_serialization(self, capsys, monkeypatch):
+        from kmsflow import serialize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dump serialized without --dump")
+
+        monkeypatch.setattr(serialize, "calculus_to_json", refuse)
+        monkeypatch.setattr(serialize, "family_to_json", refuse)
+        code, _ = run(capsys, "derive", "--method", "both", "--seed", "1", "--n", "2")
+        assert code == 0
+
+    def test_measured_failure_reports_value_and_bound(self, capsys, monkeypatch):
+        from kmsflow import derivation
+
+        def not_psd(gen):
+            raise kf.GramNotPSD("negative eigenvalue", value=-2e-6, bound=1e-8)
+
+        monkeypatch.setattr(derivation, "gns_calculus", not_psd)
+        code, rep = run(capsys, "derive", "--method", "gns", "--seed", "1", "--n", "2")
+        assert code == 1
+        assert rep["error"]["type"] == "GramNotPSD"
+        assert (rep["error"]["value"], rep["error"]["bound"]) == (-2e-6, 1e-8)
+
 
 class TestVerify:
     def test_idempotent_verdicts(self, capsys, tmp_path):

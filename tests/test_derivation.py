@@ -17,7 +17,11 @@ from kmsflow.generator import MarkovGenerator, modular_resolvent
 from kmsflow.matrix_core import dagger, opnorm
 from kmsflow.superop import from_kraus, kms_adjoint, to_l2, zero_superop
 
-from calculus_oracle import grid_invariants_report, kron_commutator_actions
+from calculus_oracle import (
+    grid_invariants_report,
+    kron_commutator_actions,
+    loop_compression_leak,
+)
 from conftest import cached_generator, cached_gns, rng_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -95,8 +99,9 @@ class TestGnsCalculus:
         bad = MarkovGenerator(
             L=l_bad, L2=to_l2(l_bad, gen1.ctx), ctx=gen1.ctx, certificates={}
         )
-        with pytest.raises(GramNotPSD):
+        with pytest.raises(GramNotPSD) as err:
             kf.gns_calculus(bad)
+        assert err.value.value < -err.value.bound
 
 
 def _perturbed(calc, name):
@@ -359,6 +364,27 @@ class TestCommutatorCalculus:
         moved = full["pi_l"].reshape(n2, dim_full, dim_full) @ q
         assert maxabs(moved - q @ (qd @ moved)) < 1e-10
         assert calc_k.meta["compression_leak"] < 1e-10
+
+    @pytest.mark.parametrize("n,seed", [(2, 3), (3, 4)])
+    def test_leak_matches_loop_oracle_off_invariant_range(self, n, seed, monkeypatch):
+        # the range of the SVD is left-invariant, so the leak is rounding
+        # noise; a random isometry in its place leaks far above that
+        gen, psi = cached_generator(n, seed)
+        fam = kf.extract_commutators_kraus(gen, psi)
+        rng = np.random.default_rng(seed)
+        svd = np.linalg.svd
+
+        def random_range(a, full_matrices=True):
+            uu, sv, vh = svd(a, full_matrices=full_matrices)
+            rand = rng.standard_normal(uu.shape) + 1j * rng.standard_normal(uu.shape)
+            return np.linalg.qr(rand)[0], sv, vh
+
+        monkeypatch.setattr(np.linalg, "svd", random_range)
+        calc_k = kf.commutator_calculus(fam, gen)
+        monkeypatch.undo()
+        oracle = loop_compression_leak(calc_k)
+        assert oracle > 1e-3
+        assert abs(calc_k.meta["compression_leak"] - oracle) <= 1e-14 * oracle
 
     def test_dimension_matches_gns(self):
         gen, psi = cached_generator(3, 4)
