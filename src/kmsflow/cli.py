@@ -329,9 +329,13 @@ def _dispatch(args, report: dict, serialize) -> int:
 
     if args.command == "uniqueness":
         gen, psi = _seeded_generator(args, serialize)
-        calc = derivation.gns_calculus(gen)
-        fam_k = derivation.extract_commutators_kraus(gen, psi)
-        calc_k = derivation.commutator_calculus(fam_k, gen)
+        calc = timed("gns_calculus", lambda: derivation.gns_calculus(gen))
+        fam_k = timed(
+            "kraus_route", lambda: derivation.extract_commutators_kraus(gen, psi)
+        )
+        calc_k = timed(
+            "commutator_calculus", lambda: derivation.commutator_calculus(fam_k, gen)
+        )
         theta, wit = timed(
             "witness", lambda: derivation.uniqueness_witness(calc, calc_k, gen)
         )

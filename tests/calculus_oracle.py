@@ -9,11 +9,15 @@ construction of a commutator family's uncompressed calculus, the oracle for
 the blockwise actions of ``commutator_calculus``.  ``einsum_gns_actions``
 and ``loop_compression_leak`` are the plain-einsum and per-unit-loop forms
 of the batched contractions in ``gns_calculus`` and ``commutator_calculus``.
+``loop_witness_defects`` is the per-unit intertwining defect on the spanning
+family that ``uniqueness_witness`` bounds at operator level, and
+``lstsq_inner_vector`` the dense least-squares solve of ``inner_vector``.
 """
 
 import numpy as np
 
 import kmsflow as kf
+from kmsflow.derivation import _quarter_units, spanning_family
 from kmsflow.matrix_core import dagger
 from kmsflow.reports import Check
 from kmsflow.superop import lmul, rmul, vec
@@ -162,3 +166,39 @@ def loop_compression_leak(calc_k) -> float:
         resid[a] -= rows
         leak = max(leak, _maxabs(resid))
     return leak
+
+
+def loop_witness_defects(theta, calc_a, calc_b) -> dict:
+    """Largest entrywise intertwining defect of theta on the spanning family
+    S of ``calc_a``, one matrix unit E at a time: theta pi_a(E) S against
+    pi_b(E) theta S for both actions, and theta J_a conj(S) against
+    J_b conj(theta S)."""
+    n = calc_a.dim
+    sa = spanning_family(calc_a)
+    theta_sa = theta @ sa
+    pl = pr = 0.0
+    for a in range(n):
+        for b in range(n):
+            pl = max(pl, _maxabs(theta @ (calc_a.pi_l[a, b] @ sa) - calc_b.pi_l[a, b] @ theta_sa))
+            pr = max(pr, _maxabs(theta @ (calc_a.pi_r[a, b] @ sa) - calc_b.pi_r[a, b] @ theta_sa))
+    j = _maxabs(theta @ (calc_a.jmat @ np.conj(sa)) - calc_b.jmat @ np.conj(theta_sa))
+    return {
+        "pi_l_intertwine_defect": pl,
+        "pi_r_intertwine_defect": pr,
+        "j_intertwine_defect": j,
+    }
+
+
+def lstsq_inner_vector(calc):
+    """(xi0, residual) of the innerness equation solved by dense
+    least squares (``np.linalg.lstsq``, rcond=None) on the stacked
+    (n^2 dim_h x dim_h) operator, residual relative as in ``inner_vector``."""
+    n, d = calc.dim, calc.dim_h
+    s_m4, s_p4 = _quarter_units(calc.ctx)
+    a_stack = np.tensordot(s_m4, calc.pi_l, axes=2) - np.tensordot(s_p4, calc.pi_r, axes=2)
+    a_stack = a_stack.reshape(n * n * d, d)
+    b_stack = calc.delta.reshape(n * n * d)
+    xi0, *_ = np.linalg.lstsq(a_stack, b_stack, rcond=None)
+    resid = np.linalg.norm(a_stack @ xi0 - b_stack)
+    denom = np.linalg.norm(b_stack)
+    return xi0, float(resid / denom if denom > 0 else resid)

@@ -19,6 +19,8 @@ from calculus_oracle import (
     STRUCTURE_CHECKS,
     einsum_gns_actions,
     loop_compression_leak,
+    loop_witness_defects,
+    lstsq_inner_vector,
     pairwise_grid_defects,
 )
 from kmsflow.errors import GramMismatch
@@ -276,6 +278,22 @@ def test_criterion_08_uniqueness_witness():
     report_line(8, True, f"max Gram mismatch {worst:.3e}, negative control rejected")
 
 
+def test_criterion_08_witness_bound_and_loop_oracle_pass():
+    """At n <= 3 the operator-level witness and the per-unit intertwining
+    defect on the spanning family both pass at 1e-6, on every pipeline
+    instance."""
+    worst_ratio = 0.0
+    for n in (2, 3):
+        for seed in PIPELINE_SEEDS[n]:
+            pipe = pipeline_cache(n, seed)
+            theta, rep = kf.uniqueness_witness(pipe["calc"], pipe["calc_kraus"], pipe["gen"], tol=1e-6)
+            assert rep.passed, (n, seed)
+            for name, old in loop_witness_defects(theta, pipe["calc"], pipe["calc_kraus"]).items():
+                assert old <= 1e-6, (n, seed, name, old)
+                worst_ratio = max(worst_ratio, rep.check(name).value / max(old, 1e-300))
+    report_line(8, True, f"both witness forms pass; max bound / loop defect {worst_ratio:.0f}")
+
+
 def test_criterion_08_compression_leak_matches_loop_oracle():
     """At n <= 3 the batched compression leak of the Kraus-route calculus
     equals the per-unit loop over pi_l(E_ab) to 1e-14, on every pipeline
@@ -300,6 +318,25 @@ def test_criterion_09_innerness():
             assert res <= 1e-7, (n, seed, res)
             worst = max(worst, res)
     report_line(9, True, f"max inner-vector residual {worst:.3e}")
+
+
+def test_criterion_09_inner_vector_matches_lstsq_oracle():
+    """At n <= 3 the normal-equations inner vector equals the dense
+    least-squares (minimum-norm) solution to 1e-12 relative, and its residual
+    is at most max(lstsq residual, 1e-15), on every pipeline instance and on
+    one rho conditioned at 1e6."""
+    calcs = [pipeline_cache(n, seed)["calc"] for n in (2, 3) for seed in PIPELINE_SEEDS[n]]
+    gen_ill, _ = kf.random_generator(3, 1, cond_bound=1e6)
+    calcs.append(kf.gns_calculus(gen_ill))
+    worst = 0.0
+    for calc in calcs:
+        xi0, res = kf.inner_vector(calc)
+        ref, ref_res = lstsq_inner_vector(calc)
+        dev = float(np.linalg.norm(xi0 - ref) / np.linalg.norm(ref))
+        assert dev <= 1e-12, (calc.dim, dev)
+        assert res <= max(ref_res, 1e-15), (calc.dim, res, ref_res)
+        worst = max(worst, dev)
+    report_line(9, True, f"max normal-equations / lstsq deviation {worst:.1e} (<= 1e-12)")
 
 
 def test_criterion_10_chernoff():

@@ -205,6 +205,16 @@ class TestDerive:
         assert (rep["error"]["value"], rep["error"]["bound"]) == (-2e-6, 1e-8)
 
 
+class TestUniqueness:
+    def test_witness_passes_and_every_stage_is_timed(self, capsys):
+        code, rep = run(capsys, "uniqueness", "--n", "2", "--seed", "0")
+        assert code == 0
+        assert rep["results"]["uniqueness"]["pass"]
+        assert set(rep["timings_s"]) == {
+            "gns_calculus", "kraus_route", "commutator_calculus", "witness", "total",
+        }
+
+
 class TestVerify:
     def test_idempotent_verdicts(self, capsys, tmp_path):
         out = tmp_path / "report.json"

@@ -21,6 +21,7 @@ from calculus_oracle import (
     grid_invariants_report,
     kron_commutator_actions,
     loop_compression_leak,
+    loop_witness_defects,
 )
 from conftest import cached_generator, cached_gns, rng_matrix
 
@@ -45,6 +46,9 @@ class TestGnsCalculus:
         xi0, res = kf.inner_vector(calc)
         assert xi0.size == 0 and res == 0.0
         assert kf.calculus_invariants_report(calc, gen).passed
+        theta, wit = kf.uniqueness_witness(calc, calc, gen)
+        assert theta.shape == (0, 0) and wit.passed
+        assert all(c.value == 0.0 for c in wit.checks)
 
     def test_tracial_sigma_x_form_identity(self):
         # dense oracle: evaluate both <E_ab, L(E_cd)>_rho (KMS inner product,
@@ -104,9 +108,9 @@ class TestGnsCalculus:
         assert err.value.value < -err.value.bound
 
 
-def _perturbed(calc, name):
+def _perturbed(calc, name, eps=1e-6):
     arr = getattr(calc, name).copy()
-    arr.flat[1] += 1e-6
+    arr.flat[1] += eps
     return dataclasses.replace(calc, **{name: arr})
 
 
@@ -410,6 +414,36 @@ class TestUniquenessWitness:
         theta, rep = kf.uniqueness_witness(calc, calc_k, gen, tol=1e-6)
         assert rep.passed
         assert rep.check("gram_mismatch_max").value <= 1e-6
+
+    @pytest.mark.parametrize(
+        "name,check", [("pi_r", "pi_r_intertwine_defect"), ("jmat", "j_intertwine_defect")]
+    )
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+    def test_broken_target_fails_intertwining(self, n, seed, name, check):
+        # one entry of calc_b's pi_r or J is off; the spanning family, built
+        # from pi_l and delta, is not, so the Gram check passes
+        gen, psi = cached_generator(n, seed)
+        calc = cached_gns(n, seed)
+        calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
+        broken = _perturbed(calc_k, name, eps=1e-3)
+        theta, rep = kf.uniqueness_witness(calc, broken, gen, tol=1e-6)
+        assert rep.passed is False
+        assert not rep.check(check).passed()
+        old = loop_witness_defects(theta, calc, broken)[check]
+        assert old > 1e-6
+        assert rep.check(check).value >= old
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_independent_of_star_structure(self, seed):
+        # at this conditioning the GNS calculus misses its *-structure by
+        # about 1e-6 and fails its invariants report; the witness checks
+        # only that theta intertwines the two calculi, and still passes
+        gen, psi = kf.random_generator(3, seed, cond_bound=1e6)
+        calc = kf.gns_calculus(gen)
+        assert not kf.calculus_invariants_report(calc, gen).passed
+        calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
+        _, rep = kf.uniqueness_witness(calc, calc_k, gen, tol=1e-6)
+        assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]
 
     def test_different_generators_mismatch(self):
         gen_a, _ = cached_generator(2, 0)
