@@ -17,6 +17,11 @@ the antilinear involution is A (x) B -> -B* (x) A*, and the derivation is
     delta(A) = sigma_{-i/4}(A) (x) I  -  I (x) sigma_{i/4}(A),
 
 satisfying the twisted Leibniz rule and <delta(A), delta(B)> = <A, L(B)>_rho.
+On E_ab (x) E_cd the form is delta_aA delta_dD T[(b, c), (B, C)], and since
+right multiplication by rho^{-1/2} is injective, N is the set of x with
+sum_bc x_abcd (rho^{1/2})_bc = 0 for every outer pair (a, d).  So
+H = C^n (x) K (x) C^n, K the quotient of (rho^{1/2})^perp in C^{n^2} by the
+null space of T, and the calculus is built directly in these coordinates.
 
 Because the bimodule is a multiple of the standard M_n bimodule, the
 derivation decomposes into components delta_j(A) = rho^{1/4} [V_j, A] rho^{1/4}
@@ -62,12 +67,12 @@ from .reports import Check, Report
 from .superop import (
     Superoperator,
     choi,
+    kms_gram,
     kraus_from_choi,
     lmul,
     rmul,
     sandwich,
     to_algebra,
-    unvec,
 )
 from .vtransform import v_transform
 
@@ -85,7 +90,7 @@ class FirstOrderCalculus:
     two actions on the computational matrix unit E_ab, ``delta[a, b]`` is the
     vector delta(E_ab) in H, and the antilinear involution acts as
     ``xi -> jmat @ conj(xi)``.  ``meta`` carries construction diagnostics
-    (Gram spectrum, null cutoff, ambient dimensions).
+    (Gram spectrum, null cutoff, dimensions).
     """
 
     dim_h: int
@@ -148,15 +153,12 @@ def _quarter_units(ctx: DensityContext):
 
 def _unit_perm(n: int) -> np.ndarray:
     """Permutation from row-major unit labels (a n + b) to vec indices (b n + a)."""
-    idx = np.arange(n * n).reshape(n, n).T.ravel()
-    return idx
+    return np.arange(n * n).reshape(n, n).T.ravel()
 
 
 def kms_form_of_generator(gen: MarkovGenerator) -> np.ndarray:
     """The matrix F[(ab),(cd)] = <E_ab, L(E_cd)>_rho over matrix-unit pairs
     (row-major unit labels)."""
-    from .superop import kms_gram
-
     perm = _unit_perm(gen.dim)
     f_vec = kms_gram(gen.ctx) @ gen.L.mat
     return f_vec[np.ix_(perm, perm)]
@@ -164,18 +166,30 @@ def kms_form_of_generator(gen: MarkovGenerator) -> np.ndarray:
 
 def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOrderCalculus:
     """Construct the first-order calculus of a certified generator by the
-    GNS quotient of the V-transformed generator.
+    GNS quotient of the V-transformed generator, in H = C^n (x) K (x) C^n.
 
-    Raises GramNotPSD when the restricted form has an eigenvalue below
-    -1e-8 * ||G|| (a non-CND input slipping through certification) and
-    ReconstructionFailure when <delta(A), delta(B)> fails to reproduce
-    <A, L(B)>_rho on the matrix units.  ``meta["class_map"]`` (dim_h x n^4)
-    sends the product basis E_ab (x) E_cd, indexed ((a n + b) n + c) n + d,
-    to its class in H, and ``meta["lift"]`` (n^4 x dim_h) lifts the basis of
-    H to representatives in that product basis.
+    With P an orthonormal basis of (rho^{1/2})^perp and P* T P = W g W*, the
+    m eigenvalues above the cutoff give K = C^m, the class map
+    C_mid = sqrt(g) W* P* and the lift L_mid = P W / sqrt(g).  In the
+    coordinates (a, k, d), indexed (a m + k) n + d, pi_l(E) = E (x) I (x) I,
+    pi_r(E) = I (x) I (x) E^T, J is the swap of a and d tensored with
+    K_J = -C_mid (b <-> c swap) conj(L_mid), composed with conjugation, and
+
+        delta(E)[a, k, d] = sum_bc C_mid[k, b, c] (sigma_{-i/4}(E)[a, b] delta_cd
+                                                   - delta_ab sigma_{i/4}(E)[c, d]).
+
+    Raises GramNotPSD when P* T P has an eigenvalue below -1e-8 * ||P* T P||
+    (a non-CND input slipping through certification), and
+    ReconstructionFailure when Lv misses I in its kernel, when P does not have
+    n^2 - 1 columns, when delta's ambient representative leaves the
+    constraint subspace, or when <delta(A), delta(B)> fails to reproduce
+    <A, L(B)>_rho on the matrix units.  ``meta["gram_eigs"]`` is the (n^2 - 1)
+    middle spectrum of P* T P; the Gram form restricted to N has each of
+    these eigenvalues n^2 times.  No quotient map is stored.
     """
     ctx = gen.ctx
     n = gen.dim
+    n2 = n * n
     eye = np.eye(n, dtype=complex)
 
     lcheck = to_algebra(v_transform(gen.L2, ctx), ctx)
@@ -188,30 +202,21 @@ def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOr
             bound=float(kernel_bound),
         )
 
-    # Gram form on the product basis E_ab (x) E_cd.
+    # T[(b, c), (B, C)] = -1/2 (rho^{1/2} Lv(E_bB) rho^{1/2})[c, C]; column
+    # B n + b of lcheck.mat is vec(Lv(E_bB)), column-stacked
     sqrt_rho = ctx.sqrt_rho
-    t4 = np.empty((n, n, n, n), dtype=complex)
-    for b in range(n):
-        for bp in range(n):
-            y = sqrt_rho @ unvec(lcheck.mat[:, bp * n + b], n) @ sqrt_rho
-            t4[b, bp] = y
-    gram = -0.5 * np.einsum("aA,bBcC,dD->abcdABCD", eye, t4, eye).reshape(n**4, n**4)
-    gram = 0.5 * (gram + dagger(gram))
+    lv_units = lcheck.mat.reshape(n, n, n, n).transpose(3, 2, 1, 0)  # [b, B] = Lv(E_bB)
+    tmid = -0.5 * (sqrt_rho @ lv_units @ sqrt_rho).transpose(0, 2, 1, 3).reshape(n2, n2)
 
-    # Constraint subspace N: kernel of sum_j A_j sigma_{-i/2}(B_j).
-    s_half = np.einsum("xc,dy->cdxy", sqrt_rho, ctx.inv_sqrt_rho)  # sigma_{-i/2}(E_cd)
-    mu = np.einsum("pa,cdbq->pqabcd", eye, s_half).reshape(n * n, n**4)
-    nullbasis = scipy.linalg.null_space(mu)
-    if nullbasis.shape[1] != n**4 - n * n:
+    pbasis = scipy.linalg.null_space(sqrt_rho.reshape(1, n2))
+    if pbasis.shape[1] != n2 - 1:
         raise ReconstructionFailure(
-            f"constraint kernel has dimension {nullbasis.shape[1]}, expected {n**4 - n*n}",
-            value=float(nullbasis.shape[1]),
-            bound=float(n**4 - n * n),
+            f"middle constraint space has dimension {pbasis.shape[1]}, expected {n2 - 1}",
+            value=float(pbasis.shape[1]),
+            bound=float(n2 - 1),
         )
-
-    gram_n = dagger(nullbasis) @ gram @ nullbasis
-    gram_n = 0.5 * (gram_n + dagger(gram_n))
-    eigs, w = np.linalg.eigh(gram_n)
+    t_p = dagger(pbasis) @ tmid @ pbasis
+    eigs, w = np.linalg.eigh(0.5 * (t_p + dagger(t_p)))
     gnorm = max(abs(eigs).max(initial=0.0), 0.0)
     psd_bound = GRAM_PSD_TOL * max(gnorm, 1e-300)
     if eigs.min(initial=0.0) < -psd_bound:
@@ -226,37 +231,34 @@ def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOr
     # an empty calculus instead of amplified rounding junk.
     cutoff = rank_tol * gnorm + 1e-13 * max(1.0, gen.L.norm)
     keep = eigs > cutoff
-    dim_h = int(keep.sum())
-    g_kept = eigs[keep]
-    w_kept = w[:, keep]
+    m = int(keep.sum())
+    dim_h = n2 * m
+    sqrt_g = np.sqrt(eigs[keep])
+    pw = pbasis @ w[:, keep]
+    c_mid = (sqrt_g[:, None] * dagger(pw)).reshape(m, n, n)
+    l_mid = pw / sqrt_g[None, :]
 
-    # class map (ambient -> H) and lift (H basis -> ambient representatives)
-    class_map = (np.sqrt(g_kept)[:, None] * dagger(w_kept)) @ dagger(nullbasis)
-    lift = nullbasis @ (w_kept / np.sqrt(g_kept)[None, :])
+    units = np.eye(n2, dtype=complex).reshape(n, n, n, n)  # units[p, q] = E_pq
+    pi_l = np.kron(units, np.eye(m * n))
+    # np.kron keeps a transposed operand's strides; the copy keeps pi_r C-contiguous
+    pi_r = np.kron(np.eye(n * m), units.transpose(1, 0, 2, 3).copy())
 
-    # pi_l[p, q] contracts the last three ambient indices of class_map and
-    # lift, with the first one fixed to p and q; pi_r[p, q] the first three,
-    # with the last one fixed to q and p.  One batched BLAS matmul each, on
-    # contiguous operands, so pi_l and pi_r come out C-contiguous.
-    n3 = n**3
-    cl = np.ascontiguousarray(class_map.reshape(dim_h, n, n3).transpose(1, 0, 2))
-    ll = lift.reshape(n, n3, dim_h)
-    pi_l = cl[:, None] @ ll[None]
-    cr = np.ascontiguousarray(class_map.reshape(dim_h, n3, n).transpose(2, 0, 1))
-    lr = np.ascontiguousarray(lift.reshape(n3, n, dim_h).transpose(1, 0, 2))
-    pi_r = cr[None] @ lr[:, None]
-
-    # delta(E_ab) = sigma_{-i/4}(E_ab) (x) I - I (x) sigma_{i/4}(E_ab)
     s_m4, s_p4 = _quarter_units(ctx)
-    d6 = np.einsum("abxy,zw->abxyzw", s_m4, eye) - np.einsum(
-        "xy,abzw->abxyzw", eye, s_p4
-    )
-    delta = (d6.reshape(n * n, n**4) @ class_map.T).reshape(n, n, dim_h)
+    constraint_defect = float(np.abs(s_m4 @ sqrt_rho - sqrt_rho @ s_p4).max())
+    constraint_bound = ctx.tol * max(1.0, np.abs(s_m4).max(), np.abs(s_p4).max())
+    if constraint_defect > constraint_bound:
+        raise ReconstructionFailure(
+            f"delta leaves the constraint subspace by {constraint_defect:.3e}",
+            value=constraint_defect,
+            bound=float(constraint_bound),
+        )
+    delta = np.einsum("abxy,kyw->abxkw", s_m4, c_mid)
+    delta -= np.einsum("kxz,abzw->abxkw", c_mid, s_p4)
+    delta = delta.reshape(n, n, dim_h)
 
-    # antilinear involution: A (x) B -> -B* (x) A*
-    lift_t = lift.reshape(n, n, n, n, dim_h)
-    mj_lift = -np.conj(lift_t).transpose(3, 2, 1, 0, 4).reshape(n**4, dim_h)
-    jmat = class_map @ mj_lift
+    l_swapped = l_mid.reshape(n, n, m).transpose(1, 0, 2).reshape(n2, m)
+    k_j = -c_mid.reshape(m, n2) @ np.conj(l_swapped)
+    jmat = np.einsum("xw,yz,kl->xkyzlw", eye, eye, k_j).reshape(dim_h, dim_h)
 
     calc = FirstOrderCalculus(
         dim_h=dim_h,
@@ -269,14 +271,12 @@ def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOr
             "gram_eigs": eigs,
             "null_cutoff": cutoff,
             "ambient_dim": n**4,
-            "constraint_dim": int(nullbasis.shape[1]),
+            "constraint_dim": n2 * pbasis.shape[1],
             "vgen_kernel_defect": kernel_defect,
-            "class_map": class_map,
-            "lift": lift,
         },
     )
 
-    form_h = np.einsum("abi,cdi->abcd", np.conj(delta), delta).reshape(n * n, n * n)
+    form_h = np.einsum("abi,cdi->abcd", np.conj(delta), delta).reshape(n2, n2)
     form_l = kms_form_of_generator(gen)
     defect = np.abs(form_h - form_l).max()
     form_bound = FORM_TOL * max(1.0, gen.L.norm)
@@ -430,8 +430,6 @@ def calculus_invariants_report(
 def commutator_form_matrix(family: CommutatorFamily, ctx: DensityContext, n: int) -> np.ndarray:
     """The matrix sum_j <[V_j, E_ab], [V_j, E_cd]>_rho over matrix-unit pairs
     (row-major unit labels)."""
-    from .superop import kms_gram
-
     perm = _unit_perm(n)
     gk = kms_gram(ctx)
     rhs = np.zeros((n * n, n * n), dtype=complex)

@@ -1,26 +1,39 @@
-"""Dense pairwise reference for the bimodule structure of a calculus.
+"""Dense reference implementations for the calculus layer.
 
 ``calculus_invariants_report`` certifies the actions and the involution
 through the standard-form unitary.  The functions here check the same
 properties directly over every pair of matrix units, at O(n^4 dim_h^3)
 cost, and serve as the oracle the structure certificate is compared
-against at n <= 3.  ``kron_commutator_actions`` is the Kronecker-product
+against at n <= 3.  ``dense_gns_calculus`` is the GNS quotient built on
+the full n^4-dimensional tensor square, the oracle for the factored
+``gns_calculus``; ``einsum_gns_actions`` is the plain-einsum form of its
+batched contractions.  ``kron_commutator_actions`` is the Kronecker-product
 construction of a commutator family's uncompressed calculus, the oracle for
-the blockwise actions of ``commutator_calculus``.  ``einsum_gns_actions``
-and ``loop_compression_leak`` are the plain-einsum and per-unit-loop forms
-of the batched contractions in ``gns_calculus`` and ``commutator_calculus``.
+the blockwise actions of ``commutator_calculus``, and
+``loop_compression_leak`` the per-unit-loop form of its compression leak.
 ``loop_witness_defects`` is the per-unit intertwining defect on the spanning
 family that ``uniqueness_witness`` bounds at operator level, and
 ``lstsq_inner_vector`` the dense least-squares solve of ``inner_vector``.
 """
 
 import numpy as np
+import scipy.linalg
 
 import kmsflow as kf
-from kmsflow.derivation import _quarter_units, spanning_family
-from kmsflow.matrix_core import dagger
+from kmsflow.derivation import (
+    FORM_TOL,
+    GRAM_PSD_TOL,
+    NULL_CUTOFF,
+    FirstOrderCalculus,
+    _quarter_units,
+    kms_form_of_generator,
+    spanning_family,
+)
+from kmsflow.errors import GramNotPSD, ReconstructionFailure
+from kmsflow.matrix_core import dagger, opnorm
 from kmsflow.reports import Check
-from kmsflow.superop import lmul, rmul, vec
+from kmsflow.superop import lmul, rmul, to_algebra, unvec, vec
+from kmsflow.vtransform import v_transform
 
 STRUCTURE_CHECKS = (
     "multiplicity_defect",
@@ -129,9 +142,138 @@ def kron_commutator_actions(family, gen) -> dict:
     }
 
 
+def dense_gns_calculus(gen, rank_tol: float = NULL_CUTOFF) -> FirstOrderCalculus:
+    """The GNS quotient of the V-transformed generator built densely on the
+    n^4-dimensional tensor square: the ambient Gram form, the kernel N of the
+    n^2 x n^4 constraint matrix and one eigh of size n^4 - n^2.
+
+    Raises GramNotPSD when the restricted form has an eigenvalue below
+    -1e-8 * ||G|| (a non-CND input slipping through certification) and
+    ReconstructionFailure when <delta(A), delta(B)> fails to reproduce
+    <A, L(B)>_rho on the matrix units.  ``meta["class_map"]`` (dim_h x n^4)
+    sends the product basis E_ab (x) E_cd, indexed ((a n + b) n + c) n + d,
+    to its class in H, and ``meta["lift"]`` (n^4 x dim_h) lifts the basis of
+    H to representatives in that product basis.
+    """
+    ctx = gen.ctx
+    n = gen.dim
+    eye = np.eye(n, dtype=complex)
+
+    lcheck = to_algebra(v_transform(gen.L2, ctx), ctx)
+    kernel_defect = opnorm(lcheck.apply(eye))
+    kernel_bound = ctx.tol * max(1.0, lcheck.norm)
+    if kernel_defect > kernel_bound:
+        raise ReconstructionFailure(
+            f"V-transformed generator does not annihilate I (defect {kernel_defect:.3e})",
+            value=float(kernel_defect),
+            bound=float(kernel_bound),
+        )
+
+    # Gram form on the product basis E_ab (x) E_cd.
+    sqrt_rho = ctx.sqrt_rho
+    t4 = np.empty((n, n, n, n), dtype=complex)
+    for b in range(n):
+        for bp in range(n):
+            y = sqrt_rho @ unvec(lcheck.mat[:, bp * n + b], n) @ sqrt_rho
+            t4[b, bp] = y
+    gram = -0.5 * np.einsum("aA,bBcC,dD->abcdABCD", eye, t4, eye).reshape(n**4, n**4)
+    gram = 0.5 * (gram + dagger(gram))
+
+    # Constraint subspace N: kernel of sum_j A_j sigma_{-i/2}(B_j).
+    s_half = np.einsum("xc,dy->cdxy", sqrt_rho, ctx.inv_sqrt_rho)  # sigma_{-i/2}(E_cd)
+    mu = np.einsum("pa,cdbq->pqabcd", eye, s_half).reshape(n * n, n**4)
+    nullbasis = scipy.linalg.null_space(mu)
+    if nullbasis.shape[1] != n**4 - n * n:
+        raise ReconstructionFailure(
+            f"constraint kernel has dimension {nullbasis.shape[1]}, expected {n**4 - n*n}",
+            value=float(nullbasis.shape[1]),
+            bound=float(n**4 - n * n),
+        )
+
+    gram_n = dagger(nullbasis) @ gram @ nullbasis
+    gram_n = 0.5 * (gram_n + dagger(gram_n))
+    eigs, w = np.linalg.eigh(gram_n)
+    gnorm = max(abs(eigs).max(initial=0.0), 0.0)
+    psd_bound = GRAM_PSD_TOL * max(gnorm, 1e-300)
+    if eigs.min(initial=0.0) < -psd_bound:
+        raise GramNotPSD(
+            f"restricted Gram form has eigenvalue {eigs.min():.3e} "
+            f"< -{GRAM_PSD_TOL:.0e} * ||G||",
+            value=float(eigs.min()),
+            bound=float(psd_bound),
+        )
+    # Anchor the cutoff both to ||G|| (relative rank decision) and to the
+    # assembly noise floor of the generator, so a numerically-zero L yields
+    # an empty calculus instead of amplified rounding junk.
+    cutoff = rank_tol * gnorm + 1e-13 * max(1.0, gen.L.norm)
+    keep = eigs > cutoff
+    dim_h = int(keep.sum())
+    g_kept = eigs[keep]
+    w_kept = w[:, keep]
+
+    # class map (ambient -> H) and lift (H basis -> ambient representatives)
+    class_map = (np.sqrt(g_kept)[:, None] * dagger(w_kept)) @ dagger(nullbasis)
+    lift = nullbasis @ (w_kept / np.sqrt(g_kept)[None, :])
+
+    # pi_l[p, q] contracts the last three ambient indices of class_map and
+    # lift, with the first one fixed to p and q; pi_r[p, q] the first three,
+    # with the last one fixed to q and p.  One batched BLAS matmul each, on
+    # contiguous operands, so pi_l and pi_r come out C-contiguous.
+    n3 = n**3
+    cl = np.ascontiguousarray(class_map.reshape(dim_h, n, n3).transpose(1, 0, 2))
+    ll = lift.reshape(n, n3, dim_h)
+    pi_l = cl[:, None] @ ll[None]
+    cr = np.ascontiguousarray(class_map.reshape(dim_h, n3, n).transpose(2, 0, 1))
+    lr = np.ascontiguousarray(lift.reshape(n3, n, dim_h).transpose(1, 0, 2))
+    pi_r = cr[None] @ lr[:, None]
+
+    # delta(E_ab) = sigma_{-i/4}(E_ab) (x) I - I (x) sigma_{i/4}(E_ab)
+    s_m4, s_p4 = _quarter_units(ctx)
+    d6 = np.einsum("abxy,zw->abxyzw", s_m4, eye) - np.einsum(
+        "xy,abzw->abxyzw", eye, s_p4
+    )
+    delta = (d6.reshape(n * n, n**4) @ class_map.T).reshape(n, n, dim_h)
+
+    # antilinear involution: A (x) B -> -B* (x) A*
+    lift_t = lift.reshape(n, n, n, n, dim_h)
+    mj_lift = -np.conj(lift_t).transpose(3, 2, 1, 0, 4).reshape(n**4, dim_h)
+    jmat = class_map @ mj_lift
+
+    calc = FirstOrderCalculus(
+        dim_h=dim_h,
+        pi_l=pi_l,
+        pi_r=pi_r,
+        jmat=jmat,
+        delta=delta,
+        ctx=ctx,
+        meta={
+            "gram_eigs": eigs,
+            "null_cutoff": cutoff,
+            "ambient_dim": n**4,
+            "constraint_dim": int(nullbasis.shape[1]),
+            "vgen_kernel_defect": kernel_defect,
+            "class_map": class_map,
+            "lift": lift,
+        },
+    )
+
+    form_h = np.einsum("abi,cdi->abcd", np.conj(delta), delta).reshape(n * n, n * n)
+    form_l = kms_form_of_generator(gen)
+    defect = np.abs(form_h - form_l).max()
+    form_bound = FORM_TOL * max(1.0, gen.L.norm)
+    if defect > form_bound:
+        raise ReconstructionFailure(
+            f"<delta(A), delta(B)> deviates from <A, L(B)>_rho by {defect:.3e}",
+            value=float(defect),
+            bound=float(form_bound),
+        )
+    calc.meta["form_identity_defect"] = float(defect)
+    return calc
+
+
 def einsum_gns_actions(calc) -> dict:
-    """pi_l, pi_r and delta of a GNS calculus recomputed from its quotient
-    maps (``meta["class_map"]``, ``meta["lift"]``) with plain einsums:
+    """pi_l, pi_r and delta of a ``dense_gns_calculus`` recomputed from its
+    quotient maps (``meta["class_map"]``, ``meta["lift"]``) with plain einsums:
     pi_l(E_pq) acts on the first ambient factor's row index, pi_r(E_pq) on
     the second factor's column index, and delta(E_ab) is the class of
     sigma_{-i/4}(E_ab) (x) I - I (x) sigma_{i/4}(E_ab)."""

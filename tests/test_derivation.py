@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import kmsflow as kf
+from kmsflow import derivation
 from kmsflow.derivation import (
     CommutatorFamily,
     commutator_form_matrix,
@@ -12,12 +14,13 @@ from kmsflow.derivation import (
     spanning_family,
     xi_map,
 )
-from kmsflow.errors import GramMismatch, GramNotPSD, InconsistentPsi
+from kmsflow.errors import GramMismatch, GramNotPSD, InconsistentPsi, ReconstructionFailure
 from kmsflow.generator import MarkovGenerator, modular_resolvent
 from kmsflow.matrix_core import dagger, opnorm
 from kmsflow.superop import from_kraus, kms_adjoint, to_l2, zero_superop
 
 from calculus_oracle import (
+    dense_gns_calculus,
     grid_invariants_report,
     kron_commutator_actions,
     loop_compression_leak,
@@ -81,6 +84,39 @@ class TestGnsCalculus:
         assert rep.passed, [
             (c.name, c.value) for c in rep.checks if not c.passed()
         ]
+
+    @pytest.mark.parametrize(
+        "n,seed", [(3, s) for s in range(10)] + [(4, s) for s in (0, 2, 3, 5, 6, 7)]
+    )
+    def test_invariants_at_conditioning_1e6(self, n, seed):
+        # (4, 1) and (4, 4) still fail j_antiunitary_defect at this conditioning
+        gen, _ = kf.random_generator(n, seed, cond_bound=1e6)
+        calc = kf.gns_calculus(gen)
+        rep = kf.calculus_invariants_report(calc, gen, tol=1e-9)
+        assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]
+
+    def test_middle_constraint_dimension_checked(self, monkeypatch):
+        gen, _ = cached_generator(2, 0)
+        null_space = scipy.linalg.null_space
+        monkeypatch.setattr(scipy.linalg, "null_space", lambda a: null_space(0 * a))
+        with pytest.raises(ReconstructionFailure) as err:
+            kf.gns_calculus(gen)
+        assert (err.value.value, err.value.bound) == (4.0, 3.0)
+
+    def test_delta_outside_constraint_rejected(self, monkeypatch):
+        # sigma_{i/4}(E) off by 1e-6 I moves delta's ambient representative
+        # out of the constraint subspace, slice by slice
+        gen, _ = cached_generator(2, 0)
+        quarter_units = derivation._quarter_units
+
+        def skewed(ctx):
+            s_m4, s_p4 = quarter_units(ctx)
+            return s_m4, s_p4 + 1e-6 * np.eye(2)
+
+        monkeypatch.setattr(derivation, "_quarter_units", skewed)
+        with pytest.raises(ReconstructionFailure, match="constraint subspace") as err:
+            kf.gns_calculus(gen)
+        assert err.value.value > 1e-7 > err.value.bound
 
     def test_form_identity_tolerance(self):
         gen, _ = cached_generator(3, 0)
@@ -435,11 +471,11 @@ class TestUniquenessWitness:
 
     @pytest.mark.parametrize("seed", [1, 3])
     def test_independent_of_star_structure(self, seed):
-        # at this conditioning the GNS calculus misses its *-structure by
-        # about 1e-6 and fails its invariants report; the witness checks
+        # at this conditioning the dense n^4 quotient misses its *-structure
+        # by about 1e-6 and fails its invariants report; the witness checks
         # only that theta intertwines the two calculi, and still passes
         gen, psi = kf.random_generator(3, seed, cond_bound=1e6)
-        calc = kf.gns_calculus(gen)
+        calc = dense_gns_calculus(gen)
         assert not kf.calculus_invariants_report(calc, gen).passed
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
         _, rep = kf.uniqueness_witness(calc, calc_k, gen, tol=1e-6)
