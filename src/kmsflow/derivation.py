@@ -28,8 +28,10 @@ derivation decomposes into components delta_j(A) = rho^{1/4} [V_j, A] rho^{1/4}
 for matrices V_1..V_N; the same family is reachable through the Kraus
 decomposition of Xi(A) = rho^{1/4} Pv(rho^{-1/4} A rho^{-1/4}) rho^{1/4} for
 an admissible completely positive Psi (Pv its V-transform).  Both routes are
-implemented, and a numerical isometry between the two calculi witnesses the
-uniqueness of the construction.
+implemented, each family is returned as Hermitian operators with the identity
+pairing, and ``commutator_calculus`` builds the calculus of a family in the
+same coordinates C^n (x) C^m (x) C^n.  A numerical isometry between the two
+calculi witnesses the uniqueness of the construction.
 """
 
 from __future__ import annotations
@@ -121,7 +123,12 @@ class FirstOrderCalculus:
 @dataclass(frozen=True, eq=False)
 class CommutatorFamily:
     """Matrices V_1..V_N with the generator form sum_j <[V_j,A],[V_j,B]>_rho,
-    closed under adjoints as a set through the stored involutive pairing."""
+    closed under adjoints as a set through the stored involutive pairing.
+
+    Both extraction routes return Hermitian families with the identity
+    pairing: the GNS route m = dim H / n^2 traceless operators, the Kraus
+    route the Hermitian normal form of Xi's Kraus operators, in Xi's gauge.
+    Other pairings are accepted as given."""
 
     ops: tuple
     pairing: tuple
@@ -154,6 +161,67 @@ def _quarter_units(ctx: DensityContext):
 def _unit_perm(n: int) -> np.ndarray:
     """Permutation from row-major unit labels (a n + b) to vec indices (b n + a)."""
     return np.arange(n * n).reshape(n, n).T.ravel()
+
+
+def _standard_form_calculus(
+    ctx: DensityContext, delta: np.ndarray, k_j: np.ndarray, meta: dict
+) -> FirstOrderCalculus:
+    """The calculus on H = C^n (x) C^m (x) C^n with the given delta, of shape
+    (n, n, n m n), and multiplicity block K_J (m x m).  In the coordinates
+    (a, k, d), indexed (a m + k) n + d, pi_l(E) = E (x) I (x) I,
+    pi_r(E) = I (x) I (x) E^T, and J is the swap of a and d tensored with
+    K_J, composed with conjugation."""
+    n = delta.shape[0]
+    m = k_j.shape[0]
+    dim_h = n * n * m
+    units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)  # units[p, q] = E_pq
+    eye = np.eye(n, dtype=complex)
+    return FirstOrderCalculus(
+        dim_h=dim_h,
+        pi_l=np.kron(units, np.eye(m * n)),
+        # np.kron keeps a transposed operand's strides; the copy keeps pi_r C-contiguous
+        pi_r=np.kron(np.eye(n * m), units.transpose(1, 0, 2, 3).copy()),
+        jmat=np.einsum("xw,yz,kl->xkyzlw", eye, eye, k_j).reshape(dim_h, dim_h),
+        delta=delta,
+        ctx=ctx,
+        meta=meta,
+    )
+
+
+def _traceless(ops: np.ndarray) -> np.ndarray:
+    """The stack of matrices ``ops`` (N, n, n) shifted by multiples of I to trace 0."""
+    n = ops.shape[-1]
+    return ops - np.trace(ops, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
+
+
+def _hermitian_normal_form(ops: np.ndarray, rank_tol: float):
+    """Hermitian family with the commutator form of the stack ``ops`` (N, n, n).
+
+    With X[j, l] = tr(B_l V_j) in an HS-orthonormal Hermitian basis B_l of
+    M_n and Re(X* X) = W diag(lam) W^T, returns (O, lam, cutoff) where
+    O_i = sqrt(lam_i) sum_l W[l, i] B_l for the lam_i above
+    cutoff = rank_tol * max(lam).  Re(X* X) is the Gram of the doubled family
+    {V_j / sqrt2} + {V_j* / sqrt2}, so up to the dropped eigenvalues
+    sum_i O_i Y O_i = sum_j (V_j* Y V_j + V_j Y V_j*) / 2 for every Y.  For a
+    family whose span is closed under adjoints X* X is real, so this is
+    sum_j V_j* Y V_j and the commutator form is that of the family.
+    """
+    n = ops.shape[-1]
+    n2 = n * n
+    units = np.eye(n2, dtype=complex).reshape(n, n, n, n)  # units[a, b] = E_ab
+    swapped = units.transpose(1, 0, 2, 3)  # swapped[a, b] = E_ba
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None, None]
+    # E_aa, (E_ab + E_ba) / sqrt2 for a < b and i (E_ab - E_ba) / sqrt2 for a > b
+    basis = np.where(upper, units + swapped, 1j * (units - swapped)) / np.sqrt(2.0)
+    basis[np.arange(n), np.arange(n)] = units[np.arange(n), np.arange(n)]
+    basis = basis.reshape(n2, n2)
+    x = ops.reshape(-1, n2) @ np.conj(basis).T  # tr(B_l V) with B_l Hermitian
+    eigs, w = np.linalg.eigh((dagger(x) @ x).real)
+    cutoff = rank_tol * eigs.max()
+    keep = eigs > cutoff
+    herm = ((np.sqrt(eigs[keep]) * w[:, keep]).T @ basis).reshape(-1, n, n)
+    # bit-exact Hermitian, so the identity pairing is exact
+    return 0.5 * (herm + np.conj(herm).transpose(0, 2, 1)), eigs, cutoff
 
 
 def kms_form_of_generator(gen: MarkovGenerator) -> np.ndarray:
@@ -238,11 +306,6 @@ def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOr
     c_mid = (sqrt_g[:, None] * dagger(pw)).reshape(m, n, n)
     l_mid = pw / sqrt_g[None, :]
 
-    units = np.eye(n2, dtype=complex).reshape(n, n, n, n)  # units[p, q] = E_pq
-    pi_l = np.kron(units, np.eye(m * n))
-    # np.kron keeps a transposed operand's strides; the copy keeps pi_r C-contiguous
-    pi_r = np.kron(np.eye(n * m), units.transpose(1, 0, 2, 3).copy())
-
     s_m4, s_p4 = _quarter_units(ctx)
     constraint_defect = float(np.abs(s_m4 @ sqrt_rho - sqrt_rho @ s_p4).max())
     constraint_bound = ctx.tol * max(1.0, np.abs(s_m4).max(), np.abs(s_p4).max())
@@ -258,15 +321,10 @@ def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOr
 
     l_swapped = l_mid.reshape(n, n, m).transpose(1, 0, 2).reshape(n2, m)
     k_j = -c_mid.reshape(m, n2) @ np.conj(l_swapped)
-    jmat = np.einsum("xw,yz,kl->xkyzlw", eye, eye, k_j).reshape(dim_h, dim_h)
-
-    calc = FirstOrderCalculus(
-        dim_h=dim_h,
-        pi_l=pi_l,
-        pi_r=pi_r,
-        jmat=jmat,
-        delta=delta,
-        ctx=ctx,
+    calc = _standard_form_calculus(
+        ctx,
+        delta,
+        k_j,
         meta={
             "gram_eigs": eigs,
             "null_cutoff": cutoff,
@@ -456,58 +514,6 @@ def verify_commutator_form(
     return rep
 
 
-def _close_under_adjoints(ops: list[np.ndarray], pair_tol: float) -> CommutatorFamily:
-    """Return an adjoint-closed family.
-
-    If the raw family already pairs off within pair_tol (detected by nearest
-    adjoint matching), the pairing is made exact by replacing the partner
-    with the literal adjoint (Hermitian average for fixed points); otherwise
-    the family is doubled as {V_j/sqrt2} + {V_j*/sqrt2}, which leaves the
-    quadratic form unchanged.
-    """
-    if not ops:
-        return CommutatorFamily(ops=(), pairing=())
-    m = len(ops)
-    scale = max(max(opnorm(v) for v in ops), 1e-300)
-    pairing = [-1] * m
-    matched = True
-    for j in range(m):
-        if pairing[j] >= 0:
-            continue
-        target = dagger(ops[j])
-        best, best_dist = -1, np.inf
-        for k in range(m):
-            if pairing[k] >= 0 and k != j:
-                continue
-            dist = opnorm(target - ops[k])
-            if dist < best_dist:
-                best, best_dist = k, dist
-        if best < 0 or best_dist > pair_tol * scale:
-            matched = False
-            break
-        pairing[j] = best
-        pairing[best] = j
-
-    if matched and all(p >= 0 for p in pairing):
-        exact = list(ops)
-        for j in range(m):
-            k = pairing[j]
-            if k == j:
-                exact[j] = 0.5 * (ops[j] + dagger(ops[j]))
-            elif k > j:
-                exact[k] = dagger(exact[j])
-        return CommutatorFamily(ops=tuple(exact), pairing=tuple(pairing))
-
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    doubled = [inv_sqrt2 * v for v in ops] + [inv_sqrt2 * dagger(v) for v in ops]
-    # make the halves exact mutual adjoints at the bit level
-    doubled = [np.asarray(v) for v in doubled]
-    for j in range(m):
-        doubled[m + j] = dagger(doubled[j])
-    pairing = list(range(m, 2 * m)) + list(range(m))
-    return CommutatorFamily(ops=tuple(doubled), pairing=tuple(pairing))
-
-
 def extract_commutators_gns(
     calc: FirstOrderCalculus, gen: MarkovGenerator, tol: float = COMMUTATOR_FORM_TOL
 ) -> CommutatorFamily:
@@ -517,7 +523,10 @@ def extract_commutators_gns(
     space is the range of the minimal projection pi_l(F_11) pi_r(F_11) built
     from the matrix units of rho's eigenbasis.  Component derivations are
     untwisted with rho^{-1/4} and each V_j is recovered by
-    V_j = sum_a d_j(E_a1) E_1a (fixing the additive-identity gauge).
+    V_j = sum_a d_j(E_a1) E_1a.  The V_j are shifted to trace 0, which fixes
+    the additive-identity gauge, and brought to the Hermitian normal form:
+    the family is m = dim H / n^2 Hermitian operators with the identity
+    pairing, independent modulo I.
     """
     ctx = calc.ctx
     n = calc.dim
@@ -558,8 +567,7 @@ def extract_commutators_gns(
     units = np.eye(n * n).reshape(n, n, n, n)  # units[c, d] = E_cd
     comm = vs[:, None, None] @ units - units @ vs[:, None, None]
     worst = float(np.linalg.norm(dj - comm, axis=(-2, -1)).max())
-    ops = list(vs)
-    vscale = max(1.0, max((opnorm(v) for v in ops), default=0.0))
+    vscale = max(1.0, max(opnorm(v) for v in vs))
     if worst > 1e-7 * vscale:
         raise DerivationRecoveryFailure(
             f"component derivations deviate from commutators by {worst:.3e}",
@@ -567,7 +575,8 @@ def extract_commutators_gns(
             bound=1e-7 * vscale,
         )
 
-    fam = _close_under_adjoints(ops, pair_tol=1e-10)
+    herm, _, _ = _hermitian_normal_form(_traceless(vs), NULL_CUTOFF)
+    fam = CommutatorFamily(ops=tuple(herm), pairing=tuple(range(len(herm))))
     rep = verify_commutator_form(fam, gen, tol=tol)
     if not rep.passed:
         raise CertificationFailed("extracted family fails the form identity", rep)
@@ -594,7 +603,9 @@ def extract_commutators_kraus(
     recovery aborts with InconsistentPsi rather than guessing.  The raw Kraus
     operators of Xi carry twice the generator form (the W-average of the two
     modular rotations contributes a factor 1/2), so the family is normalized
-    by 1/sqrt(2) before adjoint closure.
+    by 1/sqrt(2).  It is returned in the Hermitian normal form with the
+    identity pairing and without a gauge shift: Xi's Kraus gauge keeps
+    Y -> sum_j V_j* Y V_j, and with it the resolvent sum identities.
     """
     ctx = gen.ctx
     n = gen.dim
@@ -620,9 +631,9 @@ def extract_commutators_kraus(
             f"Xi is not symmetric for the trace pairing (defect {sym_defect:.3e})"
         )
 
-    raw = kraus_from_choi(choi(xi), rank_tol=rank_tol)
-    normalized = [v / np.sqrt(2.0) for v in raw]
-    fam = _close_under_adjoints(normalized, pair_tol=1e-10)
+    raw = np.array(kraus_from_choi(choi(xi), rank_tol=rank_tol), dtype=complex)
+    herm, _, _ = _hermitian_normal_form(raw.reshape(-1, n, n) / np.sqrt(2.0), rank_tol)
+    fam = CommutatorFamily(ops=tuple(herm), pairing=tuple(range(len(herm))))
     rep = verify_commutator_form(fam, gen, tol=tol)
     if not rep.passed:
         raise CertificationFailed("Kraus-route family fails the form identity", rep)
@@ -632,83 +643,34 @@ def extract_commutators_kraus(
 def commutator_calculus(
     family: CommutatorFamily, gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF
 ) -> FirstOrderCalculus:
-    """Assemble the calculus carried by a commutator family on M_n (x) C^N,
-    with delta(A)_j = rho^{1/4} [V_j, A] rho^{1/4}, then trim to the cyclic
-    sub-bimodule generated by the delta-image so the spanning property holds.
-    ``meta["isometry"]`` has orthonormal columns spanning that sub-bimodule,
-    in the coordinates (j, col, row) of the vectorized blocks of M_n (x) C^N.
+    """The calculus carried by a commutator family, in H = C^n (x) C^m (x) C^n.
+
+    The traceless parts of the family, in the Hermitian normal form, give
+    m Hermitian operators V_1..V_m independent modulo I, and
+
+        delta(E)[a, k, d] = (rho^{1/4} [V_k, E] rho^{1/4})[a, d],  K_J = -I_m,
+
+    so that J delta(A) = -(rho^{1/4} [V_k, A] rho^{1/4})* = delta(A*).  The
+    delta-image is cyclic without trimming: if sum_k [V_k, B] z_k = 0 for
+    every B, then sum_k (w* z_k) V_k is a multiple of I for every w, so z = 0.
+    ``meta["gram_eigs"]`` is the spectrum of the traceless Re(X* X) of
+    ``_hermitian_normal_form`` and ``meta["null_cutoff"]`` its cutoff.
     """
     ctx = gen.ctx
     n = gen.dim
-    nf = len(family)
-    if nf == 0:
-        return FirstOrderCalculus(
-            dim_h=0,
-            pi_l=np.zeros((n, n, 0, 0), dtype=complex),
-            pi_r=np.zeros((n, n, 0, 0), dtype=complex),
-            jmat=np.zeros((0, 0), dtype=complex),
-            delta=np.zeros((n, n, 0), dtype=complex),
-            ctx=ctx,
-            meta={"family_size": 0},
-        )
+    ops = np.array(family.ops, dtype=complex).reshape(-1, n, n)
+    herm, eigs, cutoff = _hermitian_normal_form(_traceless(ops), rank_tol)
+    m = len(herm)
     qr = ctx.quarter_rho
-    dim_full = n * n * nf
-
-    # H_full = M_n (x) C^N, coordinates (j, col, row) of the vectorized
-    # blocks; blocks[j, a, b] = rho^{1/4} [V_j, E_ab] rho^{1/4}
-    units = np.eye(n * n).reshape(n, n, n, n)  # units[a, b] = E_ab
-    vs = np.stack(family.ops)[:, None, None]
-    blocks = qr @ (vs @ units - units @ vs) @ qr
-    delta_full = blocks.transpose(1, 2, 0, 4, 3).reshape(n, n, dim_full)
-
-    # cyclic subspace spanned by pi_l(E_ab) delta(E_cd); E_ab X moves row b
-    # of X to row a: span[(j, col, row), (a, b, c, d)] = [row = a] blocks[j, c, d, b, col]
-    span = np.einsum("ra,jcdbk->jkrabcd", np.eye(n), blocks).reshape(dim_full, n**4)
-    if np.abs(span).max(initial=0.0) == 0.0:
-        q = np.zeros((dim_full, 0))
-    else:
-        uu, sv, _ = np.linalg.svd(span, full_matrices=False)
-        q = uu[:, sv > rank_tol * sv.max()]
-    dim_h = q.shape[1]
-
-    # Compressed actions, block by block: with rows[a] (cols[a]) the entries
-    # of q in row (column) a of every block, q* pi_l(E_ab) q = rows[a]* rows[b]
-    # and q* pi_r(E_ab) q = cols[b]* cols[a].
-    q4 = q.reshape(nf, n, n, dim_h)  # [j, col, row, k]
-    rows = q4.transpose(2, 0, 1, 3).reshape(n, nf * n, dim_h)
-    cols = q4.transpose(1, 0, 2, 3).reshape(n, nf * n, dim_h)
-    pi_l = np.conj(rows).transpose(0, 2, 1)[:, None] @ rows[None]
-    pi_r = np.conj(cols).transpose(0, 2, 1)[None] @ cols[:, None]
-    delta = (delta_full.reshape(n * n, dim_full) @ np.conj(q)).reshape(n, n, dim_h)
-    # J(X_j) = -X_{j*}^*: transpose each block and permute blocks, on conj(q)
-    j_conj_q = -np.conj(q4[list(family.pairing)]).transpose(0, 2, 1, 3)
-    jmat = dagger(q) @ j_conj_q.reshape(dim_full, dim_h)
-
-    # leak of pi_l(E_ab) q out of range(q): pi_l(E_ab) q - q pi_l[a, b], whose
-    # part in row r of the blocks is [r = a] rows[b] - rows[r] pi_l[a, b]
-    # = G[r, a] rows[b] with the Gram blocks G[r, a] = rows[r] rows[a]* - [r = a] I;
-    # one left index a at a time keeps the residual at the size of one pi_l[a]
-    nfn = nf * n
-    gram = rows[:, None] @ np.conj(rows).transpose(0, 2, 1)[None]
-    gram[np.arange(n), np.arange(n)] -= np.eye(nfn)
-    rows_wide = rows.transpose(1, 0, 2).reshape(nfn, n * dim_h)
-    leak = 0.0
-    for a in range(n):
-        resid = gram[:, a].reshape(n * nfn, nfn) @ rows_wide
-        leak = max(leak, float(np.abs(resid).max(initial=0.0)))
-    return FirstOrderCalculus(
-        dim_h=dim_h,
-        pi_l=pi_l,
-        pi_r=pi_r,
-        jmat=jmat,
-        delta=delta,
-        ctx=ctx,
-        meta={
-            "family_size": nf,
-            "full_dim": dim_full,
-            "compression_leak": leak,
-            "isometry": q,
-        },
+    units = np.eye(n * n).reshape(n, n, n, n)  # units[p, q] = E_pq
+    vs = herm[:, None, None]
+    blocks = qr @ (vs @ units - units @ vs) @ qr  # blocks[k, p, q] = delta_k(E_pq)
+    delta = blocks.transpose(1, 2, 3, 0, 4).reshape(n, n, n * m * n)
+    return _standard_form_calculus(
+        ctx,
+        delta,
+        -np.eye(m, dtype=complex),
+        meta={"gram_eigs": eigs, "null_cutoff": cutoff, "family_size": len(family)},
     )
 
 

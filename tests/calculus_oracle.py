@@ -7,10 +7,12 @@ cost, and serve as the oracle the structure certificate is compared
 against at n <= 3.  ``dense_gns_calculus`` is the GNS quotient built on
 the full n^4-dimensional tensor square, the oracle for the factored
 ``gns_calculus``; ``einsum_gns_actions`` is the plain-einsum form of its
-batched contractions.  ``kron_commutator_actions`` is the Kronecker-product
-construction of a commutator family's uncompressed calculus, the oracle for
-the blockwise actions of ``commutator_calculus``, and
-``loop_compression_leak`` the per-unit-loop form of its compression leak.
+batched contractions.  ``trimmed_commutator_calculus`` builds a commutator
+family's calculus on M_n (x) C^N and trims it to the cyclic sub-bimodule by
+an SVD of the spanning family, the oracle for the native
+``commutator_calculus``; ``kron_commutator_actions`` is the Kronecker-product
+construction of the untrimmed calculus, against which the blockwise actions
+of the trimmed one are checked.
 ``loop_witness_defects`` is the per-unit intertwining defect on the spanning
 family that ``uniqueness_witness`` bounds at operator level, and
 ``lstsq_inner_vector`` the dense least-squares solve of ``inner_vector``.
@@ -24,12 +26,14 @@ from kmsflow.derivation import (
     FORM_TOL,
     GRAM_PSD_TOL,
     NULL_CUTOFF,
+    CommutatorFamily,
     FirstOrderCalculus,
     _quarter_units,
     kms_form_of_generator,
     spanning_family,
 )
 from kmsflow.errors import GramNotPSD, ReconstructionFailure
+from kmsflow.generator import MarkovGenerator
 from kmsflow.matrix_core import dagger, opnorm
 from kmsflow.reports import Check
 from kmsflow.superop import lmul, rmul, to_algebra, unvec, vec
@@ -294,20 +298,87 @@ def einsum_gns_actions(calc) -> dict:
     }
 
 
-def loop_compression_leak(calc_k) -> float:
-    """Largest entry of pi_l(E_ab) q - q pi_l[a, b] over the matrix units,
-    one left index a at a time, with q = ``meta["isometry"]`` and rows[r]
-    the entries of q in row r of every block of M_n (x) C^N."""
-    n = calc_k.dim
-    q = calc_k.meta["isometry"]
-    nf = calc_k.meta["family_size"]
-    rows = q.reshape(nf, n, n, -1).transpose(2, 0, 1, 3).reshape(n, nf * n, -1)
+def trimmed_commutator_calculus(
+    family: CommutatorFamily, gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF
+) -> FirstOrderCalculus:
+    """Assemble the calculus carried by a commutator family on M_n (x) C^N,
+    with delta(A)_j = rho^{1/4} [V_j, A] rho^{1/4}, then trim to the cyclic
+    sub-bimodule generated by the delta-image so the spanning property holds.
+    ``meta["isometry"]`` has orthonormal columns spanning that sub-bimodule,
+    in the coordinates (j, col, row) of the vectorized blocks of M_n (x) C^N.
+    """
+    ctx = gen.ctx
+    n = gen.dim
+    nf = len(family)
+    if nf == 0:
+        return FirstOrderCalculus(
+            dim_h=0,
+            pi_l=np.zeros((n, n, 0, 0), dtype=complex),
+            pi_r=np.zeros((n, n, 0, 0), dtype=complex),
+            jmat=np.zeros((0, 0), dtype=complex),
+            delta=np.zeros((n, n, 0), dtype=complex),
+            ctx=ctx,
+            meta={"family_size": 0},
+        )
+    qr = ctx.quarter_rho
+    dim_full = n * n * nf
+
+    # H_full = M_n (x) C^N, coordinates (j, col, row) of the vectorized
+    # blocks; blocks[j, a, b] = rho^{1/4} [V_j, E_ab] rho^{1/4}
+    units = np.eye(n * n).reshape(n, n, n, n)  # units[a, b] = E_ab
+    vs = np.stack(family.ops)[:, None, None]
+    blocks = qr @ (vs @ units - units @ vs) @ qr
+    delta_full = blocks.transpose(1, 2, 0, 4, 3).reshape(n, n, dim_full)
+
+    # cyclic subspace spanned by pi_l(E_ab) delta(E_cd); E_ab X moves row b
+    # of X to row a: span[(j, col, row), (a, b, c, d)] = [row = a] blocks[j, c, d, b, col]
+    span = np.einsum("ra,jcdbk->jkrabcd", np.eye(n), blocks).reshape(dim_full, n**4)
+    if np.abs(span).max(initial=0.0) == 0.0:
+        q = np.zeros((dim_full, 0))
+    else:
+        uu, sv, _ = np.linalg.svd(span, full_matrices=False)
+        q = uu[:, sv > rank_tol * sv.max()]
+    dim_h = q.shape[1]
+
+    # Compressed actions, block by block: with rows[a] (cols[a]) the entries
+    # of q in row (column) a of every block, q* pi_l(E_ab) q = rows[a]* rows[b]
+    # and q* pi_r(E_ab) q = cols[b]* cols[a].
+    q4 = q.reshape(nf, n, n, dim_h)  # [j, col, row, k]
+    rows = q4.transpose(2, 0, 1, 3).reshape(n, nf * n, dim_h)
+    cols = q4.transpose(1, 0, 2, 3).reshape(n, nf * n, dim_h)
+    pi_l = np.conj(rows).transpose(0, 2, 1)[:, None] @ rows[None]
+    pi_r = np.conj(cols).transpose(0, 2, 1)[None] @ cols[:, None]
+    delta = (delta_full.reshape(n * n, dim_full) @ np.conj(q)).reshape(n, n, dim_h)
+    # J(X_j) = -X_{j*}^*: transpose each block and permute blocks, on conj(q)
+    j_conj_q = -np.conj(q4[list(family.pairing)]).transpose(0, 2, 1, 3)
+    jmat = dagger(q) @ j_conj_q.reshape(dim_full, dim_h)
+
+    # leak of pi_l(E_ab) q out of range(q): pi_l(E_ab) q - q pi_l[a, b], whose
+    # part in row r of the blocks is [r = a] rows[b] - rows[r] pi_l[a, b]
+    # = G[r, a] rows[b] with the Gram blocks G[r, a] = rows[r] rows[a]* - [r = a] I;
+    # one left index a at a time keeps the residual at the size of one pi_l[a]
+    nfn = nf * n
+    gram = rows[:, None] @ np.conj(rows).transpose(0, 2, 1)[None]
+    gram[np.arange(n), np.arange(n)] -= np.eye(nfn)
+    rows_wide = rows.transpose(1, 0, 2).reshape(nfn, n * dim_h)
     leak = 0.0
     for a in range(n):
-        resid = rows[:, None] @ calc_k.pi_l[a][None]  # [r, b]
-        resid[a] -= rows
-        leak = max(leak, _maxabs(resid))
-    return leak
+        resid = gram[:, a].reshape(n * nfn, nfn) @ rows_wide
+        leak = max(leak, float(np.abs(resid).max(initial=0.0)))
+    return FirstOrderCalculus(
+        dim_h=dim_h,
+        pi_l=pi_l,
+        pi_r=pi_r,
+        jmat=jmat,
+        delta=delta,
+        ctx=ctx,
+        meta={
+            "family_size": nf,
+            "full_dim": dim_full,
+            "compression_leak": leak,
+            "isometry": q,
+        },
+    )
 
 
 def loop_witness_defects(theta, calc_a, calc_b) -> dict:

@@ -14,17 +14,23 @@ from kmsflow.derivation import (
     spanning_family,
     xi_map,
 )
-from kmsflow.errors import GramMismatch, GramNotPSD, InconsistentPsi, ReconstructionFailure
+from kmsflow.errors import (
+    GramMismatch,
+    GramNotPSD,
+    InconsistentPsi,
+    NonIntegralMultiplicity,
+    ReconstructionFailure,
+)
 from kmsflow.generator import MarkovGenerator, modular_resolvent
 from kmsflow.matrix_core import dagger, opnorm
-from kmsflow.superop import from_kraus, kms_adjoint, to_l2, zero_superop
+from kmsflow.superop import choi, from_kraus, kms_adjoint, kraus_from_choi, to_l2, zero_superop
 
 from calculus_oracle import (
     dense_gns_calculus,
     grid_invariants_report,
     kron_commutator_actions,
-    loop_compression_leak,
     loop_witness_defects,
+    trimmed_commutator_calculus,
 )
 from conftest import cached_generator, cached_gns, rng_matrix
 
@@ -226,6 +232,12 @@ class TestExtractGns:
         calc = cached_gns(3, 1)
         assert calc.dim_h % 9 == 0
 
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+    def test_non_integral_multiplicity_rejected(self, n, seed):
+        gen, _ = cached_generator(n, seed)
+        with pytest.raises(NonIntegralMultiplicity):
+            kf.extract_commutators_gns(_padded_with_corner(cached_gns(n, seed)), gen)
+
 
 class TestExtractKraus:
     def test_tracial_reduces_to_kraus_of_psi(self):
@@ -269,6 +281,15 @@ class TestExtractKraus:
         gen, _ = cached_generator(2, 4)
         fam = kf.extract_commutators_kraus(gen, psi=None)
         assert kf.verify_commutator_form(fam, gen, tol=1e-7).passed
+
+    def test_normal_form_is_not_doubled(self):
+        # the 9 raw Kraus operators do not pair off under adjoints here; the
+        # Hermitian normal form keeps 9 operators instead of doubling to 18
+        gen, psi = kf.random_generator(3, 1, cond_bound=1e6)
+        fam = kf.extract_commutators_kraus(gen, psi)
+        assert len(fam) == 9
+        assert fam.pairing == tuple(range(9))
+        assert kf.verify_commutator_form(fam, gen).passed
 
 
 class TestCommutatorFamilyType:
@@ -374,13 +395,14 @@ class TestCommutatorCalculus:
         calc_k = kf.commutator_calculus(fam, gen)
         rep = kf.calculus_invariants_report(calc_k, gen, tol=1e-9)
         assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]
-        assert calc_k.meta["compression_leak"] < 1e-10
+        kept = int((calc_k.meta["gram_eigs"] > calc_k.meta["null_cutoff"]).sum())
+        assert calc_k.dim_h == 4 * kept == 12
 
     @pytest.mark.parametrize("n,seed", [(2, 11), (2, 3), (3, 4)])
     def test_blockwise_actions_match_kronecker_oracle(self, n, seed):
         gen, psi = cached_generator(n, seed)
         fam = kf.extract_commutators_kraus(gen, psi)
-        calc_k = kf.commutator_calculus(fam, gen)
+        calc_k = trimmed_commutator_calculus(fam, gen)
         full = kron_commutator_actions(fam, gen)
         q = calc_k.meta["isometry"]
         qd = dagger(q)
@@ -406,25 +428,24 @@ class TestCommutatorCalculus:
         assert calc_k.meta["compression_leak"] < 1e-10
 
     @pytest.mark.parametrize("n,seed", [(2, 3), (3, 4)])
-    def test_leak_matches_loop_oracle_off_invariant_range(self, n, seed, monkeypatch):
-        # the range of the SVD is left-invariant, so the leak is rounding
-        # noise; a random isometry in its place leaks far above that
+    def test_dependent_family_is_compressed(self, n, seed):
+        # V = (Kraus operator of Xi) / sqrt2 as in the Kraus route, doubled as
+        # {V/sqrt2} + {V*/sqrt2} with 0.3 I appended: 2 n^2 + 1 operators
+        # spanning n^2 - 1 dimensions modulo I
         gen, psi = cached_generator(n, seed)
         fam = kf.extract_commutators_kraus(gen, psi)
-        rng = np.random.default_rng(seed)
-        svd = np.linalg.svd
-
-        def random_range(a, full_matrices=True):
-            uu, sv, vh = svd(a, full_matrices=full_matrices)
-            rand = rng.standard_normal(uu.shape) + 1j * rng.standard_normal(uu.shape)
-            return np.linalg.qr(rand)[0], sv, vh
-
-        monkeypatch.setattr(np.linalg, "svd", random_range)
-        calc_k = kf.commutator_calculus(fam, gen)
-        monkeypatch.undo()
-        oracle = loop_compression_leak(calc_k)
-        assert oracle > 1e-3
-        assert abs(calc_k.meta["compression_leak"] - oracle) <= 1e-14 * oracle
+        raw = [v / 2.0 for v in kraus_from_choi(choi(xi_map(gen, psi)))]
+        nr = len(raw)
+        dependent = CommutatorFamily(
+            ops=tuple(raw) + tuple(dagger(v) for v in raw) + (0.3 * np.eye(n),),
+            pairing=tuple(range(nr, 2 * nr)) + tuple(range(nr)) + (2 * nr,),
+        )
+        assert kf.verify_commutator_form(dependent, gen).passed
+        calc = kf.commutator_calculus(fam, gen)
+        calc_dep = kf.commutator_calculus(dependent, gen)
+        assert calc_dep.dim_h == calc.dim_h == n**2 * (n**2 - 1)
+        _, rep = kf.uniqueness_witness(calc, calc_dep, gen, tol=1e-6)
+        assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]
 
     def test_dimension_matches_gns(self):
         gen, psi = cached_generator(3, 4)
