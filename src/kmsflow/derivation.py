@@ -30,8 +30,15 @@ decomposition of Xi(A) = rho^{1/4} Pv(rho^{-1/4} A rho^{-1/4}) rho^{1/4} for
 an admissible completely positive Psi (Pv its V-transform).  Both routes are
 implemented, each family is returned as Hermitian operators with the identity
 pairing, and ``commutator_calculus`` builds the calculus of a family in the
-same coordinates C^n (x) C^m (x) C^n.  A numerical isometry between the two
-calculi witnesses the uniqueness of the construction.
+same coordinates C^n (x) C^m (x) C^n.
+
+Every consumer reads a calculus through its standard-form data: the delta
+coefficients C[p, q, a, k, d] = delta(E_pq)[a, k, d] and the m x m block K_J
+of the involution.  The dense actions and involution are checked once
+against their standard-form rendering (``standard_form_defect``).  The
+invariants report, the GNS extraction, the inner vector and the uniqueness
+witness, an isometry I (x) W (x) I between the two calculi, all work on
+these data.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ from .matrix_core import (
     as_matrix,
     dagger,
     descend,
+    hermitian_basis,
     hilbert_algebra_product,
     opnorm,
     right_bounded_rep,
@@ -86,13 +94,18 @@ COMMUTATOR_FORM_TOL = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class FirstOrderCalculus:
-    """Coordinates of a first-order differential calculus.
+    """Coordinates of a first-order differential calculus on
+    H = C^n (x) C^m (x) C^n, indexed (a m + k) n + d.
 
     ``pi_l[a, b]`` / ``pi_r[a, b]`` are the (dim_h x dim_h) matrices of the
     two actions on the computational matrix unit E_ab, ``delta[a, b]`` is the
     vector delta(E_ab) in H, and the antilinear involution acts as
     ``xi -> jmat @ conj(xi)``.  ``meta`` carries construction diagnostics
     (Gram spectrum, null cutoff, dimensions).
+
+    The calculus is determined by its standard-form data, delta and the
+    m x m block K_J of ``jmat``; the dense ``pi_l``, ``pi_r`` and ``jmat``
+    are their rendering, which ``standard_form_defect`` measures.
     """
 
     dim_h: int
@@ -105,7 +118,7 @@ class FirstOrderCalculus:
 
     @property
     def dim(self) -> int:
-        return self.pi_l.shape[0]
+        return self.delta.shape[0]
 
     def pi_l_of(self, x) -> np.ndarray:
         return np.tensordot(as_matrix(x, self.dim), self.pi_l, axes=2)
@@ -115,9 +128,6 @@ class FirstOrderCalculus:
 
     def delta_of(self, a) -> np.ndarray:
         return np.tensordot(as_matrix(a, self.dim), self.delta, axes=2)
-
-    def jop(self, xi) -> np.ndarray:
-        return self.jmat @ np.conj(xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,6 +198,57 @@ def _standard_form_calculus(
     )
 
 
+def _maxabs(x) -> float:
+    return float(np.abs(x).max(initial=0.0))
+
+
+def _standard_form_data(calc: FirstOrderCalculus):
+    """(m, C, K_J) of a calculus on C^n (x) C^m (x) C^n: the multiplicity
+    m = dim H / n^2, the delta coefficients C[p, q, a, k, d] = delta(E_pq)[a, k, d]
+    and the block K_J[k, l] = jmat[(0, k, 0), (0, l, 0)].
+
+    Raises NonIntegralMultiplicity when n^2 does not divide dim H.
+    """
+    n = calc.dim
+    if calc.dim_h % (n * n):
+        raise NonIntegralMultiplicity(
+            f"dim H = {calc.dim_h} is not a multiple of n^2 = {n * n}"
+        )
+    m = calc.dim_h // (n * n)
+    c = calc.delta.reshape(n, n, n, m, n)
+    k_j = calc.jmat.reshape(n, m, n, n, m, n)[0, :, 0, 0, :, 0]
+    return m, c, k_j
+
+
+def standard_form_defect(calc: FirstOrderCalculus) -> float:
+    """Largest entrywise deviation of ``pi_l``, ``pi_r`` and ``jmat`` from the
+    rendering of ``_standard_form_calculus``: pi_l(E) = E (x) I (x) I,
+    pi_r(E) = I (x) I (x) E^T and J = (outer swap) (x) K_J, with K_J read by
+    ``_standard_form_data``.  Compared one matrix unit (one outer pair of J)
+    at a time, so no dense copy of a field is made.  Exactly 0 for a calculus
+    built by ``_standard_form_calculus``.
+    """
+    n = calc.dim
+    m, _, k_j = _standard_form_data(calc)
+    mn = m * n
+    eye = np.eye(mn)
+    pi_l = calc.pi_l.reshape(n, n, n, mn, n, mn)  # [p, q, a, (k, d), a', (l, d')]
+    pi_r = calc.pi_r.reshape(n, n, mn, n, mn, n)  # [p, q, (a, k), d, (a', l), d']
+    jmat = calc.jmat.reshape(n, m, n, n, m, n)  # [a, k, d, a', l, d']
+    worst = 0.0
+    for p in range(n):
+        for q in range(n):
+            left = pi_l[p, q].copy()
+            left[p, :, q] -= eye
+            right = pi_r[p, q].copy()
+            right[:, q, :, p] -= eye  # E_pq^T = E_qp
+            # the rows of J with outer pair (a, d) = (p, q) hit (a', d') = (q, p)
+            inv = jmat[p, :, q].copy()
+            inv[:, q, :, p] -= k_j
+            worst = max(worst, _maxabs(left), _maxabs(right), _maxabs(inv))
+    return worst
+
+
 def _traceless(ops: np.ndarray) -> np.ndarray:
     """The stack of matrices ``ops`` (N, n, n) shifted by multiples of I to trace 0."""
     n = ops.shape[-1]
@@ -208,13 +269,7 @@ def _hermitian_normal_form(ops: np.ndarray, rank_tol: float):
     """
     n = ops.shape[-1]
     n2 = n * n
-    units = np.eye(n2, dtype=complex).reshape(n, n, n, n)  # units[a, b] = E_ab
-    swapped = units.transpose(1, 0, 2, 3)  # swapped[a, b] = E_ba
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None, None]
-    # E_aa, (E_ab + E_ba) / sqrt2 for a < b and i (E_ab - E_ba) / sqrt2 for a > b
-    basis = np.where(upper, units + swapped, 1j * (units - swapped)) / np.sqrt(2.0)
-    basis[np.arange(n), np.arange(n)] = units[np.arange(n), np.arange(n)]
-    basis = basis.reshape(n2, n2)
+    basis = hermitian_basis(n).reshape(n2, n2)
     x = ops.reshape(-1, n2) @ np.conj(basis).T  # tr(B_l V) with B_l Hermitian
     eigs, w = np.linalg.eigh((dagger(x) @ x).real)
     cutoff = rank_tol * eigs.max()
@@ -348,136 +403,66 @@ def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOr
     return calc
 
 
-def spanning_family(calc: FirstOrderCalculus) -> np.ndarray:
-    """Matrix whose columns are pi_l(E_ab) delta(E_cd), indexed by
-    ((a n + b) n + c) n + d."""
-    s = np.tensordot(calc.pi_l, calc.delta, axes=([3], [2]))  # [a, b, i, c, d]
-    return s.transpose(2, 0, 1, 3, 4).reshape(calc.dim_h, calc.dim**4)
-
-
-def standard_form_unitary(calc: FirstOrderCalculus, basis: np.ndarray | None = None):
-    """Coordinates of H as a multiple of the standard M_n bimodule.
-
-    With matrix units F_ab = basis E_ab basis* (the computational units when
-    ``basis`` is None) and eta_1..eta_r the eigenvectors of the minimal
-    bimodule projection pi_l(F_00) pi_r(F_00) for eigenvalues above 1/2,
-    returns ``(u_std, proj_eigs)`` where
-
-        u_std[:, a, b, j] = pi_l(F_a0) pi_r(F_0b) eta_j
-
-    and ``proj_eigs`` is the spectrum of the projection.  For a calculus
-    H = C^n (x) C^n (x) C^m, r = m = dim H / n^2 and u_std is unitary, with
-    pi_l acting on the first factor and pi_r on the second.
-    """
-    n = calc.dim
-    basis = np.eye(n) if basis is None else basis
-    f_units = np.einsum("xa,yb->abxy", basis, np.conj(basis))
-    left = np.tensordot(f_units[:, 0], calc.pi_l, axes=2)  # left[a] = pi_l(F_a0)
-    right = np.tensordot(f_units[0], calc.pi_r, axes=2)  # right[b] = pi_r(F_0b)
-    proj = left[0] @ right[0]
-    proj_eigs, vecs = np.linalg.eigh(0.5 * (proj + dagger(proj)))
-    eta = vecs[:, proj_eigs > 0.5]
-    u_std = left[:, None] @ (right @ eta)[None]
-    return u_std.transpose(2, 0, 1, 3), proj_eigs
-
-
 def calculus_invariants_report(
     calc: FirstOrderCalculus, gen: MarkovGenerator, tol: float = 1e-9
 ) -> Report:
-    """Certify the defining properties of a first-order calculus.
+    """Certify the defining properties of a first-order calculus from its
+    standard-form data (m, C, K_J).
 
-    The bimodule structure is certified through the standard form: the
-    coordinates U = standard_form_unitary(calc) must have n^2 r = dim H
-    columns, be unitary, and intertwine pi_l(E_cd) with E_cd (x) I (x) I,
-    pi_r(E_cd) with I (x) E_dc (x) I, and J with swap (x) K composed with
-    complex conjugation, K the multiplicity block of J.  Together these imply
-    that pi_l is a *-homomorphism, pi_r a *-antihomomorphism, the actions
-    commute and J exchanges them; they cost n^2 products of size dim H
-    instead of the n^4 of the pairwise matrix-unit grid.  Also certified:
-    star compatibility and unitality of the actions, J antiunitary and
-    involutive, delta(A*) = J delta(A), the twisted Leibniz rule, cyclicity
-    of the delta-image under the left action, and the reconstruction of the
+    ``multiplicity_defect`` is dim H mod n^2; when it is nonzero there are no
+    standard-form data and the report fails with that check alone.
+    ``standard_form_defect`` certifies that the dense actions and involution
+    are the rendering pi_l(E) = E (x) I (x) I, pi_r(E) = I (x) I (x) E^T,
+    J = (outer swap) (x) K_J, which makes pi_l a unital *-homomorphism, pi_r
+    a unital *-antihomomorphism, the actions commute and J exchanges them.
+    The rest is certified on the data: J antiunitary and involutive
+    (jmat* jmat = I (x) K_J* K_J and jmat conj(jmat) = I (x) K_J conj(K_J),
+    so the m x m defects equal the dim H ones), delta(A*) = J delta(A), the
+    twisted Leibniz rule component by component, cyclicity of the
+    delta-image under the left action, and the reconstruction of the
     generator form.  Defects are maximal entrywise deviations.
     """
     n = calc.dim
-    ctx = calc.ctx
     d = calc.dim_h
+    n2 = n * n
     rep = Report(name="calculus_invariants", tol=tol)
     scale = max(1.0, gen.L.norm)
-    n2 = n * n
+    rep.checks.append(Check("multiplicity_defect", float(d % n2), 0.0, "le"))
+    if d % n2:
+        return rep
+    m, c, k_j = _standard_form_data(calc)
+    rep.checks.append(Check("standard_form_defect", standard_form_defect(calc), tol * scale, "le"))
 
-    def _maxabs(x) -> float:
-        return float(np.abs(x).max(initial=0.0))
-
-    u_std, _ = standard_form_unitary(calc)
-    r = u_std.shape[3]
-    u_flat = u_std.reshape(d, n2 * r)
-    multiplicity = float(d % n2 + abs(r - d // n2))
-    unitarity = _maxabs(dagger(u_flat) @ u_flat - np.eye(n2 * r))
-    pl_tw = pr_tw = 0.0
-    for c in range(n):
-        for e in range(n):
-            # pi_l(E_ce) U = U (E_ce (x) I (x) I): column (e, b, j) is U[:, c, b, j]
-            dl = (calc.pi_l[c, e] @ u_flat).reshape(d, n, n, r)
-            dl[:, e] -= u_std[:, c]
-            pl_tw = max(pl_tw, _maxabs(dl))
-            # pi_r(E_ce) U = U (I (x) E_ec (x) I): column (a, c, j) is U[:, a, e, j]
-            dr = (calc.pi_r[c, e] @ u_flat).reshape(d, n, n, r)
-            dr[:, :, c] -= u_std[:, :, e]
-            pr_tw = max(pr_tw, _maxabs(dr))
-    # J conj(U) = U (swap (x) K), K read off at (a, b) = (0, 0)
-    k = dagger(u_std[:, 0, 0]) @ calc.jmat @ np.conj(u_std[:, 0, 0])
-    swapped = (u_std.transpose(0, 2, 1, 3).reshape(d * n2, r) @ k).reshape(d, n2 * r)
-    j_tw = _maxabs(calc.jmat @ np.conj(u_flat) - swapped)
-    rep.checks.append(Check("multiplicity_defect", multiplicity, 0.0, "le"))
-    rep.checks.append(Check("standard_form_unitarity_defect", unitarity, tol * scale, "le"))
-    rep.checks.append(Check("pi_l_intertwine_defect", pl_tw, tol * scale, "le"))
-    rep.checks.append(Check("pi_r_intertwine_defect", pr_tw, tol * scale, "le"))
-    rep.checks.append(Check("j_intertwine_defect", j_tw, tol * scale, "le"))
-
-    adj = max(
-        _maxabs(np.conj(calc.pi_l.transpose(0, 1, 3, 2)) - calc.pi_l.transpose(1, 0, 2, 3)),
-        _maxabs(np.conj(calc.pi_r.transpose(0, 1, 3, 2)) - calc.pi_r.transpose(1, 0, 2, 3)),
-    )
-    unital = max(
-        _maxabs(np.einsum("aaij->ij", calc.pi_l) - np.eye(d)),
-        _maxabs(np.einsum("aaij->ij", calc.pi_r) - np.eye(d)),
-    )
-    rep.checks.append(Check("star_compatibility_defect", adj, tol * scale, "le"))
-    rep.checks.append(Check("unitality_defect", unital, tol * scale, "le"))
-
-    j_unitary = _maxabs(dagger(calc.jmat) @ calc.jmat - np.eye(d))
-    j_invol = _maxabs(calc.jmat @ np.conj(calc.jmat) - np.eye(d))
+    eye_m = np.eye(m)
+    j_unitary = _maxabs(dagger(k_j) @ k_j - eye_m)
+    j_invol = _maxabs(k_j @ np.conj(k_j) - eye_m)
     rep.checks.append(Check("j_antiunitary_defect", j_unitary, tol * scale, "le"))
     rep.checks.append(Check("j_involution_defect", j_invol, tol * scale, "le"))
 
-    # delta(A*) = J delta(A)
+    # delta(E_qp)[a, k, d] = (J delta(E_pq))[a, k, d] = sum_l K_J[k, l] conj(delta(E_pq)[d, l, a])
     j_delta = _maxabs(
-        calc.delta.transpose(1, 0, 2)
-        - np.einsum("ij,abj->abi", calc.jmat, np.conj(calc.delta))
+        c.transpose(1, 0, 2, 3, 4) - np.einsum("kl,pqdla->pqakd", k_j, np.conj(c))
     )
     rep.checks.append(Check("j_delta_defect", j_delta, tol * scale, "le"))
 
-    # twisted Leibniz rule delta(E_ab E_cd) = pi_l(sigma_{-i/4}(E_ab)) delta(E_cd)
-    #                                        + pi_r(sigma_{+i/4}(E_cd)) delta(E_ab)
-    s_m4, s_p4 = _quarter_units(ctx)
-    pl_s = np.tensordot(s_m4, calc.pi_l, axes=2).reshape(n2, d, d)
-    pr_s = np.tensordot(s_p4, calc.pi_r, axes=2).reshape(n2, d, d)
-    delta_cols = calc.delta.reshape(n2, d).T
-    rhs = (pl_s @ delta_cols).transpose(0, 2, 1) + (pr_s @ delta_cols).transpose(2, 0, 1)
-    lhs = np.zeros((n, n, n, n, d), dtype=complex)
-    for b in range(n):
-        lhs[:, b, b, :, :] = calc.delta[:, :, :]
-    leibniz = _maxabs(lhs - rhs.reshape(n, n, n, n, d))
-    rep.checks.append(Check("twisted_leibniz_defect", leibniz, tol * scale, "le"))
+    # twisted Leibniz rule per component, with delta_k(E_pq) the n x n matrix
+    # dk[p, q, k]: delta_k(E_ab E_cd) = sigma_{-i/4}(E_ab) delta_k(E_cd)
+    #                                   + delta_k(E_ab) sigma_{+i/4}(E_cd)
+    s_m4, s_p4 = _quarter_units(calc.ctx)
+    dk = c.transpose(0, 1, 3, 2, 4)
+    rhs = s_m4[:, :, None, None, None] @ dk + dk[:, :, None, None] @ s_p4[:, :, None]
+    rhs[:, np.arange(n), np.arange(n)] -= dk[:, None]  # E_ab E_cd = delta_bc E_ad
+    rep.checks.append(Check("twisted_leibniz_defect", _maxabs(rhs), tol * scale, "le"))
 
-    # cyclicity: pi_l(A) delta(B) spans H
+    # cyclicity: pi_l(E_ab) delta(E_cd)[x, k, y] = [x = a] C[c, d, b, k, y], so
+    # the spanning family has the singular values of C read as the n^3 x mn
+    # matrix with rows (c, d, b), each n times
     if d > 0:
-        sv = np.linalg.svd(spanning_family(calc), compute_uv=False)
-        rank = int((sv > NULL_CUTOFF * sv.max(initial=0.0)).sum())
+        sv = np.linalg.svd(c.reshape(n2 * n, m * n), compute_uv=False)
+        rank = n * int((sv > NULL_CUTOFF * sv.max()).sum())
     else:
         rank = 0
-    rep.checks.append(Check("cyclic_rank_deficit", float(calc.dim_h - rank), 0.0, "le"))
+    rep.checks.append(Check("cyclic_rank_deficit", float(d - rank), 0.0, "le"))
 
     form_h = np.einsum("abi,cdi->abcd", np.conj(calc.delta), calc.delta).reshape(n2, n2)
     form_defect = float(np.abs(form_h - kms_form_of_generator(gen)).max())
@@ -519,14 +504,14 @@ def extract_commutators_gns(
 ) -> CommutatorFamily:
     """Read the commutator family off the GNS calculus.
 
-    The bimodule is a multiple of the standard M_n bimodule; the multiplicity
-    space is the range of the minimal projection pi_l(F_11) pi_r(F_11) built
-    from the matrix units of rho's eigenbasis.  Component derivations are
-    untwisted with rho^{-1/4} and each V_j is recovered by
-    V_j = sum_a d_j(E_a1) E_1a.  The V_j are shifted to trace 0, which fixes
-    the additive-identity gauge, and brought to the Hermitian normal form:
-    the family is m = dim H / n^2 Hermitian operators with the identity
-    pairing, independent modulo I.
+    Component k of the derivation is the (a, d) slice of the delta
+    coefficients, delta_k(E) = C[., ., :, k, :] (``_standard_form_data``).
+    It is untwisted with rho^{-1/4}, and V_k is recovered by
+    V_k[:, a] = d_k(E_a0)[:, 0], which checks that each d_k is a commutator.
+    The V_k are shifted to trace 0, which fixes the additive-identity gauge,
+    and brought to the Hermitian normal form: the family is m = dim H / n^2
+    Hermitian operators with the identity pairing, independent modulo I.
+    Raises NonIntegralMultiplicity when n^2 does not divide dim H.
     """
     ctx = calc.ctx
     n = calc.dim
@@ -537,33 +522,10 @@ def extract_commutators_gns(
             raise CertificationFailed("empty family fails nonzero form", rep)
         return fam
 
-    if calc.dim_h % (n * n):
-        raise NonIntegralMultiplicity(
-            f"dim H = {calc.dim_h} is not a multiple of n^2 = {n*n}"
-        )
-    mult = calc.dim_h // (n * n)
-
-    u = ctx.u
-    f_units = np.einsum("xa,yb->abxy", u, np.conj(u))  # F_ab = U E_ab U*
-    # orthonormal coordinate vectors F_ab (x) xi_j = pi_l(F_a0) pi_r(F_0b) eta_j
-    basis_vectors, proj_eigs = standard_form_unitary(calc, u)
-    tr = float(proj_eigs.sum())
-    if abs(tr - mult) > 0.01:
-        raise NonIntegralMultiplicity(
-            f"rank of the minimal bimodule projection is {tr:.6f}, expected {mult}"
-        )
-    if basis_vectors.shape[3] != mult:
-        raise NonIntegralMultiplicity(
-            f"projection rank {basis_vectors.shape[3]} disagrees with multiplicity {mult}"
-        )
-
+    _, c, _ = _standard_form_data(calc)
     qi = ctx.inv_quarter_rho
-    # delta components on every matrix unit, expressed in the F basis:
-    # coeff[j, a, b, c, d] = < F_ab (x) xi_j, delta(E_cd) >_H
-    coeff = np.einsum("iabj,cdi->jabcd", np.conj(basis_vectors), calc.delta)
-    comp = np.einsum("jabcd,abxy->jcdxy", coeff, f_units)  # delta_j(E_cd) as matrices
-    dj = qi @ comp @ qi
-    vs = dj[:, :, 0, :, 0].transpose(0, 2, 1)  # V_j[:, a] = d_j(E_a0)[:, 0]
+    dj = qi @ c.transpose(3, 0, 1, 2, 4) @ qi  # dj[k, p, q] = rho^{-1/4} delta_k(E_pq) rho^{-1/4}
+    vs = dj[:, :, 0, :, 0].transpose(0, 2, 1)  # V_k[:, a] = d_k(E_a0)[:, 0]
     units = np.eye(n * n).reshape(n, n, n, n)  # units[c, d] = E_cd
     comm = vs[:, None, None] @ units - units @ vs[:, None, None]
     worst = float(np.linalg.norm(dj - comm, axis=(-2, -1)).max())
@@ -684,39 +646,40 @@ def inner_vector(calc: FirstOrderCalculus, ctx: DensityContext | None = None):
     vanishes) and is guaranteed to be tiny in finite dimension, where every
     such derivation is inner.
 
-    The stacked operator A has the central vectors as its kernel and a
-    well-conditioned range, so xi0 is the minimum-norm solution of the
-    normal equations, G^+ A* b with G = A* A and the eigenvalues of G up to
-    ``NULL_CUTOFF`` times the largest dropped, refined once on the residual.
-    The returned residual is |A xi0 - b| itself, whatever the solver.
+    In standard form the equation splits over the multiplicity index: with
+    xi0[a, k, d] = X_k[a, d], it reads delta_k(E) = sigma_{-i/4}(E) X_k
+    - X_k sigma_{i/4}(E) for every unit E, one n^4 x n^2 operator A with
+    the m components as right-hand sides.  A has the multiples of
+    rho^{1/2} as its kernel and a well-conditioned range, so X is the
+    minimum-norm solution of the normal equations, G^+ A* b with G = A* A
+    and the eigenvalues of G up to ``NULL_CUTOFF`` times the largest
+    dropped, refined once on the residual.  The returned residual is
+    |A X - b| itself, over all components.
     """
     ctx = calc.ctx if ctx is None else ctx
     n = calc.dim
-    d = calc.dim_h
-    if d == 0:
+    if calc.dim_h == 0:
         return np.zeros(0, dtype=complex), 0.0
+    m, c, _ = _standard_form_data(calc)
     s_m4, s_p4 = _quarter_units(ctx)
-    a_stack = np.tensordot(s_m4, calc.pi_l, axes=2)
-    a_stack -= np.tensordot(s_p4, calc.pi_r, axes=2)
-    gram = np.zeros((d, d), dtype=complex)
-    for block in a_stack.reshape(n * n, d, d):
-        gram += dagger(block) @ block
-    a_stack = a_stack.reshape(n * n * d, d)
-    b_stack = calc.delta.reshape(n * n * d)
-    eigs, vecs = np.linalg.eigh(gram)
+    eye = np.eye(n)
+    # a_op[(p, q, a, d), (x, y)] maps X to (sigma_{-i/4}(E_pq) X - X sigma_{i/4}(E_pq))[a, d]
+    a_op = np.einsum("pqax,yd->pqadxy", s_m4, eye) - np.einsum("ax,pqyd->pqadxy", eye, s_p4)
+    a_op = a_op.reshape(n**4, n * n)
+    b = c.transpose(0, 1, 2, 4, 3).reshape(n**4, m)  # column k is delta_k(E_pq)[a, d]
+    eigs, vecs = np.linalg.eigh(dagger(a_op) @ a_op)
     keep = eigs > NULL_CUTOFF * eigs[-1]
     range_vecs = vecs[:, keep]
     inv_eigs = 1.0 / eigs[keep]
 
     def normal_solve(r):
-        # G^+ A* r, with A* r formed as conj(conj(r) A) to avoid a copy of A
-        a_adj_r = np.conj(np.conj(r) @ a_stack)
-        return range_vecs @ (inv_eigs * (dagger(range_vecs) @ a_adj_r))
+        return range_vecs @ (inv_eigs[:, None] * (dagger(range_vecs) @ (dagger(a_op) @ r)))
 
-    xi0 = normal_solve(b_stack)
-    xi0 += normal_solve(b_stack - a_stack @ xi0)
-    resid = np.linalg.norm(a_stack @ xi0 - b_stack)
-    denom = np.linalg.norm(b_stack)
+    x = normal_solve(b)
+    x += normal_solve(b - a_op @ x)
+    resid = np.linalg.norm(a_op @ x - b)
+    denom = np.linalg.norm(b)
+    xi0 = x.reshape(n, n, m).transpose(0, 2, 1).ravel()  # x[(a, d), k] in H's (a, k, d) order
     return xi0, float(resid / denom if denom > 0 else resid)
 
 
@@ -726,34 +689,35 @@ def uniqueness_witness(
     gen: MarkovGenerator,
     tol: float = 1e-6,
 ):
-    """Witness that two calculi of the same generator are isomorphic.
+    """Witness that two standard-form calculi of the same generator are
+    isomorphic.  Returns (theta, report), theta the dense dim_h_b x dim_h_a
+    matrix of the isometry.
 
-    The candidate intertwiner maps the spanning family pi_l(E_ab) delta(E_cd)
-    of one calculus onto the other's.  Gram agreement of the two spanning
-    families is exactly the isometry condition and is checked first (raising
-    GramMismatch with the worst entry); the returned report certifies that
-    the induced map intertwines both actions, the involutions and the
-    derivations.  Returns (theta, report).
-
-    The intertwining is certified at operator level.  With S the spanning
-    family of ``calc_a`` and X = theta pi_a(E) - pi_b(E) theta for a matrix
-    unit E, the defect max |X S| on the spanning family is bounded, by
-    Cauchy-Schwarz, by (largest row 2-norm of X) * (largest column 2-norm
-    of S).  ``pi_l_intertwine_defect`` and ``pi_r_intertwine_defect`` record
-    that bound, maximised over the n^2 units, and ``j_intertwine_defect``
-    the same bound for X = theta J_a - J_b conj(theta), since
-    conj(theta S) = conj(theta) conj(S).  Each recorded value is an upper
-    bound on the entrywise defect over the spanning family, so a pass here
-    implies a pass of that defect at the same tol.
+    The candidate is theta = I_n (x) W (x) I_n, which commutes with the
+    standard actions, with W^T = pinv(M_a) M_b for M[(p, q, a, d), k] =
+    delta_k(E_pq)[a, d], so that theta delta_a(E) = delta_b(E) wherever
+    M_a W^T = M_b.  Gram agreement of the spanning families
+    pi_l(E_ab) delta(E_cd) is checked first, raising GramMismatch with the
+    worst entry: that Gram is delta_aa' times N N* (conjugated), with N the
+    delta coefficients read as the n^3 x mn matrix with rows (p, q, a), so
+    the n^3 x n^3 matrices N N* are compared.  The report certifies
+    ``standard_form_defect`` of both calculi (with it theta intertwines both
+    actions exactly), W unitary (``w_unitarity_defect``; calculi of
+    different multiplicity fail it with a measured value),
+    W K_a = K_b conj(W) (``j_intertwine_defect``, theta J_a = J_b theta) and
+    M_a W^T = M_b (``delta_match_defect``).  Raises NonIntegralMultiplicity
+    when n^2 does not divide either dim H.
     """
     n = gen.dim
-    sa = spanning_family(calc_a)
-    sb = spanning_family(calc_b)
-    ga = dagger(sa) @ sa
-    gb = dagger(sb) @ sb
-    dev = np.abs(ga - gb)
+    m_a, c_a, k_a = _standard_form_data(calc_a)
+    m_b, c_b, k_b = _standard_form_data(calc_b)
+    n_a = c_a.reshape(n**3, m_a * n)
+    n_b = c_b.reshape(n**3, m_b * n)
+    ga = n_a @ dagger(n_a)
+    dev = np.abs(ga - n_b @ dagger(n_b))
     max_dev = float(dev.max(initial=0.0))
-    if max_dev > tol * max(1.0, np.abs(ga).max(initial=0.0)):
+    gram_bound = tol * max(1.0, np.abs(ga).max(initial=0.0))
+    if max_dev > gram_bound:
         idx = np.unravel_index(np.argmax(dev), dev.shape)
         raise GramMismatch(
             f"spanning-family Gram matrices deviate by {max_dev:.3e} at {idx}",
@@ -761,39 +725,27 @@ def uniqueness_witness(
             index=tuple(int(i) for i in idx),
         )
 
-    theta = sb @ np.linalg.pinv(sa, rcond=1e-12)
-    theta_sa = theta @ sa
+    cols_a = c_a.transpose(0, 1, 2, 4, 3).reshape(n**4, m_a)
+    cols_b = c_b.transpose(0, 1, 2, 4, 3).reshape(n**4, m_b)
+    w = (np.linalg.pinv(cols_a, rcond=1e-12) @ cols_b).T
+    unitarity = max(
+        _maxabs(dagger(w) @ w - np.eye(m_a)), _maxabs(w @ dagger(w) - np.eye(m_b))
+    )
     rep = Report(name="uniqueness_witness", tol=tol)
-    rep.checks.append(Check("gram_mismatch_max", max_dev, tol * max(1.0, np.abs(ga).max(initial=0.0)), "le"))
-    rep.checks.append(Check("spanning_map_defect", float(np.abs(theta_sa - sb).max(initial=0.0)), tol, "le"))
-
-    def max_row_norm(x) -> float:
-        return float(np.linalg.norm(x, axis=-1).max(initial=0.0))
-
-    span_norm = float(np.linalg.norm(sa, axis=0).max(initial=0.0))
-    pl_dev = 0.0
-    pr_dev = 0.0
-    # unit by unit, as fast as batching over b and with n times smaller temporaries
-    for a in range(n):
-        for b in range(n):
-            x_l = theta @ calc_a.pi_l[a, b]
-            x_l -= calc_b.pi_l[a, b] @ theta
-            pl_dev = max(pl_dev, max_row_norm(x_l))
-            x_r = theta @ calc_a.pi_r[a, b]
-            x_r -= calc_b.pi_r[a, b] @ theta
-            pr_dev = max(pr_dev, max_row_norm(x_r))
-    rep.checks.append(Check("pi_l_intertwine_defect", pl_dev * span_norm, tol, "le"))
-    rep.checks.append(Check("pi_r_intertwine_defect", pr_dev * span_norm, tol, "le"))
-
-    j_dev = max_row_norm(theta @ calc_a.jmat - calc_b.jmat @ np.conj(theta))
-    rep.checks.append(Check("j_intertwine_defect", j_dev * span_norm, tol, "le"))
-
-    d_dev = 0.0
-    for a in range(n):
-        for b in range(n):
-            d_dev = max(d_dev, np.linalg.norm(theta @ calc_a.delta[a, b] - calc_b.delta[a, b]))
-    rep.checks.append(Check("delta_match_defect", float(d_dev), tol, "le"))
+    rep.checks.append(Check("gram_mismatch_max", max_dev, gram_bound, "le"))
+    rep.checks.append(
+        Check(
+            "standard_form_defect",
+            max(standard_form_defect(calc_a), standard_form_defect(calc_b)),
+            tol,
+            "le",
+        )
+    )
+    rep.checks.append(Check("w_unitarity_defect", unitarity, tol, "le"))
+    rep.checks.append(Check("j_intertwine_defect", _maxabs(w @ k_a - k_b @ np.conj(w)), tol, "le"))
+    rep.checks.append(Check("delta_match_defect", _maxabs(cols_a @ w.T - cols_b), tol, "le"))
     rep.metrics.update({"dim_h_a": calc_a.dim_h, "dim_h_b": calc_b.dim_h})
+    theta = np.kron(np.eye(n), np.kron(w, np.eye(n)))
     return theta, rep
 
 

@@ -44,6 +44,7 @@ from .matrix_core import (
     descend,
     eigenbasis_multiply,
     embed,
+    hermitian_basis,
     hilbert_algebra_product,
     hsnorm,
     opnorm,
@@ -145,27 +146,6 @@ def generator_from_cp(psi: Superoperator, ctx: DensityContext, tol: float | None
     return certify_generator(resolvent_generator(psi, ctx), ctx, tol=tol)
 
 
-def _hermitian_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal (Hilbert-Schmidt) basis of the Hermitian n x n matrices."""
-    basis = []
-    for a in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[a, a] = 1.0
-        basis.append(e)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for a in range(n):
-        for b in range(a + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[a, b] = inv_sqrt2
-            e[b, a] = inv_sqrt2
-            basis.append(e)
-            f = np.zeros((n, n), dtype=complex)
-            f[a, b] = 1j * inv_sqrt2
-            f[b, a] = -1j * inv_sqrt2
-            basis.append(f)
-    return basis
-
-
 def _real_stack(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, z.imag])
 
@@ -195,7 +175,7 @@ def recover_cp_from_generator(
     """
     ctx = gen.ctx
     n = gen.dim
-    basis = _hermitian_basis(n)
+    basis = hermitian_basis(n)
     dim_par = len(basis)
 
     # KMS-symmetry constraint: homogeneous and, for Hermitian m, satisfied

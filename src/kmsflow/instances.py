@@ -95,6 +95,3 @@ def random_markov_operator(n: int, seed: int, t: float | None = None):
         t = float(rng.uniform(0.2, 2.0))
     return gen.ctx, superop_exp(gen.L2, t)
 
-
-def tracial_context(n: int, tol: float = 1e-9) -> DensityContext:
-    return DensityContext.from_rho(np.eye(n) / n, tol=tol)

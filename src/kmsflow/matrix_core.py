@@ -70,6 +70,22 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+def hermitian_basis(n: int) -> np.ndarray:
+    """Hilbert-Schmidt orthonormal basis of the Hermitian n x n matrices, as
+    an (n^2, n, n) array: E_aa for each a, then (E_ab + E_ba) / sqrt2 and
+    i (E_ab - E_ba) / sqrt2 for each a < b in row-major order."""
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    diag = np.arange(n)
+    basis[diag, diag, diag] = 1.0
+    a, b = np.triu_indices(n, 1)
+    sym = n + 2 * np.arange(a.size)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    basis[sym, a, b] = basis[sym, b, a] = inv_sqrt2
+    basis[sym + 1, a, b] = 1j * inv_sqrt2
+    basis[sym + 1, b, a] = -1j * inv_sqrt2
+    return basis
+
+
 def eigenbasis_multiply(basis: np.ndarray, f: np.ndarray, x: np.ndarray) -> np.ndarray:
     """basis (f * (basis* x basis)) basis*: multiply x entrywise by f in the
     orthonormal basis given by the columns of ``basis``.
@@ -178,10 +194,6 @@ class DensityContext:
         diagonalizes the modular operator as an n^2 x n^2 matrix, with
         eigenvalues exp(log_ratio) in vec order."""
         return np.kron(self.u.conj(), self.u)
-
-    def is_tracial(self, tol: float | None = None) -> bool:
-        tol = self.tol if tol is None else tol
-        return bool(np.ptp(self.p) <= tol)
 
 
 def kms_inner(ctx: DensityContext, a, b) -> complex:

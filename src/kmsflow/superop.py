@@ -117,10 +117,6 @@ class Superoperator:
         Hilbert-Schmidt space; used as the scale for every certification)."""
         return opnorm(self.mat)
 
-    def hs_adjoint(self) -> "Superoperator":
-        """Adjoint with respect to the Hilbert-Schmidt inner product."""
-        return Superoperator(dagger(self.mat), self.dim, self.level)
-
 
 def identity_superop(n: int, level: str = ALGEBRA) -> Superoperator:
     return Superoperator(np.eye(n * n, dtype=complex), n, level)

@@ -1,27 +1,36 @@
 """Dense reference implementations for the calculus layer.
 
-``calculus_invariants_report`` certifies the actions and the involution
-through the standard-form unitary.  The functions here check the same
-properties directly over every pair of matrix units, at O(n^4 dim_h^3)
-cost, and serve as the oracle the structure certificate is compared
-against at n <= 3.  ``dense_gns_calculus`` is the GNS quotient built on
-the full n^4-dimensional tensor square, the oracle for the factored
-``gns_calculus``; ``einsum_gns_actions`` is the plain-einsum form of its
-batched contractions.  ``trimmed_commutator_calculus`` builds a commutator
-family's calculus on M_n (x) C^N and trims it to the cyclic sub-bimodule by
-an SVD of the spanning family, the oracle for the native
-``commutator_calculus``; ``kron_commutator_actions`` is the Kronecker-product
-construction of the untrimmed calculus, against which the blockwise actions
-of the trimmed one are checked.
-``loop_witness_defects`` is the per-unit intertwining defect on the spanning
-family that ``uniqueness_witness`` bounds at operator level, and
-``lstsq_inner_vector`` the dense least-squares solve of ``inner_vector``.
+The library reads every calculus through its standard-form data (the delta
+coefficients and the m x m block K_J).  The functions here work on the dense
+dim_h x dim_h fields instead and are the oracles those paths are gated
+against at n <= 3:
+
+- ``dense_invariants_report`` certifies the calculus through the
+  standard-form unitary of the dense actions (``standard_form_unitary``), and
+  ``pairwise_grid_defects``/``grid_invariants_report`` check the same
+  properties directly over every pair of matrix units, at O(n^4 dim_h^3)
+  cost.
+- ``dense_uniqueness_witness`` maps the spanning family
+  (``spanning_family``) of one calculus onto the other's, for any two
+  calculi, in standard form or not; ``loop_witness_defects`` is the per-unit
+  intertwining defect of a witness on the spanning family.
+- ``lstsq_inner_vector`` is the dense least-squares solve of
+  ``inner_vector``.
+- ``dense_gns_calculus`` is the GNS quotient built on the full
+  n^4-dimensional tensor square, the oracle for the factored
+  ``gns_calculus``; ``einsum_gns_actions`` is the plain-einsum form of its
+  batched contractions.
+- ``trimmed_commutator_calculus`` builds a commutator family's calculus on
+  M_n (x) C^N and trims it to the cyclic sub-bimodule by an SVD of the
+  spanning family, the oracle for the native ``commutator_calculus``;
+  ``kron_commutator_actions`` is the Kronecker-product construction of the
+  untrimmed calculus, against which the blockwise actions of the trimmed one
+  are checked.
 """
 
 import numpy as np
 import scipy.linalg
 
-import kmsflow as kf
 from kmsflow.derivation import (
     FORM_TOL,
     GRAM_PSD_TOL,
@@ -30,12 +39,11 @@ from kmsflow.derivation import (
     FirstOrderCalculus,
     _quarter_units,
     kms_form_of_generator,
-    spanning_family,
 )
-from kmsflow.errors import GramNotPSD, ReconstructionFailure
+from kmsflow.errors import GramMismatch, GramNotPSD, ReconstructionFailure
 from kmsflow.generator import MarkovGenerator
 from kmsflow.matrix_core import dagger, opnorm
-from kmsflow.reports import Check
+from kmsflow.reports import Check, Report
 from kmsflow.superop import lmul, rmul, to_algebra, unvec, vec
 from kmsflow.vtransform import v_transform
 
@@ -50,6 +58,140 @@ STRUCTURE_CHECKS = (
 
 def _maxabs(x) -> float:
     return float(np.abs(x).max(initial=0.0))
+
+
+def spanning_family(calc: FirstOrderCalculus) -> np.ndarray:
+    """Matrix whose columns are pi_l(E_ab) delta(E_cd), indexed by
+    ((a n + b) n + c) n + d."""
+    s = np.tensordot(calc.pi_l, calc.delta, axes=([3], [2]))  # [a, b, i, c, d]
+    return s.transpose(2, 0, 1, 3, 4).reshape(calc.dim_h, calc.dim**4)
+
+
+def standard_form_unitary(calc: FirstOrderCalculus, basis: np.ndarray | None = None):
+    """Coordinates of H as a multiple of the standard M_n bimodule.
+
+    With matrix units F_ab = basis E_ab basis* (the computational units when
+    ``basis`` is None) and eta_1..eta_r the eigenvectors of the minimal
+    bimodule projection pi_l(F_00) pi_r(F_00) for eigenvalues above 1/2,
+    returns ``(u_std, proj_eigs)`` where
+
+        u_std[:, a, b, j] = pi_l(F_a0) pi_r(F_0b) eta_j
+
+    and ``proj_eigs`` is the spectrum of the projection.  For a calculus
+    H = C^n (x) C^n (x) C^m, r = m = dim H / n^2 and u_std is unitary, with
+    pi_l acting on the first factor and pi_r on the second.
+    """
+    n = calc.dim
+    basis = np.eye(n) if basis is None else basis
+    f_units = np.einsum("xa,yb->abxy", basis, np.conj(basis))
+    left = np.tensordot(f_units[:, 0], calc.pi_l, axes=2)  # left[a] = pi_l(F_a0)
+    right = np.tensordot(f_units[0], calc.pi_r, axes=2)  # right[b] = pi_r(F_0b)
+    proj = left[0] @ right[0]
+    proj_eigs, vecs = np.linalg.eigh(0.5 * (proj + dagger(proj)))
+    eta = vecs[:, proj_eigs > 0.5]
+    u_std = left[:, None] @ (right @ eta)[None]
+    return u_std.transpose(2, 0, 1, 3), proj_eigs
+
+
+def dense_invariants_report(
+    calc: FirstOrderCalculus, gen: MarkovGenerator, tol: float = 1e-9
+) -> Report:
+    """Certify the defining properties of a first-order calculus.
+
+    The bimodule structure is certified through the standard form: the
+    coordinates U = standard_form_unitary(calc) must have n^2 r = dim H
+    columns, be unitary, and intertwine pi_l(E_cd) with E_cd (x) I (x) I,
+    pi_r(E_cd) with I (x) E_dc (x) I, and J with swap (x) K composed with
+    complex conjugation, K the multiplicity block of J.  Together these imply
+    that pi_l is a *-homomorphism, pi_r a *-antihomomorphism, the actions
+    commute and J exchanges them; they cost n^2 products of size dim H
+    instead of the n^4 of the pairwise matrix-unit grid.  Also certified:
+    star compatibility and unitality of the actions, J antiunitary and
+    involutive, delta(A*) = J delta(A), the twisted Leibniz rule, cyclicity
+    of the delta-image under the left action, and the reconstruction of the
+    generator form.  Defects are maximal entrywise deviations.
+    """
+    n = calc.dim
+    ctx = calc.ctx
+    d = calc.dim_h
+    rep = Report(name="calculus_invariants", tol=tol)
+    scale = max(1.0, gen.L.norm)
+    n2 = n * n
+
+    u_std, _ = standard_form_unitary(calc)
+    r = u_std.shape[3]
+    u_flat = u_std.reshape(d, n2 * r)
+    multiplicity = float(d % n2 + abs(r - d // n2))
+    unitarity = _maxabs(dagger(u_flat) @ u_flat - np.eye(n2 * r))
+    pl_tw = pr_tw = 0.0
+    for c in range(n):
+        for e in range(n):
+            # pi_l(E_ce) U = U (E_ce (x) I (x) I): column (e, b, j) is U[:, c, b, j]
+            dl = (calc.pi_l[c, e] @ u_flat).reshape(d, n, n, r)
+            dl[:, e] -= u_std[:, c]
+            pl_tw = max(pl_tw, _maxabs(dl))
+            # pi_r(E_ce) U = U (I (x) E_ec (x) I): column (a, c, j) is U[:, a, e, j]
+            dr = (calc.pi_r[c, e] @ u_flat).reshape(d, n, n, r)
+            dr[:, :, c] -= u_std[:, :, e]
+            pr_tw = max(pr_tw, _maxabs(dr))
+    # J conj(U) = U (swap (x) K), K read off at (a, b) = (0, 0)
+    k = dagger(u_std[:, 0, 0]) @ calc.jmat @ np.conj(u_std[:, 0, 0])
+    swapped = (u_std.transpose(0, 2, 1, 3).reshape(d * n2, r) @ k).reshape(d, n2 * r)
+    j_tw = _maxabs(calc.jmat @ np.conj(u_flat) - swapped)
+    rep.checks.append(Check("multiplicity_defect", multiplicity, 0.0, "le"))
+    rep.checks.append(Check("standard_form_unitarity_defect", unitarity, tol * scale, "le"))
+    rep.checks.append(Check("pi_l_intertwine_defect", pl_tw, tol * scale, "le"))
+    rep.checks.append(Check("pi_r_intertwine_defect", pr_tw, tol * scale, "le"))
+    rep.checks.append(Check("j_intertwine_defect", j_tw, tol * scale, "le"))
+
+    adj = max(
+        _maxabs(np.conj(calc.pi_l.transpose(0, 1, 3, 2)) - calc.pi_l.transpose(1, 0, 2, 3)),
+        _maxabs(np.conj(calc.pi_r.transpose(0, 1, 3, 2)) - calc.pi_r.transpose(1, 0, 2, 3)),
+    )
+    unital = max(
+        _maxabs(np.einsum("aaij->ij", calc.pi_l) - np.eye(d)),
+        _maxabs(np.einsum("aaij->ij", calc.pi_r) - np.eye(d)),
+    )
+    rep.checks.append(Check("star_compatibility_defect", adj, tol * scale, "le"))
+    rep.checks.append(Check("unitality_defect", unital, tol * scale, "le"))
+
+    j_unitary = _maxabs(dagger(calc.jmat) @ calc.jmat - np.eye(d))
+    j_invol = _maxabs(calc.jmat @ np.conj(calc.jmat) - np.eye(d))
+    rep.checks.append(Check("j_antiunitary_defect", j_unitary, tol * scale, "le"))
+    rep.checks.append(Check("j_involution_defect", j_invol, tol * scale, "le"))
+
+    # delta(A*) = J delta(A)
+    j_delta = _maxabs(
+        calc.delta.transpose(1, 0, 2)
+        - np.einsum("ij,abj->abi", calc.jmat, np.conj(calc.delta))
+    )
+    rep.checks.append(Check("j_delta_defect", j_delta, tol * scale, "le"))
+
+    # twisted Leibniz rule delta(E_ab E_cd) = pi_l(sigma_{-i/4}(E_ab)) delta(E_cd)
+    #                                        + pi_r(sigma_{+i/4}(E_cd)) delta(E_ab)
+    s_m4, s_p4 = _quarter_units(ctx)
+    pl_s = np.tensordot(s_m4, calc.pi_l, axes=2).reshape(n2, d, d)
+    pr_s = np.tensordot(s_p4, calc.pi_r, axes=2).reshape(n2, d, d)
+    delta_cols = calc.delta.reshape(n2, d).T
+    rhs = (pl_s @ delta_cols).transpose(0, 2, 1) + (pr_s @ delta_cols).transpose(2, 0, 1)
+    lhs = np.zeros((n, n, n, n, d), dtype=complex)
+    for b in range(n):
+        lhs[:, b, b, :, :] = calc.delta[:, :, :]
+    leibniz = _maxabs(lhs - rhs.reshape(n, n, n, n, d))
+    rep.checks.append(Check("twisted_leibniz_defect", leibniz, tol * scale, "le"))
+
+    # cyclicity: pi_l(A) delta(B) spans H
+    if d > 0:
+        sv = np.linalg.svd(spanning_family(calc), compute_uv=False)
+        rank = int((sv > NULL_CUTOFF * sv.max(initial=0.0)).sum())
+    else:
+        rank = 0
+    rep.checks.append(Check("cyclic_rank_deficit", float(calc.dim_h - rank), 0.0, "le"))
+
+    form_h = np.einsum("abi,cdi->abcd", np.conj(calc.delta), calc.delta).reshape(n2, n2)
+    form_defect = float(np.abs(form_h - kms_form_of_generator(gen)).max())
+    rep.checks.append(Check("form_identity_defect", form_defect, FORM_TOL * scale, "le"))
+    return rep
 
 
 def pairwise_grid_defects(calc) -> dict:
@@ -96,9 +238,9 @@ def pairwise_grid_defects(calc) -> dict:
 
 
 def grid_invariants_report(calc, gen, tol: float = 1e-9):
-    """The invariants report with the structure certificate replaced by the
-    pairwise grid, all at the same tol * max(1, ||L||)."""
-    rep = kf.calculus_invariants_report(calc, gen, tol=tol)
+    """The dense invariants report with the structure certificate replaced by
+    the pairwise grid, all at the same tol * max(1, ||L||)."""
+    rep = dense_invariants_report(calc, gen, tol=tol)
     bound = tol * max(1.0, gen.L.norm)
     rep.checks = [c for c in rep.checks if c.name not in STRUCTURE_CHECKS] + [
         Check(name, value, bound, "le") for name, value in pairwise_grid_defects(calc).items()
@@ -415,3 +557,80 @@ def lstsq_inner_vector(calc):
     resid = np.linalg.norm(a_stack @ xi0 - b_stack)
     denom = np.linalg.norm(b_stack)
     return xi0, float(resid / denom if denom > 0 else resid)
+
+
+def dense_uniqueness_witness(
+    calc_a: FirstOrderCalculus,
+    calc_b: FirstOrderCalculus,
+    gen: MarkovGenerator,
+    tol: float = 1e-6,
+):
+    """Witness that two calculi of the same generator are isomorphic.
+
+    The candidate intertwiner maps the spanning family pi_l(E_ab) delta(E_cd)
+    of one calculus onto the other's.  Gram agreement of the two spanning
+    families is exactly the isometry condition and is checked first (raising
+    GramMismatch with the worst entry); the returned report certifies that
+    the induced map intertwines both actions, the involutions and the
+    derivations.  Returns (theta, report).
+
+    The intertwining is certified at operator level.  With S the spanning
+    family of ``calc_a`` and X = theta pi_a(E) - pi_b(E) theta for a matrix
+    unit E, the defect max |X S| on the spanning family is bounded, by
+    Cauchy-Schwarz, by (largest row 2-norm of X) * (largest column 2-norm
+    of S).  ``pi_l_intertwine_defect`` and ``pi_r_intertwine_defect`` record
+    that bound, maximised over the n^2 units, and ``j_intertwine_defect``
+    the same bound for X = theta J_a - J_b conj(theta), since
+    conj(theta S) = conj(theta) conj(S).  Each recorded value is an upper
+    bound on the entrywise defect over the spanning family, so a pass here
+    implies a pass of that defect at the same tol.
+    """
+    n = gen.dim
+    sa = spanning_family(calc_a)
+    sb = spanning_family(calc_b)
+    ga = dagger(sa) @ sa
+    gb = dagger(sb) @ sb
+    dev = np.abs(ga - gb)
+    max_dev = float(dev.max(initial=0.0))
+    if max_dev > tol * max(1.0, np.abs(ga).max(initial=0.0)):
+        idx = np.unravel_index(np.argmax(dev), dev.shape)
+        raise GramMismatch(
+            f"spanning-family Gram matrices deviate by {max_dev:.3e} at {idx}",
+            max_deviation=max_dev,
+            index=tuple(int(i) for i in idx),
+        )
+
+    theta = sb @ np.linalg.pinv(sa, rcond=1e-12)
+    theta_sa = theta @ sa
+    rep = Report(name="uniqueness_witness", tol=tol)
+    rep.checks.append(Check("gram_mismatch_max", max_dev, tol * max(1.0, np.abs(ga).max(initial=0.0)), "le"))
+    rep.checks.append(Check("spanning_map_defect", float(np.abs(theta_sa - sb).max(initial=0.0)), tol, "le"))
+
+    def max_row_norm(x) -> float:
+        return float(np.linalg.norm(x, axis=-1).max(initial=0.0))
+
+    span_norm = float(np.linalg.norm(sa, axis=0).max(initial=0.0))
+    pl_dev = 0.0
+    pr_dev = 0.0
+    # unit by unit, as fast as batching over b and with n times smaller temporaries
+    for a in range(n):
+        for b in range(n):
+            x_l = theta @ calc_a.pi_l[a, b]
+            x_l -= calc_b.pi_l[a, b] @ theta
+            pl_dev = max(pl_dev, max_row_norm(x_l))
+            x_r = theta @ calc_a.pi_r[a, b]
+            x_r -= calc_b.pi_r[a, b] @ theta
+            pr_dev = max(pr_dev, max_row_norm(x_r))
+    rep.checks.append(Check("pi_l_intertwine_defect", pl_dev * span_norm, tol, "le"))
+    rep.checks.append(Check("pi_r_intertwine_defect", pr_dev * span_norm, tol, "le"))
+
+    j_dev = max_row_norm(theta @ calc_a.jmat - calc_b.jmat @ np.conj(theta))
+    rep.checks.append(Check("j_intertwine_defect", j_dev * span_norm, tol, "le"))
+
+    d_dev = 0.0
+    for a in range(n):
+        for b in range(n):
+            d_dev = max(d_dev, np.linalg.norm(theta @ calc_a.delta[a, b] - calc_b.delta[a, b]))
+    rep.checks.append(Check("delta_match_defect", float(d_dev), tol, "le"))
+    rep.metrics.update({"dim_h_a": calc_a.dim_h, "dim_h_b": calc_b.dim_h})
+    return theta, rep

@@ -11,7 +11,6 @@ from kmsflow.derivation import (
     commutator_form_matrix,
     kms_form_of_generator,
     leibniz_bilinear_residual,
-    spanning_family,
     xi_map,
 )
 from kmsflow.errors import (
@@ -26,10 +25,10 @@ from kmsflow.matrix_core import dagger, opnorm
 from kmsflow.superop import choi, from_kraus, kms_adjoint, kraus_from_choi, to_l2, zero_superop
 
 from calculus_oracle import (
-    dense_gns_calculus,
     grid_invariants_report,
     kron_commutator_actions,
     loop_witness_defects,
+    spanning_family,
     trimmed_commutator_calculus,
 )
 from conftest import cached_generator, cached_gns, rng_matrix
@@ -150,9 +149,9 @@ class TestGnsCalculus:
         assert err.value.value < -err.value.bound
 
 
-def _perturbed(calc, name, eps=1e-6):
+def _perturbed(calc, name, eps=1e-6, at=1):
     arr = getattr(calc, name).copy()
-    arr.flat[1] += eps
+    arr.flat[at] += eps
     return dataclasses.replace(calc, **{name: arr})
 
 
@@ -180,21 +179,36 @@ def _padded_with_corner(calc):
     )
 
 
+def _padded_multiplicity(calc):
+    """calc with one more multiplicity index, on which delta vanishes and
+    K_J is -1: the delta coefficients keep their Gram, dim H grows by n^2."""
+    n = calc.dim
+    m, c, k_j = derivation._standard_form_data(calc)
+    c_pad = np.zeros((n, n, n, m + 1, n), dtype=complex)
+    c_pad[:, :, :, :m] = c
+    k_pad = -np.eye(m + 1, dtype=complex)
+    k_pad[:m, :m] = k_j
+    return derivation._standard_form_calculus(calc.ctx, c_pad.reshape(n, n, -1), k_pad, {})
+
+
 class TestInvariantsNegativeControls:
-    """Broken calculi fail the structure certificate, and the pairwise grid
-    oracle flags the same input."""
+    """Broken calculi fail the standard-form certificate, and the pairwise
+    grid oracle flags the same input."""
 
     @pytest.mark.parametrize(
         "breaker,structure_check,oracle_check",
         [
-            (lambda c: _perturbed(c, "pi_l"), "pi_l_intertwine_defect", "pi_l_homomorphism_defect"),
-            (lambda c: _perturbed(c, "pi_r"), "pi_r_intertwine_defect", "pi_r_antihomomorphism_defect"),
-            (lambda c: _perturbed(c, "jmat"), "j_intertwine_defect", "j_bimodule_twist_defect"),
+            (lambda c: _perturbed(c, "pi_l"), "standard_form_defect", "pi_l_homomorphism_defect"),
+            (lambda c: _perturbed(c, "pi_r"), "standard_form_defect", "pi_r_antihomomorphism_defect"),
+            (lambda c: _perturbed(c, "jmat"), "standard_form_defect", "j_bimodule_twist_defect"),
+            # jmat[0, n] is K_J[0, 1], where the standard-form data read K_J;
+            # the other outer blocks of J keep the old entry
+            (lambda c: _perturbed(c, "jmat", at=c.dim), "standard_form_defect", "j_bimodule_twist_defect"),
             # -J intertwines the bimodule exactly as J does; only delta(A*) = J delta(A) fixes the sign
             (lambda c: dataclasses.replace(c, jmat=-c.jmat), "j_delta_defect", "j_delta_defect"),
             (_padded_with_corner, "multiplicity_defect", "pi_l_homomorphism_defect"),
         ],
-        ids=["pi_l_entry", "pi_r_entry", "j_entry", "j_sign", "dim_not_multiple"],
+        ids=["pi_l_entry", "pi_r_entry", "j_entry", "j_kj_entry", "j_sign", "dim_not_multiple"],
     )
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
     def test_broken_calculus_fails(self, n, seed, breaker, structure_check, oracle_check):
@@ -206,6 +220,22 @@ class TestInvariantsNegativeControls:
         oracle = grid_invariants_report(broken, gen, tol=1e-9)
         assert oracle.passed is False
         assert not oracle.check(oracle_check).passed()
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+    def test_corner_fails_multiplicity_without_raising(self, n, seed):
+        # no standard-form data exist, so the report stops at the one check
+        gen, _ = cached_generator(n, seed)
+        rep = kf.calculus_invariants_report(_padded_with_corner(cached_gns(n, seed)), gen)
+        assert rep.passed is False
+        assert [c.name for c in rep.checks] == ["multiplicity_defect"]
+        assert rep.check("multiplicity_defect").value == 1.0
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+    def test_native_calculi_conform_exactly(self, n, seed):
+        gen, psi = cached_generator(n, seed)
+        calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
+        assert derivation.standard_form_defect(cached_gns(n, seed)) == 0.0
+        assert derivation.standard_form_defect(calc_k) == 0.0
 
 
 class TestExtractGns:
@@ -477,27 +507,53 @@ class TestUniquenessWitness:
     )
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
     def test_broken_target_fails_intertwining(self, n, seed, name, check):
-        # one entry of calc_b's pi_r or J is off; the spanning family, built
-        # from pi_l and delta, is not, so the Gram check passes
+        # one entry of calc_b's pi_r or J is off; the delta coefficients are
+        # not, so the Gram check passes and the standard-form check fails,
+        # and theta misses ``check`` on the spanning family (loop oracle)
         gen, psi = cached_generator(n, seed)
         calc = cached_gns(n, seed)
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
         broken = _perturbed(calc_k, name, eps=1e-3)
         theta, rep = kf.uniqueness_witness(calc, broken, gen, tol=1e-6)
         assert rep.passed is False
-        assert not rep.check(check).passed()
-        old = loop_witness_defects(theta, calc, broken)[check]
-        assert old > 1e-6
-        assert rep.check(check).value >= old
+        assert [c.name for c in rep.checks if not c.passed()] == ["standard_form_defect"]
+        assert loop_witness_defects(theta, calc, broken)[check] > 1e-6
 
-    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+    def test_conjugated_kj_fails_j_intertwining(self, n, seed):
+        # the GNS calculus rendered with conj(K_J): standard form holds, the
+        # delta coefficients and their Gram are unchanged, J is wrong
+        gen, psi = cached_generator(n, seed)
+        calc = cached_gns(n, seed)
+        calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
+        _, _, k_j = derivation._standard_form_data(calc)
+        broken = derivation._standard_form_calculus(calc.ctx, calc.delta, np.conj(k_j), {})
+        for calc_a in (calc_k, calc):
+            _, rep = kf.uniqueness_witness(calc_a, broken, gen, tol=1e-6)
+            assert [c.name for c in rep.checks if not c.passed()] == ["j_intertwine_defect"]
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+    def test_differing_multiplicity_fails_unitarity(self, n, seed):
+        # the Gram matches, and W is an isometry one way and a coisometry the
+        # other: the report fails on that check without raising
+        gen, _ = cached_generator(n, seed)
+        calc = cached_gns(n, seed)
+        padded = _padded_multiplicity(calc)
+        for calc_a, calc_b in ((calc, padded), (padded, calc)):
+            theta, rep = kf.uniqueness_witness(calc_a, calc_b, gen, tol=1e-6)
+            assert theta.shape == (calc_b.dim_h, calc_a.dim_h)
+            assert [c.name for c in rep.checks if not c.passed()] == ["w_unitarity_defect"]
+            assert rep.check("w_unitarity_defect").value > 0.5
+
+    @pytest.mark.parametrize("seed", [1, 4])
     def test_independent_of_star_structure(self, seed):
-        # at this conditioning the dense n^4 quotient misses its *-structure
-        # by about 1e-6 and fails its invariants report; the witness checks
-        # only that theta intertwines the two calculi, and still passes
-        gen, psi = kf.random_generator(3, seed, cond_bound=1e6)
-        calc = dense_gns_calculus(gen)
-        assert not kf.calculus_invariants_report(calc, gen).passed
+        # at this conditioning K_J of the GNS calculus is unitary only to
+        # about 1e-8, so its invariants report fails j_antiunitary_defect; the
+        # witness checks that theta intertwines the two calculi, and passes
+        gen, psi = kf.random_generator(4, seed, cond_bound=1e6)
+        calc = kf.gns_calculus(gen)
+        inv = kf.calculus_invariants_report(calc, gen)
+        assert [c.name for c in inv.checks if not c.passed()] == ["j_antiunitary_defect"]
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
         _, rep = kf.uniqueness_witness(calc, calc_k, gen, tol=1e-6)
         assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]

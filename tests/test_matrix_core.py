@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 import kmsflow as kf
 from kmsflow.errors import DimensionMismatch, NotHermitian
-from kmsflow.matrix_core import dagger, eig_hermitian, opnorm
+from kmsflow.matrix_core import dagger, eig_hermitian, hermitian_basis, opnorm
 
 from conftest import rng_matrix
 
@@ -37,6 +37,25 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestHermitianBasis:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_hs_orthonormal_hermitian(self, n):
+        basis = hermitian_basis(n)
+        assert basis.shape == (n * n, n, n)
+        assert np.array_equal(basis, np.conj(basis).transpose(0, 2, 1))
+        flat = basis.reshape(n * n, n * n)
+        np.testing.assert_allclose(np.conj(flat) @ flat.T, np.eye(n * n), atol=1e-15)
+
+    def test_ordering(self):
+        # E_aa first, then each pair a < b in row-major order
+        s = 1.0 / np.sqrt(2.0)
+        basis = hermitian_basis(3)
+        assert basis[2, 2, 2] == 1.0
+        assert basis[3, 0, 1] == basis[3, 1, 0] == s
+        assert basis[4, 0, 1] == 1j * s and basis[4, 1, 0] == -1j * s
+        assert basis[8, 1, 2] == 1j * s
 
 
 class TestDensityContext:
