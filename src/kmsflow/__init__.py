@@ -13,7 +13,6 @@ from .errors import (
     Infeasible,
     InsufficientRange,
     KmsflowError,
-    NoConvergence,
     NonIntegralMultiplicity,
     NotHermitian,
     NotHermiticityPreserving,

@@ -115,9 +115,5 @@ class NotJFixed(KmsflowError):
     """A vector required to be fixed by the modular conjugation is not."""
 
 
-class NoConvergence(KmsflowError):
-    """An iterative solver did not converge within its iteration budget."""
-
-
 class SchemaError(KmsflowError):
     """A JSON document does not match the expected schema."""

@@ -20,8 +20,8 @@ positive semidefinite Choi matrices.
 The quadratic form E(a) = <a, L2 a> on the standard form is the Dirichlet
 form of the semigroup; this module also provides the cone projection
 a -> a ^ rho^{1/2} (nearest point of rho^{1/2} - L2_+ in the real
-Hilbert-Schmidt metric) and the contraction and product-inequality checks
-that characterize Dirichlet forms.
+Hilbert-Schmidt metric, in closed form from one eigendecomposition) and the
+contraction and product-inequality checks that characterize Dirichlet forms.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 from .errors import (
     CertificationFailed,
     Infeasible,
-    NoConvergence,
     NotJFixed,
     PreconditionFailed,
 )
@@ -41,7 +40,6 @@ from .matrix_core import (
     DensityContext,
     as_matrix,
     dagger,
-    descend,
     eigenbasis_multiply,
     embed,
     hermitian_basis,
@@ -52,13 +50,14 @@ from .matrix_core import (
 from .reports import Check, Report
 from .superop import (
     Superoperator,
+    _choi_shuffle,
     choi,
     is_ccn,
     is_cp,
     is_kms_symmetric,
-    kms_adjoint,
     lmul,
     rmul,
+    sandwich,
     superop_exp,
     to_l2,
     unvec,
@@ -147,7 +146,7 @@ def generator_from_cp(psi: Superoperator, ctx: DensityContext, tol: float | None
 
 
 def _real_stack(z: np.ndarray) -> np.ndarray:
-    return np.concatenate([z.real, z.imag])
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def _psd_project(h: np.ndarray) -> np.ndarray:
@@ -155,6 +154,18 @@ def _psd_project(h: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(h)
     wc = np.clip(w, 0.0, None)
     return (u * wc) @ dagger(u)
+
+
+def _resolvent_columns(ctx: DensityContext, basis: np.ndarray):
+    """For each Hermitian basis element h and k = (1 + sigma_{-i/2})^{-1}(h),
+    the real-stacked columns of vec(choi(lmul(k) + rmul(k*))) and of that
+    map's KMS-symmetry defect, in one batched pass."""
+    k = eigenbasis_multiply(ctx.u, 1.0 / (1.0 + np.exp(0.5 * ctx.log_ratio)), basis)
+    eye = np.eye(ctx.dim)[None]
+    parts = np.kron(eye, k) + np.kron(k.conj(), eye)
+    defect = parts - sandwich(parts.conj().transpose(0, 2, 1), ctx.inv_sqrt_rho, ctx.sqrt_rho)
+    vec_choi = _choi_shuffle(parts).transpose(0, 2, 1).reshape(len(basis), -1)
+    return _real_stack(vec_choi).T, _real_stack(defect.reshape(len(basis), -1)).T
 
 
 def recover_cp_from_generator(
@@ -170,29 +181,24 @@ def recover_cp_from_generator(
     L(Psi) = L holds identically on the affine family, so the only
     certification left to reach is Choi positivity.
 
+    The KMS guard's null space comes from a thin SVD of its 2n^4 x n^2
+    constraint matrix.
+
     Returns (psi, report).  Raises Infeasible after max_iter without a PSD
     point; the report carries the best min-eigenvalue reached.
     """
     ctx = gen.ctx
     n = gen.dim
     basis = hermitian_basis(n)
-    dim_par = len(basis)
 
     # KMS-symmetry constraint: homogeneous and, for Hermitian m, satisfied
     # identically; the null space is computed anyway as a guard.
-    cols = []
-    sym_cols = []
-    for h in basis:
-        part = _resolvent_part(ctx, h)
-        cols.append(_real_stack(vec(choi(part))))
-        sym_cols.append(_real_stack((part - kms_adjoint(part, ctx)).mat.ravel()))
-    a_sym = np.column_stack(sym_cols)
-    _, svals, vt = np.linalg.svd(a_sym, full_matrices=True)
+    choi_cols, a_sym = _resolvent_columns(ctx, basis)
+    _, svals, vt = np.linalg.svd(a_sym, full_matrices=False)
     cutoff = 1e-10 * max(1.0, svals.max(initial=0.0))
-    null_mask = np.concatenate([svals, np.zeros(dim_par - svals.size)]) <= cutoff
-    kms_null = vt.T[:, null_mask]
+    kms_null = vt.T[:, svals <= cutoff]
 
-    a_choi = np.column_stack(cols) @ kms_null
+    a_choi = choi_cols @ kms_null
     a_pinv = np.linalg.pinv(a_choi, rcond=1e-12)
     c_l = choi(gen.L)
     c0 = -_real_stack(vec(c_l))
@@ -292,37 +298,23 @@ def et_energy(gen: MarkovGenerator, a, t: float) -> float:
     return float(np.real(va.conj() @ (va - tt.mat @ va)) / t)
 
 
-def cone_project(
-    ctx: DensityContext,
-    a,
-    tol: float = 1e-10,
-    max_iter: int = 50000,
-):
+def cone_project(ctx: DensityContext, a):
     """Projection a ^ rho^{1/2} onto the closed convex cone
     {rho^{1/2} - rho^{1/4} v rho^{1/4} : v >= 0} in the real Hilbert-Schmidt
     metric.
 
-    Solved as min_{v >= 0} ||a - rho^{1/2} + rho^{1/4} v rho^{1/4}||_F^2 by
-    projected gradient with the exact smoothness constant 2 max(p): the
-    quadratic's Hessian acts entrywise with eigenvalues 2 (p_a p_b)^{1/2}.
-    Convergence is declared at relative step < tol.
+    Congruence by the invertible rho^{1/4} maps the PSD cone onto itself, so
+    the cone is rho^{1/2} minus the PSD cone, and the nearest point is
+
+        a ^ rho^{1/2} = rho^{1/2} - (rho^{1/2} - a)_+,
+
+    with (.)_+ the positive part, from one eigendecomposition.
     """
     a = as_matrix(a, ctx.dim)
     if hsnorm(a - dagger(a)) > ctx.tol * max(1.0, hsnorm(a)):
         raise NotJFixed("cone_project requires a J-fixed (Hermitian) vector")
     a = 0.5 * (a + dagger(a))
-    r = a - ctx.sqrt_rho
-    quarter = ctx.quarter_rho
-    step = 1.0 / (2.0 * ctx.p.max())
-    v = _psd_project(-descend(ctx, r))
-    for _ in range(max_iter):
-        grad = 2.0 * (quarter @ (r + quarter @ v @ quarter) @ quarter)
-        v_new = _psd_project(v - step * grad)
-        move = hsnorm(v_new - v)
-        v = v_new
-        if move <= tol * max(1.0, hsnorm(v)):
-            return ctx.sqrt_rho - embed(ctx, v)
-    raise NoConvergence(f"cone projection did not converge in {max_iter} iterations")
+    return ctx.sqrt_rho - _psd_project(ctx.sqrt_rho - a)
 
 
 def random_cone_point(ctx: DensityContext, rng: np.random.Generator) -> np.ndarray:

@@ -156,10 +156,10 @@ def from_kraus(ops, level: str = ALGEBRA) -> Superoperator:
 
 def _choi_shuffle(m: np.ndarray) -> np.ndarray:
     """Swap the first and last of the four n-sized indices of an n^2 x n^2
-    matrix; this involution exchanges a stored superoperator and its Choi
-    matrix."""
-    n = int(round(np.sqrt(m.shape[0])))
-    return m.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
+    matrix (or of each matrix in a stack); this involution exchanges a stored
+    superoperator and its Choi matrix."""
+    n = int(round(np.sqrt(m.shape[-1])))
+    return np.swapaxes(m.reshape(m.shape[:-2] + (n, n, n, n)), -4, -1).reshape(m.shape)
 
 
 def choi(s: Superoperator) -> np.ndarray:

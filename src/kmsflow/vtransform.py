@@ -123,19 +123,22 @@ def v_transform_quadrature(
             f"truncation tail bound {tail_bound:.3e} exceeds {TAIL_BOUND_LIMIT:.0e}"
         )
 
-    def coefficients(nodes: np.ndarray, h: float) -> np.ndarray:
-        wts = np.full(nodes.size, h)
-        wts[0] = wts[-1] = 0.5 * h
-        # c[a, b] = sum_k wts_k lam_a^{1/4} lam_b^{1/4} e^{-r_k (sqrt(lam_a)+sqrt(lam_b))}
-        e = np.sqrt(wts)[:, None] * np.power(lam, 0.25)[None, :] * np.exp(
-            -nodes[:, None] * sq[None, :]
-        )
-        return 2.0 * (e.T @ e)
-
+    # c[a, b] = 2 sum_k wts_k lam_a^{1/4} lam_b^{1/4} e^{-r_k (sqrt(lam_a)+sqrt(lam_b))}
+    # from one table on the fine nodes: the coarse rule takes every second
+    # node at twice the fine weight, endpoints too, so with G the Gram
+    # matrices of the even and odd rows, c_fine = 2 (G_even + G_odd) and
+    # c_coarse = 4 G_even.
     h = r_max / steps
     nodes = np.linspace(0.0, r_max, steps + 1)
-    c_fine = coefficients(nodes, h)
-    c_coarse = coefficients(nodes[::2], 2.0 * h)
+    wts = np.full(nodes.size, h)
+    wts[0] = wts[-1] = 0.5 * h
+    e = np.sqrt(wts)[:, None] * np.power(lam, 0.25)[None, :] * np.exp(
+        -nodes[:, None] * sq[None, :]
+    )
+    g_even = e[::2].T @ e[::2]
+    g_odd = e[1::2].T @ e[1::2]
+    c_fine = 2.0 * (g_even + g_odd)
+    c_coarse = 4.0 * g_even
 
     fine_mat, coarse_mat = eigenbasis_multiply(
         ctx.superop_basis, np.stack([c_fine, c_coarse]), s.mat

@@ -143,6 +143,19 @@ class TestGeneratorCommands:
         assert rep["results"]["contraction"]["pass"]
         assert abs(rep["results"]["cyclic_energy"]) < 1e-10
 
+    def test_dirichlet_check_n4_fifty_trials(self, capsys):
+        code, rep = run(capsys, "dirichlet-check", "--seed", "10", "--n", "4",
+                        "--trials", "50")
+        assert code == 0
+        assert rep["results"]["contraction"]["pass"]
+
+    def test_recover_cp_n4(self, capsys):
+        code, rep = run(capsys, "recover-cp", "--seed", "1", "--n", "4")
+        assert code == 0
+        assert rep["results"]["recover_cp"]["pass"]
+        assert rep["results"]["cp"]["pass"]
+        assert rep["results"]["kms_symmetric"]["pass"]
+
 
 class TestDerive:
     def test_both_routes_and_witness(self, capsys):

@@ -3,15 +3,17 @@ import pytest
 import scipy.optimize
 
 import kmsflow as kf
+import kmsflow.generator as generator_mod
 from kmsflow.errors import NotJFixed, PreconditionFailed
 from kmsflow.generator import (
     MarkovGenerator,
+    _resolvent_columns,
     cone_project,
     modular_resolvent,
     random_cone_point,
     variational_inequality_report,
 )
-from kmsflow.matrix_core import dagger, opnorm
+from kmsflow.matrix_core import dagger, hermitian_basis, opnorm
 from kmsflow.superop import (
     choi,
     from_kraus,
@@ -22,6 +24,7 @@ from kmsflow.superop import (
     zero_superop,
 )
 
+from certify_oracle import loop_resolvent_columns, projected_gradient_cone_project
 from conftest import cached_generator, rng_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -134,6 +137,28 @@ class TestRecoverCp:
         assert rep.passed
         rebuilt = kf.generator_from_cp(psi, ctx_tracial2)
         assert opnorm(rebuilt.L.mat - gen.L.mat) <= 1e-8 * max(1.0, gen.L.norm)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batched_columns_match_loop(self, n):
+        basis = hermitian_basis(n)
+        for seed in range(4):
+            ctx = cached_generator(n, seed)[0].ctx
+            for fast, slow in zip(_resolvent_columns(ctx, basis),
+                                  loop_resolvent_columns(ctx, basis)):
+                assert fast.shape == slow.shape
+                assert np.abs(fast - slow).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_psi_matches_loop_columns(self, n, monkeypatch):
+        for seed in range(4):
+            gen, _ = cached_generator(n, seed)
+            psi, rep = kf.recover_cp_from_generator(gen)
+            with monkeypatch.context() as m:
+                m.setattr(generator_mod, "_resolvent_columns", loop_resolvent_columns)
+                psi_loop, rep_loop = kf.recover_cp_from_generator(gen)
+            assert np.abs(psi.mat - psi_loop.mat).max() <= 1e-12
+            for key in ("iterations", "kms_null_dim"):
+                assert rep.metrics[key] == rep_loop.metrics[key]
 
 
 class TestEvolveChernoff:
@@ -255,6 +280,46 @@ class TestConeProject:
     def test_rejects_non_j_fixed(self, ctx2):
         with pytest.raises(NotJFixed):
             cone_project(ctx2, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_projected_gradient(self, n):
+        worst = 0.0
+        for seed in range(8):
+            ctx = cached_generator(n, seed)[0].ctx
+            rng = np.random.default_rng(seed)
+            for _ in range(3):
+                g = rng_matrix(rng, n)
+                a = g + dagger(g)
+                oracle = projected_gradient_cone_project(ctx, a)
+                worst = max(worst, np.abs(cone_project(ctx, a) - oracle).max())
+        assert worst <= 1e-7
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_kkt_conditions(self, n):
+        # w = rho^{1/2} - proj and w - (rho^{1/2} - a) are PSD and
+        # complementary: tr(w (w - (rho^{1/2} - a))) = 0
+        for seed in range(8):
+            ctx = cached_generator(n, seed)[0].ctx
+            rng = np.random.default_rng(seed + 20)
+            g = rng_matrix(rng, n)
+            a = g + dagger(g)
+            w = ctx.sqrt_rho - cone_project(ctx, a)
+            z = w - (ctx.sqrt_rho - a)
+            scale = max(1.0, opnorm(ctx.sqrt_rho - a))
+            assert np.linalg.eigvalsh(0.5 * (w + dagger(w))).min() >= -1e-12 * scale
+            assert np.linalg.eigvalsh(0.5 * (z + dagger(z))).min() >= -1e-12 * scale
+            assert abs(np.trace(w @ z)) <= 1e-12 * scale**2
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_variational_inequality_across_n(self, n):
+        for seed in range(4):
+            ctx = cached_generator(n, seed)[0].ctx
+            rng = np.random.default_rng(seed + 40)
+            g = rng_matrix(rng, n)
+            a = g + dagger(g)
+            proj = cone_project(ctx, a)
+            rep = variational_inequality_report(ctx, a, proj, trials=100, seed=seed, tol=1e-9)
+            assert rep.passed, (n, seed, rep.check("max_inner_product").value)
 
 
 class TestDirichletContraction:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import kmsflow as kf
 from kmsflow.errors import InsufficientRange
-from kmsflow.matrix_core import dagger, opnorm
+from kmsflow.matrix_core import dagger, eigenbasis_multiply, opnorm
 from kmsflow.superop import superop_exp
 from kmsflow.vtransform import (
     delta_superop,
@@ -13,6 +13,7 @@ from kmsflow.vtransform import (
     v_transform_quadrature,
 )
 
+from certify_oracle import trapezoid_coefficients
 from conftest import cached_generator, rng_matrix
 
 
@@ -206,6 +207,30 @@ class TestQuadratureOracle:
         v = kf.v_transform(s, ctx2)
         q, _ = v_transform_quadrature(s, ctx2, steps=200000, invert_delta=True)
         assert opnorm(q.mat - v.mat) < 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_step_doubling_matches_two_rules(self, n):
+        # evaluate the fine rule and the coarse rule (every second node, step
+        # 2h) each on its own nodes and compare with the shared-table result
+        ctx = cached_generator(n, 1)[0].ctx
+        steps = 20000
+        for seed in range(2):
+            s = random_superop(30 + seed, n)
+            q, info = v_transform_quadrature(s, ctx, steps=steps)
+            lam = np.exp(ctx.log_ratio.ravel(order="F"))
+            r_max = info["r_max"]
+            h = r_max / steps
+            nodes = np.linspace(0.0, r_max, steps + 1)
+            fine = eigenbasis_multiply(
+                ctx.superop_basis, trapezoid_coefficients(lam, nodes, h), s.mat
+            )
+            coarse = eigenbasis_multiply(
+                ctx.superop_basis, trapezoid_coefficients(lam, nodes[::2], 2.0 * h), s.mat
+            )
+            assert opnorm(q.mat - fine) <= 1e-13 * s.norm
+            diff = opnorm(fine - coarse)
+            assert diff > 0.0
+            assert abs(info["step_doubling_diff"] - diff) <= 1e-6 * diff
 
     def test_rejects_insufficient_range(self, ctx2):
         s = random_superop(10, 2)
