@@ -3,7 +3,8 @@
 One command is one process; every run emits a single JSON report on stdout
 containing a schema version, timings, seeds, tolerances and every metric
 produced.  Exit codes: 0 all certifications passed, 1 certification failure,
-2 schema or parse error, 3 solver infeasibility.
+2 schema or parse error, 3 infeasible recovery (no admissible CP map: -L is
+not CCN).
 
 KMSFLOW_THREADS, when set, is exported to the BLAS thread-count variables
 before the numerical stack loads.
@@ -69,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover-cp", help="recover an admissible CP map from a generator")
     p.add_argument("--gen", default=None, help="generator superoperator JSON file")
-    p.add_argument("--max-iter", type=int, default=5000)
     add_common(p, rho=True, seeded=True)
 
     p = sub.add_parser("derive", help="construct the first-order calculus and commutator family")
@@ -281,8 +281,7 @@ def _dispatch(args, report: dict, serialize) -> int:
         gen, _ = _seeded_generator(args, serialize)
         psi, rep = timed(
             "recover",
-            lambda: generator_mod.recover_cp_from_generator(gen, max_iter=args.max_iter,
-                                                            tol=tol or 1e-8),
+            lambda: generator_mod.recover_cp_from_generator(gen, tol=tol or 1e-8),
         )
         results["recover_cp"] = rep.to_json_dict()
         results["psi"] = serialize.superop_to_json(psi)

@@ -59,8 +59,8 @@ class CertificationFailed(ReportError):
 
 
 class Infeasible(ReportError):
-    """The alternating-projection solver found no feasible point within the
-    iteration budget."""
+    """No admissible CP map: -L is not CCN, so no completely positive Psi
+    reproduces the generator."""
 
 
 class InsufficientRange(KmsflowError):

@@ -13,9 +13,9 @@ Generators are built from completely positive data through
 for a KMS-symmetric completely positive Psi; the two resolvent coefficients
 are mutual adjoints, and the partial-fraction identity
 (1+s)^{-1} + (1+1/s)^{-1} = 1 makes L(I) = 0 automatic.  The inverse problem
-(recovering an admissible Psi from a certified L) is solved by Dykstra
-alternating projections between the affine family Psi_m and the cone of
-positive semidefinite Choi matrices.
+(recovering an admissible Psi from a certified L) is solved in closed form:
+the compressed Choi matrix of -L that certifies conditional complete
+negativity is the Choi matrix of an admissible Psi.
 
 The quadratic form E(a) = <a, L2 a> on the standard form is the Dirichlet
 form of the semigroup; this module also provides the cone projection
@@ -42,7 +42,6 @@ from .matrix_core import (
     dagger,
     eigenbasis_multiply,
     embed,
-    hermitian_basis,
     hilbert_algebra_product,
     hsnorm,
     opnorm,
@@ -50,24 +49,22 @@ from .matrix_core import (
 from .reports import Check, Report
 from .superop import (
     Superoperator,
-    _choi_shuffle,
-    choi,
+    compressed_choi,
     is_ccn,
     is_cp,
     is_kms_symmetric,
     lmul,
     rmul,
-    sandwich,
     superop_exp,
+    superop_from_choi,
     to_l2,
-    unvec,
     vec,
 )
 from .vtransform import v_transform
 
 
 def modular_resolvent(ctx: DensityContext, m, half: float) -> np.ndarray:
-    """(1 + sigma_{-i*half*... })^{-1} applied entrywise in rho's eigenbasis.
+    """(1 + sigma_{-i*half})^{-1} applied entrywise in rho's eigenbasis.
 
     ``half=+0.5`` gives (1 + sigma_{-i/2})^{-1}, whose entry (a, b) divisor is
     1 + (p_a/p_b)^{1/2};  ``half=-0.5`` gives (1 + sigma_{+i/2})^{-1}.
@@ -145,10 +142,6 @@ def generator_from_cp(psi: Superoperator, ctx: DensityContext, tol: float | None
     return certify_generator(resolvent_generator(psi, ctx), ctx, tol=tol)
 
 
-def _real_stack(z: np.ndarray) -> np.ndarray:
-    return np.concatenate([z.real, z.imag], axis=-1)
-
-
 def _psd_project(h: np.ndarray) -> np.ndarray:
     h = 0.5 * (h + dagger(h))
     w, u = np.linalg.eigh(h)
@@ -156,105 +149,43 @@ def _psd_project(h: np.ndarray) -> np.ndarray:
     return (u * wc) @ dagger(u)
 
 
-def _resolvent_columns(ctx: DensityContext, basis: np.ndarray):
-    """For each Hermitian basis element h and k = (1 + sigma_{-i/2})^{-1}(h),
-    the real-stacked columns of vec(choi(lmul(k) + rmul(k*))) and of that
-    map's KMS-symmetry defect, in one batched pass."""
-    k = eigenbasis_multiply(ctx.u, 1.0 / (1.0 + np.exp(0.5 * ctx.log_ratio)), basis)
-    eye = np.eye(ctx.dim)[None]
-    parts = np.kron(eye, k) + np.kron(k.conj(), eye)
-    defect = parts - sandwich(parts.conj().transpose(0, 2, 1), ctx.inv_sqrt_rho, ctx.sqrt_rho)
-    vec_choi = _choi_shuffle(parts).transpose(0, 2, 1).reshape(len(basis), -1)
-    return _real_stack(vec_choi).T, _real_stack(defect.reshape(len(basis), -1)).T
-
-
-def recover_cp_from_generator(
-    gen: MarkovGenerator, max_iter: int = 5000, tol: float = 1e-8
-):
+def recover_cp_from_generator(gen: MarkovGenerator, tol: float = 1e-8):
     """Recover a KMS-symmetric completely positive Psi reproducing the
-    generator through the resolvent representation.
+    generator through the resolvent representation, in closed form.
 
-    Parametrizes m = Psi(I) over Hermitian matrices, restricts to the
-    (numerically computed) subspace where Psi_m = lmul(k) + rmul(k*) - L is
-    KMS-symmetric, and runs Dykstra alternating projections between that
-    affine family of Choi matrices and the PSD cone.  The round-trip
-    L(Psi) = L holds identically on the affine family, so the only
-    certification left to reach is Choi positivity.
+    Psi is the map whose Choi matrix is the compressed Choi matrix
+    P C(-L) P of the CCN certificate, so it is CP exactly when L is CCN.
+    C(-L) - P C(-L) P lies in span{omega w* + w omega*}, the Choi matrices of
+    the maps X -> aX + Xb, so Psi lies in the family -L + {X -> aX + Xb}, and
+    so does its KMS adjoint, since L is KMS-symmetric.  Both Choi matrices
+    annihilate omega = vec(I) (the sandwich of the KMS adjoint fixes omega),
+    and only one member of the family has that property, so Psi is
+    KMS-symmetric.  L + Psi is then a Hermiticity-preserving, KMS-symmetric
+    map X -> aX + Xb, which is X -> kX + Xk* with
+    k = (1 + sigma_{-i/2})^{-1}(Psi(I)) because (L + Psi)(I) = Psi(I): the
+    round trip is exact.
 
-    The KMS guard's null space comes from a thin SVD of its 2n^4 x n^2
-    constraint matrix.
-
-    Returns (psi, report).  Raises Infeasible after max_iter without a PSD
-    point; the report carries the best min-eigenvalue reached.
+    Returns (psi, report) with the checks ``roundtrip_residual`` and
+    ``min_choi_eig``.  Raises Infeasible, carrying the report, when Choi
+    positivity fails: then no admissible Psi exists.
     """
     ctx = gen.ctx
-    n = gen.dim
-    basis = hermitian_basis(n)
-
-    # KMS-symmetry constraint: homogeneous and, for Hermitian m, satisfied
-    # identically; the null space is computed anyway as a guard.
-    choi_cols, a_sym = _resolvent_columns(ctx, basis)
-    _, svals, vt = np.linalg.svd(a_sym, full_matrices=False)
-    cutoff = 1e-10 * max(1.0, svals.max(initial=0.0))
-    kms_null = vt.T[:, svals <= cutoff]
-
-    a_choi = choi_cols @ kms_null
-    a_pinv = np.linalg.pinv(a_choi, rcond=1e-12)
-    c_l = choi(gen.L)
-    c0 = -_real_stack(vec(c_l))
-
-    def affine_project(z: np.ndarray):
-        phi = a_pinv @ (_real_stack(vec(z)) - c0)
-        r = c0 + a_choi @ phi
-        half = r.size // 2
-        return unvec(r[:half] + 1j * r[half:], n * n), phi
-
-    feas_tol = 0.5 * ctx.tol
-    x = affine_project(np.zeros((n * n, n * n), dtype=complex))[0]
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    best_min_eig = -np.inf
-    iterations = 0
-    converged = False
-    phi = None
-    for iterations in range(1, max_iter + 1):
-        y = _psd_project(x + p)
-        p = x + p - y
-        x, phi = affine_project(y + q)
-        q = y + q - x
-        min_eig = float(np.linalg.eigvalsh(0.5 * (x + dagger(x))).min())
-        best_min_eig = max(best_min_eig, min_eig)
-        scale = max(1.0, opnorm(x))
-        if min_eig >= -feas_tol * scale:
-            converged = True
-            break
+    c_psi = compressed_choi(gen.L)
+    psi = superop_from_choi(c_psi)
 
     rep = Report(name="recover_cp", tol=tol)
-    rep.metrics.update(
-        {
-            "iterations": iterations,
-            "best_min_choi_eig": best_min_eig,
-            "kms_null_dim": int(kms_null.shape[1]),
-        }
-    )
-    if not converged:
-        rep.checks.append(Check("feasible", 0.0, 1.0, "ge"))
-        raise Infeasible(
-            f"no PSD point found within {max_iter} iterations "
-            f"(best min eigenvalue {best_min_eig:.3e})",
-            rep,
-        )
-
-    theta = kms_null @ phi
-    m = sum(t * h for t, h in zip(theta, basis))
-    psi = _resolvent_part(ctx, m) - gen.L
-    # Round trip through the public representation: recompute m from psi.
+    # Round trip through the public representation: recompute k from psi.
     roundtrip = opnorm(resolvent_generator(psi, ctx).mat - gen.L.mat)
     rep.checks.append(Check("roundtrip_residual", roundtrip, tol * max(1.0, gen.L.norm), "le"))
-    rep.checks.append(
-        Check("min_choi_eig", float(np.linalg.eigvalsh(choi(psi)).min()),
-              -ctx.tol * max(1.0, opnorm(choi(psi))), "ge")
-    )
+    min_eig = Check("min_choi_eig", float(np.linalg.eigvalsh(c_psi).min()),
+                    -ctx.tol * max(1.0, opnorm(c_psi)), "ge")
+    rep.checks.append(min_eig)
+    if not min_eig.passed():
+        raise Infeasible(
+            f"no admissible completely positive map: -L is not CCN (min Choi "
+            f"eigenvalue {min_eig.value:.3e} below {min_eig.bound:.3e})",
+            rep,
+        )
     return psi, rep
 
 

@@ -285,6 +285,18 @@ def is_kms_symmetric(s: Superoperator, ctx: DensityContext, tol: float = 1e-9) -
     return rep
 
 
+def compressed_choi(lgen: Superoperator) -> np.ndarray:
+    """P Herm(C(-L)) P: the Hermitian part of the Choi matrix of -L,
+    compressed by P = I - omega omega* / n to the orthogonal complement of
+    omega = vec(I).  It is PSD exactly when L is conditionally completely
+    negative, and it is then the Choi matrix of a CP part of -L."""
+    n = lgen.dim
+    omega = vec(np.eye(n))
+    proj = np.eye(n * n, dtype=complex) - np.outer(omega, omega.conj()) / n
+    c_neg = choi(-1.0 * lgen)
+    return proj @ (0.5 * (c_neg + dagger(c_neg))) @ proj
+
+
 def is_ccn(
     lgen: Superoperator,
     tol: float = 1e-9,
@@ -316,11 +328,7 @@ def is_ccn(
             f"max ||L(E_ab*) - L(E_ab)*||_HS = {herm_defect:.3e} exceeds tolerance"
         )
 
-    omega = vec(np.eye(n))
-    proj = np.eye(n * n, dtype=complex) - np.outer(omega, omega.conj()) / n
-    c_neg = choi(-1.0 * lgen)
-    compressed = proj @ (0.5 * (c_neg + dagger(c_neg))) @ proj
-    min_eig = float(np.linalg.eigvalsh(compressed).min())
+    min_eig = float(np.linalg.eigvalsh(compressed_choi(lgen)).min())
 
     probe = {}
     probe_pass = True

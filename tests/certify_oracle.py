@@ -6,9 +6,12 @@ the functions here are the plain forms those paths are gated against:
 - ``projected_gradient_cone_project`` solves the cone projection
   a ^ rho^{1/2} as min_{v >= 0} ||a - rho^{1/2} + rho^{1/4} v rho^{1/4}||_F^2
   by projected gradient, the oracle for the closed-form ``cone_project``.
-- ``loop_resolvent_columns`` builds the columns of the Choi system and of the
-  KMS guard of ``recover_cp_from_generator`` one Hermitian basis element at
-  a time, through the public superoperator algebra.
+- ``dykstra_recover_cp`` recovers an admissible Psi from a generator by
+  Dykstra alternating projections between the affine family of resolvent
+  representations and the PSD cone, the oracle for the closed-form
+  ``recover_cp_from_generator``.  ``loop_resolvent_columns`` builds the
+  columns of its Choi system and KMS guard one Hermitian basis element at a
+  time, through the public superoperator algebra.
 - ``trapezoid_coefficients`` is one trapezoid rule of the integral
   representation of V on its own nodes, so a test can evaluate the fine and
   the coarse rule of ``v_transform_quadrature`` separately.
@@ -16,9 +19,25 @@ the functions here are the plain forms those paths are gated against:
 
 import numpy as np
 
-from kmsflow.generator import _psd_project, _real_stack, _resolvent_part
-from kmsflow.matrix_core import DensityContext, as_matrix, dagger, descend, embed, hsnorm
-from kmsflow.superop import choi, kms_adjoint, vec
+from kmsflow.errors import Infeasible
+from kmsflow.generator import (
+    MarkovGenerator,
+    _psd_project,
+    _resolvent_part,
+    resolvent_generator,
+)
+from kmsflow.matrix_core import (
+    DensityContext,
+    as_matrix,
+    dagger,
+    descend,
+    embed,
+    hermitian_basis,
+    hsnorm,
+    opnorm,
+)
+from kmsflow.reports import Check, Report
+from kmsflow.superop import choi, kms_adjoint, unvec, vec
 
 
 def projected_gradient_cone_project(
@@ -47,6 +66,10 @@ def projected_gradient_cone_project(
     raise RuntimeError(f"cone projection did not converge in {max_iter} iterations")
 
 
+def _real_stack(z: np.ndarray) -> np.ndarray:
+    return np.concatenate([z.real, z.imag], axis=-1)
+
+
 def loop_resolvent_columns(ctx: DensityContext, basis: np.ndarray):
     """(Choi columns, KMS-guard columns) of the recovery, one basis element
     per iteration."""
@@ -57,6 +80,96 @@ def loop_resolvent_columns(ctx: DensityContext, basis: np.ndarray):
         cols.append(_real_stack(vec(choi(part))))
         sym_cols.append(_real_stack((part - kms_adjoint(part, ctx)).mat.ravel()))
     return np.column_stack(cols), np.column_stack(sym_cols)
+
+
+def dykstra_recover_cp(
+    gen: MarkovGenerator, max_iter: int = 5000, tol: float = 1e-8
+):
+    """Recover a KMS-symmetric completely positive Psi reproducing the
+    generator through the resolvent representation.
+
+    Parametrizes m = Psi(I) over Hermitian matrices, restricts to the
+    (numerically computed) subspace where Psi_m = lmul(k) + rmul(k*) - L is
+    KMS-symmetric, and runs Dykstra alternating projections between that
+    affine family of Choi matrices and the PSD cone.  The round-trip
+    L(Psi) = L holds identically on the affine family, so the only
+    certification left to reach is Choi positivity.
+
+    The KMS guard's null space comes from a thin SVD of its 2n^4 x n^2
+    constraint matrix.
+
+    Returns (psi, report).  Raises Infeasible after max_iter without a PSD
+    point; the report carries the best min-eigenvalue reached.
+    """
+    ctx = gen.ctx
+    n = gen.dim
+    basis = hermitian_basis(n)
+
+    # KMS-symmetry constraint: homogeneous and, for Hermitian m, satisfied
+    # identically; the null space is computed anyway as a guard.
+    choi_cols, a_sym = loop_resolvent_columns(ctx, basis)
+    _, svals, vt = np.linalg.svd(a_sym, full_matrices=False)
+    cutoff = 1e-10 * max(1.0, svals.max(initial=0.0))
+    kms_null = vt.T[:, svals <= cutoff]
+
+    a_choi = choi_cols @ kms_null
+    a_pinv = np.linalg.pinv(a_choi, rcond=1e-12)
+    c_l = choi(gen.L)
+    c0 = -_real_stack(vec(c_l))
+
+    def affine_project(z: np.ndarray):
+        phi = a_pinv @ (_real_stack(vec(z)) - c0)
+        r = c0 + a_choi @ phi
+        half = r.size // 2
+        return unvec(r[:half] + 1j * r[half:], n * n), phi
+
+    feas_tol = 0.5 * ctx.tol
+    x = affine_project(np.zeros((n * n, n * n), dtype=complex))[0]
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    best_min_eig = -np.inf
+    iterations = 0
+    converged = False
+    phi = None
+    for iterations in range(1, max_iter + 1):
+        y = _psd_project(x + p)
+        p = x + p - y
+        x, phi = affine_project(y + q)
+        q = y + q - x
+        min_eig = float(np.linalg.eigvalsh(0.5 * (x + dagger(x))).min())
+        best_min_eig = max(best_min_eig, min_eig)
+        scale = max(1.0, opnorm(x))
+        if min_eig >= -feas_tol * scale:
+            converged = True
+            break
+
+    rep = Report(name="recover_cp", tol=tol)
+    rep.metrics.update(
+        {
+            "iterations": iterations,
+            "best_min_choi_eig": best_min_eig,
+            "kms_null_dim": int(kms_null.shape[1]),
+        }
+    )
+    if not converged:
+        rep.checks.append(Check("feasible", 0.0, 1.0, "ge"))
+        raise Infeasible(
+            f"no PSD point found within {max_iter} iterations "
+            f"(best min eigenvalue {best_min_eig:.3e})",
+            rep,
+        )
+
+    theta = kms_null @ phi
+    m = sum(t * h for t, h in zip(theta, basis))
+    psi = _resolvent_part(ctx, m) - gen.L
+    # Round trip through the public representation: recompute m from psi.
+    roundtrip = opnorm(resolvent_generator(psi, ctx).mat - gen.L.mat)
+    rep.checks.append(Check("roundtrip_residual", roundtrip, tol * max(1.0, gen.L.norm), "le"))
+    rep.checks.append(
+        Check("min_choi_eig", float(np.linalg.eigvalsh(choi(psi)).min()),
+              -ctx.tol * max(1.0, opnorm(choi(psi))), "ge")
+    )
+    return psi, rep
 
 
 def trapezoid_coefficients(lam: np.ndarray, nodes: np.ndarray, h: float) -> np.ndarray:

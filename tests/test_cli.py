@@ -149,6 +149,12 @@ class TestGeneratorCommands:
         assert code == 0
         assert rep["results"]["contraction"]["pass"]
 
+    def test_recover_cp_kraus_rank_one(self, capsys):
+        code, rep = run(capsys, "recover-cp", "--n", "3", "--seed", "1", "--kraus-rank", "1")
+        assert code == 0
+        for name in ("recover_cp", "cp", "kms_symmetric"):
+            assert rep["results"][name]["pass"]
+
     def test_recover_cp_n4(self, capsys):
         code, rep = run(capsys, "recover-cp", "--seed", "1", "--n", "4")
         assert code == 0
@@ -169,6 +175,20 @@ class TestDerive:
             "gns_calculus", "calculus_invariants", "extract_commutators_gns", "inner_vector",
             "kraus_route", "commutator_calculus", "uniqueness_witness", "total",
         }
+
+    def test_generator_file_uses_recovered_psi(self, capsys, tmp_path):
+        # --gen without --psi: the Kraus route runs on the recovered Psi
+        rho, psi = write_instance(tmp_path, capsys, seed=1, n=3)
+        code, rep = run(capsys, "gen-from-cp", "--psi", str(psi), "--rho", str(rho))
+        assert code == 0
+        gen = tmp_path / "gen.json"
+        gen.write_text(json.dumps(rep["results"]["generator"]))
+        code, rep = run(capsys, "derive", "--method", "both", "--gen", str(gen),
+                        "--rho", str(rho))
+        assert code == 0
+        assert rep["results"]["kraus_form"]["pass"]
+        assert rep["results"]["kraus_form"]["metrics"]["family_size"] == 8
+        assert rep["results"]["uniqueness"]["pass"]
 
     def test_single_route(self, capsys):
         code, rep = run(capsys, "derive", "--method", "gns", "--seed", "2", "--n", "2")

@@ -3,17 +3,15 @@ import pytest
 import scipy.optimize
 
 import kmsflow as kf
-import kmsflow.generator as generator_mod
-from kmsflow.errors import NotJFixed, PreconditionFailed
+from kmsflow.errors import InconsistentPsi, Infeasible, NotJFixed, PreconditionFailed
 from kmsflow.generator import (
     MarkovGenerator,
-    _resolvent_columns,
     cone_project,
     modular_resolvent,
     random_cone_point,
     variational_inequality_report,
 )
-from kmsflow.matrix_core import dagger, hermitian_basis, opnorm
+from kmsflow.matrix_core import dagger, opnorm
 from kmsflow.superop import (
     choi,
     from_kraus,
@@ -24,7 +22,7 @@ from kmsflow.superop import (
     zero_superop,
 )
 
-from certify_oracle import loop_resolvent_columns, projected_gradient_cone_project
+from certify_oracle import dykstra_recover_cp, projected_gradient_cone_project
 from conftest import cached_generator, rng_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -123,42 +121,57 @@ class TestRecoverCp:
         assert opnorm(rebuilt.L.mat - gen.L.mat) <= 1e-8 * max(1.0, gen.L.norm)
 
     def test_zero_generator(self, ctx2):
-        gen = kf.certify_generator(zero_superop(2), ctx2)
-        psi, rep = kf.recover_cp_from_generator(gen)
-        assert rep.passed
-        assert kf.is_cp(psi).passed
+        self._check_both_recoveries(kf.certify_generator(zero_superop(2), ctx2))
 
     def test_tracial_depolarizing(self, ctx_tracial2):
         n = 2
         omega = vec(np.eye(n))
         lgen = kf.Superoperator(n * np.eye(n * n) - np.outer(omega, omega), n)
-        gen = kf.certify_generator(lgen, ctx_tracial2)
+        self._check_both_recoveries(kf.certify_generator(lgen, ctx_tracial2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("ensemble", [{}, {"kraus_rank": 1}, {"cond_bound": 1e6}],
+                             ids=["default", "rank1", "cond1e6"])
+    def test_closed_form_and_dykstra_oracle_pass(self, n, ensemble):
+        for seed in range(8):
+            gen, _ = kf.random_generator(n, seed, **ensemble)
+            self._check_both_recoveries(gen)
+
+    @staticmethod
+    def _check_both_recoveries(gen):
         psi, rep = kf.recover_cp_from_generator(gen)
-        assert rep.passed
-        rebuilt = kf.generator_from_cp(psi, ctx_tracial2)
+        _, rep_oracle = dykstra_recover_cp(gen)
+        assert rep.passed and rep_oracle.passed
+        assert kf.is_cp(psi).passed
+        assert kf.is_kms_symmetric(psi, gen.ctx).passed
+        rebuilt = kf.generator_from_cp(psi, gen.ctx)
         assert opnorm(rebuilt.L.mat - gen.L.mat) <= 1e-8 * max(1.0, gen.L.norm)
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_batched_columns_match_loop(self, n):
-        basis = hermitian_basis(n)
-        for seed in range(4):
-            ctx = cached_generator(n, seed)[0].ctx
-            for fast, slow in zip(_resolvent_columns(ctx, basis),
-                                  loop_resolvent_columns(ctx, basis)):
-                assert fast.shape == slow.shape
-                assert np.abs(fast - slow).max() <= 1e-14
+    @staticmethod
+    def _negated_generator(n, seed):
+        # -L keeps L(I) = 0, KMS symmetry and Hermiticity preservation, but
+        # its compressed Choi matrix is the negative of a PSD one: not CCN
+        gen, _ = cached_generator(n, seed)
+        bad = -1.0 * gen.L
+        return MarkovGenerator(L=bad, L2=to_l2(bad, gen.ctx), ctx=gen.ctx, certificates={})
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_psi_matches_loop_columns(self, n, monkeypatch):
-        for seed in range(4):
-            gen, _ = cached_generator(n, seed)
-            psi, rep = kf.recover_cp_from_generator(gen)
-            with monkeypatch.context() as m:
-                m.setattr(generator_mod, "_resolvent_columns", loop_resolvent_columns)
-                psi_loop, rep_loop = kf.recover_cp_from_generator(gen)
-            assert np.abs(psi.mat - psi_loop.mat).max() <= 1e-12
-            for key in ("iterations", "kms_null_dim"):
-                assert rep.metrics[key] == rep_loop.metrics[key]
+    def test_non_ccn_generator_is_infeasible(self):
+        bad = self._negated_generator(3, 0)
+        with pytest.raises(Infeasible) as info:
+            kf.recover_cp_from_generator(bad)
+        check = info.value.report.check("min_choi_eig")
+        assert not check.passed()
+        assert check.value == pytest.approx(-0.95, abs=0.01)
+        # the bound is -tol * max(1, ||C(Psi)||)
+        assert -10.0 * bad.ctx.tol < check.bound <= -bad.ctx.tol
+
+    def test_non_ccn_generator_rejected_by_kraus_route(self):
+        with pytest.raises(InconsistentPsi):
+            kf.extract_commutators_kraus(self._negated_generator(3, 0), psi=None)
+
+    def test_non_ccn_generator_defeats_dykstra_oracle(self):
+        with pytest.raises(Infeasible):
+            dykstra_recover_cp(self._negated_generator(3, 0), max_iter=200)
 
 
 class TestEvolveChernoff:
@@ -340,8 +353,10 @@ class TestDirichletContraction:
     def test_corrupted_generator_negative_control(self):
         # flip the sign of one Choi eigenvalue of -L (the most negative one,
         # which lives off the projected block) and KMS-symmetrize: the result
-        # violates CND, its energy form is indefinite, and the cone
-        # contraction check fails on this frozen seed
+        # violates L(I) = 0 (||L(I)||_HS = 2.0, so is_ccn raises
+        # UnitalityViolated), not CND (its compressed Choi matrix is PSD,
+        # min eigenvalue -4.6e-17), and the cone contraction check fails on
+        # this frozen seed
         gen, _ = cached_generator(2, 15)
         ctx = gen.ctx
         c = choi(-1.0 * gen.L)
