@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="certify a superoperator (CP, KMS symmetry, CND)")
     p.add_argument("--superop", required=True, help="superoperator JSON file")
-    p.add_argument("--generator", action="store_true", help="also run the CND check")
+    p.add_argument("--generator", action="store_true", help="certify L(I) = 0 and CND, not CP")
     add_common(p, rho=True)
 
     p = sub.add_parser("vtransform", help="apply the V-transform to a superoperator")
@@ -238,7 +238,11 @@ def _dispatch(args, report: dict, serialize) -> int:
 
     if args.command == "check":
         s = serialize.superop_from_json(serialize.load_json(args.superop), args.superop)
-        results["cp"] = superop.is_cp(s, tol=tol or 1e-9).to_json_dict()
+        if args.generator:  # a nonzero generator is never CP
+            unital = generator_mod.unital_kernel_report(s, tol or 1e-9)
+            results["unital_kernel"] = unital.to_json_dict()
+        else:
+            results["cp"] = superop.is_cp(s, tol=tol or 1e-9).to_json_dict()
         if getattr(args, "rho", None):
             ctx = serialize.density_from_json(serialize.load_json(args.rho), args.rho)
             results["kms_symmetric"] = superop.is_kms_symmetric(
@@ -317,7 +321,7 @@ def _dispatch(args, report: dict, serialize) -> int:
             calc_k = timed(
                 "commutator_calculus", lambda: derivation.commutator_calculus(fam_k, gen)
             )
-            theta, wit = timed(
+            _, wit = timed(
                 "uniqueness_witness", lambda: derivation.uniqueness_witness(calc, calc_k, gen)
             )
             results["uniqueness"] = wit.to_json_dict()
@@ -335,7 +339,7 @@ def _dispatch(args, report: dict, serialize) -> int:
         calc_k = timed(
             "commutator_calculus", lambda: derivation.commutator_calculus(fam_k, gen)
         )
-        theta, wit = timed(
+        _, wit = timed(
             "witness", lambda: derivation.uniqueness_witness(calc, calc_k, gen)
         )
         results["uniqueness"] = wit.to_json_dict()

@@ -28,17 +28,15 @@ derivation decomposes into components delta_j(A) = rho^{1/4} [V_j, A] rho^{1/4}
 for matrices V_1..V_N; the same family is reachable through the Kraus
 decomposition of Xi(A) = rho^{1/4} Pv(rho^{-1/4} A rho^{-1/4}) rho^{1/4} for
 an admissible completely positive Psi (Pv its V-transform).  Both routes are
-implemented, each family is returned as Hermitian operators with the identity
-pairing, and ``commutator_calculus`` builds the calculus of a family in the
-same coordinates C^n (x) C^m (x) C^n.
+implemented, each returning a Hermitian family, and ``commutator_calculus``
+builds the calculus of a family in the coordinates C^n (x) C^m (x) C^n.
 
-Every consumer reads a calculus through its standard-form data: the delta
-coefficients C[p, q, a, k, d] = delta(E_pq)[a, k, d] and the m x m block K_J
-of the involution.  The dense actions and involution are checked once
-against their standard-form rendering (``standard_form_defect``).  The
-invariants report, the GNS extraction, the inner vector and the uniqueness
-witness, an isometry I (x) W (x) I between the two calculi, all work on
-these data.
+The routes differ only in the multiplicity space C^m, and every consumer
+reads a calculus through its data there: the delta coefficients
+C[p, q, a, k, d] = delta(E_pq)[a, k, d] and the m x m block K_J of the
+involution.  The uniqueness witness is the m_b x m_a matrix W of the
+isometry I (x) W (x) I.  The dense actions and involution are checked once
+against their rendering from these data (``standard_form_defect``).
 """
 
 from __future__ import annotations
@@ -132,29 +130,20 @@ class FirstOrderCalculus:
 
 @dataclass(frozen=True, eq=False)
 class CommutatorFamily:
-    """Matrices V_1..V_N with the generator form sum_j <[V_j,A],[V_j,B]>_rho,
-    closed under adjoints as a set through the stored involutive pairing.
-
-    Both extraction routes return Hermitian families with the identity
-    pairing: the GNS route m = dim H / n^2 traceless operators, the Kraus
-    route the Hermitian normal form of Xi's Kraus operators, in Xi's gauge.
-    Other pairings are accepted as given."""
+    """Hermitian matrices V_1..V_N, so closed under adjoints, with the
+    generator form sum_j <[V_j,A],[V_j,B]>_rho: from the GNS route
+    m = dim H / n^2 traceless operators, from the Kraus route the Hermitian
+    normal form of Xi's Kraus operators.  Raises ValueError for an operator
+    that is not exactly Hermitian."""
 
     ops: tuple
-    pairing: tuple
 
     def __post_init__(self):
         ops = tuple(np.asarray(v, dtype=complex) for v in self.ops)
         object.__setattr__(self, "ops", ops)
-        pairing = tuple(int(j) for j in self.pairing)
-        object.__setattr__(self, "pairing", pairing)
-        if sorted(pairing) != list(range(len(ops))):
-            raise ValueError("pairing must be a permutation")
-        for j, k in enumerate(pairing):
-            if pairing[k] != j:
-                raise ValueError("pairing must be an involution")
-            if not np.array_equal(ops[k], dagger(ops[j])):
-                raise ValueError("pairing does not realize adjoint closure exactly")
+        for j, v in enumerate(ops):
+            if not np.array_equal(v, dagger(v)):
+                raise ValueError(f"operator {j} of the family is not exactly Hermitian")
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -255,13 +244,13 @@ def _traceless(ops: np.ndarray) -> np.ndarray:
     return ops - np.trace(ops, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
 
 
-def _hermitian_normal_form(ops: np.ndarray, rank_tol: float):
+def _hermitian_normal_form(ops: np.ndarray):
     """Hermitian family with the commutator form of the stack ``ops`` (N, n, n).
 
     With X[j, l] = tr(B_l V_j) in an HS-orthonormal Hermitian basis B_l of
     M_n and Re(X* X) = W diag(lam) W^T, returns (O, lam, cutoff) where
     O_i = sqrt(lam_i) sum_l W[l, i] B_l for the lam_i above
-    cutoff = rank_tol * max(lam).  Re(X* X) is the Gram of the doubled family
+    cutoff = NULL_CUTOFF * max(lam).  Re(X* X) is the Gram of the doubled family
     {V_j / sqrt2} + {V_j* / sqrt2}, so up to the dropped eigenvalues
     sum_i O_i Y O_i = sum_j (V_j* Y V_j + V_j Y V_j*) / 2 for every Y.  For a
     family whose span is closed under adjoints X* X is real, so this is
@@ -272,10 +261,10 @@ def _hermitian_normal_form(ops: np.ndarray, rank_tol: float):
     basis = hermitian_basis(n).reshape(n2, n2)
     x = ops.reshape(-1, n2) @ np.conj(basis).T  # tr(B_l V) with B_l Hermitian
     eigs, w = np.linalg.eigh((dagger(x) @ x).real)
-    cutoff = rank_tol * eigs.max()
+    cutoff = NULL_CUTOFF * eigs.max()
     keep = eigs > cutoff
     herm = ((np.sqrt(eigs[keep]) * w[:, keep]).T @ basis).reshape(-1, n, n)
-    # bit-exact Hermitian, so the identity pairing is exact
+    # bit-exact Hermitian, as ``CommutatorFamily`` requires
     return 0.5 * (herm + np.conj(herm).transpose(0, 2, 1)), eigs, cutoff
 
 
@@ -287,19 +276,26 @@ def kms_form_of_generator(gen: MarkovGenerator) -> np.ndarray:
     return f_vec[np.ix_(perm, perm)]
 
 
-def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOrderCalculus:
+def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
     """Construct the first-order calculus of a certified generator by the
     GNS quotient of the V-transformed generator, in H = C^n (x) K (x) C^n.
 
     With P an orthonormal basis of (rho^{1/2})^perp and P* T P = W g W*, the
-    m eigenvalues above the cutoff give K = C^m, the class map
-    C_mid = sqrt(g) W* P* and the lift L_mid = P W / sqrt(g).  In the
-    coordinates (a, k, d), indexed (a m + k) n + d, pi_l(E) = E (x) I (x) I,
-    pi_r(E) = I (x) I (x) E^T, J is the swap of a and d tensored with
-    K_J = -C_mid (b <-> c swap) conj(L_mid), composed with conjugation, and
+    m eigenvalues above ``NULL_CUTOFF`` * ||g|| give K = C^m and the class
+    map C_mid = sqrt(g) W* P*.  In the coordinates (a, k, d), indexed
+    (a m + k) n + d, pi_l(E) = E (x) I (x) I, pi_r(E) = I (x) I (x) E^T,
+    J is the swap of a and d tensored with K_J, composed with conjugation,
 
         delta(E)[a, k, d] = sum_bc C_mid[k, b, c] (sigma_{-i/4}(E)[a, b] delta_cd
-                                                   - delta_ab sigma_{i/4}(E)[c, d]).
+                                                   - delta_ab sigma_{i/4}(E)[c, d]),
+
+    and K_J = -(PW)* S(PW), with S the swap-conjugation x_bc -> conj(x_cb).
+    The quotient's -C_mid S(P W / sqrt(g)) is sqrt(g_k / g_l) times each
+    entry; they agree because S fixes rho^{1/2} and commutes with T (the
+    involution A (x) B -> -B* (x) A* is antiunitary for the form), so it maps
+    each eigenspace of P* T P to itself and entry (k, l) vanishes unless
+    g_k = g_l.  The product of isometries does not amplify rounding by the
+    conditioning of g.
 
     Raises GramNotPSD when P* T P has an eigenvalue below -1e-8 * ||P* T P||
     (a non-CND input slipping through certification), and
@@ -352,14 +348,13 @@ def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOr
     # Anchor the cutoff both to ||G|| (relative rank decision) and to the
     # assembly noise floor of the generator, so a numerically-zero L yields
     # an empty calculus instead of amplified rounding junk.
-    cutoff = rank_tol * gnorm + 1e-13 * max(1.0, gen.L.norm)
+    cutoff = NULL_CUTOFF * gnorm + 1e-13 * max(1.0, gen.L.norm)
     keep = eigs > cutoff
     m = int(keep.sum())
     dim_h = n2 * m
     sqrt_g = np.sqrt(eigs[keep])
     pw = pbasis @ w[:, keep]
     c_mid = (sqrt_g[:, None] * dagger(pw)).reshape(m, n, n)
-    l_mid = pw / sqrt_g[None, :]
 
     s_m4, s_p4 = _quarter_units(ctx)
     constraint_defect = float(np.abs(s_m4 @ sqrt_rho - sqrt_rho @ s_p4).max())
@@ -374,8 +369,8 @@ def gns_calculus(gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF) -> FirstOr
     delta -= np.einsum("kxz,abzw->abxkw", c_mid, s_p4)
     delta = delta.reshape(n, n, dim_h)
 
-    l_swapped = l_mid.reshape(n, n, m).transpose(1, 0, 2).reshape(n2, m)
-    k_j = -c_mid.reshape(m, n2) @ np.conj(l_swapped)
+    pw_swapped = pw.reshape(n, n, m).transpose(1, 0, 2).reshape(n2, m)
+    k_j = -dagger(pw) @ np.conj(pw_swapped)
     calc = _standard_form_calculus(
         ctx,
         delta,
@@ -421,6 +416,11 @@ def calculus_invariants_report(
     twisted Leibniz rule component by component, cyclicity of the
     delta-image under the left action, and the reconstruction of the
     generator form.  Defects are maximal entrywise deviations.
+
+    For the GNS calculus K_J is a product of isometries, so
+    ``j_antiunitary_defect`` measures only the rounding of that product; the
+    checks that carry the measurement of J are ``j_delta_defect``, which
+    reads delta, and the uniqueness witness's ``j_intertwine_defect``.
     """
     n = calc.dim
     d = calc.dim_h
@@ -510,13 +510,13 @@ def extract_commutators_gns(
     V_k[:, a] = d_k(E_a0)[:, 0], which checks that each d_k is a commutator.
     The V_k are shifted to trace 0, which fixes the additive-identity gauge,
     and brought to the Hermitian normal form: the family is m = dim H / n^2
-    Hermitian operators with the identity pairing, independent modulo I.
+    Hermitian operators, independent modulo I.
     Raises NonIntegralMultiplicity when n^2 does not divide dim H.
     """
     ctx = calc.ctx
     n = calc.dim
     if calc.dim_h == 0:
-        fam = CommutatorFamily(ops=(), pairing=())
+        fam = CommutatorFamily(ops=())
         rep = verify_commutator_form(fam, gen, tol=tol)
         if not rep.passed:
             raise CertificationFailed("empty family fails nonzero form", rep)
@@ -537,8 +537,8 @@ def extract_commutators_gns(
             bound=1e-7 * vscale,
         )
 
-    herm, _, _ = _hermitian_normal_form(_traceless(vs), NULL_CUTOFF)
-    fam = CommutatorFamily(ops=tuple(herm), pairing=tuple(range(len(herm))))
+    herm, _, _ = _hermitian_normal_form(_traceless(vs))
+    fam = CommutatorFamily(ops=tuple(herm))
     rep = verify_commutator_form(fam, gen, tol=tol)
     if not rep.passed:
         raise CertificationFailed("extracted family fails the form identity", rep)
@@ -557,7 +557,6 @@ def extract_commutators_kraus(
     gen: MarkovGenerator,
     psi: Superoperator | None = None,
     tol: float = COMMUTATOR_FORM_TOL,
-    rank_tol: float = 1e-10,
 ) -> CommutatorFamily:
     """Extract the commutator family through the Kraus decomposition of Xi.
 
@@ -565,9 +564,9 @@ def extract_commutators_kraus(
     recovery aborts with InconsistentPsi rather than guessing.  The raw Kraus
     operators of Xi carry twice the generator form (the W-average of the two
     modular rotations contributes a factor 1/2), so the family is normalized
-    by 1/sqrt(2).  It is returned in the Hermitian normal form with the
-    identity pairing and without a gauge shift: Xi's Kraus gauge keeps
-    Y -> sum_j V_j* Y V_j, and with it the resolvent sum identities.
+    by 1/sqrt(2).  It is returned in the Hermitian normal form, without a
+    gauge shift: Xi's Kraus gauge keeps Y -> sum_j V_j* Y V_j, and with it
+    the resolvent sum identities.
     """
     ctx = gen.ctx
     n = gen.dim
@@ -593,18 +592,16 @@ def extract_commutators_kraus(
             f"Xi is not symmetric for the trace pairing (defect {sym_defect:.3e})"
         )
 
-    raw = np.array(kraus_from_choi(choi(xi), rank_tol=rank_tol), dtype=complex)
-    herm, _, _ = _hermitian_normal_form(raw.reshape(-1, n, n) / np.sqrt(2.0), rank_tol)
-    fam = CommutatorFamily(ops=tuple(herm), pairing=tuple(range(len(herm))))
+    raw = np.array(kraus_from_choi(choi(xi), rank_tol=NULL_CUTOFF), dtype=complex)
+    herm, _, _ = _hermitian_normal_form(raw.reshape(-1, n, n) / np.sqrt(2.0))
+    fam = CommutatorFamily(ops=tuple(herm))
     rep = verify_commutator_form(fam, gen, tol=tol)
     if not rep.passed:
         raise CertificationFailed("Kraus-route family fails the form identity", rep)
     return fam
 
 
-def commutator_calculus(
-    family: CommutatorFamily, gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF
-) -> FirstOrderCalculus:
+def commutator_calculus(family: CommutatorFamily, gen: MarkovGenerator) -> FirstOrderCalculus:
     """The calculus carried by a commutator family, in H = C^n (x) C^m (x) C^n.
 
     The traceless parts of the family, in the Hermitian normal form, give
@@ -621,7 +618,7 @@ def commutator_calculus(
     ctx = gen.ctx
     n = gen.dim
     ops = np.array(family.ops, dtype=complex).reshape(-1, n, n)
-    herm, eigs, cutoff = _hermitian_normal_form(_traceless(ops), rank_tol)
+    herm, eigs, cutoff = _hermitian_normal_form(_traceless(ops))
     m = len(herm)
     qr = ctx.quarter_rho
     units = np.eye(n * n).reshape(n, n, n, n)  # units[p, q] = E_pq
@@ -690,10 +687,10 @@ def uniqueness_witness(
     tol: float = 1e-6,
 ):
     """Witness that two standard-form calculi of the same generator are
-    isomorphic.  Returns (theta, report), theta the dense dim_h_b x dim_h_a
-    matrix of the isometry.
+    isomorphic.  Returns (W, report), W the m_b x m_a matrix on the
+    multiplicity spaces.
 
-    The candidate is theta = I_n (x) W (x) I_n, which commutes with the
+    The isometry is theta = I_n (x) W (x) I_n, which commutes with the
     standard actions, with W^T = pinv(M_a) M_b for M[(p, q, a, d), k] =
     delta_k(E_pq)[a, d], so that theta delta_a(E) = delta_b(E) wherever
     M_a W^T = M_b.  Gram agreement of the spanning families
@@ -745,8 +742,7 @@ def uniqueness_witness(
     rep.checks.append(Check("j_intertwine_defect", _maxabs(w @ k_a - k_b @ np.conj(w)), tol, "le"))
     rep.checks.append(Check("delta_match_defect", _maxabs(cols_a @ w.T - cols_b), tol, "le"))
     rep.metrics.update({"dim_h_a": calc_a.dim_h, "dim_h_b": calc_b.dim_h})
-    theta = np.kron(np.eye(n), np.kron(w, np.eye(n)))
-    return theta, rep
+    return w, rep
 
 
 def leibniz_bilinear_residual(calc: FirstOrderCalculus, a, b, c) -> float:

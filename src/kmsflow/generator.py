@@ -105,6 +105,13 @@ class MarkovGenerator:
         return self.ctx.tol
 
 
+def unital_kernel_report(lgen: Superoperator, tol: float) -> Report:
+    """L(I) = 0: ||L(I)|| against tol * max(1, ||L||)."""
+    defect = opnorm(lgen.apply(np.eye(lgen.dim)))
+    check = Check("kernel_defect", defect, tol * max(1.0, lgen.norm), "le")
+    return Report(name="unital_kernel", tol=tol, checks=[check])
+
+
 def certify_generator(lgen: Superoperator, ctx: DensityContext, tol: float | None = None) -> MarkovGenerator:
     """Certify L(I) = 0, KMS symmetry and conditional complete negativity,
     and attach the KMS implementation L2.
@@ -113,16 +120,11 @@ def certify_generator(lgen: Superoperator, ctx: DensityContext, tol: float | Non
     certificate fails.
     """
     tol = ctx.tol if tol is None else tol
-    n = lgen.dim
-    scale = max(1.0, lgen.norm)
-
-    unital = Report(name="unital_kernel", tol=tol)
-    unital.checks.append(
-        Check("kernel_defect", opnorm(lgen.apply(np.eye(n))), tol * scale, "le")
-    )
-    kms = is_kms_symmetric(lgen, ctx, tol=tol)
-    ccn = is_ccn(lgen, tol=tol)
-    certificates = {"unital_kernel": unital, "kms_symmetric": kms, "ccn": ccn}
+    certificates = {
+        "unital_kernel": unital_kernel_report(lgen, tol),
+        "kms_symmetric": is_kms_symmetric(lgen, ctx, tol=tol),
+        "ccn": is_ccn(lgen, tol=tol),
+    }
     for name, rep in certificates.items():
         if not rep.passed:
             raise CertificationFailed(f"generator failed {name} certification", rep)

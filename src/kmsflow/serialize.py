@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from .derivation import _standard_form_data
 from .errors import DimensionMismatch, NotHermitian, SchemaError
 from .matrix_core import DensityContext
 from .superop import ALGEBRA, L2, Superoperator
@@ -97,16 +98,15 @@ def superop_from_json(d: dict, where: str = "superoperator") -> Superoperator:
 
 
 def family_to_json(family) -> dict:
-    return {
-        "V": [matrix_to_json(v) for v in family.ops],
-        "pairing": list(family.pairing),
-    }
+    return {"V": [matrix_to_json(v) for v in family.ops]}
 
 
 def calculus_to_json(calc) -> dict:
-    """Dump of a first-order calculus: delta images, both actions and the
-    involution, keyed by matrix-unit labels 'ab'."""
+    """Dump of a calculus as its standard-form data: dim H, the delta images
+    keyed by matrix-unit labels 'ab' and the m x m block K_J of the
+    involution, from which ``derivation._standard_form_calculus`` rebuilds it."""
     n = calc.dim
+    _, _, k_j = _standard_form_data(calc)
 
     def cvec(v):
         return {"re": v.real.tolist(), "im": v.imag.tolist()}
@@ -114,9 +114,7 @@ def calculus_to_json(calc) -> dict:
     return {
         "dimH": calc.dim_h,
         "delta": {f"{a}{b}": cvec(calc.delta[a, b]) for a in range(n) for b in range(n)},
-        "piL": {f"{a}{b}": cvec(calc.pi_l[a, b]) for a in range(n) for b in range(n)},
-        "piR": {f"{a}{b}": cvec(calc.pi_r[a, b]) for a in range(n) for b in range(n)},
-        "J": cvec(calc.jmat),
+        "K_J": cvec(k_j),
     }
 
 

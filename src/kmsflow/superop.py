@@ -44,6 +44,9 @@ ALGEBRA = "algebra"
 L2 = "l2"
 _LEVELS = (ALGEBRA, L2)
 
+# times t at which ``is_ccn`` probes exp(-t L) for complete positivity
+EXP_PROBE_TIMES = (1e-3, 1e-2, 1e-1, 1.0)
+
 
 def vec(x: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
@@ -297,11 +300,7 @@ def compressed_choi(lgen: Superoperator) -> np.ndarray:
     return proj @ (0.5 * (c_neg + dagger(c_neg))) @ proj
 
 
-def is_ccn(
-    lgen: Superoperator,
-    tol: float = 1e-9,
-    exp_probe_times=(1e-3, 1e-2, 1e-1, 1.0),
-) -> Report:
+def is_ccn(lgen: Superoperator, tol: float = 1e-9) -> Report:
     """Conditional complete negativity of a candidate Markov generator.
 
     Preconditions (raised, not reported): L(I) = 0 within tolerance and
@@ -309,7 +308,7 @@ def is_ccn(
 
     Primary criterion: the Choi matrix of -L, compressed to the orthogonal
     complement of vec(I), is positive semidefinite down to -tol * ||L||.
-    Secondary witness: exp(-t L) is completely positive on a fixed time grid.
+    Secondary witness: exp(-t L) is completely positive at EXP_PROBE_TIMES.
     Both verdicts are recorded and a disagreement is flagged; the verdict of
     the report is the primary criterion together with the agreement flag.
     """
@@ -332,7 +331,7 @@ def is_ccn(
 
     probe = {}
     probe_pass = True
-    for t in exp_probe_times:
+    for t in EXP_PROBE_TIMES:
         r = is_cp(superop_exp(lgen, t), tol=tol)
         probe[f"exp_probe_min_eig_t={t:g}"] = r.check("min_choi_eig").value
         probe_pass = probe_pass and r.passed

@@ -13,13 +13,16 @@ against at n <= 3:
 - ``dense_uniqueness_witness`` maps the spanning family
   (``spanning_family``) of one calculus onto the other's, for any two
   calculi, in standard form or not; ``loop_witness_defects`` is the per-unit
-  intertwining defect of a witness on the spanning family.
+  intertwining defect of a witness on the spanning family, and
+  ``render_theta`` renders the library witness W as I (x) W (x) I.
 - ``lstsq_inner_vector`` is the dense least-squares solve of
   ``inner_vector``.
 - ``dense_gns_calculus`` is the GNS quotient built on the full
   n^4-dimensional tensor square, the oracle for the factored
   ``gns_calculus``; ``einsum_gns_actions`` is the plain-einsum form of its
-  batched contractions.
+  batched contractions; ``lift_k_j`` is the quotient formula for K_J
+  through the lift P W / sqrt(g), which the product of isometries in
+  ``gns_calculus`` replaced.
 - ``trimmed_commutator_calculus`` builds a commutator family's calculus on
   M_n (x) C^N and trims it to the cyclic sub-bimodule by an SVD of the
   spanning family, the oracle for the native ``commutator_calculus``;
@@ -252,8 +255,8 @@ def kron_commutator_actions(family, gen) -> dict:
     """The calculus of a commutator family on M_n (x) C^N before trimming,
     as dense arrays over the vectorized blocks: pi_l(E_ab) = I (x) lmul(E_ab),
     pi_r(E_ab) = I (x) rmul(E_ab), delta(E_ab)_j = vec(rho^{1/4} [V_j, E_ab]
-    rho^{1/4}), the linear part of J (pairing (x) transpose, negated) and the
-    spanning family pi_l(E_ab) delta(E_cd)."""
+    rho^{1/4}), the linear part of J (I (x) transpose, negated, since the
+    family is Hermitian) and the spanning family pi_l(E_ab) delta(E_cd)."""
     n = gen.dim
     nf = len(family)
     qr = gen.ctx.quarter_rho
@@ -275,15 +278,12 @@ def kron_commutator_actions(family, gen) -> dict:
     for i in range(n):
         for j in range(n):
             pt[j * n + i, i * n + j] = 1.0
-    perm = np.zeros((nf, nf))
-    for j, jstar in enumerate(family.pairing):
-        perm[jstar, j] = 1.0
     span = np.einsum("abik,cdk->iabcd", pi_l_full, delta_full).reshape(dim_full, n**4)
     return {
         "pi_l": pi_l_full,
         "pi_r": pi_r_full,
         "delta": delta_full,
-        "jmat": -np.kron(perm, pt),
+        "jmat": -np.kron(eye_f, pt),
         "span": span,
     }
 
@@ -491,8 +491,8 @@ def trimmed_commutator_calculus(
     pi_l = np.conj(rows).transpose(0, 2, 1)[:, None] @ rows[None]
     pi_r = np.conj(cols).transpose(0, 2, 1)[None] @ cols[:, None]
     delta = (delta_full.reshape(n * n, dim_full) @ np.conj(q)).reshape(n, n, dim_h)
-    # J(X_j) = -X_{j*}^*: transpose each block and permute blocks, on conj(q)
-    j_conj_q = -np.conj(q4[list(family.pairing)]).transpose(0, 2, 1, 3)
+    # J(X_j) = -X_j^* for a Hermitian family: transpose each block, on conj(q)
+    j_conj_q = -np.conj(q4).transpose(0, 2, 1, 3)
     jmat = dagger(q) @ j_conj_q.reshape(dim_full, dim_h)
 
     # leak of pi_l(E_ab) q out of range(q): pi_l(E_ab) q - q pi_l[a, b], whose
@@ -521,6 +521,39 @@ def trimmed_commutator_calculus(
             "isometry": q,
         },
     )
+
+
+def render_theta(w, n: int) -> np.ndarray:
+    """The dim_h_b x dim_h_a isometry I_n (x) W (x) I_n of the m_b x m_a
+    witness W of ``uniqueness_witness``."""
+    return np.kron(np.eye(n), np.kron(w, np.eye(n)))
+
+
+def lift_k_j(gen) -> np.ndarray:
+    """K_J of the GNS calculus by the quotient formula -C_mid S(L_mid), with
+    the class map C_mid = sqrt(g) W* P*, the lift L_mid = P W / sqrt(g) and
+    S the swap-conjugation x_bc -> conj(x_cb).  The same T, P, eigh and
+    cutoff as ``gns_calculus``, which builds K_J = -(PW)* S(PW) instead;
+    the two agree in exact arithmetic, and this one amplifies rounding by
+    the conditioning of the kept spectrum g."""
+    ctx = gen.ctx
+    n = gen.dim
+    n2 = n * n
+    lcheck = to_algebra(v_transform(gen.L2, ctx), ctx)
+    sqrt_rho = ctx.sqrt_rho
+    lv_units = lcheck.mat.reshape(n, n, n, n).transpose(3, 2, 1, 0)  # [b, B] = Lv(E_bB)
+    tmid = -0.5 * (sqrt_rho @ lv_units @ sqrt_rho).transpose(0, 2, 1, 3).reshape(n2, n2)
+    pbasis = scipy.linalg.null_space(sqrt_rho.reshape(1, n2))
+    t_p = dagger(pbasis) @ tmid @ pbasis
+    eigs, w = np.linalg.eigh(0.5 * (t_p + dagger(t_p)))
+    cutoff = NULL_CUTOFF * abs(eigs).max(initial=0.0) + 1e-13 * max(1.0, gen.L.norm)
+    keep = eigs > cutoff
+    m = int(keep.sum())
+    sqrt_g = np.sqrt(eigs[keep])
+    pw = pbasis @ w[:, keep]
+    c_mid = sqrt_g[:, None] * dagger(pw)
+    l_swapped = (pw / sqrt_g[None, :]).reshape(n, n, m).transpose(1, 0, 2).reshape(n2, m)
+    return -c_mid @ np.conj(l_swapped)
 
 
 def loop_witness_defects(theta, calc_a, calc_b) -> dict:

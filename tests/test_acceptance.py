@@ -20,13 +20,15 @@ from calculus_oracle import (
     dense_invariants_report,
     dense_uniqueness_witness,
     einsum_gns_actions,
+    lift_k_j,
     loop_witness_defects,
     lstsq_inner_vector,
     pairwise_grid_defects,
+    render_theta,
     spanning_family,
     trimmed_commutator_calculus,
 )
-from kmsflow.derivation import FORM_TOL, kms_form_of_generator
+from kmsflow.derivation import FORM_TOL, _standard_form_data, kms_form_of_generator
 from kmsflow.errors import GramMismatch
 from kmsflow.generator import cone_project
 from kmsflow.matrix_core import dagger, opnorm
@@ -258,9 +260,10 @@ def test_criterion_06_standard_form_paths_match_dense_oracles():
     """At n <= 3 the standard-form invariants report gives the dense report's
     verdict with every check they share within 1e-13, for the GNS and the
     Kraus-route calculus; the standard-form witness between the two gives the
-    dense spanning-family witness's verdict, and its theta passes the loop
-    oracle at 1e-6.  On every pipeline instance, at rho conditioned at 1e6,
-    for Kraus rank 1 and for tracial rho."""
+    dense spanning-family witness's verdict, and its W, rendered as
+    I (x) W (x) I, passes the loop oracle at 1e-6.  On every pipeline
+    instance, at rho conditioned at 1e6, for Kraus rank 1 and for tracial
+    rho."""
     worst_check = worst_loop = 0.0
     for gen, calc, calc_k in oracle_calculi():
         n = gen.dim
@@ -274,9 +277,11 @@ def test_criterion_06_standard_form_paths_match_dense_oracles():
                 dev = abs(rep.check(name).value - dense.check(name).value)
                 assert dev <= 1e-13, (n, name, dev)
                 worst_check = max(worst_check, dev)
-        theta, wit = kf.uniqueness_witness(calc, calc_k, gen, tol=1e-6)
+        w, wit = kf.uniqueness_witness(calc, calc_k, gen, tol=1e-6)
         _, dense_wit = dense_uniqueness_witness(calc, calc_k, gen, tol=1e-6)
         assert wit.passed == dense_wit.passed, (n, wit.passed)
+        assert w.shape == (calc_k.dim_h // n**2, calc.dim_h // n**2)
+        theta = render_theta(w, n)
         assert theta.shape == (calc_k.dim_h, calc.dim_h)
         for name, value in loop_witness_defects(theta, calc, calc_k).items():
             assert value <= 1e-6, (n, name, value)
@@ -338,6 +343,28 @@ def test_criterion_06_factored_quotient_matches_dense_oracle():
     )
 
 
+def test_criterion_06_isometry_k_j_matches_lift_oracle():
+    """On every pipeline instance (n <= 4) K_J of the GNS calculus, the
+    product of isometries -(PW)* S(PW), agrees with the quotient formula
+    through the lift P W / sqrt(g) (``lift_k_j``) within twice the lift's
+    own unitarity defect plus 1e-14: the two are equal in exact arithmetic,
+    and the lift's rounding shows in its unitarity defect."""
+    worst = 0.0
+    for n in DIMS:
+        for seed in PIPELINE_SEEDS[n]:
+            pipe = pipeline_cache(n, seed)
+            _, _, k_j = _standard_form_data(pipe["calc"])
+            k_old = lift_k_j(pipe["gen"])
+            assert k_old.shape == k_j.shape, (n, seed)
+            old_defect = float(np.abs(dagger(k_old) @ k_old - np.eye(len(k_old))).max())
+            dev = float(np.abs(k_old - k_j).max())
+            assert dev <= 2 * old_defect + 1e-14, (n, seed, dev, old_defect)
+            worst = max(worst, dev / (old_defect + 1e-14))
+    report_line(
+        6, True, f"max |K_lift - K_J| / (unitarity defect of K_lift + 1e-14) {worst:.2f} (<= 2)"
+    )
+
+
 def test_criterion_06_batched_actions_match_einsum_oracle():
     """At n <= 3 the batched pi_l, pi_r and delta of the dense GNS oracle
     equal the plain-einsum contractions of its quotient maps to 1e-13
@@ -364,8 +391,8 @@ def test_criterion_06_batched_actions_match_einsum_oracle():
 def test_criterion_07_commutator_form():
     """Both extraction routes reproduce the generator form at 1e-7; the
     Kraus family satisfies the resolvent sum identities at 1e-8; both
-    families are Hermitian with the identity pairing, and the GNS family has
-    exactly dim H / n^2 traceless operators."""
+    families are bit-exact Hermitian, and the GNS family has exactly
+    dim H / n^2 traceless operators."""
     from kmsflow.generator import modular_resolvent
 
     worst_form = 0.0
@@ -381,7 +408,6 @@ def test_criterion_07_commutator_form():
                 rep = kf.verify_commutator_form(fam, gen, tol=1e-7)
                 assert rep.passed, (n, seed)
                 worst_form = max(worst_form, rep.check("max_form_deviation").value)
-                assert fam.pairing == tuple(range(len(fam)))
                 for v in fam.ops:
                     assert np.array_equal(v, dagger(v))
             fam = pipe["fam_kraus"]
@@ -416,16 +442,18 @@ def test_criterion_08_uniqueness_witness():
 def test_criterion_08_witness_bound_and_loop_oracle_pass():
     """At n <= 3, on every pipeline instance, the standard-form witness and
     the dense spanning-family witness both pass at 1e-6, the standard-form
-    theta maps the GNS spanning family onto the Kraus-route one to 1e-6 (the
-    dense witness's ``spanning_map_defect`` bound), and it passes the loop
-    oracle at 1e-6."""
+    witness, rendered as theta = I (x) W (x) I, maps the GNS spanning family
+    onto the Kraus-route one to 1e-6 (the dense witness's
+    ``spanning_map_defect`` bound), and theta passes the loop oracle at
+    1e-6."""
     worst_map = worst_loop = 0.0
     for n in (2, 3):
         for seed in PIPELINE_SEEDS[n]:
             pipe = pipeline_cache(n, seed)
             calc, calc_k = pipe["calc"], pipe["calc_kraus"]
-            theta, rep = kf.uniqueness_witness(calc, calc_k, pipe["gen"], tol=1e-6)
+            w, rep = kf.uniqueness_witness(calc, calc_k, pipe["gen"], tol=1e-6)
             assert rep.passed, (n, seed)
+            theta = render_theta(w, n)
             assert dense_uniqueness_witness(calc, calc_k, pipe["gen"], tol=1e-6)[1].passed, (n, seed)
             span_map = float(np.abs(theta @ spanning_family(calc) - spanning_family(calc_k)).max())
             assert span_map <= 1e-6, (n, seed, span_map)

@@ -1,8 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
 import kmsflow as kf
+from kmsflow import derivation
 from kmsflow.cli import main
 from kmsflow.serialize import dump_json, superop_to_json
 
@@ -89,6 +91,28 @@ class TestCheck:
         f.write_text("{not json")
         code, rep = run(capsys, "check", "--superop", str(f))
         assert code == 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_generator_certifies(self, capsys, tmp_path, n):
+        # a nonzero generator is never CP; --generator certifies what
+        # gen-from-cp certifies, and -L (not CCN) fails that
+        rho, psi = write_instance(tmp_path, capsys, seed=1, n=n)
+        code, rep = run(capsys, "gen-from-cp", "--psi", str(psi), "--rho", str(rho))
+        assert code == 0
+        doc = rep["results"]["generator"]
+        names = {"unital_kernel", "kms_symmetric", "ccn"}
+        gen = tmp_path / "gen.json"
+        gen.write_text(json.dumps(doc))
+        code, rep = run(capsys, "check", "--superop", str(gen), "--rho", str(rho), "--generator")
+        assert code == 0
+        assert set(rep["results"]) == names
+        assert all(rep["results"][name]["pass"] for name in names)
+        neg = tmp_path / "neg.json"
+        neg.write_text(json.dumps({**doc, "re": (-np.asarray(doc["re"])).tolist(),
+                                   "im": (-np.asarray(doc["im"])).tolist()}))
+        code, rep = run(capsys, "check", "--superop", str(neg), "--rho", str(rho), "--generator")
+        assert code == 1
+        assert [name for name in names if not rep["results"][name]["pass"]] == ["ccn"]
 
 
 class TestVTransformCommand:
@@ -213,6 +237,27 @@ class TestDerive:
         doc = json.loads(dump.read_text())
         assert doc["gns_calculus"]["dimH"] > 0
         assert set(doc["gns_calculus"]["delta"]) == {"00", "01", "10", "11"}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_dump_round_trip(self, capsys, tmp_path, n):
+        # the dumped delta and K_J rebuild the calculus: its invariants report
+        # reproduces every stored check value bit for bit
+        dump = tmp_path / "calc.json"
+        code, rep = run(capsys, "derive", "--method", "both", "--seed", "1",
+                        "--n", str(n), "--dump", str(dump))
+        assert code == 0
+        doc = json.loads(dump.read_text())["gns_calculus"]
+        assert set(doc) == {"dimH", "delta", "K_J"}
+        def array(v):
+            return np.asarray(v["re"]) + 1j * np.asarray(v["im"])
+
+        delta = np.array([[array(doc["delta"][f"{a}{b}"]) for b in range(n)] for a in range(n)])
+        m = doc["dimH"] // n**2
+        assert m > 0 and array(doc["K_J"]).shape == (m, m)
+        gen, _ = kf.random_generator(n, 1)
+        calc = derivation._standard_form_calculus(gen.ctx, delta, array(doc["K_J"]), {})
+        recomputed = kf.calculus_invariants_report(calc, gen).to_json_dict()
+        assert recomputed["checks"] == rep["results"]["calculus_invariants"]["checks"]
 
     def test_no_dump_skips_serialization(self, capsys, monkeypatch):
         from kmsflow import serialize

@@ -27,7 +27,9 @@ from kmsflow.superop import choi, from_kraus, kms_adjoint, kraus_from_choi, to_l
 from calculus_oracle import (
     grid_invariants_report,
     kron_commutator_actions,
+    lift_k_j,
     loop_witness_defects,
+    render_theta,
     spanning_family,
     trimmed_commutator_calculus,
 )
@@ -54,8 +56,8 @@ class TestGnsCalculus:
         xi0, res = kf.inner_vector(calc)
         assert xi0.size == 0 and res == 0.0
         assert kf.calculus_invariants_report(calc, gen).passed
-        theta, wit = kf.uniqueness_witness(calc, calc, gen)
-        assert theta.shape == (0, 0) and wit.passed
+        w, wit = kf.uniqueness_witness(calc, calc, gen)
+        assert w.shape == (0, 0) and wit.passed
         assert all(c.value == 0.0 for c in wit.checks)
 
     def test_tracial_sigma_x_form_identity(self):
@@ -91,10 +93,12 @@ class TestGnsCalculus:
         ]
 
     @pytest.mark.parametrize(
-        "n,seed", [(3, s) for s in range(10)] + [(4, s) for s in (0, 2, 3, 5, 6, 7)]
+        "n,seed", [(3, s) for s in range(10)] + [(n, s) for n in (4, 5) for s in range(8)]
     )
     def test_invariants_at_conditioning_1e6(self, n, seed):
-        # (4, 1) and (4, 4) still fail j_antiunitary_defect at this conditioning
+        # K_J through the lift P W / sqrt(g) failed j_antiunitary_defect at
+        # (4, 1), (4, 4), (5, 0), (5, 1), (5, 3) and (5, 4); the product of
+        # isometries does not amplify rounding by the conditioning of g
         gen, _ = kf.random_generator(n, seed, cond_bound=1e6)
         calc = kf.gns_calculus(gen)
         rep = kf.calculus_invariants_report(calc, gen, tol=1e-9)
@@ -191,6 +195,17 @@ def _padded_multiplicity(calc):
     return derivation._standard_form_calculus(calc.ctx, c_pad.reshape(n, n, -1), k_pad, {})
 
 
+def _with_k_j(calc, k_j):
+    """The calculus with the same delta and the multiplicity block k_j."""
+    return derivation._standard_form_calculus(calc.ctx, calc.delta, k_j, calc.meta)
+
+
+def _columns_swapped(k_j):
+    out = k_j.copy()
+    out[:, [0, 1]] = out[:, [1, 0]]
+    return out
+
+
 class TestInvariantsNegativeControls:
     """Broken calculi fail the standard-form certificate, and the pairwise
     grid oracle flags the same input."""
@@ -220,6 +235,20 @@ class TestInvariantsNegativeControls:
         oracle = grid_invariants_report(broken, gen, tol=1e-9)
         assert oracle.passed is False
         assert not oracle.check(oracle_check).passed()
+
+    @pytest.mark.parametrize(
+        "breaker", [np.conj, np.negative, _columns_swapped], ids=["conj", "sign", "columns"]
+    )
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+    def test_wrong_k_j_fails_j_delta(self, n, seed, breaker):
+        # K_J is a product of isometries, so its own unitarity says little;
+        # delta(A*) = J delta(A) reads delta and catches a wrong K_J
+        gen, _ = cached_generator(n, seed)
+        calc = cached_gns(n, seed)
+        _, _, k_j = derivation._standard_form_data(calc)
+        rep = kf.calculus_invariants_report(_with_k_j(calc, breaker(k_j)), gen, tol=1e-9)
+        assert not rep.check("j_delta_defect").passed()
+        assert kf.calculus_invariants_report(_with_k_j(calc, k_j), gen, tol=1e-9).passed
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
     def test_corner_fails_multiplicity_without_raising(self, n, seed):
@@ -253,7 +282,7 @@ class TestExtractGns:
         gen, _ = tracial_sigma_x_generator()
         calc = kf.gns_calculus(gen)
         fam = kf.extract_commutators_gns(calc, gen)
-        reference = CommutatorFamily(ops=(SX / np.sqrt(2.0),), pairing=(0,))
+        reference = CommutatorFamily(ops=(SX / np.sqrt(2.0),))
         f1 = commutator_form_matrix(fam, gen.ctx, 2)
         f2 = commutator_form_matrix(reference, gen.ctx, 2)
         np.testing.assert_allclose(f1, f2, atol=1e-10)
@@ -279,7 +308,7 @@ class TestExtractKraus:
         assert opnorm(xi.mat - psi.mat) < 1e-12
         f1 = commutator_form_matrix(fam, gen.ctx, 2)
         f2 = commutator_form_matrix(
-            CommutatorFamily(ops=(SX / np.sqrt(2.0),), pairing=(0,)), gen.ctx, 2
+            CommutatorFamily(ops=(SX / np.sqrt(2.0),)), gen.ctx, 2
         )
         np.testing.assert_allclose(f1, f2, atol=1e-10)
 
@@ -318,77 +347,54 @@ class TestExtractKraus:
         gen, psi = kf.random_generator(3, 1, cond_bound=1e6)
         fam = kf.extract_commutators_kraus(gen, psi)
         assert len(fam) == 9
-        assert fam.pairing == tuple(range(9))
+        assert all(np.array_equal(v, dagger(v)) for v in fam.ops)
         assert kf.verify_commutator_form(fam, gen).passed
 
 
 class TestCommutatorFamilyType:
     def test_adjoint_closure_exact(self):
+        # both routes return bit-exact Hermitian families: each is its own adjoint
         gen, psi = cached_generator(2, 6)
         for fam in (
             kf.extract_commutators_kraus(gen, psi),
             kf.extract_commutators_gns(cached_gns(2, 6), gen),
         ):
-            for j, k in enumerate(fam.pairing):
-                assert np.array_equal(fam.ops[k], dagger(fam.ops[j]))
-                assert fam.pairing[k] == j
+            for v in fam.ops:
+                assert np.array_equal(v, dagger(v))
 
-    def test_invalid_pairing_rejected(self):
+    def test_non_hermitian_rejected(self):
         rng = np.random.default_rng(0)
         v = rng_matrix(rng, 2)
-        with pytest.raises(ValueError):
-            CommutatorFamily(ops=(v,), pairing=(0,))  # v not Hermitian
-
-    def test_adjoint_closure_identity(self):
-        # sum_j <[V_j,A],[V_j,B]> = sum_j <[V_j*,A],[V_j*,B]>
-        gen, psi = cached_generator(2, 7)
-        fam = kf.extract_commutators_kraus(gen, psi)
-        adj = CommutatorFamily(
-            ops=tuple(dagger(v) for v in fam.ops), pairing=fam.pairing
-        )
-        f1 = commutator_form_matrix(fam, gen.ctx, 2)
-        f2 = commutator_form_matrix(adj, gen.ctx, 2)
-        np.testing.assert_allclose(f1, f2, atol=1e-8)
+        with pytest.raises(ValueError, match="operator 1"):
+            CommutatorFamily(ops=(SX, v))
+        herm = 0.5 * (v + dagger(v))
+        off = herm.copy()
+        off[0, 1] += 1e-15  # Hermitian only up to rounding
+        with pytest.raises(ValueError, match="operator 0"):
+            CommutatorFamily(ops=(off,))
+        assert len(CommutatorFamily(ops=(herm, SX))) == 2
 
 
 class TestVerifyCommutatorForm:
     def test_empty_family_vs_zero(self, ctx2):
         gen = kf.certify_generator(zero_superop(2), ctx2)
         assert kf.verify_commutator_form(
-            CommutatorFamily(ops=(), pairing=()), gen
+            CommutatorFamily(ops=()), gen
         ).passed
 
     def test_deleted_operator_fails(self):
         gen, psi = cached_generator(2, 8)
         fam = kf.extract_commutators_kraus(gen, psi)
-        j = 0
-        k = fam.pairing[j]
-        keep = [i for i in range(len(fam)) if i not in (j, k)]
-        relabel = {old: new for new, old in enumerate(keep)}
-        broken = CommutatorFamily(
-            ops=tuple(fam.ops[i] for i in keep),
-            pairing=tuple(relabel[fam.pairing[i]] for i in keep),
-        )
+        broken = CommutatorFamily(ops=fam.ops[1:])
         assert not kf.verify_commutator_form(broken, gen).passed
 
     def test_gauge_invariance_under_identity_shifts(self):
         gen, psi = cached_generator(2, 9)
         fam = kf.extract_commutators_kraus(gen, psi)
         rng = np.random.default_rng(1)
-        shifts = [None] * len(fam)
-        for j, k in enumerate(fam.pairing):
-            if shifts[j] is None:
-                c = complex(rng.standard_normal() + 1j * rng.standard_normal())
-                shifts[j] = c
-                if k != j:
-                    shifts[k] = np.conj(c)
-                else:
-                    shifts[j] = c.real  # fixed points stay Hermitian
-        ops = [v + s * np.eye(2) for v, s in zip(fam.ops, shifts)]
-        for j, k in enumerate(fam.pairing):
-            if k >= j:
-                ops[k] = dagger(ops[j])
-        shifted = CommutatorFamily(ops=tuple(ops), pairing=fam.pairing)
+        # real shifts keep the operators Hermitian
+        shifts = rng.standard_normal(len(fam))
+        shifted = CommutatorFamily(ops=tuple(v + s * np.eye(2) for v, s in zip(fam.ops, shifts)))
         assert kf.verify_commutator_form(shifted, gen).passed
 
 
@@ -459,17 +465,23 @@ class TestCommutatorCalculus:
 
     @pytest.mark.parametrize("n,seed", [(2, 3), (3, 4)])
     def test_dependent_family_is_compressed(self, n, seed):
-        # V = (Kraus operator of Xi) / sqrt2 as in the Kraus route, doubled as
-        # {V/sqrt2} + {V*/sqrt2} with 0.3 I appended: 2 n^2 + 1 operators
-        # spanning n^2 - 1 dimensions modulo I
+        # with K the Kraus operators of Xi, the Kraus route's form is that of
+        # {K/2} + {K*/2}, which is that of the Hermitian parts
+        # {(K + K*)/2 / sqrt2} + {(K - K*)/2i / sqrt2}; each part is split into
+        # copies scaled by 0.6 and 0.8, and 0.3 I is appended: 4 n^2 + 1
+        # operators spanning n^2 - 1 dimensions modulo I
         gen, psi = cached_generator(n, seed)
         fam = kf.extract_commutators_kraus(gen, psi)
-        raw = [v / 2.0 for v in kraus_from_choi(choi(xi_map(gen, psi)))]
-        nr = len(raw)
+
+        def herm(x):
+            return 0.5 * (x + dagger(x))
+
+        kraus = kraus_from_choi(choi(xi_map(gen, psi)))
+        parts = [herm(p * k) / np.sqrt(2.0) for k in kraus for p in (1, -1j)]
         dependent = CommutatorFamily(
-            ops=tuple(raw) + tuple(dagger(v) for v in raw) + (0.3 * np.eye(n),),
-            pairing=tuple(range(nr, 2 * nr)) + tuple(range(nr)) + (2 * nr,),
+            ops=tuple(c * h for h in parts for c in (0.6, 0.8)) + (0.3 * np.eye(n),)
         )
+        assert len(dependent) == 4 * n**2 + 1
         assert kf.verify_commutator_form(dependent, gen).passed
         calc = kf.commutator_calculus(fam, gen)
         calc_dep = kf.commutator_calculus(dependent, gen)
@@ -488,10 +500,11 @@ class TestUniquenessWitness:
     def test_self_witness_is_identity(self):
         gen, _ = cached_generator(2, 12)
         calc = cached_gns(2, 12)
-        theta, rep = kf.uniqueness_witness(calc, calc, gen)
+        w, rep = kf.uniqueness_witness(calc, calc, gen)
         assert rep.passed
+        np.testing.assert_allclose(w, np.eye(calc.dim_h // 4), atol=1e-10)
         span = spanning_family(calc)
-        np.testing.assert_allclose(theta @ span, span, atol=1e-10)
+        np.testing.assert_allclose(render_theta(w, 2) @ span, span, atol=1e-10)
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (2, 13), (3, 5)])
     def test_gns_vs_kraus(self, n, seed):
@@ -509,15 +522,15 @@ class TestUniquenessWitness:
     def test_broken_target_fails_intertwining(self, n, seed, name, check):
         # one entry of calc_b's pi_r or J is off; the delta coefficients are
         # not, so the Gram check passes and the standard-form check fails,
-        # and theta misses ``check`` on the spanning family (loop oracle)
+        # and I (x) W (x) I misses ``check`` on the spanning family (loop oracle)
         gen, psi = cached_generator(n, seed)
         calc = cached_gns(n, seed)
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
         broken = _perturbed(calc_k, name, eps=1e-3)
-        theta, rep = kf.uniqueness_witness(calc, broken, gen, tol=1e-6)
+        w, rep = kf.uniqueness_witness(calc, broken, gen, tol=1e-6)
         assert rep.passed is False
         assert [c.name for c in rep.checks if not c.passed()] == ["standard_form_defect"]
-        assert loop_witness_defects(theta, calc, broken)[check] > 1e-6
+        assert loop_witness_defects(render_theta(w, n), calc, broken)[check] > 1e-6
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
     def test_conjugated_kj_fails_j_intertwining(self, n, seed):
@@ -540,20 +553,32 @@ class TestUniquenessWitness:
         calc = cached_gns(n, seed)
         padded = _padded_multiplicity(calc)
         for calc_a, calc_b in ((calc, padded), (padded, calc)):
-            theta, rep = kf.uniqueness_witness(calc_a, calc_b, gen, tol=1e-6)
-            assert theta.shape == (calc_b.dim_h, calc_a.dim_h)
+            w, rep = kf.uniqueness_witness(calc_a, calc_b, gen, tol=1e-6)
+            assert w.shape == (calc_b.dim_h // n**2, calc_a.dim_h // n**2)
             assert [c.name for c in rep.checks if not c.passed()] == ["w_unitarity_defect"]
             assert rep.check("w_unitarity_defect").value > 0.5
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_independent_of_star_structure(self, seed):
-        # at this conditioning K_J of the GNS calculus is unitary only to
-        # about 1e-8, so its invariants report fails j_antiunitary_defect; the
-        # witness checks that theta intertwines the two calculi, and passes
+        # at this conditioning K_J built through the lift P W / sqrt(g) is
+        # unitary only to about 1e-8, so that calculus fails
+        # j_antiunitary_defect; the witness checks that W intertwines the two
+        # calculi, and passes
         gen, psi = kf.random_generator(4, seed, cond_bound=1e6)
-        calc = kf.gns_calculus(gen)
+        calc = _with_k_j(kf.gns_calculus(gen), lift_k_j(gen))
         inv = kf.calculus_invariants_report(calc, gen)
         assert [c.name for c in inv.checks if not c.passed()] == ["j_antiunitary_defect"]
+        calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
+        _, rep = kf.uniqueness_witness(calc, calc_k, gen, tol=1e-6)
+        assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]
+
+    @pytest.mark.parametrize("n,seed", [(3, 6), (4, 2), (4, 4), (4, 7)])
+    def test_kraus_rank_one(self, n, seed):
+        # these failed j_antiunitary_defect with K_J through the lift
+        gen, psi = kf.random_generator(n, seed, kraus_rank=1)
+        calc = kf.gns_calculus(gen)
+        inv = kf.calculus_invariants_report(calc, gen)
+        assert inv.passed, [(c.name, c.value) for c in inv.checks if not c.passed()]
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
         _, rep = kf.uniqueness_witness(calc, calc_k, gen, tol=1e-6)
         assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]
