@@ -4,7 +4,9 @@ Matrix object: {"n": int, "re": [[float]], "im": [[float]]} (row-major).
 Density context adds {"tol": float}.  Superoperator:
 {"n": int, "level": "algebra"|"l2", "re": [[float]], "im": [[float]]} with
 the n^2 x n^2 matrix over the column-stacking vectorization.  Numbers are
-emitted through Python's repr, which round-trips doubles exactly.
+emitted through Python's repr, which round-trips doubles exactly.  Readers
+reject non-finite entries (``NaN``, ``Infinity``), which Python's json
+parser accepts.
 """
 
 from __future__ import annotations
@@ -29,9 +31,12 @@ def _array(d: dict, n_rows: int, where: str) -> np.ndarray:
     re = _require(d, "re", where)
     im = _require(d, "im", where)
     try:
-        arr = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: entries are not numeric ({exc})") from exc
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise SchemaError(f"{where}: entries must be finite (NaN or Infinity found)")
+    arr = re + 1j * im
     if arr.shape != (n_rows, n_rows):
         raise SchemaError(f"{where}: expected shape {(n_rows, n_rows)}, got {arr.shape}")
     return arr
@@ -86,15 +91,7 @@ def superop_from_json(d: dict, where: str = "superoperator") -> Superoperator:
     level = d.get("level", ALGEBRA)
     if level not in (ALGEBRA, L2):
         raise SchemaError(f"{where}: 'level' must be 'algebra' or 'l2'")
-    re = _require(d, "re", where)
-    im = _require(d, "im", where)
-    try:
-        mat = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: entries are not numeric ({exc})") from exc
-    if mat.shape != (n * n, n * n):
-        raise SchemaError(f"{where}: expected shape {(n*n, n*n)}, got {mat.shape}")
-    return Superoperator(mat, n, level)
+    return Superoperator(_array(d, n * n, where), n, level)
 
 
 def family_to_json(family) -> dict:

@@ -19,6 +19,7 @@ adjoint), matching the generator representation used throughout the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -64,7 +65,11 @@ def unvec(v: np.ndarray, n: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Superoperator:
-    """A linear map on n x n matrices at a fixed representation level."""
+    """A linear map on n x n matrices at a fixed representation level.
+
+    ``mat`` is a read-only copy of the matrix passed in, so no alias can
+    change it after construction and ``norm`` is computed once.
+    """
 
     mat: np.ndarray
     dim: int
@@ -73,12 +78,13 @@ class Superoperator:
     def __post_init__(self):
         if self.level not in _LEVELS:
             raise WrongLevel(f"unknown level {self.level!r}")
-        m = np.asarray(self.mat, dtype=complex)
+        m = np.array(self.mat, dtype=complex)
         if m.shape != (self.dim**2, self.dim**2):
             raise DimensionMismatch(
                 f"superoperator matrix has shape {m.shape}, expected "
                 f"{(self.dim**2, self.dim**2)}"
             )
+        m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
     def apply(self, x) -> np.ndarray:
@@ -114,7 +120,7 @@ class Superoperator:
     def __neg__(self) -> "Superoperator":
         return Superoperator(-self.mat, self.dim, self.level)
 
-    @property
+    @cached_property
     def norm(self) -> float:
         """Spectral norm of the n^2 x n^2 matrix (the operator norm on the
         Hilbert-Schmidt space; used as the scale for every certification)."""

@@ -13,8 +13,14 @@ the functions here are the plain forms those paths are gated against:
   columns of its Choi system and KMS guard one Hermitian basis element at a
   time, through the public superoperator algebra.
 - ``trapezoid_coefficients`` is one trapezoid rule of the integral
-  representation of V on its own nodes, so a test can evaluate the fine and
-  the coarse rule of ``v_transform_quadrature`` separately.
+  representation of V summed node by node, from a table of exponentials
+  with one row per node, so a test can evaluate the fine and the coarse rule
+  of ``v_transform_quadrature`` separately.  The library sums the same
+  rules in closed form as geometric series; both evaluate the rule, not the
+  integral, and neither reads the closed-form multiplier of V.
+- ``loop_trace_defect`` is the trace check of
+  ``v_transform_cptp_certificate`` with one application of V per probe, the
+  oracle for the certificate's batched probes.
 """
 
 import numpy as np
@@ -31,6 +37,7 @@ from kmsflow.matrix_core import (
     as_matrix,
     dagger,
     descend,
+    eigenbasis_multiply,
     embed,
     hermitian_basis,
     hsnorm,
@@ -38,6 +45,7 @@ from kmsflow.matrix_core import (
 )
 from kmsflow.reports import Check, Report
 from kmsflow.superop import choi, kms_adjoint, unvec, vec
+from kmsflow.vtransform import TRACE_TRIALS, _w_multiplier
 
 
 def projected_gradient_cone_project(
@@ -182,3 +190,23 @@ def trapezoid_coefficients(lam: np.ndarray, nodes: np.ndarray, h: float) -> np.n
         -nodes[:, None] * sq[None, :]
     )
     return 2.0 * (e.T @ e)
+
+
+def loop_trace_defect(ctx: DensityContext) -> float:
+    """max |tr V(P) - 1| and |tr V(T) - tr T| over the certificate's probes:
+    per trial a random rank-one projector P, then a random matrix T, drawn in
+    that order from the seed-0 generator and each passed through V alone."""
+    n2 = ctx.dim**2
+    v = 1.0 / _w_multiplier(ctx)
+    rng = np.random.default_rng(0)
+    trace_defect = 0.0
+    for _ in range(TRACE_TRIALS):
+        vvec = rng.standard_normal(n2) + 1j * rng.standard_normal(n2)
+        vvec /= np.linalg.norm(vvec)
+        proj = np.outer(vvec, vvec.conj())
+        image = eigenbasis_multiply(ctx.superop_basis, v, proj)
+        trace_defect = max(trace_defect, abs(np.trace(image) - 1.0))
+        t = rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2))
+        image = eigenbasis_multiply(ctx.superop_basis, v, t)
+        trace_defect = max(trace_defect, abs(np.trace(image) - np.trace(t)))
+    return float(trace_defect)

@@ -86,6 +86,23 @@ class TestCheck:
         assert code == 2
         assert rep["error"]["type"] == "schema"
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("reader", ["superop", "rho"])
+    def test_non_finite_entry_is_schema_error(self, capsys, tmp_path, bad, reader):
+        # Python's json parser accepts NaN and Infinity; both readers reject
+        # them as a schema error that names the file
+        rho, psi = write_instance(tmp_path, capsys, seed=2)
+        target = psi if reader == "superop" else rho
+        doc = json.loads(target.read_text())
+        doc["im"][0][1] = float(bad)
+        target.write_text(json.dumps(doc))
+        assert bad in target.read_text()
+        code, rep = run(capsys, "check", "--superop", str(psi), "--rho", str(rho))
+        assert code == 2
+        assert rep["error"]["type"] == "schema"
+        assert str(target) in rep["error"]["message"]
+        assert "finite" in rep["error"]["message"]
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text("{not json")

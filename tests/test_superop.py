@@ -72,6 +72,33 @@ def depolarizing(n):
     return kf.Superoperator(np.outer(omega, omega) / n, n)
 
 
+class TestStorage:
+    @pytest.mark.parametrize("level", ["algebra", "l2"])
+    def test_mat_is_read_only(self, level):
+        s = kf.Superoperator(rng_matrix(np.random.default_rng(0), 4), 2, level)
+        with pytest.raises(ValueError):
+            s.mat[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            s.mat += 1.0
+
+    @pytest.mark.parametrize("level", ["algebra", "l2"])
+    def test_input_alias_cannot_change_map(self, level):
+        a = rng_matrix(np.random.default_rng(1), 9)
+        s = kf.Superoperator(a, 3, level)
+        before, norm = s.mat.copy(), s.norm
+        a[:] = 0.0
+        np.testing.assert_array_equal(s.mat, before)
+        assert s.norm == norm
+        assert s.norm == opnorm(before)
+
+    @pytest.mark.parametrize("level", ["algebra", "l2"])
+    def test_norm_is_opnorm(self, level):
+        for n in (2, 3, 4):
+            s = kf.Superoperator(rng_matrix(np.random.default_rng(n), n * n), n, level)
+            assert s.norm == opnorm(s.mat)
+            assert (-s).norm == opnorm(-s.mat)
+
+
 class TestBasicMaps:
     def test_vec_convention(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])

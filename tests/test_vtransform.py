@@ -13,7 +13,7 @@ from kmsflow.vtransform import (
     v_transform_quadrature,
 )
 
-from certify_oracle import trapezoid_coefficients
+from certify_oracle import loop_trace_defect, trapezoid_coefficients
 from conftest import cached_generator, rng_matrix
 
 
@@ -38,6 +38,27 @@ def dense_w_multiplier(lam):
     q = np.log(lam)
     ratio = np.exp((q[:, None] - q[None, :]) / 4.0)
     return 0.5 * (ratio + 1.0 / ratio)
+
+
+def conditioned_context(n, cond):
+    """rho with eigenvalues in geometric progression, p_max / p_min = cond,
+    in a random eigenbasis."""
+    p = np.geomspace(1.0, 1.0 / cond, n)
+    u, _ = np.linalg.qr(rng_matrix(np.random.default_rng(n), n))
+    return kf.DensityContext.from_rho(u @ np.diag(p / p.sum()) @ dagger(u))
+
+
+def node_by_node_rules(s, ctx, info):
+    """The fine and the coarse trapezoid rule behind a quadrature ``info``,
+    each summed over its own nodes by ``trapezoid_coefficients``."""
+    log_lam = ctx.log_ratio.ravel(order="F")
+    lam = np.exp(-log_lam if info["invert_delta"] else log_lam)
+    r_max, steps = info["r_max"], info["steps"]
+    h = r_max / steps
+    nodes = np.linspace(0.0, r_max, steps + 1)
+    fine = trapezoid_coefficients(lam, nodes, h)
+    coarse = trapezoid_coefficients(lam, nodes[::2], 2.0 * h)
+    return eigenbasis_multiply(ctx.superop_basis, np.stack([fine, coarse]), s.mat)
 
 
 class TestModularSpectrum:
@@ -211,26 +232,50 @@ class TestQuadratureOracle:
     @pytest.mark.parametrize("n", [2, 3])
     def test_step_doubling_matches_two_rules(self, n):
         # evaluate the fine rule and the coarse rule (every second node, step
-        # 2h) each on its own nodes and compare with the shared-table result
+        # 2h) each on its own nodes and compare with the closed-form sums
         ctx = cached_generator(n, 1)[0].ctx
-        steps = 20000
         for seed in range(2):
             s = random_superop(30 + seed, n)
-            q, info = v_transform_quadrature(s, ctx, steps=steps)
-            lam = np.exp(ctx.log_ratio.ravel(order="F"))
-            r_max = info["r_max"]
-            h = r_max / steps
-            nodes = np.linspace(0.0, r_max, steps + 1)
-            fine = eigenbasis_multiply(
-                ctx.superop_basis, trapezoid_coefficients(lam, nodes, h), s.mat
-            )
-            coarse = eigenbasis_multiply(
-                ctx.superop_basis, trapezoid_coefficients(lam, nodes[::2], 2.0 * h), s.mat
-            )
+            q, info = v_transform_quadrature(s, ctx, steps=20000)
+            fine, coarse = node_by_node_rules(s, ctx, info)
             assert opnorm(q.mat - fine) <= 1e-13 * s.norm
             diff = opnorm(fine - coarse)
             assert diff > 0.0
             assert abs(info["step_doubling_diff"] - diff) <= 1e-6 * diff
+
+    @pytest.mark.parametrize(
+        "n,ctx_kind,steps,invert_delta,double_range",
+        [
+            (2, "seed", 200000, False, False),
+            (2, "seed", 1000000, False, False),
+            (3, "seed", 20000, True, False),
+            (2, "seed", 200000, True, True),
+            (3, "seed", 20000, False, True),
+            (3, "cond1e5", 20000, False, False),
+            (2, "cond1e5", 200000, True, False),
+            (3, "seed", 20001, False, False),
+        ],
+    )
+    def test_closed_form_rules_match_node_by_node(
+        self, n, ctx_kind, steps, invert_delta, double_range
+    ):
+        if ctx_kind == "cond1e5":
+            ctx = conditioned_context(n, 1e5)
+            assert ctx.condition == pytest.approx(1e5)
+        else:
+            ctx = cached_generator(n, 1)[0].ctx
+        s = random_superop(40 + n, n)
+        r_max = None
+        if double_range:
+            r_max = 2.0 * v_transform_quadrature(s, ctx, steps=steps)[1]["r_max"]
+        q, info = v_transform_quadrature(
+            s, ctx, r_max=r_max, steps=steps, invert_delta=invert_delta
+        )
+        assert info["steps"] == steps + steps % 2
+        fine, coarse = node_by_node_rules(s, ctx, info)
+        assert opnorm(q.mat - fine) <= 1e-13 * s.norm
+        diff = opnorm(fine - coarse)
+        assert abs(info["step_doubling_diff"] - diff) <= 1e-6 * diff
 
     def test_rejects_insufficient_range(self, ctx2):
         s = random_superop(10, 2)
@@ -258,6 +303,14 @@ class TestCptpCertificate:
         rep = v_transform_cptp_certificate(ctx2)
         assert rep.passed
         assert rep.check("min_choi_eig").value >= -1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_batched_trace_probes_match_loop(self, n):
+        contexts = [cached_generator(n, seed)[0].ctx for seed in range(3)]
+        contexts.append(conditioned_context(n, 1e5))
+        for ctx in contexts:
+            rep = v_transform_cptp_certificate(ctx)
+            assert abs(rep.check("trace_defect").value - loop_trace_defect(ctx)) <= 1e-14
 
     def test_choi_skipped_for_large_n(self):
         gen, _ = cached_generator(4, 3)
