@@ -35,8 +35,10 @@ The routes differ only in the multiplicity space C^m, and every consumer
 reads a calculus through its data there: the delta coefficients
 C[p, q, a, k, d] = delta(E_pq)[a, k, d] and the m x m block K_J of the
 involution.  The uniqueness witness is the m_b x m_a matrix W of the
-isometry I (x) W (x) I.  The dense actions and involution are checked once
-against their rendering from these data (``standard_form_defect``).
+isometry I (x) W (x) I.  The dense actions and involution are rendered from
+these data by scatter and checked against that rendering
+(``standard_form_defect``): once by the invariants report, and once more
+for each calculus by the uniqueness witness.
 """
 
 from __future__ import annotations
@@ -77,8 +79,6 @@ from .superop import (
     choi,
     kms_gram,
     kraus_from_choi,
-    lmul,
-    rmul,
     sandwich,
     to_algebra,
 )
@@ -157,6 +157,14 @@ def _quarter_units(ctx: DensityContext):
     return np.einsum("xa,by->abxy", qr, qi), np.einsum("xa,by->abxy", qi, qr)
 
 
+def _unit_commutators(vs: np.ndarray) -> np.ndarray:
+    """comm[k, p, q] = [V_k, E_pq] for the stack ``vs`` (N, n, n)."""
+    n = vs.shape[-1]
+    units = np.eye(n * n).reshape(n, n, n, n)  # units[p, q] = E_pq
+    v = vs[:, None, None]
+    return v @ units - units @ v
+
+
 def _unit_perm(n: int) -> np.ndarray:
     """Permutation from row-major unit labels (a n + b) to vec indices (b n + a)."""
     return np.arange(n * n).reshape(n, n).T.ravel()
@@ -169,18 +177,28 @@ def _standard_form_calculus(
     (n, n, n m n), and multiplicity block K_J (m x m).  In the coordinates
     (a, k, d), indexed (a m + k) n + d, pi_l(E) = E (x) I (x) I,
     pi_r(E) = I (x) I (x) E^T, and J is the swap of a and d tensored with
-    K_J, composed with conjugation."""
+    K_J, composed with conjugation.  The dense fields are zero arrays with
+    their pattern entries scattered in, one indexed assignment each."""
     n = delta.shape[0]
     m = k_j.shape[0]
-    dim_h = n * n * m
-    units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)  # units[p, q] = E_pq
-    eye = np.eye(n, dtype=complex)
+    mn = m * n
+    dim_h = n * mn
+    p = np.arange(n)[:, None, None]
+    q = np.arange(n)[None, :, None]
+    r = np.arange(mn)
+    pi_l = np.zeros((n, n, n, mn, n, mn), dtype=complex)
+    pi_l[p, q, p, r, q, r] = 1.0  # E_pq (x) I on (a, (k, d))
+    pi_r = np.zeros((n, n, mn, n, mn, n), dtype=complex)
+    pi_r[p, q, r, q, r, p] = 1.0  # I (x) E_qp on ((a, k), d)
+    a = np.arange(n)[:, None]
+    d = np.arange(n)
+    jmat = np.zeros((n, m, n, n, m, n), dtype=complex)
+    jmat[a, :, d, d, :, a] = k_j  # the outer pair (a, d) goes to (d, a)
     return FirstOrderCalculus(
         dim_h=dim_h,
-        pi_l=np.kron(units, np.eye(m * n)),
-        # np.kron keeps a transposed operand's strides; the copy keeps pi_r C-contiguous
-        pi_r=np.kron(np.eye(n * m), units.transpose(1, 0, 2, 3).copy()),
-        jmat=np.einsum("xw,yz,kl->xkyzlw", eye, eye, k_j).reshape(dim_h, dim_h),
+        pi_l=pi_l.reshape(n, n, dim_h, dim_h),
+        pi_r=pi_r.reshape(n, n, dim_h, dim_h),
+        jmat=jmat.reshape(dim_h, dim_h),
         delta=delta,
         ctx=ctx,
         meta=meta,
@@ -213,29 +231,35 @@ def standard_form_defect(calc: FirstOrderCalculus) -> float:
     """Largest entrywise deviation of ``pi_l``, ``pi_r`` and ``jmat`` from the
     rendering of ``_standard_form_calculus``: pi_l(E) = E (x) I (x) I,
     pi_r(E) = I (x) I (x) E^T and J = (outer swap) (x) K_J, with K_J read by
-    ``_standard_form_data``.  Compared one matrix unit (one outer pair of J)
-    at a time, so no dense copy of a field is made.  Exactly 0 for a calculus
-    built by ``_standard_form_calculus``.
+    ``_standard_form_data``.  One pass per left unit index p: the moduli of
+    pi_l(E_p.), pi_r(E_p.) and the rows of J with outer index a = p, with
+    the pattern entries overwritten by their distance to the rendering, so
+    no complex copy of a field is made.  Exactly 0 for a calculus built by
+    ``_standard_form_calculus``.
     """
     n = calc.dim
     m, _, k_j = _standard_form_data(calc)
     mn = m * n
-    eye = np.eye(mn)
     pi_l = calc.pi_l.reshape(n, n, n, mn, n, mn)  # [p, q, a, (k, d), a', (l, d')]
     pi_r = calc.pi_r.reshape(n, n, mn, n, mn, n)  # [p, q, (a, k), d, (a', l), d']
     jmat = calc.jmat.reshape(n, m, n, n, m, n)  # [a, k, d, a', l, d']
+    d = np.arange(n)
+    q = d[:, None]
+    r = np.arange(mn)
+    moduli = np.empty(pi_l.shape[1:])  # one buffer for both actions at every p
     worst = 0.0
     for p in range(n):
-        for q in range(n):
-            left = pi_l[p, q].copy()
-            left[p, :, q] -= eye
-            right = pi_r[p, q].copy()
-            right[:, q, :, p] -= eye  # E_pq^T = E_qp
-            # the rows of J with outer pair (a, d) = (p, q) hit (a', d') = (q, p)
-            inv = jmat[p, :, q].copy()
-            inv[:, q, :, p] -= k_j
-            worst = max(worst, _maxabs(left), _maxabs(right), _maxabs(inv))
-    return worst
+        left = np.abs(pi_l[p], out=moduli)
+        left[q, p, r, q, r] = np.abs(pi_l[p, q, p, r, q, r] - 1.0)
+        worst = max(worst, left.max(initial=0.0))
+        right = np.abs(pi_r[p], out=moduli.reshape(pi_r.shape[1:]))
+        right[q, r, q, r, p] = np.abs(pi_r[p, q, r, q, r, p] - 1.0)  # E_pq^T = E_qp
+        worst = max(worst, right.max(initial=0.0))
+        # the rows of J with outer pair (a, d) = (p, d) hit (a', d') = (d, p)
+        inv = np.abs(jmat[p])
+        inv[:, d, d, :, p] = np.abs(jmat[p, :, d, d, :, p] - k_j)
+        worst = max(worst, inv.max(initial=0.0))
+    return float(worst)
 
 
 def _traceless(ops: np.ndarray) -> np.ndarray:
@@ -447,12 +471,19 @@ def calculus_invariants_report(
 
     # twisted Leibniz rule per component, with delta_k(E_pq) the n x n matrix
     # dk[p, q, k]: delta_k(E_ab E_cd) = sigma_{-i/4}(E_ab) delta_k(E_cd)
-    #                                   + delta_k(E_ab) sigma_{+i/4}(E_cd)
+    #                                   + delta_k(E_ab) sigma_{+i/4}(E_cd),
+    # one first index a at a time as two GEMMs over the inner index z, with
+    # rhs[b, x, c, d, k, y] the defect of delta_k(E_ab E_cd)[x, y]
     s_m4, s_p4 = _quarter_units(calc.ctx)
-    dk = c.transpose(0, 1, 3, 2, 4)
-    rhs = s_m4[:, :, None, None, None] @ dk + dk[:, :, None, None] @ s_p4[:, :, None]
-    rhs[:, np.arange(n), np.arange(n)] -= dk[:, None]  # E_ab E_cd = delta_bc E_ad
-    rep.checks.append(Check("twisted_leibniz_defect", _maxabs(rhs), tol * scale, "le"))
+    dk = c.transpose(0, 1, 3, 2, 4)  # [p, q, k, x, y]
+    b = np.arange(n)
+    leibniz = 0.0
+    for a in range(n):
+        rhs = np.tensordot(s_m4[a], dk, axes=([2], [3]))
+        rhs += np.tensordot(dk[a], s_p4, axes=([3], [2])).transpose(0, 2, 3, 4, 1, 5)
+        rhs[b, :, b] -= dk[a].transpose(2, 0, 1, 3)  # E_ab E_cd = delta_bc E_ad
+        leibniz = max(leibniz, _maxabs(rhs))
+    rep.checks.append(Check("twisted_leibniz_defect", leibniz, tol * scale, "le"))
 
     # cyclicity: pi_l(E_ab) delta(E_cd)[x, k, y] = [x = a] C[c, d, b, k, y], so
     # the spanning family has the singular values of C read as the n^3 x mn
@@ -472,14 +503,13 @@ def calculus_invariants_report(
 
 def commutator_form_matrix(family: CommutatorFamily, ctx: DensityContext, n: int) -> np.ndarray:
     """The matrix sum_j <[V_j, E_ab], [V_j, E_cd]>_rho over matrix-unit pairs
-    (row-major unit labels)."""
-    perm = _unit_perm(n)
-    gk = kms_gram(ctx)
-    rhs = np.zeros((n * n, n * n), dtype=complex)
-    for v in family.ops:
-        k = lmul(v).mat - rmul(v).mat  # columns are vec([V, E]) in vec order
-        rhs += dagger(k) @ gk @ k
-    return rhs[np.ix_(perm, perm)]
+    (row-major unit labels): the commutators [V_j, E_ab] are stacked as one
+    (N, n, n, n, n) array and contracted with their images under
+    rho^{1/2} (.) rho^{1/2} in one tensordot over (j, x, y)."""
+    comm = _unit_commutators(np.array(family.ops, dtype=complex).reshape(-1, n, n))
+    sqrt_rho = ctx.sqrt_rho
+    form = np.tensordot(np.conj(comm), sqrt_rho @ comm @ sqrt_rho, axes=([0, 3, 4], [0, 3, 4]))
+    return form.reshape(n * n, n * n)
 
 
 def verify_commutator_form(
@@ -514,7 +544,6 @@ def extract_commutators_gns(
     Raises NonIntegralMultiplicity when n^2 does not divide dim H.
     """
     ctx = calc.ctx
-    n = calc.dim
     if calc.dim_h == 0:
         fam = CommutatorFamily(ops=())
         rep = verify_commutator_form(fam, gen, tol=tol)
@@ -526,9 +555,7 @@ def extract_commutators_gns(
     qi = ctx.inv_quarter_rho
     dj = qi @ c.transpose(3, 0, 1, 2, 4) @ qi  # dj[k, p, q] = rho^{-1/4} delta_k(E_pq) rho^{-1/4}
     vs = dj[:, :, 0, :, 0].transpose(0, 2, 1)  # V_k[:, a] = d_k(E_a0)[:, 0]
-    units = np.eye(n * n).reshape(n, n, n, n)  # units[c, d] = E_cd
-    comm = vs[:, None, None] @ units - units @ vs[:, None, None]
-    worst = float(np.linalg.norm(dj - comm, axis=(-2, -1)).max())
+    worst = float(np.linalg.norm(dj - _unit_commutators(vs), axis=(-2, -1)).max())
     vscale = max(1.0, max(opnorm(v) for v in vs))
     if worst > 1e-7 * vscale:
         raise DerivationRecoveryFailure(
@@ -621,9 +648,7 @@ def commutator_calculus(family: CommutatorFamily, gen: MarkovGenerator) -> First
     herm, eigs, cutoff = _hermitian_normal_form(_traceless(ops))
     m = len(herm)
     qr = ctx.quarter_rho
-    units = np.eye(n * n).reshape(n, n, n, n)  # units[p, q] = E_pq
-    vs = herm[:, None, None]
-    blocks = qr @ (vs @ units - units @ vs) @ qr  # blocks[k, p, q] = delta_k(E_pq)
+    blocks = qr @ _unit_commutators(herm) @ qr  # blocks[k, p, q] = delta_k(E_pq)
     delta = blocks.transpose(1, 2, 3, 0, 4).reshape(n, n, n * m * n)
     return _standard_form_calculus(
         ctx,

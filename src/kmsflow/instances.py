@@ -56,6 +56,8 @@ def random_instance(
         kraus_rank = n
     if kraus_rank < 1:
         raise ValueError("kraus_rank must be at least 1")
+    if not (np.isfinite(cond_bound) and cond_bound >= 1.0):
+        raise ValueError(f"cond_bound must be finite and at least 1, got {cond_bound}")
     rng = np.random.default_rng(seed)
     if ctx is None:
         ctx = DensityContext.from_rho(random_density(rng, n, cond_bound), tol=tol)

@@ -17,6 +17,15 @@ against at n <= 3:
   ``render_theta`` renders the library witness W as I (x) W (x) I.
 - ``lstsq_inner_vector`` is the dense least-squares solve of
   ``inner_vector``.
+- ``kron_render`` renders the dense fields of a standard-form calculus with
+  ``np.kron``, the oracle for the scatter of ``_standard_form_calculus``;
+  ``loop_standard_form_defect`` compares them one matrix unit at a time,
+  the oracle for the one-pass ``standard_form_defect``.
+- ``loop_commutator_form_matrix`` sums the commutator form over the family
+  with n^2 x n^2 ``lmul``/``rmul`` superoperators, the oracle for the
+  batched ``commutator_form_matrix``; ``tensor_leibniz_defect`` evaluates
+  the twisted Leibniz rule on the full n^6 m tensor of unit triples, the
+  oracle for the blocked check of ``calculus_invariants_report``.
 - ``dense_gns_calculus`` is the GNS quotient built on the full
   n^4-dimensional tensor square, the oracle for the factored
   ``gns_calculus``; ``einsum_gns_actions`` is the plain-einsum form of its
@@ -41,13 +50,14 @@ from kmsflow.derivation import (
     CommutatorFamily,
     FirstOrderCalculus,
     _quarter_units,
+    _standard_form_data,
     kms_form_of_generator,
 )
 from kmsflow.errors import GramMismatch, GramNotPSD, ReconstructionFailure
 from kmsflow.generator import MarkovGenerator
 from kmsflow.matrix_core import dagger, opnorm
 from kmsflow.reports import Check, Report
-from kmsflow.superop import lmul, rmul, to_algebra, unvec, vec
+from kmsflow.superop import kms_gram, lmul, rmul, to_algebra, unvec, vec
 from kmsflow.vtransform import v_transform
 
 STRUCTURE_CHECKS = (
@@ -667,3 +677,74 @@ def dense_uniqueness_witness(
     rep.checks.append(Check("delta_match_defect", float(d_dev), tol, "le"))
     rep.metrics.update({"dim_h_a": calc_a.dim_h, "dim_h_b": calc_b.dim_h})
     return theta, rep
+
+
+def kron_render(ctx, delta, k_j, meta) -> FirstOrderCalculus:
+    """The calculus of ``_standard_form_calculus`` with its dense fields
+    rendered by Kronecker products: pi_l(E) = E (x) I_{mn},
+    pi_r(E) = I_{nm} (x) E^T and J = (outer swap) (x) K_J."""
+    n = delta.shape[0]
+    m = k_j.shape[0]
+    dim_h = n * n * m
+    units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)  # units[p, q] = E_pq
+    eye = np.eye(n, dtype=complex)
+    return FirstOrderCalculus(
+        dim_h=dim_h,
+        pi_l=np.kron(units, np.eye(m * n)),
+        # np.kron keeps a transposed operand's strides; the copy keeps pi_r C-contiguous
+        pi_r=np.kron(np.eye(n * m), units.transpose(1, 0, 2, 3).copy()),
+        jmat=np.einsum("xw,yz,kl->xkyzlw", eye, eye, k_j).reshape(dim_h, dim_h),
+        delta=delta,
+        ctx=ctx,
+        meta=meta,
+    )
+
+
+def loop_standard_form_defect(calc) -> float:
+    """``standard_form_defect`` one matrix unit (one outer pair of J) at a
+    time, subtracting the rendering from a complex copy of each block."""
+    n = calc.dim
+    m, _, k_j = _standard_form_data(calc)
+    mn = m * n
+    eye = np.eye(mn)
+    pi_l = calc.pi_l.reshape(n, n, n, mn, n, mn)  # [p, q, a, (k, d), a', (l, d')]
+    pi_r = calc.pi_r.reshape(n, n, mn, n, mn, n)  # [p, q, (a, k), d, (a', l), d']
+    jmat = calc.jmat.reshape(n, m, n, n, m, n)  # [a, k, d, a', l, d']
+    worst = 0.0
+    for p in range(n):
+        for q in range(n):
+            left = pi_l[p, q].copy()
+            left[p, :, q] -= eye
+            right = pi_r[p, q].copy()
+            right[:, q, :, p] -= eye  # E_pq^T = E_qp
+            inv = jmat[p, :, q].copy()
+            inv[:, q, :, p] -= k_j
+            worst = max(worst, _maxabs(left), _maxabs(right), _maxabs(inv))
+    return worst
+
+
+def loop_commutator_form_matrix(family, ctx, n: int) -> np.ndarray:
+    """sum_j <[V_j, E_ab], [V_j, E_cd]>_rho summed member by member over the
+    vectorized commutator superoperators lmul(V_j) - rmul(V_j) and the KMS
+    Gram, permuted to row-major unit labels."""
+    perm = np.arange(n * n).reshape(n, n).T.ravel()
+    gk = kms_gram(ctx)
+    rhs = np.zeros((n * n, n * n), dtype=complex)
+    for v in family.ops:
+        k = lmul(v).mat - rmul(v).mat  # columns are vec([V, E]) in vec order
+        rhs += dagger(k) @ gk @ k
+    return rhs[np.ix_(perm, perm)]
+
+
+def tensor_leibniz_defect(calc) -> float:
+    """Largest entrywise deviation of delta_k(E_ab E_cd) from
+    sigma_{-i/4}(E_ab) delta_k(E_cd) + delta_k(E_ab) sigma_{+i/4}(E_cd),
+    over the whole (n, n, n, n, m, n, n) tensor of unit pairs and
+    components at once."""
+    n = calc.dim
+    _, c, _ = _standard_form_data(calc)
+    s_m4, s_p4 = _quarter_units(calc.ctx)
+    dk = c.transpose(0, 1, 3, 2, 4)
+    rhs = s_m4[:, :, None, None, None] @ dk + dk[:, :, None, None] @ s_p4[:, :, None]
+    rhs[:, np.arange(n), np.arange(n)] -= dk[:, None]  # E_ab E_cd = delta_bc E_ad
+    return _maxabs(rhs)

@@ -231,6 +231,19 @@ class TestDerive:
         assert rep["results"]["kraus_form"]["metrics"]["family_size"] == 8
         assert rep["results"]["uniqueness"]["pass"]
 
+    @pytest.mark.parametrize("bound", ["0.5", "-3", "nan", "inf"])
+    def test_invalid_cond_bound_is_usage_error(self, capsys, bound):
+        code, rep = run(capsys, "derive", "--seed", "0", "--n", "2", "--cond-bound", bound)
+        assert code == 2
+        assert rep["error"]["type"] == "usage"
+        assert "cond_bound" in rep["error"]["message"]
+
+    def test_tracial_cond_bound_passes(self, capsys):
+        code, rep = run(capsys, "derive", "--method", "both", "--seed", "0", "--n", "2",
+                        "--cond-bound", "1.0")
+        assert code == 0
+        assert rep["pass"]
+
     def test_single_route(self, capsys):
         code, rep = run(capsys, "derive", "--method", "gns", "--seed", "2", "--n", "2")
         assert code == 0

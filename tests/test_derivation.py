@@ -27,10 +27,14 @@ from kmsflow.superop import choi, from_kraus, kms_adjoint, kraus_from_choi, to_l
 from calculus_oracle import (
     grid_invariants_report,
     kron_commutator_actions,
+    kron_render,
     lift_k_j,
+    loop_commutator_form_matrix,
+    loop_standard_form_defect,
     loop_witness_defects,
     render_theta,
     spanning_family,
+    tensor_leibniz_defect,
     trimmed_commutator_calculus,
 )
 from conftest import cached_generator, cached_gns, rng_matrix
@@ -265,6 +269,115 @@ class TestInvariantsNegativeControls:
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
         assert derivation.standard_form_defect(cached_gns(n, seed)) == 0.0
         assert derivation.standard_form_defect(calc_k) == 0.0
+
+
+def _kraus_calculus(n, seed):
+    gen, psi = cached_generator(n, seed)
+    return kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
+
+
+def _last(name):
+    return lambda c: _perturbed(c, name, eps=0.25 - 0.5j, at=getattr(c, name).size - 1)
+
+
+class TestStandardFormAgainstOracles:
+    """The scatter rendering and the one-pass check against the Kronecker
+    rendering and the per-unit loop they replaced."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_render_is_bitwise_kron(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        ctx = cached_generator(n, 0)[0].ctx
+        k_j = rng_matrix(rng, m) if m else np.zeros((0, 0), dtype=complex)
+        delta = rng.standard_normal((n, n, n * n * m)) + 0j
+        calc = derivation._standard_form_calculus(ctx, delta, k_j, {})
+        ref = kron_render(ctx, delta, k_j, {})
+        assert calc.dim_h == ref.dim_h == n * n * m
+        for name in ("pi_l", "pi_r", "jmat"):
+            got, want = getattr(calc, name), getattr(ref, name)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous and want.flags.c_contiguous
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "breaker",
+        [
+            lambda c: c,
+            # flat index 0 is a pattern entry of each field (for jmat K_J[0, 0]),
+            # flat index 1 is off the pattern, jmat[0, n] is K_J[0, 1]
+            lambda c: _perturbed(c, "pi_l", at=0),
+            lambda c: _perturbed(c, "pi_l", at=1),
+            _last("pi_l"),
+            lambda c: _perturbed(c, "pi_r", at=0),
+            lambda c: _perturbed(c, "pi_r", at=1),
+            _last("pi_r"),
+            lambda c: _perturbed(c, "jmat", at=0),
+            lambda c: _perturbed(c, "jmat", at=1),
+            lambda c: _perturbed(c, "jmat", at=c.dim),
+            _last("jmat"),
+            lambda c: dataclasses.replace(c, jmat=-c.jmat),
+        ],
+        ids=[
+            "native", "pi_l_pattern", "pi_l_off", "pi_l_last", "pi_r_pattern", "pi_r_off",
+            "pi_r_last", "j_pattern", "j_off", "j_kj_entry", "j_last", "j_sign",
+        ],
+    )
+    @pytest.mark.parametrize("route", ["gns", "kraus"])
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2)])
+    def test_defect_equals_loop_exactly(self, n, seed, route, breaker):
+        calc = cached_gns(n, seed) if route == "gns" else _kraus_calculus(n, seed)
+        broken = breaker(calc)
+        assert derivation.standard_form_defect(broken) == loop_standard_form_defect(broken)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_empty_multiplicity(self, n):
+        ctx = cached_generator(n, 0)[0].ctx
+        calc = derivation._standard_form_calculus(
+            ctx, np.zeros((n, n, 0), dtype=complex), np.zeros((0, 0), dtype=complex), {}
+        )
+        assert derivation.standard_form_defect(calc) == loop_standard_form_defect(calc) == 0.0
+
+
+class TestBatchedChecksAgainstOracles:
+    """The one-contraction commutator form and the blocked twisted-Leibniz
+    check against the member-by-member sum and the full unit-triple tensor."""
+
+    @pytest.mark.parametrize("route", ["gns", "kraus", "empty"])
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2), (5, 3)])
+    def test_commutator_form_matches_loop(self, n, seed, route):
+        gen, psi = cached_generator(n, seed)
+        if route == "gns":
+            fam = kf.extract_commutators_gns(cached_gns(n, seed), gen)
+        elif route == "kraus":
+            fam = kf.extract_commutators_kraus(gen, psi)
+        else:
+            fam = CommutatorFamily(ops=())
+        got = commutator_form_matrix(fam, gen.ctx, n)
+        want = loop_commutator_form_matrix(fam, gen.ctx, n)
+        assert got.shape == want.shape == (n * n, n * n)
+        scale = max(1.0, np.abs(want).max(initial=0.0))
+        assert np.abs(got - want).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("route", ["gns", "kraus"])
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2)])
+    def test_leibniz_matches_tensor(self, n, seed, route):
+        gen, _ = cached_generator(n, seed)
+        calc = cached_gns(n, seed) if route == "gns" else _kraus_calculus(n, seed)
+        rep = kf.calculus_invariants_report(calc, gen, tol=1e-9)
+        got = rep.check("twisted_leibniz_defect").value
+        assert abs(got - tensor_leibniz_defect(calc)) <= 1e-15
+        assert rep.check("twisted_leibniz_defect").passed()
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2)])
+    def test_perturbed_delta_fails_both_alike(self, n, seed):
+        gen, _ = cached_generator(n, seed)
+        broken = _perturbed(cached_gns(n, seed), "delta", eps=1e-4, at=n + 1)
+        rep = kf.calculus_invariants_report(broken, gen, tol=1e-9)
+        check = rep.check("twisted_leibniz_defect")
+        assert not check.passed()
+        assert check.value > check.bound
+        assert abs(check.value - tensor_leibniz_defect(broken)) <= 1e-15 * max(1.0, check.value)
 
 
 class TestExtractGns:
