@@ -6,6 +6,15 @@ produced.  Exit codes: 0 all certifications passed, 1 certification failure,
 2 schema or parse error, 3 infeasible recovery (no admissible CP map: -L is
 not CCN).
 
+--tol, when given, must be finite and > 0, and is accepted only by the
+commands that read it: check, gen-from-cp, recover-cp, simulate and
+dirichlet-check, and derive and uniqueness with --gen.  Anything else is a
+usage error (exit 2).
+
+The argument parser is built once per process and reused by every later
+:func:`main` call, which saves its set-up for in-process callers that run
+several commands; parsing leaves it unchanged.
+
 KMSFLOW_THREADS, when set, is exported to the BLAS thread-count variables
 before the numerical stack loads.
 """
@@ -13,6 +22,8 @@ before the numerical stack loads.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import sys
 import time
@@ -29,6 +40,7 @@ if os.environ.get("KMSFLOW_THREADS"):
         os.environ.setdefault(var, os.environ["KMSFLOW_THREADS"])
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kmsflow",
@@ -109,6 +121,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# derive and uniqueness read --tol only to certify a --gen file
+_TOL_NEEDS_GEN = ("derive", "uniqueness")
+_TOL_UNREAD = ("vtransform", "random", "verify")
+
+
+def _check_tol(args) -> None:
+    """Reject a --tol that is not finite and > 0, or that nothing reads."""
+    tol = args.tol
+    if tol is None:
+        return
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"--tol must be finite and > 0, got {tol!r}")
+    if args.command in _TOL_UNREAD:
+        raise ValueError(f"{args.command} reads no --tol")
+    if args.command in _TOL_NEEDS_GEN and not args.gen:
+        raise ValueError(f"{args.command} reads --tol only with --gen")
+
+
 def _load_context(args, serialize):
     """Density context from --rho when given, else None (seeded draw)."""
     if getattr(args, "rho", None):
@@ -150,7 +180,7 @@ def _report_skeleton(args) -> dict:
         "results": {},
         "timings_s": {},
     }
-    for key in ("seed", "n", "tol"):
+    for key in ("seed", "n"):
         if getattr(args, key, None) is not None:
             rep[key] = getattr(args, key)
     return rep
@@ -225,6 +255,9 @@ def _dispatch(args, report: dict, serialize) -> int:
 
     from . import derivation, generator as generator_mod, instances, superop, vtransform
 
+    _check_tol(args)
+    if args.tol is not None:  # echoed only once accepted: a report is strict JSON
+        report["tol"] = args.tol
     results = report["results"]
     timings = report["timings_s"]
 
@@ -238,18 +271,19 @@ def _dispatch(args, report: dict, serialize) -> int:
 
     if args.command == "check":
         s = serialize.superop_from_json(serialize.load_json(args.superop), args.superop)
+        map_tol = 1e-9 if tol is None else tol
         if args.generator:  # a nonzero generator is never CP
-            unital = generator_mod.unital_kernel_report(s, tol or 1e-9)
+            unital = generator_mod.unital_kernel_report(s, map_tol)
             results["unital_kernel"] = unital.to_json_dict()
         else:
-            results["cp"] = superop.is_cp(s, tol=tol or 1e-9).to_json_dict()
+            results["cp"] = superop.is_cp(s, tol=map_tol).to_json_dict()
         if getattr(args, "rho", None):
             ctx = serialize.density_from_json(serialize.load_json(args.rho), args.rho)
             results["kms_symmetric"] = superop.is_kms_symmetric(
-                s, ctx, tol=tol or ctx.tol
+                s, ctx, tol=ctx.tol if tol is None else tol
             ).to_json_dict()
         if args.generator:
-            results["ccn"] = superop.is_ccn(s, tol=tol or 1e-9).to_json_dict()
+            results["ccn"] = superop.is_ccn(s, tol=map_tol).to_json_dict()
         return EXIT_PASS
 
     if args.command == "vtransform":
@@ -285,7 +319,7 @@ def _dispatch(args, report: dict, serialize) -> int:
         gen, _ = _seeded_generator(args, serialize)
         psi, rep = timed(
             "recover",
-            lambda: generator_mod.recover_cp_from_generator(gen, tol=tol or 1e-8),
+            lambda: generator_mod.recover_cp_from_generator(gen, tol=1e-8 if tol is None else tol),
         )
         results["recover_cp"] = rep.to_json_dict()
         results["psi"] = serialize.superop_to_json(psi)
@@ -349,7 +383,7 @@ def _dispatch(args, report: dict, serialize) -> int:
         gen, _ = _seeded_generator(args, serialize)
         for t in (0.1, 1.0, 10.0):
             rep = superop.is_markov_l2(generator_mod.evolve(gen, t), gen.ctx,
-                                       tol=tol or 1e-8)
+                                       tol=1e-8 if tol is None else tol)
             results[f"markov_t={t:g}"] = rep.to_json_dict()
         residuals = {}
         for steps in args.steps:
@@ -359,8 +393,9 @@ def _dispatch(args, report: dict, serialize) -> int:
 
     if args.command == "dirichlet-check":
         gen, _ = _seeded_generator(args, serialize)
+        tol = 1e-8 if tol is None else tol
         results["contraction"] = generator_mod.dirichlet_contraction_check(
-            gen, trials=args.trials, tol=tol or 1e-8, seed=args.seed
+            gen, trials=args.trials, tol=tol, seed=args.seed
         ).to_json_dict()
         rng = np.random.default_rng(args.seed + 13)
         n = gen.dim
@@ -368,7 +403,7 @@ def _dispatch(args, report: dict, serialize) -> int:
         for _ in range(args.trials):
             a = instances.ginibre(rng, n)
             b = instances.ginibre(rng, n)
-            rep = generator_mod.energy_product_inequality(gen, a, b, tol=tol or 1e-8)
+            rep = generator_mod.energy_product_inequality(gen, a, b, tol=tol)
             if worst is None or rep.check("excess").value > worst.check("excess").value:
                 worst = rep
         results["energy_product_worst"] = worst.to_json_dict()

@@ -37,6 +37,7 @@ from .matrix_core import (
     as_matrix,
     dagger,
     hsnorm,
+    kron,
     opnorm,
 )
 from .reports import Check, Report
@@ -139,14 +140,14 @@ def lmul(a, level: str = ALGEBRA) -> Superoperator:
     """Left multiplication X -> A X."""
     a = as_matrix(a)
     n = a.shape[0]
-    return Superoperator(np.kron(np.eye(n), a), n, level)
+    return Superoperator(kron(np.eye(n), a), n, level)
 
 
 def rmul(b, level: str = ALGEBRA) -> Superoperator:
     """Right multiplication X -> X B."""
     b = as_matrix(b)
     n = b.shape[0]
-    return Superoperator(np.kron(b.T, np.eye(n)), n, level)
+    return Superoperator(kron(b.T, np.eye(n)), n, level)
 
 
 def from_kraus(ops, level: str = ALGEBRA) -> Superoperator:
@@ -159,7 +160,7 @@ def from_kraus(ops, level: str = ALGEBRA) -> Superoperator:
     for v in ops:
         if v.shape[0] != n:
             raise DimensionMismatch("Kraus operators must share one dimension")
-        mat += np.kron(v.T, dagger(v))
+        mat += kron(v.T, dagger(v))
     return Superoperator(mat, n, level)
 
 
@@ -213,7 +214,7 @@ def kraus_from_choi(c: np.ndarray, rank_tol: float = 1e-10) -> list[np.ndarray]:
 
 def sandwich(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix of the map X -> a S(b X b) a, for S stored as ``s``."""
-    return np.kron(a.T, a) @ s @ np.kron(b.T, b)
+    return kron(a.T, a) @ s @ kron(b.T, b)
 
 
 def to_l2(s: Superoperator, ctx: DensityContext) -> Superoperator:
@@ -235,7 +236,7 @@ def kms_gram(ctx: DensityContext) -> np.ndarray:
     """Gram matrix G of the KMS inner product over vectorized coordinates:
     <A, B>_rho = vec(A)* G vec(B),  G = (rho^{1/2})^T otimes rho^{1/2}."""
     s = ctx.sqrt_rho
-    return np.kron(s.T, s)
+    return kron(s.T, s)
 
 
 def kms_adjoint(s: Superoperator, ctx: DensityContext) -> Superoperator:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientRange
-from .matrix_core import DensityContext, dagger, eigenbasis_multiply, opnorm
+from .matrix_core import DensityContext, dagger, eigenbasis_multiply, kron, opnorm
 from .reports import Check, Report
 from .superop import (
     L2,
@@ -53,7 +53,7 @@ def delta_superop(ctx: DensityContext, power: float = 1.0, level: str = L2) -> S
     """Delta^power as a superoperator: a -> rho^power a rho^{-power}."""
     rp = ctx.power(power)
     rm = ctx.power(-power)
-    return Superoperator(np.kron(rm.T, rp), ctx.dim, level)
+    return Superoperator(kron(rm.T, rp), ctx.dim, level)
 
 
 def _w_multiplier(ctx: DensityContext) -> np.ndarray:
@@ -193,7 +193,7 @@ def v_transform_cptp_certificate(ctx: DensityContext, tol: float = 1e-9) -> Repo
     rep.checks.append(Check("trace_defect", trace_defect, tol, "le"))
 
     if n <= 3:
-        q = np.kron(b.conj(), b)
+        q = kron(b.conj(), b)
         m_v = q @ (np.diag(vec(v))) @ dagger(q)
         as_super = Superoperator(m_v, n2, L2)
         c = choi(as_super)

@@ -5,7 +5,7 @@ import pytest
 
 import kmsflow as kf
 from kmsflow import derivation
-from kmsflow.cli import main
+from kmsflow.cli import _build_parser, main
 from kmsflow.serialize import dump_json, superop_to_json
 
 
@@ -13,6 +13,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def write_transpose_map(tmp_path, n=2):
+    mat = np.zeros((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            mat[i * n + j, j * n + i] = 1.0
+    f = tmp_path / "transpose.json"
+    dump_json(superop_to_json(kf.Superoperator(mat, n)), str(f))
+    return f
 
 
 def write_instance(tmp_path, capsys, seed=0, n=2):
@@ -67,13 +77,7 @@ class TestRandom:
 
 class TestCheck:
     def test_transpose_map_fails(self, capsys, tmp_path):
-        n = 2
-        mat = np.zeros((4, 4))
-        for i in range(n):
-            for j in range(n):
-                mat[i * n + j, j * n + i] = 1.0
-        f = tmp_path / "transpose.json"
-        dump_json(superop_to_json(kf.Superoperator(mat, 2)), str(f))
+        f = write_transpose_map(tmp_path)
         code, rep = run(capsys, "check", "--superop", str(f))
         assert code == 1
         assert rep["results"]["cp"]["pass"] is False
@@ -321,6 +325,93 @@ class TestUniqueness:
         assert set(rep["timings_s"]) == {
             "gns_calculus", "kraus_route", "commutator_calculus", "witness", "total",
         }
+
+
+class TestTol:
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1", "0"])
+    def test_invalid_tol_is_usage_error(self, capsys, tmp_path, tol):
+        # at inf the transpose map would pass cp against a bound of -inf
+        f = write_transpose_map(tmp_path)
+        code, rep = run(capsys, "check", "--superop", str(f), f"--tol={tol}")
+        assert code == 2
+        assert rep["error"]["type"] == "usage"
+        assert "--tol" in rep["error"]["message"]
+        assert rep["results"] == {} and "tol" not in rep
+
+    def test_given_tol_is_read(self, capsys, tmp_path):
+        rho, psi = write_instance(tmp_path, capsys, seed=3)
+        code, rep = run(capsys, "check", "--superop", str(psi), "--rho", str(rho),
+                        "--tol", "1e-6")
+        assert code == 0
+        assert rep["tol"] == 1e-6
+        assert rep["results"]["cp"]["tol"] == 1e-6
+        assert rep["results"]["kms_symmetric"]["tol"] == 1e-6
+
+    @pytest.mark.parametrize("argv", [
+        ["derive", "--n", "2"],
+        ["uniqueness", "--n", "2"],
+        ["random", "--n", "2"],
+    ])
+    def test_unread_tol_is_usage_error(self, capsys, argv):
+        code, rep = run(capsys, *argv, "--tol", "123")
+        assert code == 2
+        assert rep["error"]["type"] == "usage"
+        assert "--tol" in rep["error"]["message"]
+
+    def test_unread_tol_on_file_commands(self, capsys, tmp_path):
+        rho, psi = write_instance(tmp_path, capsys, seed=3)
+        code, rep = run(capsys, "vtransform", "--superop", str(psi), "--rho", str(rho),
+                        "--tol", "1e-8")
+        assert (code, rep["error"]["type"]) == (2, "usage")
+        code, rep = run(capsys, "verify", "--report", str(psi), "--tol", "1e-8")
+        assert (code, rep["error"]["type"]) == (2, "usage")
+
+    def test_derive_with_gen_reads_tol(self, capsys, tmp_path):
+        rho, psi = write_instance(tmp_path, capsys, seed=1)
+        code, rep = run(capsys, "gen-from-cp", "--psi", str(psi), "--rho", str(rho))
+        assert code == 0
+        gen = tmp_path / "gen.json"
+        gen.write_text(json.dumps(rep["results"]["generator"]))
+        code, rep = run(capsys, "derive", "--method", "both", "--gen", str(gen),
+                        "--rho", str(rho), "--tol", "1e-8")
+        assert code == 0
+        assert rep["tol"] == 1e-8 and rep["pass"]
+
+
+class TestParserCache:
+    """main reuses one parser per process; no call may leak into the next."""
+
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_list_default_survives_override(self, capsys):
+        code, rep = run(capsys, "simulate", "--n", "2", "--steps", "4")
+        assert code == 0
+        assert set(rep["results"]["chernoff_residuals"]) == {"4"}
+        code, rep = run(capsys, "simulate", "--n", "2")
+        assert code == 0
+        assert set(rep["results"]["chernoff_residuals"]) == {"8", "64"}
+
+    def test_rejected_argv_leaves_parser_intact(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["derive", "--method", "nope"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, rep = run(capsys, "derive", "--method", "gns", "--n", "2")
+        assert code == 0
+        assert rep["results"]["gns_form"]["pass"]
+
+    def test_report_independent_of_earlier_calls(self, capsys):
+        def report(*argv):
+            code, rep = run(capsys, *argv)
+            assert code == 0
+            del rep["timings_s"]
+            return rep
+
+        _build_parser.cache_clear()
+        first = report("derive", "--n", "2")
+        report("derive", "--n", "3", "--method", "gns")
+        assert report("derive", "--n", "2") == first
 
 
 class TestVerify:

@@ -1,14 +1,48 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import kmsflow as kf
 from kmsflow.errors import DimensionMismatch, NotHermitian
-from kmsflow.matrix_core import dagger, eig_hermitian, hermitian_basis, opnorm
+from kmsflow.matrix_core import dagger, eig_hermitian, hermitian_basis, kron, opnorm
 
 from conftest import rng_matrix
 
 SQRT3 = np.sqrt(3.0)
+
+
+class TestKron:
+    """kron is bitwise np.kron for every operand kind its call sites use."""
+
+    @staticmethod
+    def assert_bitwise(a, b):
+        got, want = kron(a, b), np.kron(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros too
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_operand_kinds(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng_matrix(rng, n), rng_matrix(rng, n)
+        self.assert_bitwise(np.eye(n), a)  # lmul
+        self.assert_bitwise(b.T, np.eye(n))  # rmul
+        self.assert_bitwise(a.T, b)  # sandwich, kms_gram, delta_superop
+        self.assert_bitwise(a.T, dagger(b))  # from_kraus
+        self.assert_bitwise(a.conj(), b)  # superop_basis
+
+    def test_choi_basis(self):
+        # the 9 x 9 (x) 9 x 9 basis q of the V certificate at n = 3
+        u = np.linalg.qr(rng_matrix(np.random.default_rng(9), 9))[0]
+        self.assert_bitwise(u.conj(), u)
+
+    def test_no_numpy_kron_in_sources(self):
+        src = Path(kf.__file__).resolve().parent
+        users = [p.name for p in sorted(src.rglob("*.py")) if "np.kron(" in p.read_text()]
+        assert users == []
 
 
 class TestEigHermitian:
