@@ -31,14 +31,13 @@ an admissible completely positive Psi (Pv its V-transform).  Both routes are
 implemented, each returning a Hermitian family, and ``commutator_calculus``
 builds the calculus of a family in the coordinates C^n (x) C^m (x) C^n.
 
-The routes differ only in the multiplicity space C^m, and every consumer
-reads a calculus through its data there: the delta coefficients
+The routes differ only in the multiplicity space C^m, and a calculus is its
+data there: ``FirstOrderCalculus`` is built from the delta coefficients
 C[p, q, a, k, d] = delta(E_pq)[a, k, d] and the m x m block K_J of the
-involution.  The uniqueness witness is the m_b x m_a matrix W of the
-isometry I (x) W (x) I.  The dense actions and involution are rendered from
-these data by scatter and checked against that rendering
-(``standard_form_defect``): once by the invariants report, and once more
-for each calculus by the uniqueness witness.
+involution, and every consumer reads those.  The uniqueness witness is the
+m_b x m_a matrix W of the isometry I (x) W (x) I.  The dense actions and
+involution are rendered once, by the constructor, and nothing here reads
+them, so no check compares a calculus with its own rendering.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ import scipy.linalg
 from .errors import (
     CertificationFailed,
     DerivationRecoveryFailure,
+    DimensionMismatch,
     GramMismatch,
     GramNotPSD,
     InconsistentPsi,
@@ -70,6 +70,7 @@ from .matrix_core import (
     descend,
     hermitian_basis,
     hilbert_algebra_product,
+    kron,
     opnorm,
     right_bounded_rep,
 )
@@ -92,37 +93,90 @@ COMMUTATOR_FORM_TOL = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class FirstOrderCalculus:
-    """Coordinates of a first-order differential calculus on
-    H = C^n (x) C^m (x) C^n, indexed (a m + k) n + d.
+    """A first-order differential calculus on H = C^n (x) C^m (x) C^n,
+    indexed (a m + k) n + d, given by its standard-form data.
 
-    ``pi_l[a, b]`` / ``pi_r[a, b]`` are the (dim_h x dim_h) matrices of the
-    two actions on the computational matrix unit E_ab, ``delta[a, b]`` is the
-    vector delta(E_ab) in H, and the antilinear involution acts as
-    ``xi -> jmat @ conj(xi)``.  ``meta`` carries construction diagnostics
-    (Gram spectrum, null cutoff, dimensions).
+    ``delta[a, b]`` is the vector delta(E_ab) in H, of shape (n, n, n m n),
+    and ``k_j`` the m x m block K_J of the antilinear involution: in these
+    coordinates pi_l(E) = E (x) I (x) I, pi_r(E) = I (x) I (x) E^T, and J is
+    the swap of a and d tensored with K_J, composed with conjugation.
+    ``meta`` carries construction diagnostics (Gram spectrum, null cutoff,
+    dimensions).
 
-    The calculus is determined by its standard-form data, delta and the
-    m x m block K_J of ``jmat``; the dense ``pi_l``, ``pi_r`` and ``jmat``
-    are their rendering, which ``standard_form_defect`` measures.
+    The constructor stores read-only copies of delta and K_J, derives
+    ``dim_h`` and ``m``, and renders the dense (n, n, dim_h, dim_h) ``pi_l``
+    and ``pi_r`` and the (dim_h, dim_h) ``jmat`` (J acts as
+    xi -> jmat @ conj(xi)), read-only as well.  They are not constructor
+    arguments, so ``dataclasses.replace`` cannot set them and they are the
+    rendering of delta and K_J by construction.  The library never reads
+    them; ``pi_l_of`` and ``pi_r_of`` act structurally.
+
+    Raises DimensionMismatch when delta is not (n, n, .) with n = ctx.dim
+    or K_J is not m x m, and NonIntegralMultiplicity when n^2 does not
+    divide delta's last axis.
     """
 
-    dim_h: int
-    pi_l: np.ndarray  # (n, n, dim_h, dim_h)
-    pi_r: np.ndarray  # (n, n, dim_h, dim_h)
-    jmat: np.ndarray  # (dim_h, dim_h)
-    delta: np.ndarray  # (n, n, dim_h)
     ctx: DensityContext
+    delta: np.ndarray  # (n, n, dim_h)
+    k_j: np.ndarray  # (m, m)
     meta: dict = field(default_factory=dict)
+    dim_h: int = field(init=False)
+    m: int = field(init=False)
+    pi_l: np.ndarray = field(init=False, repr=False)  # (n, n, dim_h, dim_h)
+    pi_r: np.ndarray = field(init=False, repr=False)  # (n, n, dim_h, dim_h)
+    jmat: np.ndarray = field(init=False, repr=False)  # (dim_h, dim_h)
+
+    def __post_init__(self):
+        n = self.ctx.dim
+        delta = np.array(self.delta, dtype=complex, order="C")
+        k_j = np.array(self.k_j, dtype=complex, order="C")
+        if delta.ndim != 3 or delta.shape[:2] != (n, n):
+            raise DimensionMismatch(f"delta has shape {delta.shape}, expected ({n}, {n}, dim H)")
+        dim_h = delta.shape[2]
+        if dim_h % (n * n):
+            raise NonIntegralMultiplicity(f"dim H = {dim_h} is not a multiple of n^2 = {n * n}")
+        m = dim_h // (n * n)
+        if k_j.shape != (m, m):
+            raise DimensionMismatch(f"K_J has shape {k_j.shape}, expected ({m}, {m})")
+        # pi_l(E_pq) = E_pq (x) I on (a, (k, d)), pi_r(E_pq) = I (x) E_qp on
+        # ((a, k), d), and J sends the outer pair (a, d) to (d, a): zero
+        # arrays with the pattern entries scattered in
+        mn = m * n
+        p = np.arange(n)[:, None, None]
+        q = np.arange(n)[None, :, None]
+        r = np.arange(mn)
+        pi_l = np.zeros((n, n, n, mn, n, mn), dtype=complex)
+        pi_l[p, q, p, r, q, r] = 1.0
+        pi_r = np.zeros((n, n, mn, n, mn, n), dtype=complex)
+        pi_r[p, q, r, q, r, p] = 1.0
+        a = np.arange(n)[:, None]
+        d = np.arange(n)
+        jmat = np.zeros((n, m, n, n, m, n), dtype=complex)
+        jmat[a, :, d, d, :, a] = k_j
+        fields = {
+            "delta": delta,
+            "k_j": k_j,
+            "pi_l": pi_l.reshape(n, n, dim_h, dim_h),
+            "pi_r": pi_r.reshape(n, n, dim_h, dim_h),
+            "jmat": jmat.reshape(dim_h, dim_h),
+        }
+        for name, arr in fields.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "dim_h", dim_h)
+        object.__setattr__(self, "m", m)
 
     @property
     def dim(self) -> int:
         return self.delta.shape[0]
 
     def pi_l_of(self, x) -> np.ndarray:
-        return np.tensordot(as_matrix(x, self.dim), self.pi_l, axes=2)
+        """pi_l(x) = x (x) I_{mn}."""
+        return kron(as_matrix(x, self.dim), np.eye(self.m * self.dim))
 
     def pi_r_of(self, x) -> np.ndarray:
-        return np.tensordot(as_matrix(x, self.dim), self.pi_r, axes=2)
+        """pi_r(x) = I_{nm} (x) x^T."""
+        return kron(np.eye(self.dim * self.m), as_matrix(x, self.dim).T)
 
     def delta_of(self, a) -> np.ndarray:
         return np.tensordot(as_matrix(a, self.dim), self.delta, axes=2)
@@ -170,96 +224,8 @@ def _unit_perm(n: int) -> np.ndarray:
     return np.arange(n * n).reshape(n, n).T.ravel()
 
 
-def _standard_form_calculus(
-    ctx: DensityContext, delta: np.ndarray, k_j: np.ndarray, meta: dict
-) -> FirstOrderCalculus:
-    """The calculus on H = C^n (x) C^m (x) C^n with the given delta, of shape
-    (n, n, n m n), and multiplicity block K_J (m x m).  In the coordinates
-    (a, k, d), indexed (a m + k) n + d, pi_l(E) = E (x) I (x) I,
-    pi_r(E) = I (x) I (x) E^T, and J is the swap of a and d tensored with
-    K_J, composed with conjugation.  The dense fields are zero arrays with
-    their pattern entries scattered in, one indexed assignment each."""
-    n = delta.shape[0]
-    m = k_j.shape[0]
-    mn = m * n
-    dim_h = n * mn
-    p = np.arange(n)[:, None, None]
-    q = np.arange(n)[None, :, None]
-    r = np.arange(mn)
-    pi_l = np.zeros((n, n, n, mn, n, mn), dtype=complex)
-    pi_l[p, q, p, r, q, r] = 1.0  # E_pq (x) I on (a, (k, d))
-    pi_r = np.zeros((n, n, mn, n, mn, n), dtype=complex)
-    pi_r[p, q, r, q, r, p] = 1.0  # I (x) E_qp on ((a, k), d)
-    a = np.arange(n)[:, None]
-    d = np.arange(n)
-    jmat = np.zeros((n, m, n, n, m, n), dtype=complex)
-    jmat[a, :, d, d, :, a] = k_j  # the outer pair (a, d) goes to (d, a)
-    return FirstOrderCalculus(
-        dim_h=dim_h,
-        pi_l=pi_l.reshape(n, n, dim_h, dim_h),
-        pi_r=pi_r.reshape(n, n, dim_h, dim_h),
-        jmat=jmat.reshape(dim_h, dim_h),
-        delta=delta,
-        ctx=ctx,
-        meta=meta,
-    )
-
-
 def _maxabs(x) -> float:
     return float(np.abs(x).max(initial=0.0))
-
-
-def _standard_form_data(calc: FirstOrderCalculus):
-    """(m, C, K_J) of a calculus on C^n (x) C^m (x) C^n: the multiplicity
-    m = dim H / n^2, the delta coefficients C[p, q, a, k, d] = delta(E_pq)[a, k, d]
-    and the block K_J[k, l] = jmat[(0, k, 0), (0, l, 0)].
-
-    Raises NonIntegralMultiplicity when n^2 does not divide dim H.
-    """
-    n = calc.dim
-    if calc.dim_h % (n * n):
-        raise NonIntegralMultiplicity(
-            f"dim H = {calc.dim_h} is not a multiple of n^2 = {n * n}"
-        )
-    m = calc.dim_h // (n * n)
-    c = calc.delta.reshape(n, n, n, m, n)
-    k_j = calc.jmat.reshape(n, m, n, n, m, n)[0, :, 0, 0, :, 0]
-    return m, c, k_j
-
-
-def standard_form_defect(calc: FirstOrderCalculus) -> float:
-    """Largest entrywise deviation of ``pi_l``, ``pi_r`` and ``jmat`` from the
-    rendering of ``_standard_form_calculus``: pi_l(E) = E (x) I (x) I,
-    pi_r(E) = I (x) I (x) E^T and J = (outer swap) (x) K_J, with K_J read by
-    ``_standard_form_data``.  One pass per left unit index p: the moduli of
-    pi_l(E_p.), pi_r(E_p.) and the rows of J with outer index a = p, with
-    the pattern entries overwritten by their distance to the rendering, so
-    no complex copy of a field is made.  Exactly 0 for a calculus built by
-    ``_standard_form_calculus``.
-    """
-    n = calc.dim
-    m, _, k_j = _standard_form_data(calc)
-    mn = m * n
-    pi_l = calc.pi_l.reshape(n, n, n, mn, n, mn)  # [p, q, a, (k, d), a', (l, d')]
-    pi_r = calc.pi_r.reshape(n, n, mn, n, mn, n)  # [p, q, (a, k), d, (a', l), d']
-    jmat = calc.jmat.reshape(n, m, n, n, m, n)  # [a, k, d, a', l, d']
-    d = np.arange(n)
-    q = d[:, None]
-    r = np.arange(mn)
-    moduli = np.empty(pi_l.shape[1:])  # one buffer for both actions at every p
-    worst = 0.0
-    for p in range(n):
-        left = np.abs(pi_l[p], out=moduli)
-        left[q, p, r, q, r] = np.abs(pi_l[p, q, p, r, q, r] - 1.0)
-        worst = max(worst, left.max(initial=0.0))
-        right = np.abs(pi_r[p], out=moduli.reshape(pi_r.shape[1:]))
-        right[q, r, q, r, p] = np.abs(pi_r[p, q, r, q, r, p] - 1.0)  # E_pq^T = E_qp
-        worst = max(worst, right.max(initial=0.0))
-        # the rows of J with outer pair (a, d) = (p, d) hit (a', d') = (d, p)
-        inv = np.abs(jmat[p])
-        inv[:, d, d, :, p] = np.abs(jmat[p, :, d, d, :, p] - k_j)
-        worst = max(worst, inv.max(initial=0.0))
-    return float(worst)
 
 
 def _traceless(ops: np.ndarray) -> np.ndarray:
@@ -395,7 +361,7 @@ def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
 
     pw_swapped = pw.reshape(n, n, m).transpose(1, 0, 2).reshape(n2, m)
     k_j = -dagger(pw) @ np.conj(pw_swapped)
-    calc = _standard_form_calculus(
+    calc = FirstOrderCalculus(
         ctx,
         delta,
         k_j,
@@ -428,13 +394,11 @@ def calculus_invariants_report(
     """Certify the defining properties of a first-order calculus from its
     standard-form data (m, C, K_J).
 
-    ``multiplicity_defect`` is dim H mod n^2; when it is nonzero there are no
-    standard-form data and the report fails with that check alone.
-    ``standard_form_defect`` certifies that the dense actions and involution
-    are the rendering pi_l(E) = E (x) I (x) I, pi_r(E) = I (x) I (x) E^T,
-    J = (outer swap) (x) K_J, which makes pi_l a unital *-homomorphism, pi_r
-    a unital *-antihomomorphism, the actions commute and J exchanges them.
-    The rest is certified on the data: J antiunitary and involutive
+    The actions pi_l(E) = E (x) I (x) I and pi_r(E) = I (x) I (x) E^T and
+    J = (outer swap) (x) K_J are standard by the type, which makes pi_l a
+    unital *-homomorphism, pi_r a unital *-antihomomorphism, the actions
+    commute and J exchanges them.  The rest is certified on the data: J
+    antiunitary and involutive
     (jmat* jmat = I (x) K_J* K_J and jmat conj(jmat) = I (x) K_J conj(K_J),
     so the m x m defects equal the dim H ones), delta(A*) = J delta(A), the
     twisted Leibniz rule component by component, cyclicity of the
@@ -448,14 +412,12 @@ def calculus_invariants_report(
     """
     n = calc.dim
     d = calc.dim_h
+    m = calc.m
     n2 = n * n
+    c = calc.delta.reshape(n, n, n, m, n)
+    k_j = calc.k_j
     rep = Report(name="calculus_invariants", tol=tol)
     scale = max(1.0, gen.L.norm)
-    rep.checks.append(Check("multiplicity_defect", float(d % n2), 0.0, "le"))
-    if d % n2:
-        return rep
-    m, c, k_j = _standard_form_data(calc)
-    rep.checks.append(Check("standard_form_defect", standard_form_defect(calc), tol * scale, "le"))
 
     eye_m = np.eye(m)
     j_unitary = _maxabs(dagger(k_j) @ k_j - eye_m)
@@ -535,15 +497,15 @@ def extract_commutators_gns(
     """Read the commutator family off the GNS calculus.
 
     Component k of the derivation is the (a, d) slice of the delta
-    coefficients, delta_k(E) = C[., ., :, k, :] (``_standard_form_data``).
+    coefficients, delta_k(E) = C[., ., :, k, :].
     It is untwisted with rho^{-1/4}, and V_k is recovered by
     V_k[:, a] = d_k(E_a0)[:, 0], which checks that each d_k is a commutator.
     The V_k are shifted to trace 0, which fixes the additive-identity gauge,
     and brought to the Hermitian normal form: the family is m = dim H / n^2
     Hermitian operators, independent modulo I.
-    Raises NonIntegralMultiplicity when n^2 does not divide dim H.
     """
     ctx = calc.ctx
+    n = calc.dim
     if calc.dim_h == 0:
         fam = CommutatorFamily(ops=())
         rep = verify_commutator_form(fam, gen, tol=tol)
@@ -551,7 +513,7 @@ def extract_commutators_gns(
             raise CertificationFailed("empty family fails nonzero form", rep)
         return fam
 
-    _, c, _ = _standard_form_data(calc)
+    c = calc.delta.reshape(n, n, n, calc.m, n)
     qi = ctx.inv_quarter_rho
     dj = qi @ c.transpose(3, 0, 1, 2, 4) @ qi  # dj[k, p, q] = rho^{-1/4} delta_k(E_pq) rho^{-1/4}
     vs = dj[:, :, 0, :, 0].transpose(0, 2, 1)  # V_k[:, a] = d_k(E_a0)[:, 0]
@@ -619,7 +581,7 @@ def extract_commutators_kraus(
             f"Xi is not symmetric for the trace pairing (defect {sym_defect:.3e})"
         )
 
-    raw = np.array(kraus_from_choi(choi(xi), rank_tol=NULL_CUTOFF), dtype=complex)
+    raw = np.array(kraus_from_choi(choi(xi)), dtype=complex)
     herm, _, _ = _hermitian_normal_form(raw.reshape(-1, n, n) / np.sqrt(2.0))
     fam = CommutatorFamily(ops=tuple(herm))
     rep = verify_commutator_form(fam, gen, tol=tol)
@@ -650,7 +612,7 @@ def commutator_calculus(family: CommutatorFamily, gen: MarkovGenerator) -> First
     qr = ctx.quarter_rho
     blocks = qr @ _unit_commutators(herm) @ qr  # blocks[k, p, q] = delta_k(E_pq)
     delta = blocks.transpose(1, 2, 3, 0, 4).reshape(n, n, n * m * n)
-    return _standard_form_calculus(
+    return FirstOrderCalculus(
         ctx,
         delta,
         -np.eye(m, dtype=complex),
@@ -658,7 +620,7 @@ def commutator_calculus(family: CommutatorFamily, gen: MarkovGenerator) -> First
     )
 
 
-def inner_vector(calc: FirstOrderCalculus, ctx: DensityContext | None = None):
+def inner_vector(calc: FirstOrderCalculus):
     """Least-squares solution of the innerness equation
 
         delta(A) = pi_l(sigma_{-i/4}(A)) xi0 - pi_r(sigma_{+i/4}(A)) xi0
@@ -678,12 +640,12 @@ def inner_vector(calc: FirstOrderCalculus, ctx: DensityContext | None = None):
     dropped, refined once on the residual.  The returned residual is
     |A X - b| itself, over all components.
     """
-    ctx = calc.ctx if ctx is None else ctx
     n = calc.dim
+    m = calc.m
     if calc.dim_h == 0:
         return np.zeros(0, dtype=complex), 0.0
-    m, c, _ = _standard_form_data(calc)
-    s_m4, s_p4 = _quarter_units(ctx)
+    c = calc.delta.reshape(n, n, n, m, n)
+    s_m4, s_p4 = _quarter_units(calc.ctx)
     eye = np.eye(n)
     # a_op[(p, q, a, d), (x, y)] maps X to (sigma_{-i/4}(E_pq) X - X sigma_{i/4}(E_pq))[a, d]
     a_op = np.einsum("pqax,yd->pqadxy", s_m4, eye) - np.einsum("ax,pqyd->pqadxy", eye, s_p4)
@@ -722,17 +684,18 @@ def uniqueness_witness(
     pi_l(E_ab) delta(E_cd) is checked first, raising GramMismatch with the
     worst entry: that Gram is delta_aa' times N N* (conjugated), with N the
     delta coefficients read as the n^3 x mn matrix with rows (p, q, a), so
-    the n^3 x n^3 matrices N N* are compared.  The report certifies
-    ``standard_form_defect`` of both calculi (with it theta intertwines both
-    actions exactly), W unitary (``w_unitarity_defect``; calculi of
-    different multiplicity fail it with a measured value),
-    W K_a = K_b conj(W) (``j_intertwine_defect``, theta J_a = J_b theta) and
-    M_a W^T = M_b (``delta_match_defect``).  Raises NonIntegralMultiplicity
-    when n^2 does not divide either dim H.
+    the n^3 x n^3 matrices N N* are compared.  Both calculi are in standard
+    form by their type, so theta intertwines both actions exactly; the report
+    certifies W unitary (``w_unitarity_defect``; calculi of different
+    multiplicity fail it with a measured value), W K_a = K_b conj(W)
+    (``j_intertwine_defect``, theta J_a = J_b theta) and M_a W^T = M_b
+    (``delta_match_defect``).
     """
     n = gen.dim
-    m_a, c_a, k_a = _standard_form_data(calc_a)
-    m_b, c_b, k_b = _standard_form_data(calc_b)
+    m_a, k_a = calc_a.m, calc_a.k_j
+    m_b, k_b = calc_b.m, calc_b.k_j
+    c_a = calc_a.delta.reshape(n, n, n, m_a, n)
+    c_b = calc_b.delta.reshape(n, n, n, m_b, n)
     n_a = c_a.reshape(n**3, m_a * n)
     n_b = c_b.reshape(n**3, m_b * n)
     ga = n_a @ dagger(n_a)
@@ -755,14 +718,6 @@ def uniqueness_witness(
     )
     rep = Report(name="uniqueness_witness", tol=tol)
     rep.checks.append(Check("gram_mismatch_max", max_dev, gram_bound, "le"))
-    rep.checks.append(
-        Check(
-            "standard_form_defect",
-            max(standard_form_defect(calc_a), standard_form_defect(calc_b)),
-            tol,
-            "le",
-        )
-    )
     rep.checks.append(Check("w_unitarity_defect", unitarity, tol, "le"))
     rep.checks.append(Check("j_intertwine_defect", _maxabs(w @ k_a - k_b @ np.conj(w)), tol, "le"))
     rep.checks.append(Check("delta_match_defect", _maxabs(cols_a @ w.T - cols_b), tol, "le"))

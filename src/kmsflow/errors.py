@@ -34,14 +34,6 @@ class EmptyKrausList(KmsflowError):
     """A Kraus family must contain at least one operator."""
 
 
-class UnitalityViolated(KmsflowError):
-    """The map does not annihilate (or fix) the identity within tolerance."""
-
-
-class NotHermiticityPreserving(KmsflowError):
-    """The map does not satisfy S(X*) = S(X)* on the matrix-unit basis."""
-
-
 class ReportError(KmsflowError):
     """Base class for errors carrying a certification report."""
 
@@ -77,6 +69,14 @@ class MeasuredFailure(KmsflowError):
         super().__init__(message)
         self.value = value
         self.bound = bound
+
+
+class UnitalityViolated(MeasuredFailure):
+    """The map does not annihilate (or fix) the identity within tolerance."""
+
+
+class NotHermiticityPreserving(MeasuredFailure):
+    """The map does not satisfy S(X*) = S(X)* on the matrix-unit basis."""
 
 
 class GramNotPSD(MeasuredFailure):

@@ -116,16 +116,20 @@ def certify_generator(lgen: Superoperator, ctx: DensityContext, tol: float | Non
     """Certify L(I) = 0, KMS symmetry and conditional complete negativity,
     and attach the KMS implementation L2.
 
-    Raises CertificationFailed (carrying the failing report) if any
-    certificate fails.
+    The certificates run in that order, and the first that fails raises
+    CertificationFailed carrying its report before the next is computed:
+    ``is_ccn`` raises UnitalityViolated on the bound ``unital_kernel``
+    checks, so the kernel must be certified first.
     """
     tol = ctx.tol if tol is None else tol
-    certificates = {
-        "unital_kernel": unital_kernel_report(lgen, tol),
-        "kms_symmetric": is_kms_symmetric(lgen, ctx, tol=tol),
-        "ccn": is_ccn(lgen, tol=tol),
+    certify = {
+        "unital_kernel": lambda: unital_kernel_report(lgen, tol),
+        "kms_symmetric": lambda: is_kms_symmetric(lgen, ctx, tol=tol),
+        "ccn": lambda: is_ccn(lgen, tol=tol),
     }
-    for name, rep in certificates.items():
+    certificates = {}
+    for name, run in certify.items():
+        rep = certificates[name] = run()
         if not rep.passed:
             raise CertificationFailed(f"generator failed {name} certification", rep)
     return MarkovGenerator(L=lgen, L2=to_l2(lgen, ctx), ctx=ctx, certificates=certificates)

@@ -15,7 +15,6 @@ import json
 
 import numpy as np
 
-from .derivation import _standard_form_data
 from .errors import DimensionMismatch, NotHermitian, SchemaError
 from .matrix_core import DensityContext
 from .superop import ALGEBRA, L2, Superoperator
@@ -101,9 +100,8 @@ def family_to_json(family) -> dict:
 def calculus_to_json(calc) -> dict:
     """Dump of a calculus as its standard-form data: dim H, the delta images
     keyed by matrix-unit labels 'ab' and the m x m block K_J of the
-    involution, from which ``derivation._standard_form_calculus`` rebuilds it."""
+    involution, from which ``FirstOrderCalculus`` rebuilds it."""
     n = calc.dim
-    _, _, k_j = _standard_form_data(calc)
 
     def cvec(v):
         return {"re": v.real.tolist(), "im": v.imag.tolist()}
@@ -111,7 +109,7 @@ def calculus_to_json(calc) -> dict:
     return {
         "dimH": calc.dim_h,
         "delta": {f"{a}{b}": cvec(calc.delta[a, b]) for a in range(n) for b in range(n)},
-        "K_J": cvec(k_j),
+        "K_J": cvec(calc.k_j),
     }
 
 

@@ -48,6 +48,9 @@ _LEVELS = (ALGEBRA, L2)
 
 # times t at which ``is_ccn`` probes exp(-t L) for complete positivity
 EXP_PROBE_TIMES = (1e-3, 1e-2, 1e-1, 1.0)
+# relative eigenvalue floor of ``kraus_from_choi``: the rank decision and the
+# clamp of negative rounding; equal to the derivation layer's NULL_CUTOFF
+KRAUS_RANK_TOL = 1e-10
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -188,25 +191,25 @@ def superop_from_choi(c: np.ndarray, level: str = ALGEBRA) -> Superoperator:
     return Superoperator(_choi_shuffle(c), int(round(np.sqrt(c.shape[0]))), level)
 
 
-def kraus_from_choi(c: np.ndarray, rank_tol: float = 1e-10) -> list[np.ndarray]:
+def kraus_from_choi(c: np.ndarray) -> list[np.ndarray]:
     """Kraus family {V_j} of a completely positive map from its Choi matrix.
 
-    Eigenvalues below rank_tol * ||C|| are discarded; small negatives above
-    -rank_tol * ||C|| are clamped to zero (rounding noise from upstream
-    eigendecompositions).  Raises NotPSD for anything more negative.
+    Eigenvalues below KRAUS_RANK_TOL * ||C|| are discarded; small negatives
+    above -KRAUS_RANK_TOL * ||C|| are clamped to zero (rounding noise from
+    upstream eigendecompositions).  Raises NotPSD for anything more negative.
     """
     c = np.asarray(c, dtype=complex)
     c = 0.5 * (c + dagger(c))
     w, u = np.linalg.eigh(c)
     scale = max(abs(w).max(initial=0.0), 1e-300)
-    if w.min(initial=0.0) < -rank_tol * scale:
+    if w.min(initial=0.0) < -KRAUS_RANK_TOL * scale:
         raise NotPSD(
-            f"Choi matrix has eigenvalue {w.min():.3e} < -{rank_tol:.1e} * ||C||"
+            f"Choi matrix has eigenvalue {w.min():.3e} < -{KRAUS_RANK_TOL:.1e} * ||C||"
         )
     ops = []
     n = int(round(np.sqrt(c.shape[0])))
     for wi, ui in zip(w, u.T):
-        if wi > rank_tol * scale:
+        if wi > KRAUS_RANK_TOL * scale:
             k = unvec(np.sqrt(wi) * ui, n)
             ops.append(dagger(k))  # S(X) = sum K X K* = sum V* X V with V = K*
     return ops
@@ -324,12 +327,16 @@ def is_ccn(lgen: Superoperator, tol: float = 1e-9) -> Report:
     unital_defect = opnorm(lgen.apply(np.eye(n)))
     if unital_defect > tol * scale:
         raise UnitalityViolated(
-            f"||L(I)|| = {unital_defect:.3e} exceeds {tol:.1e} * max(||L||, 1)"
+            f"||L(I)|| = {unital_defect:.3e} exceeds {tol:.1e} * max(||L||, 1)",
+            value=float(unital_defect),
+            bound=float(tol * scale),
         )
     herm_defect = hermiticity_preservation_defect(lgen)
     if herm_defect > tol * scale:
         raise NotHermiticityPreserving(
-            f"max ||L(E_ab*) - L(E_ab)*||_HS = {herm_defect:.3e} exceeds tolerance"
+            f"max ||L(E_ab*) - L(E_ab)*||_HS = {herm_defect:.3e} exceeds tolerance",
+            value=float(herm_defect),
+            bound=float(tol * scale),
         )
 
     min_eig = float(np.linalg.eigvalsh(compressed_choi(lgen)).min())

@@ -3,7 +3,10 @@
 The library reads every calculus through its standard-form data (the delta
 coefficients and the m x m block K_J).  The functions here work on the dense
 dim_h x dim_h fields instead and are the oracles those paths are gated
-against at n <= 3:
+against at n <= 3.  They take a ``FirstOrderCalculus``, whose dense fields
+are the rendering of its data, or a ``DenseCalculus``, which holds any dense
+fields: the non-standard oracle builds and the negative controls that break
+the standard form (``as_dense`` copies a calculus into one).
 
 - ``dense_invariants_report`` certifies the calculus through the
   standard-form unitary of the dense actions (``standard_form_unitary``), and
@@ -17,10 +20,12 @@ against at n <= 3:
   ``render_theta`` renders the library witness W as I (x) W (x) I.
 - ``lstsq_inner_vector`` is the dense least-squares solve of
   ``inner_vector``.
-- ``kron_render`` renders the dense fields of a standard-form calculus with
-  ``np.kron``, the oracle for the scatter of ``_standard_form_calculus``;
-  ``loop_standard_form_defect`` compares them one matrix unit at a time,
-  the oracle for the one-pass ``standard_form_defect``.
+- ``standard_form_defect`` measures how far the dense fields are from the
+  rendering of the standard-form data read off them; ``kron_render``
+  renders those fields with ``np.kron``, the oracle for the scatter of the
+  ``FirstOrderCalculus`` constructor, and ``loop_standard_form_defect``
+  compares them one matrix unit at a time, the oracle for the one-pass
+  ``standard_form_defect``.
 - ``loop_commutator_form_matrix`` sums the commutator form over the family
   with n^2 x n^2 ``lmul``/``rmul`` superoperators, the oracle for the
   batched ``commutator_form_matrix``; ``tensor_leibniz_defect`` evaluates
@@ -40,6 +45,8 @@ against at n <= 3:
   are checked.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import scipy.linalg
 
@@ -48,14 +55,17 @@ from kmsflow.derivation import (
     GRAM_PSD_TOL,
     NULL_CUTOFF,
     CommutatorFamily,
-    FirstOrderCalculus,
     _quarter_units,
-    _standard_form_data,
     kms_form_of_generator,
 )
-from kmsflow.errors import GramMismatch, GramNotPSD, ReconstructionFailure
+from kmsflow.errors import (
+    GramMismatch,
+    GramNotPSD,
+    NonIntegralMultiplicity,
+    ReconstructionFailure,
+)
 from kmsflow.generator import MarkovGenerator
-from kmsflow.matrix_core import dagger, opnorm
+from kmsflow.matrix_core import DensityContext, dagger, opnorm
 from kmsflow.reports import Check, Report
 from kmsflow.superop import kms_gram, lmul, rmul, to_algebra, unvec, vec
 from kmsflow.vtransform import v_transform
@@ -73,14 +83,96 @@ def _maxabs(x) -> float:
     return float(np.abs(x).max(initial=0.0))
 
 
-def spanning_family(calc: FirstOrderCalculus) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class DenseCalculus:
+    """A calculus given by its dense fields, in standard form or not:
+    ``pi_l[a, b]`` / ``pi_r[a, b]`` are the (dim_h x dim_h) matrices of the
+    two actions on E_ab, ``delta[a, b]`` is delta(E_ab) and J acts as
+    xi -> jmat @ conj(xi)."""
+
+    dim_h: int
+    pi_l: np.ndarray  # (n, n, dim_h, dim_h)
+    pi_r: np.ndarray  # (n, n, dim_h, dim_h)
+    jmat: np.ndarray  # (dim_h, dim_h)
+    delta: np.ndarray  # (n, n, dim_h)
+    ctx: DensityContext
+    meta: dict = field(default_factory=dict)
+
+    @property
+    def dim(self) -> int:
+        return self.delta.shape[0]
+
+
+def as_dense(calc) -> DenseCalculus:
+    """Writable copies of the dense fields of a calculus."""
+    return DenseCalculus(
+        dim_h=calc.dim_h,
+        pi_l=calc.pi_l.copy(),
+        pi_r=calc.pi_r.copy(),
+        jmat=calc.jmat.copy(),
+        delta=calc.delta.copy(),
+        ctx=calc.ctx,
+        meta=dict(calc.meta),
+    )
+
+
+def dense_k_j(calc):
+    """(m, K_J) of a dense calculus on C^n (x) C^m (x) C^n: the multiplicity
+    m = dim H / n^2 and the block K_J[k, l] = jmat[(0, k, 0), (0, l, 0)].
+
+    Raises NonIntegralMultiplicity when n^2 does not divide dim H.
+    """
+    n = calc.dim
+    if calc.dim_h % (n * n):
+        raise NonIntegralMultiplicity(
+            f"dim H = {calc.dim_h} is not a multiple of n^2 = {n * n}"
+        )
+    m = calc.dim_h // (n * n)
+    return m, calc.jmat.reshape(n, m, n, n, m, n)[0, :, 0, 0, :, 0]
+
+
+def standard_form_defect(calc) -> float:
+    """Largest entrywise deviation of ``pi_l``, ``pi_r`` and ``jmat`` from the
+    standard-form rendering pi_l(E) = E (x) I (x) I, pi_r(E) = I (x) I (x) E^T
+    and J = (outer swap) (x) K_J, with K_J read by ``dense_k_j``.  One pass
+    per left unit index p: the moduli of pi_l(E_p.), pi_r(E_p.) and the rows
+    of J with outer index a = p, with the pattern entries overwritten by
+    their distance to the rendering, so no complex copy of a field is made.
+    Exactly 0 for a ``FirstOrderCalculus``.
+    """
+    n = calc.dim
+    m, k_j = dense_k_j(calc)
+    mn = m * n
+    pi_l = calc.pi_l.reshape(n, n, n, mn, n, mn)  # [p, q, a, (k, d), a', (l, d')]
+    pi_r = calc.pi_r.reshape(n, n, mn, n, mn, n)  # [p, q, (a, k), d, (a', l), d']
+    jmat = calc.jmat.reshape(n, m, n, n, m, n)  # [a, k, d, a', l, d']
+    d = np.arange(n)
+    q = d[:, None]
+    r = np.arange(mn)
+    moduli = np.empty(pi_l.shape[1:])  # one buffer for both actions at every p
+    worst = 0.0
+    for p in range(n):
+        left = np.abs(pi_l[p], out=moduli)
+        left[q, p, r, q, r] = np.abs(pi_l[p, q, p, r, q, r] - 1.0)
+        worst = max(worst, left.max(initial=0.0))
+        right = np.abs(pi_r[p], out=moduli.reshape(pi_r.shape[1:]))
+        right[q, r, q, r, p] = np.abs(pi_r[p, q, r, q, r, p] - 1.0)  # E_pq^T = E_qp
+        worst = max(worst, right.max(initial=0.0))
+        # the rows of J with outer pair (a, d) = (p, d) hit (a', d') = (d, p)
+        inv = np.abs(jmat[p])
+        inv[:, d, d, :, p] = np.abs(jmat[p, :, d, d, :, p] - k_j)
+        worst = max(worst, inv.max(initial=0.0))
+    return float(worst)
+
+
+def spanning_family(calc) -> np.ndarray:
     """Matrix whose columns are pi_l(E_ab) delta(E_cd), indexed by
     ((a n + b) n + c) n + d."""
     s = np.tensordot(calc.pi_l, calc.delta, axes=([3], [2]))  # [a, b, i, c, d]
     return s.transpose(2, 0, 1, 3, 4).reshape(calc.dim_h, calc.dim**4)
 
 
-def standard_form_unitary(calc: FirstOrderCalculus, basis: np.ndarray | None = None):
+def standard_form_unitary(calc, basis: np.ndarray | None = None):
     """Coordinates of H as a multiple of the standard M_n bimodule.
 
     With matrix units F_ab = basis E_ab basis* (the computational units when
@@ -106,9 +198,7 @@ def standard_form_unitary(calc: FirstOrderCalculus, basis: np.ndarray | None = N
     return u_std.transpose(2, 0, 1, 3), proj_eigs
 
 
-def dense_invariants_report(
-    calc: FirstOrderCalculus, gen: MarkovGenerator, tol: float = 1e-9
-) -> Report:
+def dense_invariants_report(calc, gen: MarkovGenerator, tol: float = 1e-9) -> Report:
     """Certify the defining properties of a first-order calculus.
 
     The bimodule structure is certified through the standard form: the
@@ -298,7 +388,7 @@ def kron_commutator_actions(family, gen) -> dict:
     }
 
 
-def dense_gns_calculus(gen, rank_tol: float = NULL_CUTOFF) -> FirstOrderCalculus:
+def dense_gns_calculus(gen, rank_tol: float = NULL_CUTOFF) -> DenseCalculus:
     """The GNS quotient of the V-transformed generator built densely on the
     n^4-dimensional tensor square: the ambient Gram form, the kernel N of the
     n^2 x n^4 constraint matrix and one eigh of size n^4 - n^2.
@@ -395,7 +485,7 @@ def dense_gns_calculus(gen, rank_tol: float = NULL_CUTOFF) -> FirstOrderCalculus
     mj_lift = -np.conj(lift_t).transpose(3, 2, 1, 0, 4).reshape(n**4, dim_h)
     jmat = class_map @ mj_lift
 
-    calc = FirstOrderCalculus(
+    calc = DenseCalculus(
         dim_h=dim_h,
         pi_l=pi_l,
         pi_r=pi_r,
@@ -452,7 +542,7 @@ def einsum_gns_actions(calc) -> dict:
 
 def trimmed_commutator_calculus(
     family: CommutatorFamily, gen: MarkovGenerator, rank_tol: float = NULL_CUTOFF
-) -> FirstOrderCalculus:
+) -> DenseCalculus:
     """Assemble the calculus carried by a commutator family on M_n (x) C^N,
     with delta(A)_j = rho^{1/4} [V_j, A] rho^{1/4}, then trim to the cyclic
     sub-bimodule generated by the delta-image so the spanning property holds.
@@ -463,7 +553,7 @@ def trimmed_commutator_calculus(
     n = gen.dim
     nf = len(family)
     if nf == 0:
-        return FirstOrderCalculus(
+        return DenseCalculus(
             dim_h=0,
             pi_l=np.zeros((n, n, 0, 0), dtype=complex),
             pi_r=np.zeros((n, n, 0, 0), dtype=complex),
@@ -517,7 +607,7 @@ def trimmed_commutator_calculus(
     for a in range(n):
         resid = gram[:, a].reshape(n * nfn, nfn) @ rows_wide
         leak = max(leak, float(np.abs(resid).max(initial=0.0)))
-    return FirstOrderCalculus(
+    return DenseCalculus(
         dim_h=dim_h,
         pi_l=pi_l,
         pi_r=pi_r,
@@ -603,8 +693,8 @@ def lstsq_inner_vector(calc):
 
 
 def dense_uniqueness_witness(
-    calc_a: FirstOrderCalculus,
-    calc_b: FirstOrderCalculus,
+    calc_a,
+    calc_b,
     gen: MarkovGenerator,
     tol: float = 1e-6,
 ):
@@ -679,8 +769,8 @@ def dense_uniqueness_witness(
     return theta, rep
 
 
-def kron_render(ctx, delta, k_j, meta) -> FirstOrderCalculus:
-    """The calculus of ``_standard_form_calculus`` with its dense fields
+def kron_render(ctx, delta, k_j, meta) -> DenseCalculus:
+    """The dense fields of ``FirstOrderCalculus(ctx, delta, k_j, meta)``
     rendered by Kronecker products: pi_l(E) = E (x) I_{mn},
     pi_r(E) = I_{nm} (x) E^T and J = (outer swap) (x) K_J."""
     n = delta.shape[0]
@@ -688,7 +778,7 @@ def kron_render(ctx, delta, k_j, meta) -> FirstOrderCalculus:
     dim_h = n * n * m
     units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)  # units[p, q] = E_pq
     eye = np.eye(n, dtype=complex)
-    return FirstOrderCalculus(
+    return DenseCalculus(
         dim_h=dim_h,
         pi_l=np.kron(units, np.eye(m * n)),
         # np.kron keeps a transposed operand's strides; the copy keeps pi_r C-contiguous
@@ -704,7 +794,7 @@ def loop_standard_form_defect(calc) -> float:
     """``standard_form_defect`` one matrix unit (one outer pair of J) at a
     time, subtracting the rendering from a complex copy of each block."""
     n = calc.dim
-    m, _, k_j = _standard_form_data(calc)
+    m, k_j = dense_k_j(calc)
     mn = m * n
     eye = np.eye(mn)
     pi_l = calc.pi_l.reshape(n, n, n, mn, n, mn)  # [p, q, a, (k, d), a', (l, d')]
@@ -742,7 +832,7 @@ def tensor_leibniz_defect(calc) -> float:
     over the whole (n, n, n, n, m, n, n) tensor of unit pairs and
     components at once."""
     n = calc.dim
-    _, c, _ = _standard_form_data(calc)
+    c = calc.delta.reshape(n, n, n, calc.m, n)
     s_m4, s_p4 = _quarter_units(calc.ctx)
     dk = c.transpose(0, 1, 3, 2, 4)
     rhs = s_m4[:, :, None, None, None] @ dk + dk[:, :, None, None] @ s_p4[:, :, None]

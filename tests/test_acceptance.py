@@ -28,7 +28,7 @@ from calculus_oracle import (
     spanning_family,
     trimmed_commutator_calculus,
 )
-from kmsflow.derivation import FORM_TOL, _standard_form_data, kms_form_of_generator
+from kmsflow.derivation import FORM_TOL, kms_form_of_generator
 from kmsflow.errors import GramMismatch
 from kmsflow.generator import cone_project
 from kmsflow.matrix_core import dagger, opnorm
@@ -236,24 +236,18 @@ def test_criterion_06_gns_calculus():
 
 
 def test_criterion_06_structure_certificate_matches_grid_oracle():
-    """At n <= 3 every defect of the pairwise matrix-unit grid stays within
-    10x of the standard-form certificate (``multiplicity_defect`` and
-    ``standard_form_defect``), for the GNS and the Kraus-route calculus of
-    every pipeline instance.  Both are built in standard form, so there both
-    sides are exactly 0."""
-    worst = 0.0
+    """At n <= 3 every defect of the pairwise matrix-unit grid is exactly 0
+    for the GNS and the Kraus-route calculus of every pipeline instance: a
+    ``FirstOrderCalculus`` is in standard form by construction, which makes
+    pi_l a *-homomorphism, pi_r a *-antihomomorphism, the actions commute
+    and J exchange them."""
     for n in (2, 3):
         for seed in PIPELINE_SEEDS[n]:
             pipe = pipeline_cache(n, seed)
             for route in ("calc", "calc_kraus"):
-                rep = kf.calculus_invariants_report(pipe[route], pipe["gen"], tol=1e-9)
-                structure = max(
-                    rep.check(name).value for name in ("multiplicity_defect", "standard_form_defect")
-                )
                 for name, value in pairwise_grid_defects(pipe[route]).items():
-                    assert value <= 10 * structure, (n, seed, route, name, value, structure)
-                    worst = max(worst, value)
-    report_line(6, True, f"max grid defect {worst:.1e} (<= 10x the standard-form certificate)")
+                    assert value == 0.0, (n, seed, route, name, value)
+    report_line(6, True, "every grid defect is 0 (standard form by construction)")
 
 
 def test_criterion_06_standard_form_paths_match_dense_oracles():
@@ -272,7 +266,7 @@ def test_criterion_06_standard_form_paths_match_dense_oracles():
             dense = dense_invariants_report(route, gen, tol=1e-9)
             assert rep.passed == dense.passed, (n, rep.passed)
             shared = {c.name for c in rep.checks} & {c.name for c in dense.checks}
-            assert len(shared) == 7
+            assert len(shared) == 6
             for name in shared:
                 dev = abs(rep.check(name).value - dense.check(name).value)
                 assert dev <= 1e-13, (n, name, dev)
@@ -353,7 +347,7 @@ def test_criterion_06_isometry_k_j_matches_lift_oracle():
     for n in DIMS:
         for seed in PIPELINE_SEEDS[n]:
             pipe = pipeline_cache(n, seed)
-            _, _, k_j = _standard_form_data(pipe["calc"])
+            k_j = pipe["calc"].k_j
             k_old = lift_k_j(pipe["gen"])
             assert k_old.shape == k_j.shape, (n, seed)
             old_defect = float(np.abs(dagger(k_old) @ k_old - np.eye(len(k_old))).max())

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import kmsflow as kf
-from kmsflow import derivation
 from kmsflow.cli import _build_parser, main
 from kmsflow.serialize import dump_json, superop_to_json
 
@@ -134,6 +133,18 @@ class TestCheck:
         code, rep = run(capsys, "check", "--superop", str(neg), "--rho", str(rho), "--generator")
         assert code == 1
         assert [name for name in names if not rep["results"][name]["pass"]] == ["ccn"]
+
+    def test_generator_unitality_failure_is_measured(self, capsys, tmp_path):
+        # the identity map fixes I instead of annihilating it: the kernel
+        # certificate fails, and the CCN certificate's precondition raises
+        # with the same value and bound
+        f = tmp_path / "identity.json"
+        dump_json(superop_to_json(kf.identity_superop(2)), str(f))
+        code, rep = run(capsys, "check", "--superop", str(f), "--generator")
+        assert code == 1
+        assert rep["results"]["unital_kernel"]["pass"] is False
+        assert rep["error"]["type"] == "UnitalityViolated"
+        assert (rep["error"]["value"], rep["error"]["bound"]) == (1.0, 1e-9)
 
 
 class TestVTransformCommand:
@@ -289,7 +300,7 @@ class TestDerive:
         m = doc["dimH"] // n**2
         assert m > 0 and array(doc["K_J"]).shape == (m, m)
         gen, _ = kf.random_generator(n, 1)
-        calc = derivation._standard_form_calculus(gen.ctx, delta, array(doc["K_J"]), {})
+        calc = kf.FirstOrderCalculus(gen.ctx, delta, array(doc["K_J"]))
         recomputed = kf.calculus_invariants_report(calc, gen).to_json_dict()
         assert recomputed["checks"] == rep["results"]["calculus_invariants"]["checks"]
 

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +10,14 @@ import kmsflow as kf
 from kmsflow import derivation
 from kmsflow.derivation import (
     CommutatorFamily,
+    FirstOrderCalculus,
     commutator_form_matrix,
     kms_form_of_generator,
     leibniz_bilinear_residual,
     xi_map,
 )
 from kmsflow.errors import (
+    DimensionMismatch,
     GramMismatch,
     GramNotPSD,
     InconsistentPsi,
@@ -25,6 +29,8 @@ from kmsflow.matrix_core import dagger, opnorm
 from kmsflow.superop import choi, from_kraus, kms_adjoint, kraus_from_choi, to_l2, zero_superop
 
 from calculus_oracle import (
+    DenseCalculus,
+    as_dense,
     grid_invariants_report,
     kron_commutator_actions,
     kron_render,
@@ -34,6 +40,7 @@ from calculus_oracle import (
     loop_witness_defects,
     render_theta,
     spanning_family,
+    standard_form_defect,
     tensor_leibniz_defect,
     trimmed_commutator_calculus,
 )
@@ -164,9 +171,10 @@ def _perturbed(calc, name, eps=1e-6, at=1):
 
 
 def _padded_with_corner(calc):
-    """calc plus one dimension on which both actions send E_00 to 1 and every
-    other matrix unit to 0: unital and *-preserving, but dim H is not a
-    multiple of n^2 and pi_l(E_01) pi_l(E_10) = 0 there, not pi_l(E_00)."""
+    """The dense fields of calc plus one dimension on which both actions send
+    E_00 to 1 and every other matrix unit to 0: unital and *-preserving, but
+    dim H is not a multiple of n^2 and pi_l(E_01) pi_l(E_10) = 0 there, not
+    pi_l(E_00)."""
     n, d = calc.dim, calc.dim_h
     e00 = np.zeros((n, n))
     e00[0, 0] = 1.0
@@ -177,31 +185,25 @@ def _padded_with_corner(calc):
         out[..., d, d] = corner
         return out
 
-    return dataclasses.replace(
-        calc,
+    return DenseCalculus(
         dim_h=d + 1,
         pi_l=pad(calc.pi_l, e00),
         pi_r=pad(calc.pi_r, e00),
         jmat=pad(calc.jmat, 1.0),
         delta=np.concatenate([calc.delta, np.zeros((n, n, 1))], axis=2),
+        ctx=calc.ctx,
     )
 
 
 def _padded_multiplicity(calc):
     """calc with one more multiplicity index, on which delta vanishes and
     K_J is -1: the delta coefficients keep their Gram, dim H grows by n^2."""
-    n = calc.dim
-    m, c, k_j = derivation._standard_form_data(calc)
+    n, m = calc.dim, calc.m
     c_pad = np.zeros((n, n, n, m + 1, n), dtype=complex)
-    c_pad[:, :, :, :m] = c
+    c_pad[:, :, :, :m] = calc.delta.reshape(n, n, n, m, n)
     k_pad = -np.eye(m + 1, dtype=complex)
-    k_pad[:m, :m] = k_j
-    return derivation._standard_form_calculus(calc.ctx, c_pad.reshape(n, n, -1), k_pad, {})
-
-
-def _with_k_j(calc, k_j):
-    """The calculus with the same delta and the multiplicity block k_j."""
-    return derivation._standard_form_calculus(calc.ctx, calc.delta, k_j, calc.meta)
+    k_pad[:m, :m] = calc.k_j
+    return FirstOrderCalculus(calc.ctx, c_pad.reshape(n, n, -1), k_pad)
 
 
 def _columns_swapped(k_j):
@@ -210,35 +212,152 @@ def _columns_swapped(k_j):
     return out
 
 
+class TestFirstOrderCalculusType:
+    """The calculus is its standard-form data: the constructor validates
+    delta and K_J, and the dense fields are its read-only rendering."""
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+    def test_non_integral_multiplicity_rejected(self, n, seed):
+        calc = cached_gns(n, seed)
+        padded = _padded_with_corner(calc)
+        with pytest.raises(NonIntegralMultiplicity):
+            FirstOrderCalculus(calc.ctx, padded.delta, calc.k_j)
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+    def test_bad_shapes_rejected(self, n, seed):
+        calc = cached_gns(n, seed)
+        m = calc.m
+        for k_j in (np.zeros((m, m + 1)), np.eye(m + 1), np.eye(m)[0]):
+            with pytest.raises(DimensionMismatch, match="K_J"):
+                FirstOrderCalculus(calc.ctx, calc.delta, k_j)
+        for delta in (calc.delta[:1], calc.delta.reshape(n, -1), calc.delta[..., None]):
+            with pytest.raises(DimensionMismatch, match="delta"):
+                FirstOrderCalculus(calc.ctx, delta, calc.k_j)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_empty_multiplicity_builds(self, n):
+        ctx = cached_generator(n, 0)[0].ctx
+        calc = FirstOrderCalculus(ctx, np.zeros((n, n, 0)), np.zeros((0, 0)))
+        assert (calc.dim, calc.m, calc.dim_h) == (n, 0, 0)
+        assert calc.pi_l.shape == calc.pi_r.shape == (n, n, 0, 0)
+        assert calc.jmat.shape == (0, 0) and calc.k_j.dtype == complex
+
+    def test_dense_fields_cannot_be_set(self):
+        calc = cached_gns(2, 0)
+        for name in ("pi_l", "pi_r", "jmat", "dim_h", "m"):
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(calc, **{name: getattr(calc, name)})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            calc.k_j = -calc.k_j
+
+    def test_arrays_are_read_only_copies(self):
+        gen, _ = cached_generator(2, 0)
+        source = cached_gns(2, 0)
+        delta, k_j = source.delta.copy(), source.k_j.copy()
+        calc = FirstOrderCalculus(gen.ctx, delta, k_j)
+        delta[0, 0, 0] += 1.0
+        k_j[0, 0] += 1.0
+        assert np.array_equal(calc.delta, source.delta)
+        assert np.array_equal(calc.k_j, source.k_j)
+        for name in ("delta", "k_j", "pi_l", "pi_r", "jmat"):
+            arr = getattr(calc, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+    def test_replace_k_j_rerenders_j(self, n, seed):
+        calc = cached_gns(n, seed)
+        flipped = dataclasses.replace(calc, k_j=-calc.k_j)
+        assert np.array_equal(flipped.k_j, -calc.k_j)
+        assert np.array_equal(flipped.jmat, -calc.jmat)
+        assert flipped.pi_l.tobytes() == calc.pi_l.tobytes()
+        assert standard_form_defect(flipped) == 0.0
+
+    def test_structural_actions_match_dense_fields(self):
+        calc = cached_gns(3, 1)
+        x = rng_matrix(np.random.default_rng(5), 3)
+        assert np.array_equal(calc.pi_l_of(x), np.tensordot(x, calc.pi_l, axes=2))
+        assert np.array_equal(calc.pi_r_of(x), np.tensordot(x, calc.pi_r, axes=2))
+
+
+def _dense_field_reads(source: str) -> list:
+    """Line numbers of the reads of an attribute ``pi_l``, ``pi_r`` or
+    ``jmat`` in ``source``, outside ``FirstOrderCalculus.__post_init__``."""
+    tree = ast.parse(source)
+    allowed = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "FirstOrderCalculus":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                    allowed.update(id(node) for node in ast.walk(fn))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("pi_l", "pi_r", "jmat")
+        and id(node) not in allowed
+    ]
+
+
+class TestDenseFieldSourceGuard:
+    """Nothing in the library reads the rendered dense fields, so deleting
+    them touches only the constructor."""
+
+    def test_guard_flags_a_read(self):
+        snippet = (
+            "class FirstOrderCalculus:\n"
+            "    def __post_init__(self):\n"
+            "        self.pi_l\n"
+            "    def pi_l_of(self, x):\n"
+            "        return self.pi_l\n"
+            "def f(calc):\n"
+            "    return calc.jmat @ calc.pi_r\n"
+        )
+        assert sorted(_dense_field_reads(snippet)) == [5, 7, 7]
+
+    def test_no_dense_field_reads_in_sources(self):
+        src = Path(kf.__file__).resolve().parent
+        reads = {p.name: _dense_field_reads(p.read_text()) for p in sorted(src.rglob("*.py"))}
+        assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
 class TestInvariantsNegativeControls:
-    """Broken calculi fail the standard-form certificate, and the pairwise
-    grid oracle flags the same input."""
+    """Dense fields that break the standard form cannot be held by a
+    ``FirstOrderCalculus``; on the dense container the test-side
+    ``standard_form_defect`` and the pairwise grid oracle both flag them.  A
+    wrong K_J can be built, and the report's ``j_delta_defect`` catches it."""
 
     @pytest.mark.parametrize(
-        "breaker,structure_check,oracle_check",
+        "breaker,oracle_check",
         [
-            (lambda c: _perturbed(c, "pi_l"), "standard_form_defect", "pi_l_homomorphism_defect"),
-            (lambda c: _perturbed(c, "pi_r"), "standard_form_defect", "pi_r_antihomomorphism_defect"),
-            (lambda c: _perturbed(c, "jmat"), "standard_form_defect", "j_bimodule_twist_defect"),
-            # jmat[0, n] is K_J[0, 1], where the standard-form data read K_J;
-            # the other outer blocks of J keep the old entry
-            (lambda c: _perturbed(c, "jmat", at=c.dim), "standard_form_defect", "j_bimodule_twist_defect"),
-            # -J intertwines the bimodule exactly as J does; only delta(A*) = J delta(A) fixes the sign
-            (lambda c: dataclasses.replace(c, jmat=-c.jmat), "j_delta_defect", "j_delta_defect"),
-            (_padded_with_corner, "multiplicity_defect", "pi_l_homomorphism_defect"),
+            (lambda c: _perturbed(c, "pi_l"), "pi_l_homomorphism_defect"),
+            (lambda c: _perturbed(c, "pi_r"), "pi_r_antihomomorphism_defect"),
+            (lambda c: _perturbed(c, "jmat"), "j_bimodule_twist_defect"),
+            # jmat[0, n] is K_J[0, 1], where ``dense_k_j`` reads K_J; the
+            # other outer blocks of J keep the old entry
+            (lambda c: _perturbed(c, "jmat", at=c.dim), "j_bimodule_twist_defect"),
         ],
-        ids=["pi_l_entry", "pi_r_entry", "j_entry", "j_kj_entry", "j_sign", "dim_not_multiple"],
+        ids=["pi_l_entry", "pi_r_entry", "j_entry", "j_kj_entry"],
     )
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
-    def test_broken_calculus_fails(self, n, seed, breaker, structure_check, oracle_check):
+    def test_broken_fields_fail(self, n, seed, breaker, oracle_check):
         gen, _ = cached_generator(n, seed)
-        broken = breaker(cached_gns(n, seed))
-        rep = kf.calculus_invariants_report(broken, gen, tol=1e-9)
-        assert rep.passed is False
-        assert not rep.check(structure_check).passed()
+        broken = breaker(as_dense(cached_gns(n, seed)))
+        assert standard_form_defect(broken) > 1e-9 * max(1.0, gen.L.norm)
         oracle = grid_invariants_report(broken, gen, tol=1e-9)
         assert oracle.passed is False
         assert not oracle.check(oracle_check).passed()
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+    def test_dim_not_multiple_fails(self, n, seed):
+        # no standard-form data exist: the test-side check raises, as the
+        # constructor does, and the grid oracle measures the broken product
+        gen, _ = cached_generator(n, seed)
+        broken = _padded_with_corner(cached_gns(n, seed))
+        with pytest.raises(NonIntegralMultiplicity):
+            standard_form_defect(broken)
+        oracle = grid_invariants_report(broken, gen, tol=1e-9)
+        assert not oracle.check("pi_l_homomorphism_defect").passed()
 
     @pytest.mark.parametrize(
         "breaker", [np.conj, np.negative, _columns_swapped], ids=["conj", "sign", "columns"]
@@ -246,29 +365,23 @@ class TestInvariantsNegativeControls:
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
     def test_wrong_k_j_fails_j_delta(self, n, seed, breaker):
         # K_J is a product of isometries, so its own unitarity says little;
-        # delta(A*) = J delta(A) reads delta and catches a wrong K_J
+        # delta(A*) = J delta(A) reads delta and catches a wrong K_J.  -J
+        # intertwines the bimodule exactly as J does; only this check fixes
+        # the sign.  The grid oracle's dense check agrees.
         gen, _ = cached_generator(n, seed)
         calc = cached_gns(n, seed)
-        _, _, k_j = derivation._standard_form_data(calc)
-        rep = kf.calculus_invariants_report(_with_k_j(calc, breaker(k_j)), gen, tol=1e-9)
+        broken = dataclasses.replace(calc, k_j=breaker(calc.k_j))
+        rep = kf.calculus_invariants_report(broken, gen, tol=1e-9)
         assert not rep.check("j_delta_defect").passed()
-        assert kf.calculus_invariants_report(_with_k_j(calc, k_j), gen, tol=1e-9).passed
-
-    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
-    def test_corner_fails_multiplicity_without_raising(self, n, seed):
-        # no standard-form data exist, so the report stops at the one check
-        gen, _ = cached_generator(n, seed)
-        rep = kf.calculus_invariants_report(_padded_with_corner(cached_gns(n, seed)), gen)
-        assert rep.passed is False
-        assert [c.name for c in rep.checks] == ["multiplicity_defect"]
-        assert rep.check("multiplicity_defect").value == 1.0
+        assert not grid_invariants_report(broken, gen, tol=1e-9).check("j_delta_defect").passed()
+        assert kf.calculus_invariants_report(calc, gen, tol=1e-9).passed
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
     def test_native_calculi_conform_exactly(self, n, seed):
         gen, psi = cached_generator(n, seed)
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
-        assert derivation.standard_form_defect(cached_gns(n, seed)) == 0.0
-        assert derivation.standard_form_defect(calc_k) == 0.0
+        assert standard_form_defect(cached_gns(n, seed)) == 0.0
+        assert standard_form_defect(calc_k) == 0.0
 
 
 def _kraus_calculus(n, seed):
@@ -281,8 +394,8 @@ def _last(name):
 
 
 class TestStandardFormAgainstOracles:
-    """The scatter rendering and the one-pass check against the Kronecker
-    rendering and the per-unit loop they replaced."""
+    """The constructor's scatter rendering and the test-side one-pass check
+    against the Kronecker rendering and the per-unit loop."""
 
     @pytest.mark.parametrize("m", [0, 1, 2, 5])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -291,7 +404,7 @@ class TestStandardFormAgainstOracles:
         ctx = cached_generator(n, 0)[0].ctx
         k_j = rng_matrix(rng, m) if m else np.zeros((0, 0), dtype=complex)
         delta = rng.standard_normal((n, n, n * n * m)) + 0j
-        calc = derivation._standard_form_calculus(ctx, delta, k_j, {})
+        calc = FirstOrderCalculus(ctx, delta, k_j)
         ref = kron_render(ctx, delta, k_j, {})
         assert calc.dim_h == ref.dim_h == n * n * m
         for name in ("pi_l", "pi_r", "jmat"):
@@ -327,16 +440,16 @@ class TestStandardFormAgainstOracles:
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2)])
     def test_defect_equals_loop_exactly(self, n, seed, route, breaker):
         calc = cached_gns(n, seed) if route == "gns" else _kraus_calculus(n, seed)
-        broken = breaker(calc)
-        assert derivation.standard_form_defect(broken) == loop_standard_form_defect(broken)
+        broken = breaker(as_dense(calc))
+        assert standard_form_defect(broken) == loop_standard_form_defect(broken)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_empty_multiplicity(self, n):
         ctx = cached_generator(n, 0)[0].ctx
-        calc = derivation._standard_form_calculus(
-            ctx, np.zeros((n, n, 0), dtype=complex), np.zeros((0, 0), dtype=complex), {}
+        calc = FirstOrderCalculus(
+            ctx, np.zeros((n, n, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
         )
-        assert derivation.standard_form_defect(calc) == loop_standard_form_defect(calc) == 0.0
+        assert standard_form_defect(calc) == loop_standard_form_defect(calc) == 0.0
 
 
 class TestBatchedChecksAgainstOracles:
@@ -402,13 +515,7 @@ class TestExtractGns:
 
     def test_multiplicity_integer(self):
         calc = cached_gns(3, 1)
-        assert calc.dim_h % 9 == 0
-
-    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
-    def test_non_integral_multiplicity_rejected(self, n, seed):
-        gen, _ = cached_generator(n, seed)
-        with pytest.raises(NonIntegralMultiplicity):
-            kf.extract_commutators_gns(_padded_with_corner(cached_gns(n, seed)), gen)
+        assert calc.dim_h == 9 * calc.m
 
 
 class TestExtractKraus:
@@ -628,22 +735,20 @@ class TestUniquenessWitness:
         assert rep.passed
         assert rep.check("gram_mismatch_max").value <= 1e-6
 
-    @pytest.mark.parametrize(
-        "name,check", [("pi_r", "pi_r_intertwine_defect"), ("jmat", "j_intertwine_defect")]
-    )
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
-    def test_broken_target_fails_intertwining(self, n, seed, name, check):
-        # one entry of calc_b's pi_r or J is off; the delta coefficients are
-        # not, so the Gram check passes and the standard-form check fails,
-        # and I (x) W (x) I misses ``check`` on the spanning family (loop oracle)
+    def test_broken_target_fails_intertwining(self, n, seed):
+        # one entry of calc_b's K_J is off; the delta coefficients are not,
+        # so the Gram check passes and the J check fails, and I (x) W (x) I
+        # misses J on the spanning family (loop oracle)
         gen, psi = cached_generator(n, seed)
         calc = cached_gns(n, seed)
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
-        broken = _perturbed(calc_k, name, eps=1e-3)
+        broken = _perturbed(calc_k, "k_j", eps=1e-3)
         w, rep = kf.uniqueness_witness(calc, broken, gen, tol=1e-6)
         assert rep.passed is False
-        assert [c.name for c in rep.checks if not c.passed()] == ["standard_form_defect"]
-        assert loop_witness_defects(render_theta(w, n), calc, broken)[check] > 1e-6
+        assert [c.name for c in rep.checks if not c.passed()] == ["j_intertwine_defect"]
+        defects = loop_witness_defects(render_theta(w, n), calc, broken)
+        assert defects["j_intertwine_defect"] > 1e-6
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
     def test_conjugated_kj_fails_j_intertwining(self, n, seed):
@@ -652,8 +757,7 @@ class TestUniquenessWitness:
         gen, psi = cached_generator(n, seed)
         calc = cached_gns(n, seed)
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
-        _, _, k_j = derivation._standard_form_data(calc)
-        broken = derivation._standard_form_calculus(calc.ctx, calc.delta, np.conj(k_j), {})
+        broken = dataclasses.replace(calc, k_j=np.conj(calc.k_j))
         for calc_a in (calc_k, calc):
             _, rep = kf.uniqueness_witness(calc_a, broken, gen, tol=1e-6)
             assert [c.name for c in rep.checks if not c.passed()] == ["j_intertwine_defect"]
@@ -678,7 +782,7 @@ class TestUniquenessWitness:
         # j_antiunitary_defect; the witness checks that W intertwines the two
         # calculi, and passes
         gen, psi = kf.random_generator(4, seed, cond_bound=1e6)
-        calc = _with_k_j(kf.gns_calculus(gen), lift_k_j(gen))
+        calc = dataclasses.replace(kf.gns_calculus(gen), k_j=lift_k_j(gen))
         inv = kf.calculus_invariants_report(calc, gen)
         assert [c.name for c in inv.checks if not c.passed()] == ["j_antiunitary_defect"]
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)

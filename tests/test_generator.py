@@ -3,7 +3,14 @@ import pytest
 import scipy.optimize
 
 import kmsflow as kf
-from kmsflow.errors import InconsistentPsi, Infeasible, NotJFixed, PreconditionFailed
+from kmsflow import generator as generator_mod
+from kmsflow.errors import (
+    CertificationFailed,
+    InconsistentPsi,
+    Infeasible,
+    NotJFixed,
+    PreconditionFailed,
+)
 from kmsflow.generator import (
     MarkovGenerator,
     cone_project,
@@ -107,6 +114,31 @@ class TestGeneratorFromCp:
         gen, _ = cached_generator(n, 100)
         assert all(r.passed for r in gen.certificates.values())
         assert opnorm(gen.L.apply(np.eye(n))) < 1e-10 * max(1, gen.L.norm)
+
+
+class TestCertifyGenerator:
+    def test_unital_kernel_failure_is_reported(self, ctx2):
+        # the identity fixes I: the kernel certificate fails first, with its
+        # report, before is_ccn's precondition can raise on the same bound
+        with pytest.raises(CertificationFailed, match="unital_kernel") as err:
+            kf.certify_generator(kf.identity_superop(2), ctx2)
+        check = err.value.report.check("kernel_defect")
+        assert err.value.report.name == "unital_kernel"
+        assert (check.value, check.bound) == (1.0, 1e-9)
+
+    def test_kms_failure_stops_before_ccn(self, ctx2, monkeypatch):
+        # a generator that is not KMS-symmetric for rho fails that
+        # certificate; the CCN certificate is then never computed
+        lgen = kf.generator_from_cp(sigma_x_psi(ctx2), ctx2).L
+        ctx = kf.DensityContext.from_rho(np.diag([0.6, 0.4]))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_ccn computed after a failed certificate")
+
+        monkeypatch.setattr(generator_mod, "is_ccn", refuse)
+        with pytest.raises(CertificationFailed, match="kms_symmetric") as err:
+            kf.certify_generator(lgen, ctx)
+        assert err.value.report.name == "kms_symmetric"
 
 
 class TestRecoverCp:

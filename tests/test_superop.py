@@ -339,6 +339,15 @@ class TestIsCcn:
         with pytest.raises(NotHermiticityPreserving):
             kf.is_ccn(s)
 
+    def test_gates_carry_value_and_bound(self):
+        with pytest.raises(UnitalityViolated) as err:
+            kf.is_ccn(kf.identity_superop(2), tol=1e-9)
+        assert (err.value.value, err.value.bound) == (1.0, 1e-9)
+        s = 1j * (kf.identity_superop(2) - depolarizing(2))
+        with pytest.raises(NotHermiticityPreserving) as err:
+            kf.is_ccn(s, tol=1e-9)
+        assert err.value.value > err.value.bound == 1e-9 * max(1.0, s.norm)
+
 
 class TestIsMarkovL2:
     def test_identity_passes(self, ctx2):
