@@ -273,16 +273,17 @@ def _dispatch(args, report: dict, serialize) -> int:
         s = serialize.superop_from_json(serialize.load_json(args.superop), args.superop)
         map_tol = 1e-9 if tol is None else tol
         if args.generator:  # a nonzero generator is never CP
-            unital = generator_mod.unital_kernel_report(s, map_tol)
-            results["unital_kernel"] = unital.to_json_dict()
+            rep = superop.unital_kernel_report(s, map_tol)
         else:
-            results["cp"] = superop.is_cp(s, tol=map_tol).to_json_dict()
-        if getattr(args, "rho", None):
-            ctx = serialize.density_from_json(serialize.load_json(args.rho), args.rho)
-            results["kms_symmetric"] = superop.is_kms_symmetric(
-                s, ctx, tol=ctx.tol if tol is None else tol
-            ).to_json_dict()
-        if args.generator:
+            rep = superop.is_cp(s, tol=map_tol)
+        results[rep.name] = rep.to_json_dict()
+        ctx = _load_context(args, serialize)
+        # a generator is certified in certify_generator's order, up to the
+        # first certificate that fails
+        if ctx is not None and (rep.passed or not args.generator):
+            rep = superop.is_kms_symmetric(s, ctx, tol=ctx.tol if tol is None else tol)
+            results[rep.name] = rep.to_json_dict()
+        if args.generator and rep.passed:
             results["ccn"] = superop.is_ccn(s, tol=map_tol).to_json_dict()
         return EXIT_PASS
 

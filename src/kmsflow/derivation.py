@@ -38,6 +38,12 @@ involution, and every consumer reads those.  The uniqueness witness is the
 m_b x m_a matrix W of the isometry I (x) W (x) I.  The dense actions and
 involution are rendered once, by the constructor, and nothing here reads
 them, so no check compares a calculus with its own rendering.
+
+Every bound here is a fixed module constant, relative to max(1, ||L||)
+where it scales: GRAM_PSD_TOL for Gram positivity, NULL_CUTOFF for rank
+decisions, FORM_TOL for the form identity, INVARIANTS_TOL for the invariants
+report, COMMUTATOR_FORM_TOL for the commutator form and WITNESS_TOL for the
+uniqueness witness.  Each report records its constant as ``tol``.
 """
 
 from __future__ import annotations
@@ -67,12 +73,9 @@ from .matrix_core import (
     DensityContext,
     as_matrix,
     dagger,
-    descend,
     hermitian_basis,
-    hilbert_algebra_product,
     kron,
     opnorm,
-    right_bounded_rep,
 )
 from .reports import Check, Report
 from .superop import (
@@ -89,6 +92,8 @@ GRAM_PSD_TOL = 1e-8
 NULL_CUTOFF = 1e-10
 FORM_TOL = 1e-8
 COMMUTATOR_FORM_TOL = 1e-7
+INVARIANTS_TOL = 1e-9
+WITNESS_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,6 +271,16 @@ def kms_form_of_generator(gen: MarkovGenerator) -> np.ndarray:
     return f_vec[np.ix_(perm, perm)]
 
 
+def _form_identity_check(delta: np.ndarray, gen: MarkovGenerator) -> Check:
+    """The form identity <delta(A), delta(B)> = <A, L(B)>_rho on the matrix
+    units, for the delta coefficients ``delta`` (n, n, dim H): the maximal
+    entrywise deviation against FORM_TOL * max(1, ||L||)."""
+    n2 = gen.dim * gen.dim
+    form_h = np.einsum("abi,cdi->abcd", np.conj(delta), delta).reshape(n2, n2)
+    defect = float(np.abs(form_h - kms_form_of_generator(gen)).max())
+    return Check("form_identity_defect", defect, FORM_TOL * max(1.0, gen.L.norm), "le")
+
+
 def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
     """Construct the first-order calculus of a certified generator by the
     GNS quotient of the V-transformed generator, in H = C^n (x) K (x) C^n.
@@ -374,23 +389,18 @@ def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
         },
     )
 
-    form_h = np.einsum("abi,cdi->abcd", np.conj(delta), delta).reshape(n2, n2)
-    form_l = kms_form_of_generator(gen)
-    defect = np.abs(form_h - form_l).max()
-    form_bound = FORM_TOL * max(1.0, gen.L.norm)
-    if defect > form_bound:
+    form = _form_identity_check(calc.delta, gen)
+    if not form.passed():
         raise ReconstructionFailure(
-            f"<delta(A), delta(B)> deviates from <A, L(B)>_rho by {defect:.3e}",
-            value=float(defect),
-            bound=float(form_bound),
+            f"<delta(A), delta(B)> deviates from <A, L(B)>_rho by {form.value:.3e}",
+            value=form.value,
+            bound=form.bound,
         )
-    calc.meta["form_identity_defect"] = float(defect)
+    calc.meta["form_identity_defect"] = form.value
     return calc
 
 
-def calculus_invariants_report(
-    calc: FirstOrderCalculus, gen: MarkovGenerator, tol: float = 1e-9
-) -> Report:
+def calculus_invariants_report(calc: FirstOrderCalculus, gen: MarkovGenerator) -> Report:
     """Certify the defining properties of a first-order calculus from its
     standard-form data (m, C, K_J).
 
@@ -403,7 +413,10 @@ def calculus_invariants_report(
     so the m x m defects equal the dim H ones), delta(A*) = J delta(A), the
     twisted Leibniz rule component by component, cyclicity of the
     delta-image under the left action, and the reconstruction of the
-    generator form.  Defects are maximal entrywise deviations.
+    generator form (the check ``gns_calculus`` raises on).  Defects are
+    maximal entrywise deviations, bounded by INVARIANTS_TOL * max(1, ||L||)
+    (the form identity by FORM_TOL * max(1, ||L||)); the report records
+    INVARIANTS_TOL as its ``tol``.
 
     For the GNS calculus K_J is a product of isometries, so
     ``j_antiunitary_defect`` measures only the rounding of that product; the
@@ -416,6 +429,7 @@ def calculus_invariants_report(
     n2 = n * n
     c = calc.delta.reshape(n, n, n, m, n)
     k_j = calc.k_j
+    tol = INVARIANTS_TOL
     rep = Report(name="calculus_invariants", tol=tol)
     scale = max(1.0, gen.L.norm)
 
@@ -456,32 +470,31 @@ def calculus_invariants_report(
     else:
         rank = 0
     rep.checks.append(Check("cyclic_rank_deficit", float(d - rank), 0.0, "le"))
-
-    form_h = np.einsum("abi,cdi->abcd", np.conj(calc.delta), calc.delta).reshape(n2, n2)
-    form_defect = float(np.abs(form_h - kms_form_of_generator(gen)).max())
-    rep.checks.append(Check("form_identity_defect", form_defect, FORM_TOL * scale, "le"))
+    rep.checks.append(_form_identity_check(calc.delta, gen))
     return rep
 
 
-def commutator_form_matrix(family: CommutatorFamily, ctx: DensityContext, n: int) -> np.ndarray:
+def commutator_form_matrix(family: CommutatorFamily, ctx: DensityContext) -> np.ndarray:
     """The matrix sum_j <[V_j, E_ab], [V_j, E_cd]>_rho over matrix-unit pairs
     (row-major unit labels): the commutators [V_j, E_ab] are stacked as one
     (N, n, n, n, n) array and contracted with their images under
-    rho^{1/2} (.) rho^{1/2} in one tensordot over (j, x, y)."""
+    rho^{1/2} (.) rho^{1/2} in one tensordot over (j, x, y); n = ctx.dim."""
+    n = ctx.dim
     comm = _unit_commutators(np.array(family.ops, dtype=complex).reshape(-1, n, n))
     sqrt_rho = ctx.sqrt_rho
     form = np.tensordot(np.conj(comm), sqrt_rho @ comm @ sqrt_rho, axes=([0, 3, 4], [0, 3, 4]))
     return form.reshape(n * n, n * n)
 
 
-def verify_commutator_form(
-    family: CommutatorFamily, gen: MarkovGenerator, tol: float = COMMUTATOR_FORM_TOL
-) -> Report:
+def verify_commutator_form(family: CommutatorFamily, gen: MarkovGenerator) -> Report:
     """Evaluate <A, L(B)>_rho against sum_j <[V_j, A], [V_j, B]>_rho on all
-    matrix-unit pairs; the deviation matrix is attached to the report."""
+    matrix-unit pairs, bounded by COMMUTATOR_FORM_TOL * max(1, ||L||); the
+    report records COMMUTATOR_FORM_TOL as its ``tol`` and carries the
+    deviation matrix."""
     lhs = kms_form_of_generator(gen)
-    rhs = commutator_form_matrix(family, gen.ctx, gen.dim)
+    rhs = commutator_form_matrix(family, gen.ctx)
     dev = np.abs(lhs - rhs)
+    tol = COMMUTATOR_FORM_TOL
     rep = Report(name="commutator_form", tol=tol)
     rep.checks.append(
         Check("max_form_deviation", float(dev.max(initial=0.0)), tol * max(1.0, gen.L.norm), "le")
@@ -491,9 +504,7 @@ def verify_commutator_form(
     return rep
 
 
-def extract_commutators_gns(
-    calc: FirstOrderCalculus, gen: MarkovGenerator, tol: float = COMMUTATOR_FORM_TOL
-) -> CommutatorFamily:
+def extract_commutators_gns(calc: FirstOrderCalculus, gen: MarkovGenerator) -> CommutatorFamily:
     """Read the commutator family off the GNS calculus.
 
     Component k of the derivation is the (a, d) slice of the delta
@@ -508,7 +519,7 @@ def extract_commutators_gns(
     n = calc.dim
     if calc.dim_h == 0:
         fam = CommutatorFamily(ops=())
-        rep = verify_commutator_form(fam, gen, tol=tol)
+        rep = verify_commutator_form(fam, gen)
         if not rep.passed:
             raise CertificationFailed("empty family fails nonzero form", rep)
         return fam
@@ -518,7 +529,7 @@ def extract_commutators_gns(
     dj = qi @ c.transpose(3, 0, 1, 2, 4) @ qi  # dj[k, p, q] = rho^{-1/4} delta_k(E_pq) rho^{-1/4}
     vs = dj[:, :, 0, :, 0].transpose(0, 2, 1)  # V_k[:, a] = d_k(E_a0)[:, 0]
     worst = float(np.linalg.norm(dj - _unit_commutators(vs), axis=(-2, -1)).max())
-    vscale = max(1.0, max(opnorm(v) for v in vs))
+    vscale = max(1.0, float(np.linalg.norm(vs, 2, axis=(-2, -1)).max()))
     if worst > 1e-7 * vscale:
         raise DerivationRecoveryFailure(
             f"component derivations deviate from commutators by {worst:.3e}",
@@ -528,7 +539,7 @@ def extract_commutators_gns(
 
     herm, _, _ = _hermitian_normal_form(_traceless(vs))
     fam = CommutatorFamily(ops=tuple(herm))
-    rep = verify_commutator_form(fam, gen, tol=tol)
+    rep = verify_commutator_form(fam, gen)
     if not rep.passed:
         raise CertificationFailed("extracted family fails the form identity", rep)
     return fam
@@ -543,9 +554,7 @@ def xi_map(gen: MarkovGenerator, psi: Superoperator) -> Superoperator:
 
 
 def extract_commutators_kraus(
-    gen: MarkovGenerator,
-    psi: Superoperator | None = None,
-    tol: float = COMMUTATOR_FORM_TOL,
+    gen: MarkovGenerator, psi: Superoperator | None = None
 ) -> CommutatorFamily:
     """Extract the commutator family through the Kraus decomposition of Xi.
 
@@ -584,7 +593,7 @@ def extract_commutators_kraus(
     raw = np.array(kraus_from_choi(choi(xi)), dtype=complex)
     herm, _, _ = _hermitian_normal_form(raw.reshape(-1, n, n) / np.sqrt(2.0))
     fam = CommutatorFamily(ops=tuple(herm))
-    rep = verify_commutator_form(fam, gen, tol=tol)
+    rep = verify_commutator_form(fam, gen)
     if not rep.passed:
         raise CertificationFailed("Kraus-route family fails the form identity", rep)
     return fam
@@ -668,10 +677,7 @@ def inner_vector(calc: FirstOrderCalculus):
 
 
 def uniqueness_witness(
-    calc_a: FirstOrderCalculus,
-    calc_b: FirstOrderCalculus,
-    gen: MarkovGenerator,
-    tol: float = 1e-6,
+    calc_a: FirstOrderCalculus, calc_b: FirstOrderCalculus, gen: MarkovGenerator
 ):
     """Witness that two standard-form calculi of the same generator are
     isomorphic.  Returns (W, report), W the m_b x m_a matrix on the
@@ -689,8 +695,11 @@ def uniqueness_witness(
     certifies W unitary (``w_unitarity_defect``; calculi of different
     multiplicity fail it with a measured value), W K_a = K_b conj(W)
     (``j_intertwine_defect``, theta J_a = J_b theta) and M_a W^T = M_b
-    (``delta_match_defect``).
+    (``delta_match_defect``).  Every bound is WITNESS_TOL, relative to the
+    largest Gram entry for the Gram check, and the report records WITNESS_TOL
+    as its ``tol``.
     """
+    tol = WITNESS_TOL
     n = gen.dim
     m_a, k_a = calc_a.m, calc_a.k_j
     m_b, k_b = calc_b.m, calc_b.k_j
@@ -723,46 +732,3 @@ def uniqueness_witness(
     rep.checks.append(Check("delta_match_defect", _maxabs(cols_a @ w.T - cols_b), tol, "le"))
     rep.metrics.update({"dim_h_a": calc_a.dim_h, "dim_h_b": calc_b.dim_h})
     return w, rep
-
-
-def leibniz_bilinear_residual(calc: FirstOrderCalculus, a, b, c) -> float:
-    """Residual of the six-term bilinear identity satisfied by any bounded
-    first-order calculus, evaluated on standard-form vectors a, b, c:
-
-        <d(D^{1/4}a) . D^{1/4}b, d(D^{-1/4}c)> + <d(D^{-1/4}a) . D^{-1/4}b, d(D^{1/4}c)>
-      = <d(D^{-1/4}(a.b)), d(D^{1/4}c)> + <d(D^{1/4}a), d((D^{-1/4}c) . J(D^{-1/4}b))>
-        - <d(J(D^{1/4}c) . (D^{1/4}a)), d(J(D^{-1/4}b))>
-
-    where D^s is the modular flow on vectors, dots are the standard-form
-    products, and the right action of a vector y is pi_r(rho^{-1/2} y).
-    """
-    ctx = calc.ctx
-
-    def dpow(s, x):
-        return ctx.power(s) @ x @ ctx.power(-s)
-
-    def dl2(x):
-        return calc.delta_of(descend(ctx, x))
-
-    def right_act(xi, y):
-        return calc.pi_r_of(right_bounded_rep(ctx, y)) @ xi
-
-    def ip(x, y):
-        return complex(np.vdot(x, y))
-
-    a = as_matrix(a, calc.dim)
-    b = as_matrix(b, calc.dim)
-    c = as_matrix(c, calc.dim)
-    prod = lambda x, y: hilbert_algebra_product(ctx, x, y)
-    jj = dagger
-
-    lhs = ip(right_act(dl2(dpow(0.25, a)), dpow(0.25, b)), dl2(dpow(-0.25, c))) + ip(
-        right_act(dl2(dpow(-0.25, a)), dpow(-0.25, b)), dl2(dpow(0.25, c))
-    )
-    rhs = (
-        ip(dl2(dpow(-0.25, prod(a, b))), dl2(dpow(0.25, c)))
-        + ip(dl2(dpow(0.25, a)), dl2(prod(dpow(-0.25, c), jj(dpow(-0.25, b)))))
-        - ip(dl2(prod(jj(dpow(0.25, c)), dpow(0.25, a))), dl2(jj(dpow(-0.25, b))))
-    )
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return float(abs(lhs - rhs) / scale)

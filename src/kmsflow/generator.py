@@ -41,7 +41,6 @@ from .matrix_core import (
     as_matrix,
     dagger,
     eigenbasis_multiply,
-    embed,
     hilbert_algebra_product,
     hsnorm,
     opnorm,
@@ -58,6 +57,7 @@ from .superop import (
     superop_exp,
     superop_from_choi,
     to_l2,
+    unital_kernel_report,
     vec,
 )
 from .vtransform import v_transform
@@ -103,13 +103,6 @@ class MarkovGenerator:
     @property
     def tol(self) -> float:
         return self.ctx.tol
-
-
-def unital_kernel_report(lgen: Superoperator, tol: float) -> Report:
-    """L(I) = 0: ||L(I)|| against tol * max(1, ||L||)."""
-    defect = opnorm(lgen.apply(np.eye(lgen.dim)))
-    check = Check("kernel_defect", defect, tol * max(1.0, lgen.norm), "le")
-    return Report(name="unital_kernel", tol=tol, checks=[check])
 
 
 def certify_generator(lgen: Superoperator, ctx: DensityContext, tol: float | None = None) -> MarkovGenerator:
@@ -252,32 +245,6 @@ def cone_project(ctx: DensityContext, a):
         raise NotJFixed("cone_project requires a J-fixed (Hermitian) vector")
     a = 0.5 * (a + dagger(a))
     return ctx.sqrt_rho - _psd_project(ctx.sqrt_rho - a)
-
-
-def random_cone_point(ctx: DensityContext, rng: np.random.Generator) -> np.ndarray:
-    """A random element of the cone rho^{1/2} - L2_+."""
-    n = ctx.dim
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    v = g @ dagger(g) * rng.uniform(0.1, 2.0)
-    return ctx.sqrt_rho - embed(ctx, v)
-
-
-def variational_inequality_report(
-    ctx: DensityContext, a, proj, trials: int = 100, seed: int = 0, tol: float = 1e-9
-) -> Report:
-    """Optimality witness for the cone projection: Re<a - proj, c - proj> <= tol
-    for random cone points c."""
-    a = as_matrix(a, ctx.dim)
-    proj = as_matrix(proj, ctx.dim)
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    for _ in range(trials):
-        c = random_cone_point(ctx, rng)
-        val = float(np.real(np.trace(dagger(a - proj) @ (c - proj))))
-        worst = max(worst, val)
-    rep = Report(name="cone_variational_inequality", tol=tol)
-    rep.checks.append(Check("max_inner_product", worst, tol, "le"))
-    return rep
 
 
 def dirichlet_contraction_check(

@@ -43,7 +43,6 @@ def random_instance(
     seed: int,
     kraus_rank: int | None = None,
     cond_bound: float = DEFAULT_COND_BOUND,
-    tol: float = 1e-9,
     ctx: DensityContext | None = None,
 ):
     """A seeded (DensityContext, Psi) pair: Psi is the KMS symmetrization of
@@ -60,7 +59,7 @@ def random_instance(
         raise ValueError(f"cond_bound must be finite and at least 1, got {cond_bound}")
     rng = np.random.default_rng(seed)
     if ctx is None:
-        ctx = DensityContext.from_rho(random_density(rng, n, cond_bound), tol=tol)
+        ctx = DensityContext.from_rho(random_density(rng, n, cond_bound))
     elif ctx.dim != n:
         raise ValueError(f"supplied density has dimension {ctx.dim}, expected {n}")
     ops = [ginibre(rng, n) / np.sqrt(n) for _ in range(kraus_rank)]
@@ -76,24 +75,19 @@ def random_generator(
     seed: int,
     kraus_rank: int | None = None,
     cond_bound: float = DEFAULT_COND_BOUND,
-    tol: float = 1e-9,
     ctx: DensityContext | None = None,
 ):
     """A seeded certified Markov generator, returned with the Psi that
     produced it."""
-    ctx, psi = random_instance(
-        n, seed, kraus_rank=kraus_rank, cond_bound=cond_bound, tol=tol, ctx=ctx
-    )
+    ctx, psi = random_instance(n, seed, kraus_rank=kraus_rank, cond_bound=cond_bound, ctx=ctx)
     gen = generator_from_cp(psi, ctx)
     return gen, psi
 
 
-def random_markov_operator(n: int, seed: int, t: float | None = None):
+def random_markov_operator(n: int, seed: int):
     """A seeded symmetric Markov operator on the standard form, produced as
-    exp(-t L2) of a seeded generator."""
+    exp(-t L2) of a seeded generator, t drawn from the seed."""
     gen, _ = random_generator(n, seed)
-    rng = np.random.default_rng(seed + 7919)
-    if t is None:
-        t = float(rng.uniform(0.2, 2.0))
+    t = float(np.random.default_rng(seed + 7919).uniform(0.2, 2.0))
     return gen.ctx, superop_exp(gen.L2, t)
 

@@ -271,9 +271,3 @@ def hilbert_algebra_product(ctx: DensityContext, a, b) -> np.ndarray:
     a = as_matrix(a, ctx.dim)
     b = as_matrix(b, ctx.dim)
     return a @ ctx.inv_sqrt_rho @ b
-
-
-def right_bounded_rep(ctx: DensityContext, b) -> np.ndarray:
-    """The matrix y with b = rho^{1/2} y; right multiplication by y is the
-    right action of the vector b."""
-    return ctx.inv_sqrt_rho @ as_matrix(b, ctx.dim)

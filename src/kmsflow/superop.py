@@ -308,11 +308,20 @@ def compressed_choi(lgen: Superoperator) -> np.ndarray:
     return proj @ (0.5 * (c_neg + dagger(c_neg))) @ proj
 
 
+def unital_kernel_report(lgen: Superoperator, tol: float) -> Report:
+    """L(I) = 0: ||L(I)|| against tol * max(1, ||L||).  ``is_ccn`` raises
+    UnitalityViolated on this report's check."""
+    defect = opnorm(lgen.apply(np.eye(lgen.dim)))
+    check = Check("kernel_defect", defect, tol * max(1.0, lgen.norm), "le")
+    return Report(name="unital_kernel", tol=tol, checks=[check])
+
+
 def is_ccn(lgen: Superoperator, tol: float = 1e-9) -> Report:
     """Conditional complete negativity of a candidate Markov generator.
 
-    Preconditions (raised, not reported): L(I) = 0 within tolerance and
-    Hermiticity preservation on the matrix-unit basis.
+    Preconditions (raised, not reported): L(I) = 0, the check of
+    ``unital_kernel_report``, whose value and bound UnitalityViolated
+    carries, and Hermiticity preservation on the matrix-unit basis.
 
     Primary criterion: the Choi matrix of -L, compressed to the orthogonal
     complement of vec(I), is positive semidefinite down to -tol * ||L||.
@@ -322,14 +331,13 @@ def is_ccn(lgen: Superoperator, tol: float = 1e-9) -> Report:
     """
     if lgen.level != ALGEBRA:
         raise WrongLevel("is_ccn expects an algebra-level generator")
-    n = lgen.dim
     scale = _scale(lgen.norm)
-    unital_defect = opnorm(lgen.apply(np.eye(n)))
-    if unital_defect > tol * scale:
+    unital = unital_kernel_report(lgen, tol).check("kernel_defect")
+    if not unital.passed():
         raise UnitalityViolated(
-            f"||L(I)|| = {unital_defect:.3e} exceeds {tol:.1e} * max(||L||, 1)",
-            value=float(unital_defect),
-            bound=float(tol * scale),
+            f"||L(I)|| = {unital.value:.3e} exceeds {tol:.1e} * max(||L||, 1)",
+            value=unital.value,
+            bound=unital.bound,
         )
     herm_defect = hermiticity_preservation_defect(lgen)
     if herm_defect > tol * scale:
@@ -357,7 +365,7 @@ def is_ccn(lgen: Superoperator, tol: float = 1e-9) -> Report:
     rep.metrics.update(probe)
     rep.metrics.update(
         {
-            "unital_defect": unital_defect,
+            "unital_defect": unital.value,
             "hermiticity_defect": herm_defect,
             "exp_probe_pass": probe_pass,
             "norm": lgen.norm,

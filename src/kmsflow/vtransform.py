@@ -49,13 +49,6 @@ TAIL_BOUND_LIMIT = 1e-8
 TRACE_TRIALS = 20  # probe pairs of the CPTP certificate's trace check
 
 
-def delta_superop(ctx: DensityContext, power: float = 1.0, level: str = L2) -> Superoperator:
-    """Delta^power as a superoperator: a -> rho^power a rho^{-power}."""
-    rp = ctx.power(power)
-    rm = ctx.power(-power)
-    return Superoperator(kron(rm.T, rp), ctx.dim, level)
-
-
 def _w_multiplier(ctx: DensityContext) -> np.ndarray:
     """Entrywise multiplier of W in the eigenbasis of Delta:
     w = cosh(log(lam_a / lam_b) / 4) for the coupled eigenvalues."""

@@ -43,6 +43,10 @@ the standard form (``as_dense`` copies a calculus into one).
   ``kron_commutator_actions`` is the Kronecker-product construction of the
   untrimmed calculus, against which the blockwise actions of the trimmed one
   are checked.
+- ``leibniz_bilinear_residual`` evaluates the six-term bilinear identity of
+  a bounded first-order calculus on standard-form vectors through the
+  structural actions ``delta_of`` and ``pi_r_of``, with the right action of
+  a vector read off by ``right_bounded_rep``.
 """
 
 from dataclasses import dataclass, field
@@ -65,7 +69,14 @@ from kmsflow.errors import (
     ReconstructionFailure,
 )
 from kmsflow.generator import MarkovGenerator
-from kmsflow.matrix_core import DensityContext, dagger, opnorm
+from kmsflow.matrix_core import (
+    DensityContext,
+    as_matrix,
+    dagger,
+    descend,
+    hilbert_algebra_product,
+    opnorm,
+)
 from kmsflow.reports import Check, Report
 from kmsflow.superop import kms_gram, lmul, rmul, to_algebra, unvec, vec
 from kmsflow.vtransform import v_transform
@@ -838,3 +849,52 @@ def tensor_leibniz_defect(calc) -> float:
     rhs = s_m4[:, :, None, None, None] @ dk + dk[:, :, None, None] @ s_p4[:, :, None]
     rhs[:, np.arange(n), np.arange(n)] -= dk[:, None]  # E_ab E_cd = delta_bc E_ad
     return _maxabs(rhs)
+
+
+def right_bounded_rep(ctx: DensityContext, b) -> np.ndarray:
+    """The matrix y with b = rho^{1/2} y; right multiplication by y is the
+    right action of the vector b."""
+    return ctx.inv_sqrt_rho @ as_matrix(b, ctx.dim)
+
+
+def leibniz_bilinear_residual(calc, a, b, c) -> float:
+    """Residual of the six-term bilinear identity satisfied by any bounded
+    first-order calculus, evaluated on standard-form vectors a, b, c:
+
+        <d(D^{1/4}a) . D^{1/4}b, d(D^{-1/4}c)> + <d(D^{-1/4}a) . D^{-1/4}b, d(D^{1/4}c)>
+      = <d(D^{-1/4}(a.b)), d(D^{1/4}c)> + <d(D^{1/4}a), d((D^{-1/4}c) . J(D^{-1/4}b))>
+        - <d(J(D^{1/4}c) . (D^{1/4}a)), d(J(D^{-1/4}b))>
+
+    where D^s is the modular flow on vectors, dots are the standard-form
+    products, and the right action of a vector y is pi_r(rho^{-1/2} y).
+    """
+    ctx = calc.ctx
+
+    def dpow(s, x):
+        return ctx.power(s) @ x @ ctx.power(-s)
+
+    def dl2(x):
+        return calc.delta_of(descend(ctx, x))
+
+    def right_act(xi, y):
+        return calc.pi_r_of(right_bounded_rep(ctx, y)) @ xi
+
+    def ip(x, y):
+        return complex(np.vdot(x, y))
+
+    a = as_matrix(a, calc.dim)
+    b = as_matrix(b, calc.dim)
+    c = as_matrix(c, calc.dim)
+    prod = lambda x, y: hilbert_algebra_product(ctx, x, y)
+    jj = dagger
+
+    lhs = ip(right_act(dl2(dpow(0.25, a)), dpow(0.25, b)), dl2(dpow(-0.25, c))) + ip(
+        right_act(dl2(dpow(-0.25, a)), dpow(-0.25, b)), dl2(dpow(0.25, c))
+    )
+    rhs = (
+        ip(dl2(dpow(-0.25, prod(a, b))), dl2(dpow(0.25, c)))
+        + ip(dl2(dpow(0.25, a)), dl2(prod(dpow(-0.25, c), jj(dpow(-0.25, b)))))
+        - ip(dl2(prod(jj(dpow(0.25, c)), dpow(0.25, a))), dl2(jj(dpow(-0.25, b))))
+    )
+    scale = max(1.0, abs(lhs), abs(rhs))
+    return float(abs(lhs - rhs) / scale)

@@ -21,6 +21,12 @@ the functions here are the plain forms those paths are gated against:
 - ``loop_trace_defect`` is the trace check of
   ``v_transform_cptp_certificate`` with one application of V per probe, the
   oracle for the certificate's batched probes.
+- ``variational_inequality_report`` is the optimality witness of the cone
+  projection, Re<a - proj, c - proj> <= tol over random cone points
+  (``random_cone_point``).
+- ``delta_superop`` is the modular operator Delta^power as a dense
+  superoperator, against which the eigenbasis multipliers of V and W are
+  checked.
 """
 
 import numpy as np
@@ -41,10 +47,11 @@ from kmsflow.matrix_core import (
     embed,
     hermitian_basis,
     hsnorm,
+    kron,
     opnorm,
 )
 from kmsflow.reports import Check, Report
-from kmsflow.superop import choi, kms_adjoint, unvec, vec
+from kmsflow.superop import L2, Superoperator, choi, kms_adjoint, unvec, vec
 from kmsflow.vtransform import TRACE_TRIALS, _w_multiplier
 
 
@@ -210,3 +217,36 @@ def loop_trace_defect(ctx: DensityContext) -> float:
         image = eigenbasis_multiply(ctx.superop_basis, v, t)
         trace_defect = max(trace_defect, abs(np.trace(image) - np.trace(t)))
     return float(trace_defect)
+
+
+def random_cone_point(ctx: DensityContext, rng: np.random.Generator) -> np.ndarray:
+    """A random element of the cone rho^{1/2} - L2_+."""
+    n = ctx.dim
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v = g @ dagger(g) * rng.uniform(0.1, 2.0)
+    return ctx.sqrt_rho - embed(ctx, v)
+
+
+def variational_inequality_report(
+    ctx: DensityContext, a, proj, trials: int = 100, seed: int = 0, tol: float = 1e-9
+) -> Report:
+    """Optimality witness for the cone projection: Re<a - proj, c - proj> <= tol
+    for random cone points c."""
+    a = as_matrix(a, ctx.dim)
+    proj = as_matrix(proj, ctx.dim)
+    rng = np.random.default_rng(seed)
+    worst = -np.inf
+    for _ in range(trials):
+        c = random_cone_point(ctx, rng)
+        val = float(np.real(np.trace(dagger(a - proj) @ (c - proj))))
+        worst = max(worst, val)
+    rep = Report(name="cone_variational_inequality", tol=tol)
+    rep.checks.append(Check("max_inner_product", worst, tol, "le"))
+    return rep
+
+
+def delta_superop(ctx: DensityContext, power: float = 1.0, level: str = L2) -> Superoperator:
+    """Delta^power as a superoperator: a -> rho^power a rho^{-power}."""
+    rp = ctx.power(power)
+    rm = ctx.power(-power)
+    return Superoperator(kron(rm.T, rp), ctx.dim, level)

@@ -228,7 +228,7 @@ def test_criterion_06_gns_calculus():
             eigs = calc.meta["gram_eigs"]
             gram_rel = eigs.min() / max(abs(eigs).max(), 1e-300)
             assert gram_rel >= -1e-8, (n, seed)
-            rep = kf.calculus_invariants_report(calc, gen, tol=1e-9)
+            rep = kf.calculus_invariants_report(calc, gen)
             assert rep.passed, (n, seed, [c.name for c in rep.checks if not c.passed()])
             worst_gram = min(worst_gram, gram_rel)
             worst_form = max(worst_form, rep.check("form_identity_defect").value)
@@ -262,7 +262,7 @@ def test_criterion_06_standard_form_paths_match_dense_oracles():
     for gen, calc, calc_k in oracle_calculi():
         n = gen.dim
         for route in (calc, calc_k):
-            rep = kf.calculus_invariants_report(route, gen, tol=1e-9)
+            rep = kf.calculus_invariants_report(route, gen)
             dense = dense_invariants_report(route, gen, tol=1e-9)
             assert rep.passed == dense.passed, (n, rep.passed)
             shared = {c.name for c in rep.checks} & {c.name for c in dense.checks}
@@ -271,7 +271,7 @@ def test_criterion_06_standard_form_paths_match_dense_oracles():
                 dev = abs(rep.check(name).value - dense.check(name).value)
                 assert dev <= 1e-13, (n, name, dev)
                 worst_check = max(worst_check, dev)
-        w, wit = kf.uniqueness_witness(calc, calc_k, gen, tol=1e-6)
+        w, wit = kf.uniqueness_witness(calc, calc_k, gen)
         _, dense_wit = dense_uniqueness_witness(calc, calc_k, gen, tol=1e-6)
         assert wit.passed == dense_wit.passed, (n, wit.passed)
         assert w.shape == (calc_k.dim_h // n**2, calc.dim_h // n**2)
@@ -399,7 +399,7 @@ def test_criterion_07_commutator_form():
             for v in pipe["fam_gns"].ops:
                 assert abs(np.trace(v)) <= 1e-12 * max(1.0, opnorm(v)), (n, seed)
             for fam in (pipe["fam_gns"], pipe["fam_kraus"]):
-                rep = kf.verify_commutator_form(fam, gen, tol=1e-7)
+                rep = kf.verify_commutator_form(fam, gen)
                 assert rep.passed, (n, seed)
                 worst_form = max(worst_form, rep.check("max_form_deviation").value)
                 for v in fam.ops:
@@ -423,7 +423,7 @@ def test_criterion_08_uniqueness_witness():
     for n in DIMS:
         for seed in PIPELINE_SEEDS[n]:
             pipe = pipeline_cache(n, seed)
-            _, rep = kf.uniqueness_witness(pipe["calc"], pipe["calc_kraus"], pipe["gen"], tol=1e-6)
+            _, rep = kf.uniqueness_witness(pipe["calc"], pipe["calc_kraus"], pipe["gen"])
             assert rep.passed, (n, seed)
             worst = max(worst, rep.check("gram_mismatch_max").value)
     with pytest.raises(GramMismatch):
@@ -445,7 +445,7 @@ def test_criterion_08_witness_bound_and_loop_oracle_pass():
         for seed in PIPELINE_SEEDS[n]:
             pipe = pipeline_cache(n, seed)
             calc, calc_k = pipe["calc"], pipe["calc_kraus"]
-            w, rep = kf.uniqueness_witness(calc, calc_k, pipe["gen"], tol=1e-6)
+            w, rep = kf.uniqueness_witness(calc, calc_k, pipe["gen"])
             assert rep.passed, (n, seed)
             theta = render_theta(w, n)
             assert dense_uniqueness_witness(calc, calc_k, pipe["gen"], tol=1e-6)[1].passed, (n, seed)

@@ -5,7 +5,7 @@ import pytest
 
 import kmsflow as kf
 from kmsflow.cli import _build_parser, main
-from kmsflow.serialize import dump_json, superop_to_json
+from kmsflow.serialize import density_to_json, dump_json, superop_to_json
 
 
 def run(capsys, *argv):
@@ -55,8 +55,6 @@ class TestRandom:
         assert rep["error"]["type"] == "usage"
 
     def test_config_with_fixed_rho(self, capsys, tmp_path):
-        from kmsflow.serialize import density_to_json
-
         ctx = kf.DensityContext.from_rho(np.diag([0.75, 0.25]))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -136,15 +134,37 @@ class TestCheck:
 
     def test_generator_unitality_failure_is_measured(self, capsys, tmp_path):
         # the identity map fixes I instead of annihilating it: the kernel
-        # certificate fails, and the CCN certificate's precondition raises
-        # with the same value and bound
+        # certificate fails and is the only one computed, as in
+        # certify_generator
         f = tmp_path / "identity.json"
         dump_json(superop_to_json(kf.identity_superop(2)), str(f))
         code, rep = run(capsys, "check", "--superop", str(f), "--generator")
         assert code == 1
-        assert rep["results"]["unital_kernel"]["pass"] is False
-        assert rep["error"]["type"] == "UnitalityViolated"
-        assert (rep["error"]["value"], rep["error"]["bound"]) == (1.0, 1e-9)
+        assert list(rep["results"]) == ["unital_kernel"]
+        kernel = rep["results"]["unital_kernel"]
+        assert kernel["pass"] is False
+        assert (kernel["checks"][0]["value"], kernel["checks"][0]["bound"]) == (1.0, 1e-9)
+        assert "error" not in rep
+        assert rep["pass"] is False
+
+    def test_generator_kms_failure_stops_before_ccn(self, capsys, tmp_path):
+        # a generator KMS-symmetric for diag(0.75, 0.25), checked against
+        # diag(0.6, 0.4): the kms_symmetric certificate fails and no ccn
+        # certificate is computed
+        ctx = kf.DensityContext.from_rho(np.diag([0.75, 0.25]))
+        phi = kf.from_kraus([np.array([[0.0, 1.0], [1.0, 0.0]])])
+        lgen = kf.generator_from_cp(0.5 * (phi + kf.kms_adjoint(phi, ctx)), ctx).L
+        gen = tmp_path / "gen.json"
+        dump_json(superop_to_json(lgen), str(gen))
+        rho = tmp_path / "rho.json"
+        dump_json(density_to_json(kf.DensityContext.from_rho(np.diag([0.6, 0.4]))), str(rho))
+        code, rep = run(capsys, "check", "--superop", str(gen), "--rho", str(rho), "--generator")
+        assert code == 1
+        assert list(rep["results"]) == ["unital_kernel", "kms_symmetric"]
+        assert rep["results"]["unital_kernel"]["pass"] is True
+        assert rep["results"]["kms_symmetric"]["pass"] is False
+        assert "error" not in rep
+        assert rep["pass"] is False
 
 
 class TestVTransformCommand:

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from kmsflow.derivation import (
     FirstOrderCalculus,
     commutator_form_matrix,
     kms_form_of_generator,
-    leibniz_bilinear_residual,
     xi_map,
 )
 from kmsflow.errors import (
@@ -34,6 +34,7 @@ from calculus_oracle import (
     grid_invariants_report,
     kron_commutator_actions,
     kron_render,
+    leibniz_bilinear_residual,
     lift_k_j,
     loop_commutator_form_matrix,
     loop_standard_form_defect,
@@ -98,7 +99,7 @@ class TestGnsCalculus:
     def test_all_invariants(self, n, seed):
         gen, _ = cached_generator(n, seed)
         calc = cached_gns(n, seed)
-        rep = kf.calculus_invariants_report(calc, gen, tol=1e-9)
+        rep = kf.calculus_invariants_report(calc, gen)
         assert rep.passed, [
             (c.name, c.value) for c in rep.checks if not c.passed()
         ]
@@ -112,7 +113,7 @@ class TestGnsCalculus:
         # isometries does not amplify rounding by the conditioning of g
         gen, _ = kf.random_generator(n, seed, cond_bound=1e6)
         calc = kf.gns_calculus(gen)
-        rep = kf.calculus_invariants_report(calc, gen, tol=1e-9)
+        rep = kf.calculus_invariants_report(calc, gen)
         assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]
 
     def test_middle_constraint_dimension_checked(self, monkeypatch):
@@ -137,6 +138,24 @@ class TestGnsCalculus:
         with pytest.raises(ReconstructionFailure, match="constraint subspace") as err:
             kf.gns_calculus(gen)
         assert err.value.value > 1e-7 > err.value.bound
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 0), (4, 1)])
+    def test_form_identity_defect_is_the_reports(self, n, seed):
+        # gns_calculus and the invariants report share one measurement
+        gen, _ = cached_generator(n, seed)
+        calc = cached_gns(n, seed)
+        rep = kf.calculus_invariants_report(calc, gen)
+        assert calc.meta["form_identity_defect"] == rep.check("form_identity_defect").value
+
+    def test_form_identity_failure_rejected(self, monkeypatch):
+        gen, _ = cached_generator(2, 0)
+        form = derivation.kms_form_of_generator
+        monkeypatch.setattr(
+            derivation, "kms_form_of_generator", lambda g: form(g) + 1e-6 * np.eye(4)
+        )
+        with pytest.raises(ReconstructionFailure, match="deviates") as err:
+            kf.gns_calculus(gen)
+        assert err.value.value > err.value.bound == derivation.FORM_TOL * max(1.0, gen.L.norm)
 
     def test_form_identity_tolerance(self):
         gen, _ = cached_generator(3, 0)
@@ -299,6 +318,34 @@ def _dense_field_reads(source: str) -> list:
     ]
 
 
+class TestFixedBounds:
+    @pytest.mark.parametrize(
+        "fn,name",
+        [
+            (derivation.calculus_invariants_report, "tol"),
+            (derivation.verify_commutator_form, "tol"),
+            (derivation.extract_commutators_gns, "tol"),
+            (derivation.extract_commutators_kraus, "tol"),
+            (derivation.uniqueness_witness, "tol"),
+            (derivation.commutator_form_matrix, "n"),
+            (kf.random_instance, "tol"),
+            (kf.random_generator, "tol"),
+            (kf.random_markov_operator, "t"),
+        ],
+    )
+    def test_parameter_stays_removed(self, fn, name):
+        assert name not in inspect.signature(fn).parameters
+
+    def test_reports_record_their_constant(self):
+        gen, psi = cached_generator(2, 0)
+        calc = cached_gns(2, 0)
+        fam = kf.extract_commutators_kraus(gen, psi)
+        _, wit = kf.uniqueness_witness(calc, kf.commutator_calculus(fam, gen), gen)
+        assert kf.calculus_invariants_report(calc, gen).tol == derivation.INVARIANTS_TOL
+        assert kf.verify_commutator_form(fam, gen).tol == derivation.COMMUTATOR_FORM_TOL
+        assert wit.tol == derivation.WITNESS_TOL
+
+
 class TestDenseFieldSourceGuard:
     """Nothing in the library reads the rendered dense fields, so deleting
     them touches only the constructor."""
@@ -371,10 +418,10 @@ class TestInvariantsNegativeControls:
         gen, _ = cached_generator(n, seed)
         calc = cached_gns(n, seed)
         broken = dataclasses.replace(calc, k_j=breaker(calc.k_j))
-        rep = kf.calculus_invariants_report(broken, gen, tol=1e-9)
+        rep = kf.calculus_invariants_report(broken, gen)
         assert not rep.check("j_delta_defect").passed()
         assert not grid_invariants_report(broken, gen, tol=1e-9).check("j_delta_defect").passed()
-        assert kf.calculus_invariants_report(calc, gen, tol=1e-9).passed
+        assert kf.calculus_invariants_report(calc, gen).passed
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
     def test_native_calculi_conform_exactly(self, n, seed):
@@ -466,7 +513,7 @@ class TestBatchedChecksAgainstOracles:
             fam = kf.extract_commutators_kraus(gen, psi)
         else:
             fam = CommutatorFamily(ops=())
-        got = commutator_form_matrix(fam, gen.ctx, n)
+        got = commutator_form_matrix(fam, gen.ctx)
         want = loop_commutator_form_matrix(fam, gen.ctx, n)
         assert got.shape == want.shape == (n * n, n * n)
         scale = max(1.0, np.abs(want).max(initial=0.0))
@@ -477,7 +524,7 @@ class TestBatchedChecksAgainstOracles:
     def test_leibniz_matches_tensor(self, n, seed, route):
         gen, _ = cached_generator(n, seed)
         calc = cached_gns(n, seed) if route == "gns" else _kraus_calculus(n, seed)
-        rep = kf.calculus_invariants_report(calc, gen, tol=1e-9)
+        rep = kf.calculus_invariants_report(calc, gen)
         got = rep.check("twisted_leibniz_defect").value
         assert abs(got - tensor_leibniz_defect(calc)) <= 1e-15
         assert rep.check("twisted_leibniz_defect").passed()
@@ -486,7 +533,7 @@ class TestBatchedChecksAgainstOracles:
     def test_perturbed_delta_fails_both_alike(self, n, seed):
         gen, _ = cached_generator(n, seed)
         broken = _perturbed(cached_gns(n, seed), "delta", eps=1e-4, at=n + 1)
-        rep = kf.calculus_invariants_report(broken, gen, tol=1e-9)
+        rep = kf.calculus_invariants_report(broken, gen)
         check = rep.check("twisted_leibniz_defect")
         assert not check.passed()
         assert check.value > check.bound
@@ -498,7 +545,7 @@ class TestExtractGns:
     def test_form_identity_on_unit_pairs(self, n, seed):
         gen, _ = cached_generator(n, seed)
         fam = kf.extract_commutators_gns(cached_gns(n, seed), gen)
-        rep = kf.verify_commutator_form(fam, gen, tol=1e-7)
+        rep = kf.verify_commutator_form(fam, gen)
         assert rep.passed
         assert rep.check("max_form_deviation").value <= 1e-7 * max(1, gen.L.norm)
 
@@ -509,8 +556,8 @@ class TestExtractGns:
         calc = kf.gns_calculus(gen)
         fam = kf.extract_commutators_gns(calc, gen)
         reference = CommutatorFamily(ops=(SX / np.sqrt(2.0),))
-        f1 = commutator_form_matrix(fam, gen.ctx, 2)
-        f2 = commutator_form_matrix(reference, gen.ctx, 2)
+        f1 = commutator_form_matrix(fam, gen.ctx)
+        f2 = commutator_form_matrix(reference, gen.ctx)
         np.testing.assert_allclose(f1, f2, atol=1e-10)
 
     def test_multiplicity_integer(self):
@@ -526,17 +573,15 @@ class TestExtractKraus:
         fam = kf.extract_commutators_kraus(gen, psi)
         xi = xi_map(gen, psi)
         assert opnorm(xi.mat - psi.mat) < 1e-12
-        f1 = commutator_form_matrix(fam, gen.ctx, 2)
-        f2 = commutator_form_matrix(
-            CommutatorFamily(ops=(SX / np.sqrt(2.0),)), gen.ctx, 2
-        )
+        f1 = commutator_form_matrix(fam, gen.ctx)
+        f2 = commutator_form_matrix(CommutatorFamily(ops=(SX / np.sqrt(2.0),)), gen.ctx)
         np.testing.assert_allclose(f1, f2, atol=1e-10)
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (2, 5), (3, 2)])
     def test_form_identity(self, n, seed):
         gen, psi = cached_generator(n, seed)
         fam = kf.extract_commutators_kraus(gen, psi)
-        assert kf.verify_commutator_form(fam, gen, tol=1e-7).passed
+        assert kf.verify_commutator_form(fam, gen).passed
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 2)])
     def test_appendix_sum_identities(self, n, seed):
@@ -559,7 +604,7 @@ class TestExtractKraus:
     def test_recovered_psi_by_default(self):
         gen, _ = cached_generator(2, 4)
         fam = kf.extract_commutators_kraus(gen, psi=None)
-        assert kf.verify_commutator_form(fam, gen, tol=1e-7).passed
+        assert kf.verify_commutator_form(fam, gen).passed
 
     def test_normal_form_is_not_doubled(self):
         # the 9 raw Kraus operators do not pair off under adjoints here; the
@@ -649,7 +694,7 @@ class TestCommutatorCalculus:
         gen, psi = cached_generator(2, 11)
         fam = kf.extract_commutators_kraus(gen, psi)
         calc_k = kf.commutator_calculus(fam, gen)
-        rep = kf.calculus_invariants_report(calc_k, gen, tol=1e-9)
+        rep = kf.calculus_invariants_report(calc_k, gen)
         assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]
         kept = int((calc_k.meta["gram_eigs"] > calc_k.meta["null_cutoff"]).sum())
         assert calc_k.dim_h == 4 * kept == 12
@@ -706,7 +751,7 @@ class TestCommutatorCalculus:
         calc = kf.commutator_calculus(fam, gen)
         calc_dep = kf.commutator_calculus(dependent, gen)
         assert calc_dep.dim_h == calc.dim_h == n**2 * (n**2 - 1)
-        _, rep = kf.uniqueness_witness(calc, calc_dep, gen, tol=1e-6)
+        _, rep = kf.uniqueness_witness(calc, calc_dep, gen)
         assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]
 
     def test_dimension_matches_gns(self):
@@ -731,7 +776,7 @@ class TestUniquenessWitness:
         gen, psi = cached_generator(n, seed)
         calc = cached_gns(n, seed)
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
-        theta, rep = kf.uniqueness_witness(calc, calc_k, gen, tol=1e-6)
+        theta, rep = kf.uniqueness_witness(calc, calc_k, gen)
         assert rep.passed
         assert rep.check("gram_mismatch_max").value <= 1e-6
 
@@ -744,7 +789,7 @@ class TestUniquenessWitness:
         calc = cached_gns(n, seed)
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
         broken = _perturbed(calc_k, "k_j", eps=1e-3)
-        w, rep = kf.uniqueness_witness(calc, broken, gen, tol=1e-6)
+        w, rep = kf.uniqueness_witness(calc, broken, gen)
         assert rep.passed is False
         assert [c.name for c in rep.checks if not c.passed()] == ["j_intertwine_defect"]
         defects = loop_witness_defects(render_theta(w, n), calc, broken)
@@ -759,7 +804,7 @@ class TestUniquenessWitness:
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
         broken = dataclasses.replace(calc, k_j=np.conj(calc.k_j))
         for calc_a in (calc_k, calc):
-            _, rep = kf.uniqueness_witness(calc_a, broken, gen, tol=1e-6)
+            _, rep = kf.uniqueness_witness(calc_a, broken, gen)
             assert [c.name for c in rep.checks if not c.passed()] == ["j_intertwine_defect"]
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
@@ -770,7 +815,7 @@ class TestUniquenessWitness:
         calc = cached_gns(n, seed)
         padded = _padded_multiplicity(calc)
         for calc_a, calc_b in ((calc, padded), (padded, calc)):
-            w, rep = kf.uniqueness_witness(calc_a, calc_b, gen, tol=1e-6)
+            w, rep = kf.uniqueness_witness(calc_a, calc_b, gen)
             assert w.shape == (calc_b.dim_h // n**2, calc_a.dim_h // n**2)
             assert [c.name for c in rep.checks if not c.passed()] == ["w_unitarity_defect"]
             assert rep.check("w_unitarity_defect").value > 0.5
@@ -786,7 +831,7 @@ class TestUniquenessWitness:
         inv = kf.calculus_invariants_report(calc, gen)
         assert [c.name for c in inv.checks if not c.passed()] == ["j_antiunitary_defect"]
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
-        _, rep = kf.uniqueness_witness(calc, calc_k, gen, tol=1e-6)
+        _, rep = kf.uniqueness_witness(calc, calc_k, gen)
         assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]
 
     @pytest.mark.parametrize("n,seed", [(3, 6), (4, 2), (4, 4), (4, 7)])
@@ -797,7 +842,7 @@ class TestUniquenessWitness:
         inv = kf.calculus_invariants_report(calc, gen)
         assert inv.passed, [(c.name, c.value) for c in inv.checks if not c.passed()]
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
-        _, rep = kf.uniqueness_witness(calc, calc_k, gen, tol=1e-6)
+        _, rep = kf.uniqueness_witness(calc, calc_k, gen)
         assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]
 
     def test_different_generators_mismatch(self):

@@ -15,8 +15,6 @@ from kmsflow.generator import (
     MarkovGenerator,
     cone_project,
     modular_resolvent,
-    random_cone_point,
-    variational_inequality_report,
 )
 from kmsflow.matrix_core import dagger, opnorm
 from kmsflow.superop import (
@@ -29,7 +27,12 @@ from kmsflow.superop import (
     zero_superop,
 )
 
-from certify_oracle import dykstra_recover_cp, projected_gradient_cone_project
+from certify_oracle import (
+    dykstra_recover_cp,
+    projected_gradient_cone_project,
+    random_cone_point,
+    variational_inequality_report,
+)
 from conftest import cached_generator, rng_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -261,7 +261,7 @@ class TestModularStructure:
         np.testing.assert_allclose(dagger(u_t) @ u_t, np.eye(9), atol=1e-12)
 
     def test_delta_superop_spectrum_and_j_conjugation(self, ctx2):
-        from kmsflow.vtransform import delta_superop
+        from certify_oracle import delta_superop
 
         d = delta_superop(ctx2)
         eigs = np.sort(np.linalg.eigvals(d.mat).real)

@@ -340,9 +340,13 @@ class TestIsCcn:
             kf.is_ccn(s)
 
     def test_gates_carry_value_and_bound(self):
+        from kmsflow.superop import unital_kernel_report
+
         with pytest.raises(UnitalityViolated) as err:
             kf.is_ccn(kf.identity_superop(2), tol=1e-9)
         assert (err.value.value, err.value.bound) == (1.0, 1e-9)
+        kernel = unital_kernel_report(kf.identity_superop(2), 1e-9).check("kernel_defect")
+        assert (err.value.value, err.value.bound) == (kernel.value, kernel.bound)
         s = 1j * (kf.identity_superop(2) - depolarizing(2))
         with pytest.raises(NotHermiticityPreserving) as err:
             kf.is_ccn(s, tol=1e-9)

@@ -7,13 +7,12 @@ from kmsflow.errors import InsufficientRange
 from kmsflow.matrix_core import dagger, eigenbasis_multiply, opnorm
 from kmsflow.superop import superop_exp
 from kmsflow.vtransform import (
-    delta_superop,
     markov_preservation_check,
     v_transform_cptp_certificate,
     v_transform_quadrature,
 )
 
-from certify_oracle import loop_trace_defect, trapezoid_coefficients
+from certify_oracle import delta_superop, loop_trace_defect, trapezoid_coefficients
 from conftest import cached_generator, rng_matrix
 
 
