@@ -6,6 +6,11 @@ produced.  Exit codes: 0 all certifications passed, 1 certification failure,
 2 schema or parse error, 3 infeasible recovery (no admissible CP map: -L is
 not CCN).
 
+``uniqueness`` is ``derive --method both``: the same pipeline, reports and
+timing keys.  Each certificate is measured once, by its report, and a
+failed report exits 1 without an ``error``; ``error`` is set only when an
+object cannot be built.
+
 --tol, when given, must be finite and > 0, and is accepted only by the
 commands that read it: check, gen-from-cp, recover-cp, simulate and
 dirichlet-check, and derive and uniqueness with --gen.  Anything else is a
@@ -91,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", default=None, help="write calculus/family JSON here")
     add_common(p, rho=True, seeded=True)
 
-    p = sub.add_parser("uniqueness", help="Gram-matching witness between the two routes")
+    p = sub.add_parser("uniqueness", help="derive --method both: both routes and their witness")
     p.add_argument("--gen", default=None)
     p.add_argument("--psi", default=None)
     add_common(p, rho=True, seeded=True)
@@ -328,10 +333,14 @@ def _dispatch(args, report: dict, serialize) -> int:
         results["kms_symmetric"] = superop.is_kms_symmetric(psi, gen.ctx).to_json_dict()
         return EXIT_PASS
 
-    if args.command == "derive":
+    if args.command in ("derive", "uniqueness"):  # uniqueness is derive --method both
+        from .reports import Check, Report
+
+        method = getattr(args, "method", "both")
+        dump_path = getattr(args, "dump", None)
         gen, psi = _seeded_generator(args, serialize)
         dump = {}
-        if args.method in ("gns", "both"):
+        if method in ("gns", "both"):
             calc = timed("gns_calculus", lambda: derivation.gns_calculus(gen))
             results["calculus_invariants"] = timed(
                 "calculus_invariants", lambda: derivation.calculus_invariants_report(calc, gen)
@@ -339,20 +348,27 @@ def _dispatch(args, report: dict, serialize) -> int:
             fam = timed(
                 "extract_commutators_gns", lambda: derivation.extract_commutators_gns(calc, gen)
             )
-            results["gns_form"] = _form_report(derivation, fam, gen)
-            xi0, residual = timed("inner_vector", lambda: derivation.inner_vector(calc))
-            results["inner_vector_residual"] = float(residual)
-            if args.dump:
+            results["gns_form"] = timed(
+                "gns_form", lambda: derivation.verify_commutator_form(fam, gen)
+            ).to_json_dict()
+            _, residual = timed("inner_vector", lambda: derivation.inner_vector(calc))
+            bound = derivation.INNER_RESIDUAL_TOL
+            inner = Report("innerness", bound)
+            inner.checks.append(Check("inner_vector_residual", residual, bound, "le"))
+            results["innerness"] = inner.to_json_dict()
+            if dump_path:
                 dump["gns_calculus"] = serialize.calculus_to_json(calc)
                 dump["gns_family"] = serialize.family_to_json(fam)
-        if args.method in ("kraus", "both"):
+        if method in ("kraus", "both"):
             fam_k = timed(
                 "kraus_route", lambda: derivation.extract_commutators_kraus(gen, psi)
             )
-            results["kraus_form"] = _form_report(derivation, fam_k, gen)
-            if args.dump:
+            results["kraus_form"] = timed(
+                "kraus_form", lambda: derivation.verify_commutator_form(fam_k, gen)
+            ).to_json_dict()
+            if dump_path:
                 dump["kraus_family"] = serialize.family_to_json(fam_k)
-        if args.method == "both":
+        if method == "both":
             calc_k = timed(
                 "commutator_calculus", lambda: derivation.commutator_calculus(fam_k, gen)
             )
@@ -361,23 +377,8 @@ def _dispatch(args, report: dict, serialize) -> int:
             )
             results["uniqueness"] = wit.to_json_dict()
             results["gram_mismatch_max"] = wit.check("gram_mismatch_max").value
-        if args.dump:
-            serialize.dump_json(dump, args.dump)
-        return EXIT_PASS
-
-    if args.command == "uniqueness":
-        gen, psi = _seeded_generator(args, serialize)
-        calc = timed("gns_calculus", lambda: derivation.gns_calculus(gen))
-        fam_k = timed(
-            "kraus_route", lambda: derivation.extract_commutators_kraus(gen, psi)
-        )
-        calc_k = timed(
-            "commutator_calculus", lambda: derivation.commutator_calculus(fam_k, gen)
-        )
-        _, wit = timed(
-            "witness", lambda: derivation.uniqueness_witness(calc, calc_k, gen)
-        )
-        results["uniqueness"] = wit.to_json_dict()
+        if dump_path:
+            serialize.dump_json(dump, dump_path)
         return EXIT_PASS
 
     if args.command == "simulate":
@@ -464,17 +465,6 @@ def _dispatch(args, report: dict, serialize) -> int:
         return EXIT_PASS
 
     raise serialize.SchemaError(f"unknown command {args.command!r}")
-
-
-def _form_report(derivation, fam, gen) -> dict:
-    rep = derivation.verify_commutator_form(fam, gen)
-    doc = rep.to_json_dict()
-    # the full deviation matrix is bulky; report its maximum only
-    doc["metrics"] = {
-        "family_size": rep.metrics["family_size"],
-        "max_form_deviation": rep.check("max_form_deviation").value,
-    }
-    return doc
 
 
 if __name__ == "__main__":

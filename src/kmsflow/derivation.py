@@ -39,11 +39,18 @@ m_b x m_a matrix W of the isometry I (x) W (x) I.  The dense actions and
 involution are rendered once, by the constructor, and nothing here reads
 them, so no check compares a calculus with its own rendering.
 
+Constructors raise only when they cannot build their object; each identity
+the calculus claims is measured once, by its report.  The form identity
+<delta(A), delta(B)> = <A, L(B)>_rho is certified by
+``calculus_invariants_report`` for the GNS calculus and by
+``verify_commutator_form`` for each commutator family.
+
 Every bound here is a fixed module constant, relative to max(1, ||L||)
 where it scales: GRAM_PSD_TOL for Gram positivity, NULL_CUTOFF for rank
 decisions, FORM_TOL for the form identity, INVARIANTS_TOL for the invariants
-report, COMMUTATOR_FORM_TOL for the commutator form and WITNESS_TOL for the
-uniqueness witness.  Each report records its constant as ``tol``.
+report, COMMUTATOR_FORM_TOL for the commutator form, WITNESS_TOL for the
+uniqueness witness and INNER_RESIDUAL_TOL for the relative residual of
+``inner_vector``.  Each report records its constant as ``tol``.
 """
 
 from __future__ import annotations
@@ -54,7 +61,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    CertificationFailed,
     DerivationRecoveryFailure,
     DimensionMismatch,
     GramMismatch,
@@ -94,6 +100,7 @@ FORM_TOL = 1e-8
 COMMUTATOR_FORM_TOL = 1e-7
 INVARIANTS_TOL = 1e-9
 WITNESS_TOL = 1e-6
+INNER_RESIDUAL_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,16 +278,6 @@ def kms_form_of_generator(gen: MarkovGenerator) -> np.ndarray:
     return f_vec[np.ix_(perm, perm)]
 
 
-def _form_identity_check(delta: np.ndarray, gen: MarkovGenerator) -> Check:
-    """The form identity <delta(A), delta(B)> = <A, L(B)>_rho on the matrix
-    units, for the delta coefficients ``delta`` (n, n, dim H): the maximal
-    entrywise deviation against FORM_TOL * max(1, ||L||)."""
-    n2 = gen.dim * gen.dim
-    form_h = np.einsum("abi,cdi->abcd", np.conj(delta), delta).reshape(n2, n2)
-    defect = float(np.abs(form_h - kms_form_of_generator(gen)).max())
-    return Check("form_identity_defect", defect, FORM_TOL * max(1.0, gen.L.norm), "le")
-
-
 def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
     """Construct the first-order calculus of a certified generator by the
     GNS quotient of the V-transformed generator, in H = C^n (x) K (x) C^n.
@@ -302,14 +299,15 @@ def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
     g_k = g_l.  The product of isometries does not amplify rounding by the
     conditioning of g.
 
-    Raises GramNotPSD when P* T P has an eigenvalue below -1e-8 * ||P* T P||
-    (a non-CND input slipping through certification), and
-    ReconstructionFailure when Lv misses I in its kernel, when P does not have
-    n^2 - 1 columns, when delta's ambient representative leaves the
-    constraint subspace, or when <delta(A), delta(B)> fails to reproduce
-    <A, L(B)>_rho on the matrix units.  ``meta["gram_eigs"]`` is the (n^2 - 1)
-    middle spectrum of P* T P; the Gram form restricted to N has each of
-    these eigenvalues n^2 times.  No quotient map is stored.
+    Raises only when the quotient cannot be built: GramNotPSD when P* T P
+    has an eigenvalue below -1e-8 * ||P* T P|| (a non-CND input slipping
+    through certification), and ReconstructionFailure when Lv misses I in
+    its kernel, when P does not have n^2 - 1 columns, or when delta's
+    ambient representative leaves the constraint subspace.  That delta
+    reproduces <A, L(B)>_rho is certified by ``calculus_invariants_report``.
+    ``meta["gram_eigs"]`` is the (n^2 - 1) middle spectrum of P* T P; the
+    Gram form restricted to N has each of these eigenvalues n^2 times.  No
+    quotient map is stored.
     """
     ctx = gen.ctx
     n = gen.dim
@@ -376,7 +374,7 @@ def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
 
     pw_swapped = pw.reshape(n, n, m).transpose(1, 0, 2).reshape(n2, m)
     k_j = -dagger(pw) @ np.conj(pw_swapped)
-    calc = FirstOrderCalculus(
+    return FirstOrderCalculus(
         ctx,
         delta,
         k_j,
@@ -388,16 +386,6 @@ def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
             "vgen_kernel_defect": kernel_defect,
         },
     )
-
-    form = _form_identity_check(calc.delta, gen)
-    if not form.passed():
-        raise ReconstructionFailure(
-            f"<delta(A), delta(B)> deviates from <A, L(B)>_rho by {form.value:.3e}",
-            value=form.value,
-            bound=form.bound,
-        )
-    calc.meta["form_identity_defect"] = form.value
-    return calc
 
 
 def calculus_invariants_report(calc: FirstOrderCalculus, gen: MarkovGenerator) -> Report:
@@ -412,11 +400,12 @@ def calculus_invariants_report(calc: FirstOrderCalculus, gen: MarkovGenerator) -
     (jmat* jmat = I (x) K_J* K_J and jmat conj(jmat) = I (x) K_J conj(K_J),
     so the m x m defects equal the dim H ones), delta(A*) = J delta(A), the
     twisted Leibniz rule component by component, cyclicity of the
-    delta-image under the left action, and the reconstruction of the
-    generator form (the check ``gns_calculus`` raises on).  Defects are
-    maximal entrywise deviations, bounded by INVARIANTS_TOL * max(1, ||L||)
-    (the form identity by FORM_TOL * max(1, ||L||)); the report records
-    INVARIANTS_TOL as its ``tol``.
+    delta-image under the left action, and the form identity
+    <delta(A), delta(B)> = <A, L(B)>_rho on the matrix units, which no
+    other function measures.  Defects are maximal entrywise deviations,
+    bounded by INVARIANTS_TOL * max(1, ||L||) (the form identity by
+    FORM_TOL * max(1, ||L||)); the report records INVARIANTS_TOL as its
+    ``tol``.
 
     For the GNS calculus K_J is a product of isometries, so
     ``j_antiunitary_defect`` measures only the rounding of that product; the
@@ -470,7 +459,9 @@ def calculus_invariants_report(calc: FirstOrderCalculus, gen: MarkovGenerator) -
     else:
         rank = 0
     rep.checks.append(Check("cyclic_rank_deficit", float(d - rank), 0.0, "le"))
-    rep.checks.append(_form_identity_check(calc.delta, gen))
+    form_h = np.einsum("abi,cdi->abcd", np.conj(calc.delta), calc.delta).reshape(n2, n2)
+    form = _maxabs(form_h - kms_form_of_generator(gen))
+    rep.checks.append(Check("form_identity_defect", form, FORM_TOL * scale, "le"))
     return rep
 
 
@@ -489,17 +480,13 @@ def commutator_form_matrix(family: CommutatorFamily, ctx: DensityContext) -> np.
 def verify_commutator_form(family: CommutatorFamily, gen: MarkovGenerator) -> Report:
     """Evaluate <A, L(B)>_rho against sum_j <[V_j, A], [V_j, B]>_rho on all
     matrix-unit pairs, bounded by COMMUTATOR_FORM_TOL * max(1, ||L||); the
-    report records COMMUTATOR_FORM_TOL as its ``tol`` and carries the
-    deviation matrix."""
-    lhs = kms_form_of_generator(gen)
-    rhs = commutator_form_matrix(family, gen.ctx)
-    dev = np.abs(lhs - rhs)
+    report records COMMUTATOR_FORM_TOL as its ``tol`` and the family size.
+    This is the one certificate of a family's form: the extractions do not
+    run it."""
+    dev = _maxabs(kms_form_of_generator(gen) - commutator_form_matrix(family, gen.ctx))
     tol = COMMUTATOR_FORM_TOL
     rep = Report(name="commutator_form", tol=tol)
-    rep.checks.append(
-        Check("max_form_deviation", float(dev.max(initial=0.0)), tol * max(1.0, gen.L.norm), "le")
-    )
-    rep.metrics["deviation_matrix"] = dev
+    rep.checks.append(Check("max_form_deviation", dev, tol * max(1.0, gen.L.norm), "le"))
     rep.metrics["family_size"] = len(family)
     return rep
 
@@ -513,23 +500,19 @@ def extract_commutators_gns(calc: FirstOrderCalculus, gen: MarkovGenerator) -> C
     V_k[:, a] = d_k(E_a0)[:, 0], which checks that each d_k is a commutator.
     The V_k are shifted to trace 0, which fixes the additive-identity gauge,
     and brought to the Hermitian normal form: the family is m = dim H / n^2
-    Hermitian operators, independent modulo I.
-    """
-    ctx = calc.ctx
-    n = calc.dim
-    if calc.dim_h == 0:
-        fam = CommutatorFamily(ops=())
-        rep = verify_commutator_form(fam, gen)
-        if not rep.passed:
-            raise CertificationFailed("empty family fails nonzero form", rep)
-        return fam
+    Hermitian operators, independent modulo I (none when dim H = 0).
 
+    Raises DerivationRecoveryFailure when a component is not a commutator,
+    the one way the family cannot be built.  The family's form identity is
+    certified by ``verify_commutator_form``, not here.
+    """
+    n = calc.dim
     c = calc.delta.reshape(n, n, n, calc.m, n)
-    qi = ctx.inv_quarter_rho
+    qi = calc.ctx.inv_quarter_rho
     dj = qi @ c.transpose(3, 0, 1, 2, 4) @ qi  # dj[k, p, q] = rho^{-1/4} delta_k(E_pq) rho^{-1/4}
     vs = dj[:, :, 0, :, 0].transpose(0, 2, 1)  # V_k[:, a] = d_k(E_a0)[:, 0]
-    worst = float(np.linalg.norm(dj - _unit_commutators(vs), axis=(-2, -1)).max())
-    vscale = max(1.0, float(np.linalg.norm(vs, 2, axis=(-2, -1)).max()))
+    worst = _maxabs(np.linalg.norm(dj - _unit_commutators(vs), axis=(-2, -1)))
+    vscale = max(1.0, _maxabs(np.linalg.norm(vs, 2, axis=(-2, -1))))
     if worst > 1e-7 * vscale:
         raise DerivationRecoveryFailure(
             f"component derivations deviate from commutators by {worst:.3e}",
@@ -538,11 +521,7 @@ def extract_commutators_gns(calc: FirstOrderCalculus, gen: MarkovGenerator) -> C
         )
 
     herm, _, _ = _hermitian_normal_form(_traceless(vs))
-    fam = CommutatorFamily(ops=tuple(herm))
-    rep = verify_commutator_form(fam, gen)
-    if not rep.passed:
-        raise CertificationFailed("extracted family fails the form identity", rep)
-    return fam
+    return CommutatorFamily(ops=tuple(herm))
 
 
 def xi_map(gen: MarkovGenerator, psi: Superoperator) -> Superoperator:
@@ -565,6 +544,11 @@ def extract_commutators_kraus(
     by 1/sqrt(2).  It is returned in the Hermitian normal form, without a
     gauge shift: Xi's Kraus gauge keeps Y -> sum_j V_j* Y V_j, and with it
     the resolvent sum identities.
+
+    Raises only when the family cannot be built: InconsistentPsi when Psi
+    does not reproduce the generator or Xi is not trace-symmetric, and
+    NotPSD from Xi's Choi matrix.  The family's form identity is certified
+    by ``verify_commutator_form``, not here.
     """
     ctx = gen.ctx
     n = gen.dim
@@ -592,11 +576,7 @@ def extract_commutators_kraus(
 
     raw = np.array(kraus_from_choi(choi(xi)), dtype=complex)
     herm, _, _ = _hermitian_normal_form(raw.reshape(-1, n, n) / np.sqrt(2.0))
-    fam = CommutatorFamily(ops=tuple(herm))
-    rep = verify_commutator_form(fam, gen)
-    if not rep.passed:
-        raise CertificationFailed("Kraus-route family fails the form identity", rep)
-    return fam
+    return CommutatorFamily(ops=tuple(herm))
 
 
 def commutator_calculus(family: CommutatorFamily, gen: MarkovGenerator) -> FirstOrderCalculus:
@@ -651,8 +631,6 @@ def inner_vector(calc: FirstOrderCalculus):
     """
     n = calc.dim
     m = calc.m
-    if calc.dim_h == 0:
-        return np.zeros(0, dtype=complex), 0.0
     c = calc.delta.reshape(n, n, n, m, n)
     s_m4, s_p4 = _quarter_units(calc.ctx)
     eye = np.eye(n)

@@ -1,10 +1,13 @@
 """Exception types raised by kmsflow.
 
-Certification routines come in two flavours: report-style functions return a
-:class:`kmsflow.reports.Report` and never raise on a failed check, while
-constructive operations (building a generator, extracting a Kraus family, ...)
-raise one of the exceptions below when a precondition or postcondition is
-violated.  Exceptions that wrap a report carry it in the ``report`` attribute.
+The rule: raise on failure to construct, report on failed certification.
+A constructor (building a generator, a calculus, a commutator family, ...)
+raises one of the exceptions below only when it cannot build its object or
+its input fails a precondition it needs to build it.  Whether the object
+satisfies an identity it is claimed to satisfy is measured by a report
+function, which returns a :class:`kmsflow.reports.Report` and never raises
+on a failed check; each identity has one such measurement.  Exceptions that
+wrap a report carry it in the ``report`` attribute.
 """
 
 
@@ -47,7 +50,8 @@ class PreconditionFailed(ReportError):
 
 
 class CertificationFailed(ReportError):
-    """A constructed object failed its own certification."""
+    """An object failed a certification its type requires, so it cannot be
+    built (a ``MarkovGenerator`` is certified by construction)."""
 
 
 class Infeasible(ReportError):

@@ -322,7 +322,8 @@ def test_criterion_06_factored_quotient_matches_dense_oracle():
         assert mean_dev <= 1e-12, (n, mean_dev)
         assert spec <= max(1e-12, spread), (n, spec, spread)
         form_bound = FORM_TOL * max(1.0, gen.L.norm)
-        assert calc.meta["form_identity_defect"] <= form_bound
+        form = kf.calculus_invariants_report(calc, gen).check("form_identity_defect")
+        assert form.value <= form_bound == form.bound
         assert dense.meta["form_identity_defect"] <= form_bound
         _, wit = dense_uniqueness_witness(calc, dense, gen, tol=1e-6)
         assert wit.passed, (n, [(c.name, c.value) for c in wit.checks if not c.passed()])

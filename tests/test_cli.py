@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kmsflow as kf
+from kmsflow import derivation
 from kmsflow.cli import _build_parser, main
 from kmsflow.serialize import density_to_json, dump_json, superop_to_json
 
@@ -239,6 +240,24 @@ class TestGeneratorCommands:
         assert rep["results"]["kms_symmetric"]["pass"]
 
 
+# every stage `derive --method both` (and so `uniqueness`) times
+BOTH_STAGES = {
+    "gns_calculus", "calculus_invariants", "extract_commutators_gns", "gns_form",
+    "inner_vector", "kraus_route", "kraus_form", "commutator_calculus",
+    "uniqueness_witness", "total",
+}
+
+
+def check_values(rep):
+    """(result key, check name) -> (value, bound, kind) over every report."""
+    return {
+        (key, c["name"]): (c["value"], c["bound"], c["kind"])
+        for key, res in rep["results"].items()
+        if isinstance(res, dict)
+        for c in res["checks"]
+    }
+
+
 class TestDerive:
     def test_both_routes_and_witness(self, capsys):
         code, rep = run(capsys, "derive", "--method", "both", "--seed", "7", "--n", "2")
@@ -246,11 +265,57 @@ class TestDerive:
         assert rep["results"]["gram_mismatch_max"] <= 1e-6
         assert rep["results"]["uniqueness"]["pass"]
         assert rep["results"]["calculus_invariants"]["pass"]
-        assert rep["results"]["inner_vector_residual"] <= 1e-7
-        assert set(rep["timings_s"]) == {
-            "gns_calculus", "calculus_invariants", "extract_commutators_gns", "inner_vector",
-            "kraus_route", "commutator_calculus", "uniqueness_witness", "total",
-        }
+        inner = rep["results"]["innerness"]
+        assert inner["pass"] and inner["tol"] == derivation.INNER_RESIDUAL_TOL == 1e-7
+        assert inner["checks"][0]["name"] == "inner_vector_residual"
+        assert inner["checks"][0]["value"] <= inner["checks"][0]["bound"] == 1e-7
+        for key in ("gns_form", "kraus_form"):
+            assert list(rep["results"][key]["metrics"]) == ["max_form_deviation", "family_size"]
+        assert set(rep["timings_s"]) == BOTH_STAGES
+
+    def test_each_identity_measured_once(self, capsys, monkeypatch):
+        # the invariants report measures the GNS form identity and each
+        # family's report its commutator form: one measurement each
+        calls = {"verify_commutator_form": 0, "kms_form_of_generator": 0}
+        for name in calls:
+            fn = getattr(derivation, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(derivation, name, counted)
+        code, _ = run(capsys, "derive", "--method", "both", "--n", "3", "--seed", "0")
+        assert code == 0
+        assert calls == {"verify_commutator_form": 2, "kms_form_of_generator": 3}
+
+    def test_innerness_residual_is_gated(self, capsys, monkeypatch):
+        inner_vector = derivation.inner_vector
+        monkeypatch.setattr(
+            derivation, "inner_vector", lambda calc: (inner_vector(calc)[0], 1e-3)
+        )
+        code, rep = run(capsys, "derive", "--method", "gns", "--seed", "1", "--n", "2")
+        assert code == 1
+        assert rep["pass"] is False and "error" not in rep
+        inner = rep["results"]["innerness"]
+        assert not inner["pass"]
+        assert (inner["checks"][0]["value"], inner["checks"][0]["bound"]) == (1e-3, 1e-7)
+        assert rep["results"]["calculus_invariants"]["pass"]
+
+    @pytest.mark.parametrize("method,key", [("gns", "gns_form"), ("kraus", "kraus_form")])
+    def test_family_form_failure_is_a_failing_report(self, capsys, monkeypatch, method, key):
+        # the family is built; its report fails with the measured value and
+        # the run exits 1 without an error
+        form = derivation.kms_form_of_generator
+        monkeypatch.setattr(
+            derivation, "kms_form_of_generator", lambda g: form(g) + 1e-3 * np.eye(4)
+        )
+        code, rep = run(capsys, "derive", "--method", method, "--seed", "1", "--n", "2")
+        assert code == 1
+        assert rep["pass"] is False and "error" not in rep
+        check = rep["results"][key]["checks"][0]
+        assert not rep["results"][key]["pass"]
+        assert check["value"] > check["bound"]
 
     def test_generator_file_uses_recovered_psi(self, capsys, tmp_path):
         # --gen without --psi: the Kraus route runs on the recovered Psi
@@ -352,10 +417,21 @@ class TestUniqueness:
     def test_witness_passes_and_every_stage_is_timed(self, capsys):
         code, rep = run(capsys, "uniqueness", "--n", "2", "--seed", "0")
         assert code == 0
+        assert rep["command"] == "uniqueness"
         assert rep["results"]["uniqueness"]["pass"]
-        assert set(rep["timings_s"]) == {
-            "gns_calculus", "kraus_route", "commutator_calculus", "witness", "total",
-        }
+        assert set(rep["timings_s"]) == BOTH_STAGES
+
+    def test_is_derive_both(self, capsys):
+        # uniqueness certifies what it did before, now as reports: the GNS
+        # form in calculus_invariants and the Kraus form in kraus_form
+        code_u, uniq = run(capsys, "uniqueness", "--n", "2", "--seed", "0")
+        code_d, both = run(capsys, "derive", "--method", "both", "--n", "2", "--seed", "0")
+        assert code_u == code_d == 0
+        assert list(uniq["results"]) == list(both["results"])
+        assert check_values(uniq) == check_values(both)
+        verdicts = {k: r["pass"] for k, r in both["results"].items() if isinstance(r, dict)}
+        assert {k: r["pass"] for k, r in uniq["results"].items() if isinstance(r, dict)} == verdicts
+        assert all(verdicts.values()) and uniq["pass"] == both["pass"] is True
 
 
 class TestTol:
@@ -455,6 +531,19 @@ class TestVerify:
         code2, rep2 = run(capsys, "verify", "--report", str(out))
         assert code2 == 0
         assert rep2["results"]["idempotent"]["pass"]
+
+    def test_innerness_is_rechecked(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(["derive", "--method", "gns", "--seed", "4", "--n", "2", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        doc = json.loads(out.read_text())
+        doc["results"]["innerness"]["checks"][0]["value"] = 1e-3  # above its bound
+        out.write_text(json.dumps(doc))
+        code2, rep2 = run(capsys, "verify", "--report", str(out))
+        assert code2 == 1
+        assert rep2["results"]["idempotent"]["mismatches"] == ["results/innerness"]
+        assert rep2["results"]["results/innerness"]["recomputed_pass"] is False
 
     def test_tampered_report_detected(self, capsys, tmp_path):
         out = tmp_path / "report.json"
