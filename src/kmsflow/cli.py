@@ -9,7 +9,9 @@ not CCN).
 ``uniqueness`` is ``derive --method both``: the same pipeline, reports and
 timing keys.  Each certificate is measured once, by its report, and a
 failed report exits 1 without an ``error``; ``error`` is set only when an
-object cannot be built.
+object cannot be built.  Beside the reports, ``results.dims`` records n and,
+per route that ran, dim H, m and the family size; it is not a report, so
+``verify`` walks past it.
 
 --tol, when given, must be finite and > 0, and is accepted only by the
 commands that read it: check, gen-from-cp, recover-cp, simulate and
@@ -339,15 +341,18 @@ def _dispatch(args, report: dict, serialize) -> int:
         method = getattr(args, "method", "both")
         dump_path = getattr(args, "dump", None)
         gen, psi = _seeded_generator(args, serialize)
+        dims = results["dims"] = {"n": gen.dim}
         dump = {}
         if method in ("gns", "both"):
             calc = timed("gns_calculus", lambda: derivation.gns_calculus(gen))
+            dims["gns"] = {"dim_h": calc.dim_h, "m": calc.m}
             results["calculus_invariants"] = timed(
                 "calculus_invariants", lambda: derivation.calculus_invariants_report(calc, gen)
             ).to_json_dict()
             fam = timed(
                 "extract_commutators_gns", lambda: derivation.extract_commutators_gns(calc, gen)
             )
+            dims["gns"]["family_size"] = len(fam)
             results["gns_form"] = timed(
                 "gns_form", lambda: derivation.verify_commutator_form(fam, gen)
             ).to_json_dict()
@@ -363,6 +368,7 @@ def _dispatch(args, report: dict, serialize) -> int:
             fam_k = timed(
                 "kraus_route", lambda: derivation.extract_commutators_kraus(gen, psi)
             )
+            dims["kraus"] = {"family_size": len(fam_k)}
             results["kraus_form"] = timed(
                 "kraus_form", lambda: derivation.verify_commutator_form(fam_k, gen)
             ).to_json_dict()
@@ -372,11 +378,11 @@ def _dispatch(args, report: dict, serialize) -> int:
             calc_k = timed(
                 "commutator_calculus", lambda: derivation.commutator_calculus(fam_k, gen)
             )
+            dims["kraus"].update(dim_h=calc_k.dim_h, m=calc_k.m)
             _, wit = timed(
                 "uniqueness_witness", lambda: derivation.uniqueness_witness(calc, calc_k, gen)
             )
             results["uniqueness"] = wit.to_json_dict()
-            results["gram_mismatch_max"] = wit.check("gram_mismatch_max").value
         if dump_path:
             serialize.dump_json(dump, dump_path)
         return EXIT_PASS

@@ -36,8 +36,10 @@ data there: ``FirstOrderCalculus`` is built from the delta coefficients
 C[p, q, a, k, d] = delta(E_pq)[a, k, d] and the m x m block K_J of the
 involution, and every consumer reads those.  The uniqueness witness is the
 m_b x m_a matrix W of the isometry I (x) W (x) I.  The dense actions and
-involution are rendered once, by the constructor, and nothing here reads
-them, so no check compares a calculus with its own rendering.
+involution are rendered by the constructor, and nothing here reads them, so
+no check compares a calculus with its own rendering.  The actions depend on
+(n, m) alone and are rendered once per (n, m): every calculus of that (n, m)
+holds the same read-only arrays while any of them is alive.
 
 Constructors raise only when they cannot build their object; each identity
 the calculus claims is measured once, by its report.  The form identity
@@ -55,6 +57,7 @@ uniqueness witness and INNER_RESIDUAL_TOL for the relative residual of
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +106,39 @@ WITNESS_TOL = 1e-6
 INNER_RESIDUAL_TOL = 1e-7
 
 
+# (n, m, side) -> the read-only rendering of pi_l or pi_r, alive while some
+# calculus holds it
+_ACTIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _standard_actions(n: int, m: int):
+    """(pi_l, pi_r), each (n, n, n^2 m, n^2 m) and read-only, of the standard
+    bimodule on C^n (x) C^m (x) C^n: pi_l(E_pq) = E_pq (x) I on (a, (k, d))
+    and pi_r(E_pq) = I (x) E_qp on ((a, k), d).  They depend on (n, m) alone,
+    so every live calculus of that (n, m) shares one rendering; the table
+    holds them weakly, and they are freed with the last calculus."""
+    mn = m * n
+    p = np.arange(n)[:, None, None]
+    q = np.arange(n)[None, :, None]
+    r = np.arange(mn)
+    actions = []
+    for side in ("l", "r"):
+        arr = _ACTIONS.get((n, m, side))
+        if arr is None:
+            # zero arrays with the pattern entries scattered in
+            if side == "l":
+                full = np.zeros((n, n, n, mn, n, mn), dtype=complex)
+                full[p, q, p, r, q, r] = 1.0
+            else:
+                full = np.zeros((n, n, mn, n, mn, n), dtype=complex)
+                full[p, q, r, q, r, p] = 1.0
+            full.flags.writeable = False  # and so every view of it
+            arr = full.reshape(n, n, n * mn, n * mn)
+            _ACTIONS[n, m, side] = arr
+        actions.append(arr)
+    return tuple(actions)
+
+
 @dataclass(frozen=True, eq=False)
 class FirstOrderCalculus:
     """A first-order differential calculus on H = C^n (x) C^m (x) C^n,
@@ -116,12 +152,14 @@ class FirstOrderCalculus:
     dimensions).
 
     The constructor stores read-only copies of delta and K_J, derives
-    ``dim_h`` and ``m``, and renders the dense (n, n, dim_h, dim_h) ``pi_l``
-    and ``pi_r`` and the (dim_h, dim_h) ``jmat`` (J acts as
-    xi -> jmat @ conj(xi)), read-only as well.  They are not constructor
-    arguments, so ``dataclasses.replace`` cannot set them and they are the
-    rendering of delta and K_J by construction.  The library never reads
-    them; ``pi_l_of`` and ``pi_r_of`` act structurally.
+    ``dim_h`` and ``m``, and renders the (dim_h, dim_h) ``jmat`` (J acts as
+    xi -> jmat @ conj(xi)), read-only as well.  The dense (n, n, dim_h,
+    dim_h) ``pi_l`` and ``pi_r`` depend on (n, m) alone: while any calculus
+    of that (n, m) is alive, every other one holds the same read-only arrays,
+    which are freed with the last of them.  None of the three is a
+    constructor argument, so ``dataclasses.replace`` cannot set them and they
+    are the rendering of delta and K_J by construction.  The library never
+    reads them; ``pi_l_of`` and ``pi_r_of`` act structurally.
 
     Raises DimensionMismatch when delta is not (n, n, .) with n = ctx.dim
     or K_J is not m x m, and NonIntegralMultiplicity when n^2 does not
@@ -150,26 +188,18 @@ class FirstOrderCalculus:
         m = dim_h // (n * n)
         if k_j.shape != (m, m):
             raise DimensionMismatch(f"K_J has shape {k_j.shape}, expected ({m}, {m})")
-        # pi_l(E_pq) = E_pq (x) I on (a, (k, d)), pi_r(E_pq) = I (x) E_qp on
-        # ((a, k), d), and J sends the outer pair (a, d) to (d, a): zero
-        # arrays with the pattern entries scattered in
-        mn = m * n
-        p = np.arange(n)[:, None, None]
-        q = np.arange(n)[None, :, None]
-        r = np.arange(mn)
-        pi_l = np.zeros((n, n, n, mn, n, mn), dtype=complex)
-        pi_l[p, q, p, r, q, r] = 1.0
-        pi_r = np.zeros((n, n, mn, n, mn, n), dtype=complex)
-        pi_r[p, q, r, q, r, p] = 1.0
+        # J sends the outer pair (a, d) to (d, a): a zero array with K_J
+        # scattered into the pattern blocks
         a = np.arange(n)[:, None]
         d = np.arange(n)
         jmat = np.zeros((n, m, n, n, m, n), dtype=complex)
         jmat[a, :, d, d, :, a] = k_j
+        pi_l, pi_r = _standard_actions(n, m)
         fields = {
             "delta": delta,
             "k_j": k_j,
-            "pi_l": pi_l.reshape(n, n, dim_h, dim_h),
-            "pi_r": pi_r.reshape(n, n, dim_h, dim_h),
+            "pi_l": pi_l,
+            "pi_r": pi_r,
             "jmat": jmat.reshape(dim_h, dim_h),
         }
         for name, arr in fields.items():

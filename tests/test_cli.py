@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,21 +252,43 @@ BOTH_STAGES = {
 }
 
 
+def reports(rep):
+    """The results of a CLI report that are reports (``dims`` is not)."""
+    return {k: r for k, r in rep["results"].items() if isinstance(r, dict) and "checks" in r}
+
+
 def check_values(rep):
     """(result key, check name) -> (value, bound, kind) over every report."""
     return {
         (key, c["name"]): (c["value"], c["bound"], c["kind"])
-        for key, res in rep["results"].items()
-        if isinstance(res, dict)
+        for key, res in reports(rep).items()
         for c in res["checks"]
     }
+
+
+def expected_dims(method, n):
+    """The ``dims`` block of a default-ensemble run: the GNS route keeps all
+    m = n^2 - 1 multiplicity directions, the Kraus family has n^2 members
+    and its calculus the GNS calculus's dimensions."""
+    m = n * n - 1
+    calc = {"dim_h": n * n * m, "m": m}
+    dims = {"n": n}
+    if method in ("gns", "both"):
+        dims["gns"] = {**calc, "family_size": m}
+    if method in ("kraus", "both"):
+        dims["kraus"] = {"family_size": n * n}
+    if method == "both":
+        dims["kraus"].update(calc)
+    return dims
 
 
 class TestDerive:
     def test_both_routes_and_witness(self, capsys):
         code, rep = run(capsys, "derive", "--method", "both", "--seed", "7", "--n", "2")
         assert code == 0
-        assert rep["results"]["gram_mismatch_max"] <= 1e-6
+        # the Gram deviation is read from the witness report, its one copy
+        assert "gram_mismatch_max" not in rep["results"]
+        assert check_values(rep)["uniqueness", "gram_mismatch_max"][0] <= 1e-6
         assert rep["results"]["uniqueness"]["pass"]
         assert rep["results"]["calculus_invariants"]["pass"]
         inner = rep["results"]["innerness"]
@@ -316,6 +342,28 @@ class TestDerive:
         check = rep["results"][key]["checks"][0]
         assert not rep["results"][key]["pass"]
         assert check["value"] > check["bound"]
+
+    @pytest.mark.parametrize("method", ["gns", "kraus", "both"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_dims_block(self, capsys, tmp_path, method, n):
+        out = tmp_path / "derive.json"
+        code, rep = run(capsys, "derive", "--method", method, "--seed", "0", "--n", str(n),
+                        "--out", str(out))
+        assert code == 0
+        dims = rep["results"]["dims"]
+        assert dims == expected_dims(method, n)
+        for route in ("gns", "kraus"):
+            if route in dims:
+                family = rep["results"][f"{route}_form"]["metrics"]["family_size"]
+                assert dims[route]["family_size"] == family
+        if method == "both":
+            metrics = rep["results"]["uniqueness"]["metrics"]
+            assert (metrics["dim_h_a"], metrics["dim_h_b"]) == (
+                dims["gns"]["dim_h"], dims["kraus"]["dim_h"])
+        # not a report: verify re-checks every report and walks past it
+        code, checked = run(capsys, "verify", "--report", str(out))
+        assert code == 0 and checked["results"]["idempotent"]["pass"]
+        assert set(checked["results"]) == {f"results/{k}" for k in reports(rep)} | {"idempotent"}
 
     def test_generator_file_uses_recovered_psi(self, capsys, tmp_path):
         # --gen without --psi: the Kraus route runs on the recovered Psi
@@ -413,6 +461,34 @@ class TestDerive:
         assert (rep["error"]["value"], rep["error"]["bound"]) == (-2e-6, 1e-8)
 
 
+# cli.main derive under tracemalloc, in a fresh process so that no calculus
+# another test holds can lend it its actions; prints the traced peak in bytes
+TRACED_DERIVE = """
+import sys, tracemalloc
+from kmsflow import cli
+tracemalloc.start()
+code = cli.main(sys.argv[1:])
+print(code, tracemalloc.get_traced_memory()[1], file=sys.stderr)
+"""
+
+
+class TestDeriveMemory:
+    def test_both_routes_hold_one_pair_of_actions(self, tmp_path):
+        # the GNS and the commutator calculus share pi_l and pi_r, so the run
+        # allocates one pair of them (30.6 MiB peak); a pair rendered per
+        # calculus peaks at 58.7 MiB, twice the pair
+        argv = ["derive", "--method", "both", "--n", "4", "--seed", "1",
+                "--out", str(tmp_path / "derive.json")]
+        env = {**os.environ, "PYTHONPATH": str(Path(kf.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", TRACED_DERIVE, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        code, peak = map(int, proc.stderr.split()[-2:])
+        assert code == 0
+        calc = kf.gns_calculus(kf.random_generator(4, 1)[0])
+        assert calc.dim_h == 240
+        assert peak <= 1.25 * (calc.pi_l.nbytes + calc.pi_r.nbytes)
+
+
 class TestUniqueness:
     def test_witness_passes_and_every_stage_is_timed(self, capsys):
         code, rep = run(capsys, "uniqueness", "--n", "2", "--seed", "0")
@@ -428,9 +504,10 @@ class TestUniqueness:
         code_d, both = run(capsys, "derive", "--method", "both", "--n", "2", "--seed", "0")
         assert code_u == code_d == 0
         assert list(uniq["results"]) == list(both["results"])
+        assert uniq["results"]["dims"] == both["results"]["dims"] == expected_dims("both", 2)
         assert check_values(uniq) == check_values(both)
-        verdicts = {k: r["pass"] for k, r in both["results"].items() if isinstance(r, dict)}
-        assert {k: r["pass"] for k, r in uniq["results"].items() if isinstance(r, dict)} == verdicts
+        verdicts = {k: r["pass"] for k, r in reports(both).items()}
+        assert {k: r["pass"] for k, r in reports(uniq).items()} == verdicts
         assert all(verdicts.values()) and uniq["pass"] == both["pass"] is True
 
 

@@ -1,6 +1,8 @@
 import ast
 import dataclasses
+import gc
 import inspect
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +302,54 @@ class TestFirstOrderCalculusType:
         x = rng_matrix(np.random.default_rng(5), 3)
         assert np.array_equal(calc.pi_l_of(x), np.tensordot(x, calc.pi_l, axes=2))
         assert np.array_equal(calc.pi_r_of(x), np.tensordot(x, calc.pi_r, axes=2))
+
+
+class TestSharedActions:
+    """pi_l and pi_r depend on (n, m) alone: every live calculus of one
+    (n, m) holds the same read-only arrays, and none is kept once no
+    calculus holds it."""
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+    def test_routes_of_one_generator_share(self, n, seed):
+        calc, calc_k = cached_gns(n, seed), _kraus_calculus(n, seed)
+        assert calc.m == calc_k.m == n * n - 1
+        assert calc.pi_l is calc_k.pi_l and calc.pi_r is calc_k.pi_r
+        assert calc.jmat is not calc_k.jmat
+        for arr in (calc.pi_l, calc.pi_r):
+            assert not arr.flags.writeable and not arr.base.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+
+    def test_other_dims_render_their_own(self):
+        calc = cached_gns(2, 0)
+        empty = FirstOrderCalculus(calc.ctx, np.zeros((2, 2, 0)), np.zeros((0, 0)))
+        for other in (cached_gns(3, 1), _padded_multiplicity(calc), empty):
+            assert (other.dim, other.m) != (calc.dim, calc.m)
+            assert other.pi_l.shape == other.pi_r.shape == (
+                other.dim, other.dim, other.dim_h, other.dim_h)
+            assert other.pi_l is not calc.pi_l and other.pi_r is not calc.pi_r
+        assert empty.pi_l.shape == (2, 2, 0, 0) and not empty.pi_l.flags.writeable
+
+    def test_replace_shares(self):
+        calc = cached_gns(3, 1)
+        flipped = dataclasses.replace(calc, k_j=-calc.k_j)
+        assert flipped.pi_l is calc.pi_l and flipped.pi_r is calc.pi_r
+
+    def test_nothing_retained(self):
+        # an (n, m) that no cached calculus of the suite holds
+        n, m = 2, 6
+        ctx = cached_generator(n, 0)[0].ctx
+        rng = np.random.default_rng(3)
+        calc = FirstOrderCalculus(ctx, rng.standard_normal((n, n, n * n * m)), -np.eye(m))
+        flipped = dataclasses.replace(calc, k_j=np.eye(m))
+        assert flipped.pi_l is calc.pi_l
+        pi_l, pi_r = weakref.ref(calc.pi_l), weakref.ref(calc.pi_r)
+        del calc, flipped
+        gc.collect()
+        assert pi_l() is None and pi_r() is None
+        assert not [key for key in derivation._ACTIONS if key[:2] == (n, m)]
 
 
 def _dense_field_reads(source: str) -> list:
