@@ -4,10 +4,8 @@ commutator representations, with machine-checkable certifications."""
 
 from .errors import (
     CertificationFailed,
-    DerivationRecoveryFailure,
     DimensionMismatch,
     EmptyKrausList,
-    GramMismatch,
     GramNotPSD,
     InconsistentPsi,
     Infeasible,

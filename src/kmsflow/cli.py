@@ -9,7 +9,9 @@ not CCN).
 ``uniqueness`` is ``derive --method both``: the same pipeline, reports and
 timing keys.  Each certificate is measured once, by its report, and a
 failed report exits 1 without an ``error``; ``error`` is set only when an
-object cannot be built.  Beside the reports, ``results.dims`` records n and,
+object cannot be built.  A Gram mismatch between the two routes' calculi is
+such a failed report: the ``gram_mismatch_max`` check of
+``results.uniqueness``.  Beside the reports, ``results.dims`` records n and,
 per route that ran, dim H, m and the family size; it is not a report, so
 ``verify`` walks past it.
 
@@ -198,7 +200,6 @@ def main(argv=None) -> int:
     from . import serialize
     from .errors import (
         CertificationFailed,
-        GramMismatch,
         Infeasible,
         KmsflowError,
         PreconditionFailed,
@@ -227,16 +228,6 @@ def main(argv=None) -> int:
         report["error"] = {"type": "certification", "message": str(exc)}
         if exc.report is not None:
             report["results"][exc.report.name] = exc.report.to_json_dict()
-        report["pass"] = False
-        _emit(report, args.out, serialize)
-        return EXIT_FAIL
-    except GramMismatch as exc:
-        report["error"] = {
-            "type": "gram_mismatch",
-            "message": str(exc),
-            "max_deviation": exc.max_deviation,
-            "index": list(exc.index) if exc.index else None,
-        }
         report["pass"] = False
         _emit(report, args.out, serialize)
         return EXIT_FAIL

@@ -7,7 +7,9 @@ its input fails a precondition it needs to build it.  Whether the object
 satisfies an identity it is claimed to satisfy is measured by a report
 function, which returns a :class:`kmsflow.reports.Report` and never raises
 on a failed check; each identity has one such measurement.  Exceptions that
-wrap a report carry it in the ``report`` attribute.
+wrap a report carry it in the ``report`` attribute, and a
+:class:`MeasuredFailure` the value and bound of the one measurement its
+constructor cannot build past.
 """
 
 
@@ -96,23 +98,9 @@ class NonIntegralMultiplicity(KmsflowError):
     """dim H is not an integer multiple of n^2."""
 
 
-class DerivationRecoveryFailure(MeasuredFailure):
-    """Recovered commutator matrices do not implement the component
-    derivations within tolerance."""
-
-
 class InconsistentPsi(KmsflowError):
     """The supplied completely positive map is not consistent with the
     generator it is paired with."""
-
-
-class GramMismatch(KmsflowError):
-    """Gram matrices of two spanning families disagree beyond tolerance."""
-
-    def __init__(self, message, max_deviation=None, index=None):
-        super().__init__(message)
-        self.max_deviation = max_deviation
-        self.index = index
 
 
 class NotJFixed(KmsflowError):

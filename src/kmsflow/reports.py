@@ -45,7 +45,8 @@ class Report:
     """Outcome of one certification.
 
     ``passed`` is ``all(c.passed() for c in checks)``; ``metrics`` carries
-    additional diagnostics that never enter the verdict.
+    additional diagnostics that never enter the verdict.  The JSON form
+    records each check's value once, in ``checks``.
     """
 
     name: str
@@ -64,14 +65,12 @@ class Report:
         raise KeyError(name)
 
     def to_json_dict(self) -> dict:
-        metrics = {c.name: float(c.value) for c in self.checks}
-        metrics.update(_jsonable(self.metrics))
         return {
             "name": self.name,
             "pass": self.passed,
             "tol": float(self.tol),
             "checks": [c.to_json_dict() for c in self.checks],
-            "metrics": metrics,
+            "metrics": _jsonable(self.metrics),
         }
 
     @staticmethod

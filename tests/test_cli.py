@@ -83,7 +83,9 @@ class TestCheck:
         code, rep = run(capsys, "check", "--superop", str(f))
         assert code == 1
         assert rep["results"]["cp"]["pass"] is False
-        assert abs(rep["results"]["cp"]["metrics"]["min_choi_eig"] + 1.0) < 1e-12
+        # a check's value is recorded once, in the report's checks
+        assert "min_choi_eig" not in rep["results"]["cp"]["metrics"]
+        assert abs(check_values(rep)["cp", "min_choi_eig"][0] + 1.0) < 1e-12
 
     def test_schema_error_exit_2(self, capsys, tmp_path):
         f = tmp_path / "broken.json"
@@ -296,7 +298,7 @@ class TestDerive:
         assert inner["checks"][0]["name"] == "inner_vector_residual"
         assert inner["checks"][0]["value"] <= inner["checks"][0]["bound"] == 1e-7
         for key in ("gns_form", "kraus_form"):
-            assert list(rep["results"][key]["metrics"]) == ["max_form_deviation", "family_size"]
+            assert list(rep["results"][key]["metrics"]) == ["family_size"]
         assert set(rep["timings_s"]) == BOTH_STAGES
 
     def test_each_identity_measured_once(self, capsys, monkeypatch):
@@ -342,6 +344,20 @@ class TestDerive:
         check = rep["results"][key]["checks"][0]
         assert not rep["results"][key]["pass"]
         assert check["value"] > check["bound"]
+
+    def test_gram_mismatch_is_a_failing_report(self, capsys, monkeypatch):
+        # the Kraus route's calculus replaced by the GNS calculus of another
+        # generator: the witness measures the Gram mismatch and fails
+        other, _ = kf.random_generator(2, 1)
+        monkeypatch.setattr(
+            derivation, "commutator_calculus", lambda fam, gen: derivation.gns_calculus(other)
+        )
+        code, rep = run(capsys, "derive", "--method", "both", "--seed", "0", "--n", "2")
+        assert code == 1
+        assert rep["pass"] is False and "error" not in rep
+        assert rep["results"]["uniqueness"]["pass"] is False
+        value, bound, _ = check_values(rep)["uniqueness", "gram_mismatch_max"]
+        assert value > bound
 
     @pytest.mark.parametrize("method", ["gns", "kraus", "both"])
     @pytest.mark.parametrize("n", [2, 3])
