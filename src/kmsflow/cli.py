@@ -327,8 +327,6 @@ def _dispatch(args, report: dict, serialize) -> int:
         return EXIT_PASS
 
     if args.command in ("derive", "uniqueness"):  # uniqueness is derive --method both
-        from .reports import Check, Report
-
         method = getattr(args, "method", "both")
         dump_path = getattr(args, "dump", None)
         gen, psi = _seeded_generator(args, serialize)
@@ -347,11 +345,6 @@ def _dispatch(args, report: dict, serialize) -> int:
             results["gns_form"] = timed(
                 "gns_form", lambda: derivation.verify_commutator_form(fam, gen)
             ).to_json_dict()
-            _, residual = timed("inner_vector", lambda: derivation.inner_vector(calc))
-            bound = derivation.INNER_RESIDUAL_TOL
-            inner = Report("innerness", bound)
-            inner.checks.append(Check("inner_vector_residual", residual, bound, "le"))
-            results["innerness"] = inner.to_json_dict()
             if dump_path:
                 dump["gns_calculus"] = serialize.calculus_to_json(calc)
                 dump["gns_family"] = serialize.family_to_json(fam)
@@ -417,6 +410,12 @@ def _dispatch(args, report: dict, serialize) -> int:
             cfg = serialize.load_json(args.config)
             if not isinstance(cfg, dict):
                 raise serialize.SchemaError(f"{args.config}: expected an object")
+            for key in ("n", "seed", "kraus_rank"):
+                value = cfg.get(key, 0)  # an absent key keeps its default
+                if value is None and key == "kraus_rank":  # full Kraus rank
+                    continue
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise serialize.SchemaError(f"{args.config}: {key!r} must be an integer")
             n = cfg.get("n", n)
             seed = cfg.get("seed", seed)
             kraus_rank = cfg.get("kraus_rank", kraus_rank)

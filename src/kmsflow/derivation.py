@@ -45,16 +45,21 @@ Constructors raise only when they cannot build their object; each identity
 the calculus claims is measured once, by its report.  The form identity
 <delta(A), delta(B)> = <A, L(B)>_rho is certified by
 ``calculus_invariants_report`` for the GNS calculus and by
-``verify_commutator_form`` for each commutator family, innerness by the
-residual of ``inner_vector``, and the agreement of two calculi by
-``uniqueness_witness``, whose Gram comparison is one of its checks.
+``verify_commutator_form`` for each commutator family, and the agreement of
+two calculi by ``uniqueness_witness``, whose Gram comparison is one of its
+checks.  Innerness and the twisted Leibniz rule are certified together by
+``calculus_invariants_report``: it solves for the inner vector once, records
+its residual, and bounds the Leibniz defect through delta - inner(X), with a
+term for the rounding of that difference and of the residual's own
+evaluation.
 
 Every bound here is a fixed module constant, relative to max(1, ||L||)
 where it scales: GRAM_PSD_TOL for Gram positivity, NULL_CUTOFF for rank
 decisions, FORM_TOL for the form identity, INVARIANTS_TOL for the invariants
 report, COMMUTATOR_FORM_TOL for the commutator form, WITNESS_TOL for the
 uniqueness witness and INNER_RESIDUAL_TOL for the relative residual of
-``inner_vector``.  Each report records its constant as ``tol``.
+``inner_vector``, a check of the invariants report.  Each report records its
+constant as ``tol``.
 """
 
 from __future__ import annotations
@@ -331,8 +336,8 @@ def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
     Raises only when the quotient cannot be built: GramNotPSD when P* T P
     has an eigenvalue below -1e-8 * ||P* T P|| (a non-CND input slipping
     through certification), and ReconstructionFailure when Lv misses I in
-    its kernel.  That delta reproduces <A, L(B)>_rho, satisfies the twisted
-    Leibniz rule and is compatible with J is certified by
+    its kernel.  That delta reproduces <A, L(B)>_rho, is inner, satisfies
+    the twisted Leibniz rule and is compatible with J is certified by
     ``calculus_invariants_report``.
     ``meta["gram_eigs"]`` is the (n^2 - 1) middle spectrum of P* T P; the
     Gram form restricted to N has each of these eigenvalues n^2 times.  No
@@ -411,14 +416,39 @@ def calculus_invariants_report(calc: FirstOrderCalculus, gen: MarkovGenerator) -
     commute and J exchanges them.  The rest is certified on the data: J
     antiunitary and involutive
     (jmat* jmat = I (x) K_J* K_J and jmat conj(jmat) = I (x) K_J conj(K_J),
-    so the m x m defects equal the dim H ones), delta(A*) = J delta(A), the
-    twisted Leibniz rule component by component, cyclicity of the
-    delta-image under the left action, and the form identity
-    <delta(A), delta(B)> = <A, L(B)>_rho on the matrix units, which no
-    other function measures.  Defects are maximal entrywise deviations,
-    bounded by INVARIANTS_TOL * max(1, ||L||) (the form identity by
-    FORM_TOL * max(1, ||L||)); the report records INVARIANTS_TOL as its
-    ``tol``.
+    so the m x m defects equal the dim H ones), delta(A*) = J delta(A),
+    innerness, the twisted Leibniz rule, cyclicity of the delta-image under
+    the left action, and the form identity <delta(A), delta(B)> = <A, L(B)>_rho
+    on the matrix units, which no other function measures.  Defects are
+    maximal entrywise deviations, bounded by INVARIANTS_TOL * max(1, ||L||)
+    (the form identity by FORM_TOL * max(1, ||L||)); the report records
+    INVARIANTS_TOL as its ``tol``.
+
+    Innerness is the relative residual of ``inner_vector``
+    (``inner_vector_residual``, bounded by INNER_RESIDUAL_TOL), which also
+    gives the X_k that bound the Leibniz defect.  An inner derivation
+    inner(X)(E) = sigma_{-i/4}(E) X - X sigma_{i/4}(E) satisfies the twisted
+    Leibniz rule exactly, because sigma_{-i/4} and sigma_{i/4} are
+    homomorphisms, so the Leibniz residual of delta_k on (E_ab, E_cd),
+
+        delta_bc r(E_ad) - sigma_{-i/4}(E_ab) r(E_cd) - r(E_ab) sigma_{i/4}(E_cd),
+
+    is that of r = delta_k - inner(X_k).  Each n x n product has entries at
+    most n s |r|_max, with s the largest entry of sigma_{-i/4}(E_ab) and
+    sigma_{i/4}(E_ab), so the residual is at most |r|_max (1 + 2 n s).  The
+    check ``twisted_leibniz_defect`` records
+
+        (|r^|_max + 2 gamma_{n+2} (|delta|_max + 2 n s |X|_max)) (1 + 2 n s),
+
+    with r^ the floating-point evaluation of r and gamma_k = k u / (1 - k u),
+    u the unit roundoff.  Each entry of r^ is a sum of 2n + 1 terms of size
+    at most |delta|_max and s |X|_max, so one gamma term covers its
+    rounding, and the other covers the rounding of the residual's own
+    evaluation, at most gamma_{n+2} |delta|_max (1 + 2 n s).  The rounding
+    of the stored units, which makes their products a homomorphism only up
+    to a few u, is not counted separately; the tests hold the value at or
+    above the largest entry of the unit-pair tensor.  The bound costs
+    O(n^5 m), the tensor O(n^7 m).
 
     For the GNS calculus K_J is a product of isometries, so
     ``j_antiunitary_defect`` measures only the rounding of that product; the
@@ -447,20 +477,20 @@ def calculus_invariants_report(calc: FirstOrderCalculus, gen: MarkovGenerator) -
     )
     rep.checks.append(Check("j_delta_defect", j_delta, tol * scale, "le"))
 
-    # twisted Leibniz rule per component, with delta_k(E_pq) the n x n matrix
-    # dk[p, q, k]: delta_k(E_ab E_cd) = sigma_{-i/4}(E_ab) delta_k(E_cd)
-    #                                   + delta_k(E_ab) sigma_{+i/4}(E_cd),
-    # one first index a at a time as two GEMMs over the inner index z, with
-    # rhs[b, x, c, d, k, y] the defect of delta_k(E_ab E_cd)[x, y]
+    xi0, residual = inner_vector(calc)
+    rep.checks.append(Check("inner_vector_residual", residual, INNER_RESIDUAL_TOL, "le"))
+
+    # twisted Leibniz rule through innerness: r = delta - inner(X), with
+    # inner(X)(E)[a, k, d] = (sigma_{-i/4}(E) X_k - X_k sigma_{i/4}(E))[a, d]
     s_m4, s_p4 = _quarter_units(calc.ctx)
-    dk = c.transpose(0, 1, 3, 2, 4)  # [p, q, k, x, y]
-    b = np.arange(n)
-    leibniz = 0.0
-    for a in range(n):
-        rhs = np.tensordot(s_m4[a], dk, axes=([2], [3]))
-        rhs += np.tensordot(dk[a], s_p4, axes=([3], [2])).transpose(0, 2, 3, 4, 1, 5)
-        rhs[b, :, b] -= dk[a].transpose(2, 0, 1, 3)  # E_ab E_cd = delta_bc E_ad
-        leibniz = max(leibniz, _maxabs(rhs))
+    x = xi0.reshape(n, m, n)  # x[a, k, d] = X_k[a, d]
+    r = c - np.tensordot(s_m4, x, axes=([3], [0]))
+    r += np.tensordot(x, s_p4, axes=([2], [2])).transpose(2, 3, 0, 1, 4)
+    s = max(_maxabs(s_m4), _maxabs(s_p4))
+    unit = np.finfo(float).eps / 2
+    gamma = (n + 2) * unit / (1 - (n + 2) * unit)
+    rounding = 2 * gamma * (_maxabs(c) + 2 * n * s * _maxabs(x))
+    leibniz = (_maxabs(r) + rounding) * (1 + 2 * n * s)
     rep.checks.append(Check("twisted_leibniz_defect", leibniz, tol * scale, "le"))
 
     # cyclicity: pi_l(E_ab) delta(E_cd)[x, k, y] = [x = a] C[c, d, b, k, y], so
@@ -516,15 +546,16 @@ def extract_commutators_gns(calc: FirstOrderCalculus, gen: MarkovGenerator) -> C
     modulo I (none when dim H = 0).
 
     Never raises on a measurement.  That each component is
-    rho^{1/4} [V_k, .] rho^{1/4} is the innerness of delta, measured by
-    ``inner_vector``'s residual; the family's form identity is certified
-    by ``verify_commutator_form``.
+    rho^{1/4} [V_k, .] rho^{1/4} is the innerness of delta, measured by the
+    ``inner_vector_residual`` check of ``calculus_invariants_report``; the
+    family's form identity is certified by ``verify_commutator_form``.
     """
     n = calc.dim
     c = calc.delta.reshape(n, n, n, calc.m, n)
     qi = calc.ctx.inv_quarter_rho
-    dj = qi @ c.transpose(3, 0, 1, 2, 4) @ qi  # dj[k, p, q] = rho^{-1/4} delta_k(E_pq) rho^{-1/4}
-    vs = dj[:, :, 0, :, 0].transpose(0, 2, 1)  # V_k[:, a] = d_k(E_a0)[:, 0]
+    # column 0 of rho^{-1/4} delta_k(E_a0) rho^{-1/4}, over [k, a, x]
+    cols = qi @ c[:, 0].transpose(2, 0, 1, 3) @ qi[:, 0]
+    vs = cols.transpose(0, 2, 1)  # V_k[:, a] = d_k(E_a0)[:, 0]
     herm, _, _ = _hermitian_normal_form(_traceless(vs))
     return CommutatorFamily(ops=tuple(herm))
 

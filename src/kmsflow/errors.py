@@ -91,7 +91,9 @@ class GramNotPSD(MeasuredFailure):
 
 
 class ReconstructionFailure(MeasuredFailure):
-    """The derivation does not reproduce the generator's sesquilinear form."""
+    """The V-transformed generator does not annihilate I (Lv(I) != 0), so
+    ``gns_calculus`` cannot build the quotient; value and bound are the
+    kernel defect ||Lv(I)|| and its bound."""
 
 
 class NonIntegralMultiplicity(KmsflowError):

@@ -141,8 +141,8 @@ class DensityContext:
     @staticmethod
     def from_rho(rho, tol: float = DEFAULT_TOL) -> "DensityContext":
         rho = as_matrix(rho)
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if isinstance(tol, bool) or not (np.isfinite(tol) and tol > 0):
+            raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
         p, u = eig_hermitian(rho, tol=max(tol, 1e-12))
         if p.min() < DensityContext.MIN_EIGENVALUE:
             raise ValueError(
@@ -154,7 +154,7 @@ class DensityContext:
         recon = (u * p) @ dagger(u)
         if opnorm(recon - rho) > 1e-12 * max(opnorm(rho), 1.0):
             raise NotHermitian("spectral reconstruction of rho failed")
-        return DensityContext(rho=rho, p=p, u=u, tol=tol)
+        return DensityContext(rho=rho, p=p, u=u, tol=float(tol))
 
     @property
     def dim(self) -> int:

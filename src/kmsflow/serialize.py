@@ -6,7 +6,8 @@ Density context adds {"tol": float}.  Superoperator:
 the n^2 x n^2 matrix over the column-stacking vectorization.  Numbers are
 emitted through Python's repr, which round-trips doubles exactly.  Readers
 reject non-finite entries (``NaN``, ``Infinity``), which Python's json
-parser accepts.
+parser accepts, and a density ``tol`` that is not a finite number > 0
+(booleans included).
 """
 
 from __future__ import annotations
@@ -64,12 +65,12 @@ def density_to_json(ctx: DensityContext) -> dict:
 def density_from_json(d: dict, where: str = "density") -> DensityContext:
     rho = matrix_from_json(d, where)
     tol = d.get("tol", 1e-9)
-    if not isinstance(tol, (int, float)) or tol <= 0:
-        raise SchemaError(f"{where}: 'tol' must be a positive number")
+    if not isinstance(tol, (int, float)):
+        raise SchemaError(f"{where}: 'tol' must be a number")
     try:
-        return DensityContext.from_rho(rho, tol=float(tol))
+        return DensityContext.from_rho(rho, tol=tol)
     except (ValueError, NotHermitian, DimensionMismatch) as exc:
-        raise SchemaError(f"{where}: not a valid density matrix ({exc})") from exc
+        raise SchemaError(f"{where}: not a valid density context ({exc})") from exc
 
 
 def superop_to_json(s: Superoperator) -> dict:

@@ -69,6 +69,18 @@ class TestRandom:
         assert code == 0
         np.testing.assert_allclose(rep["results"]["rho"]["re"], [[0.75, 0], [0, 0.25]])
 
+    @pytest.mark.parametrize(
+        "cfg", [{"n": "3"}, {"n": 2.5}, {"seed": "x"}, {"kraus_rank": "2"}],
+        ids=["n_str", "n_float", "seed_str", "kraus_rank_str"],
+    )
+    def test_non_integer_config_is_schema_error(self, capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, rep = run(capsys, "random", "--config", str(path))
+        assert code == 2
+        assert rep["error"]["type"] == "schema"
+        assert repr(next(iter(cfg))) in rep["error"]["message"]
+
     def test_seeded_command_honors_given_rho(self, capsys, tmp_path):
         rho, _ = write_instance(tmp_path, capsys, seed=20)
         code, rep = run(capsys, "derive", "--method", "gns", "--seed", "21",
@@ -110,6 +122,19 @@ class TestCheck:
         assert rep["error"]["type"] == "schema"
         assert str(target) in rep["error"]["message"]
         assert "finite" in rep["error"]["message"]
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), True], ids=str)
+    def test_non_finite_density_tol_is_schema_error(self, capsys, tmp_path, tol):
+        # with tol Infinity every KMS-symmetry defect would pass
+        rho, psi = write_instance(tmp_path, capsys, seed=2)
+        doc = json.loads(rho.read_text())
+        doc["tol"] = tol
+        rho.write_text(json.dumps(doc))
+        code, rep = run(capsys, "check", "--superop", str(psi), "--rho", str(rho))
+        assert code == 2
+        assert rep["error"]["type"] == "schema"
+        assert "tolerance must be finite and > 0" in rep["error"]["message"]
+        assert "kms_symmetric" not in rep["results"]
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
@@ -246,11 +271,11 @@ class TestGeneratorCommands:
         assert rep["results"]["kms_symmetric"]["pass"]
 
 
-# every stage `derive --method both` (and so `uniqueness`) times
+# every stage `derive --method both` (and so `uniqueness`) times; the inner
+# vector is solved inside calculus_invariants
 BOTH_STAGES = {
     "gns_calculus", "calculus_invariants", "extract_commutators_gns", "gns_form",
-    "inner_vector", "kraus_route", "kraus_form", "commutator_calculus",
-    "uniqueness_witness", "total",
+    "kraus_route", "kraus_form", "commutator_calculus", "uniqueness_witness", "total",
 }
 
 
@@ -293,18 +318,27 @@ class TestDerive:
         assert check_values(rep)["uniqueness", "gram_mismatch_max"][0] <= 1e-6
         assert rep["results"]["uniqueness"]["pass"]
         assert rep["results"]["calculus_invariants"]["pass"]
-        inner = rep["results"]["innerness"]
-        assert inner["pass"] and inner["tol"] == derivation.INNER_RESIDUAL_TOL == 1e-7
-        assert inner["checks"][0]["name"] == "inner_vector_residual"
-        assert inner["checks"][0]["value"] <= inner["checks"][0]["bound"] == 1e-7
+        # innerness is a check of the invariants report, not a report of its own
+        assert "innerness" not in rep["results"]
+        value, bound, _ = check_values(rep)["calculus_invariants", "inner_vector_residual"]
+        assert value <= bound == derivation.INNER_RESIDUAL_TOL == 1e-7
         for key in ("gns_form", "kraus_form"):
             assert list(rep["results"][key]["metrics"]) == ["family_size"]
         assert set(rep["timings_s"]) == BOTH_STAGES
 
-    def test_each_identity_measured_once(self, capsys, monkeypatch):
-        # the invariants report measures the GNS form identity and each
-        # family's report its commutator form: one measurement each
-        calls = {"verify_commutator_form": 0, "kms_form_of_generator": 0}
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (["derive", "--method", "both"], (2, 3, 1)),
+            (["uniqueness"], (2, 3, 1)),
+            (["derive", "--method", "kraus"], (1, 1, 0)),
+        ],
+        ids=["both", "uniqueness", "kraus"],
+    )
+    def test_each_identity_measured_once(self, capsys, monkeypatch, argv, want):
+        # the invariants report measures the GNS form identity and innerness,
+        # and each family's report its commutator form: one measurement each
+        calls = {"verify_commutator_form": 0, "kms_form_of_generator": 0, "inner_vector": 0}
         for name in calls:
             fn = getattr(derivation, name)
 
@@ -313,11 +347,13 @@ class TestDerive:
                 return _fn(*args)
 
             monkeypatch.setattr(derivation, name, counted)
-        code, _ = run(capsys, "derive", "--method", "both", "--n", "3", "--seed", "0")
+        code, _ = run(capsys, *argv, "--n", "3", "--seed", "0")
         assert code == 0
-        assert calls == {"verify_commutator_form": 2, "kms_form_of_generator": 3}
+        assert tuple(calls.values()) == want
 
     def test_innerness_residual_is_gated(self, capsys, monkeypatch):
+        # the residual is a check of the invariants report: a large one fails
+        # that report alone, with the measured value, and the run exits 1
         inner_vector = derivation.inner_vector
         monkeypatch.setattr(
             derivation, "inner_vector", lambda calc: (inner_vector(calc)[0], 1e-3)
@@ -325,10 +361,11 @@ class TestDerive:
         code, rep = run(capsys, "derive", "--method", "gns", "--seed", "1", "--n", "2")
         assert code == 1
         assert rep["pass"] is False and "error" not in rep
-        inner = rep["results"]["innerness"]
-        assert not inner["pass"]
-        assert (inner["checks"][0]["value"], inner["checks"][0]["bound"]) == (1e-3, 1e-7)
-        assert rep["results"]["calculus_invariants"]["pass"]
+        assert [k for k, r in reports(rep).items() if not r["pass"]] == ["calculus_invariants"]
+        checks = rep["results"]["calculus_invariants"]["checks"]
+        assert [c["name"] for c in checks if c["value"] > c["bound"]] == ["inner_vector_residual"]
+        value, bound, _ = check_values(rep)["calculus_invariants", "inner_vector_residual"]
+        assert (value, bound) == (1e-3, 1e-7)
 
     @pytest.mark.parametrize("method,key", [("gns", "gns_form"), ("kraus", "kraus_form")])
     def test_family_form_failure_is_a_failing_report(self, capsys, monkeypatch, method, key):
@@ -631,12 +668,16 @@ class TestVerify:
         capsys.readouterr()
         assert code == 0
         doc = json.loads(out.read_text())
-        doc["results"]["innerness"]["checks"][0]["value"] = 1e-3  # above its bound
+        (inner,) = [
+            c for c in doc["results"]["calculus_invariants"]["checks"]
+            if c["name"] == "inner_vector_residual"
+        ]
+        inner["value"] = 1e-3  # above its bound
         out.write_text(json.dumps(doc))
         code2, rep2 = run(capsys, "verify", "--report", str(out))
         assert code2 == 1
-        assert rep2["results"]["idempotent"]["mismatches"] == ["results/innerness"]
-        assert rep2["results"]["results/innerness"]["recomputed_pass"] is False
+        assert rep2["results"]["idempotent"]["mismatches"] == ["results/calculus_invariants"]
+        assert rep2["results"]["results/calculus_invariants"]["recomputed_pass"] is False
 
     def test_tampered_report_detected(self, capsys, tmp_path):
         out = tmp_path / "report.json"

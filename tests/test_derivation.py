@@ -146,11 +146,11 @@ class TestGnsCalculus:
         rep = kf.calculus_invariants_report(calc, gen)
         failed = [c for c in rep.checks if not c.passed()]
         assert [c.name for c in failed] == [
-            "j_delta_defect", "twisted_leibniz_defect", "form_identity_defect"
+            "j_delta_defect", "inner_vector_residual", "twisted_leibniz_defect",
+            "form_identity_defect",
         ]
         assert all(c.value > c.bound for c in failed)
-        _, residual = kf.inner_vector(calc)
-        assert residual > derivation.INNER_RESIDUAL_TOL
+        assert rep.check("inner_vector_residual").bound == derivation.INNER_RESIDUAL_TOL
 
     def test_form_identity_failure_rejected(self, monkeypatch):
         # gns_calculus builds the calculus; the invariants report is the one
@@ -569,9 +569,15 @@ class TestStandardFormAgainstOracles:
         assert standard_form_defect(calc) == loop_standard_form_defect(calc) == 0.0
 
 
+LEIBNIZ_ENSEMBLES = {
+    "default": {}, "kraus_rank_1": {"kraus_rank": 1}, "cond_1e6": {"cond_bound": 1e6},
+}
+
+
 class TestBatchedChecksAgainstOracles:
-    """The one-contraction commutator form and the blocked twisted-Leibniz
-    check against the member-by-member sum and the full unit-triple tensor."""
+    """The one-contraction commutator form against the member-by-member sum,
+    and the twisted-Leibniz bound through innerness against the full
+    unit-pair tensor."""
 
     @pytest.mark.parametrize("route", ["gns", "kraus", "empty"])
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2), (5, 3)])
@@ -589,25 +595,28 @@ class TestBatchedChecksAgainstOracles:
         scale = max(1.0, np.abs(want).max(initial=0.0))
         assert np.abs(got - want).max() <= 1e-14 * scale
 
-    @pytest.mark.parametrize("route", ["gns", "kraus"])
-    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2)])
-    def test_leibniz_matches_tensor(self, n, seed, route):
-        gen, _ = cached_generator(n, seed)
-        calc = cached_gns(n, seed) if route == "gns" else _kraus_calculus(n, seed)
-        rep = kf.calculus_invariants_report(calc, gen)
-        got = rep.check("twisted_leibniz_defect").value
-        assert abs(got - tensor_leibniz_defect(calc)) <= 1e-15
-        assert rep.check("twisted_leibniz_defect").passed()
+    @pytest.mark.parametrize("ensemble", list(LEIBNIZ_ENSEMBLES))
+    @pytest.mark.parametrize("n,seed", [(n, s) for n in (2, 3, 4) for s in range(8)])
+    def test_leibniz_bound_covers_tensor(self, n, seed, ensemble):
+        # on both routes the bound is at least the tensor's largest entry;
+        # at (2, 2), default ensemble, GNS route, only its rounding term
+        # keeps it there (2.9e-16 without it, against 8.3e-16)
+        gen, psi = kf.random_generator(n, seed, **LEIBNIZ_ENSEMBLES[ensemble])
+        calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
+        for calc in (kf.gns_calculus(gen), calc_k):
+            check = kf.calculus_invariants_report(calc, gen).check("twisted_leibniz_defect")
+            assert check.value >= tensor_leibniz_defect(calc)
+            assert check.passed()
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2)])
-    def test_perturbed_delta_fails_both_alike(self, n, seed):
+    def test_perturbed_delta_fails(self, n, seed):
         gen, _ = cached_generator(n, seed)
         broken = _perturbed(cached_gns(n, seed), "delta", eps=1e-4, at=n + 1)
         rep = kf.calculus_invariants_report(broken, gen)
         check = rep.check("twisted_leibniz_defect")
         assert not check.passed()
         assert check.value > check.bound
-        assert abs(check.value - tensor_leibniz_defect(broken)) <= 1e-15 * max(1.0, check.value)
+        assert check.value >= tensor_leibniz_defect(broken)
 
 
 class TestExtractGns:

@@ -113,6 +113,11 @@ class TestDensityContext:
         with pytest.raises(ValueError):
             kf.DensityContext.from_rho(np.diag([np.inf, 0.5]))
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, True, 0.0, -1e-9], ids=str)
+    def test_rejects_tol_not_finite_positive(self, tol):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            kf.DensityContext.from_rho(np.diag([0.75, 0.25]), tol=tol)
+
 
 class TestFracPower:
     def test_scalar_half(self):
