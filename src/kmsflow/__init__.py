@@ -11,7 +11,6 @@ from .errors import (
     Infeasible,
     InsufficientRange,
     KmsflowError,
-    NonIntegralMultiplicity,
     NotHermitian,
     NotHermiticityPreserving,
     NotJFixed,

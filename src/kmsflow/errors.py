@@ -96,10 +96,6 @@ class ReconstructionFailure(MeasuredFailure):
     kernel defect ||Lv(I)|| and its bound."""
 
 
-class NonIntegralMultiplicity(KmsflowError):
-    """dim H is not an integer multiple of n^2."""
-
-
 class InconsistentPsi(KmsflowError):
     """The supplied completely positive map is not consistent with the
     generator it is paired with."""

@@ -188,10 +188,15 @@ def recover_cp_from_generator(gen: MarkovGenerator, tol: float = 1e-8):
     return psi, rep
 
 
+def _require_time(t: float) -> None:
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"Markov evolution requires a finite t >= 0, got t = {t}")
+
+
 def evolve(gen: MarkovGenerator, t: float) -> Superoperator:
-    """Standard-form semigroup exp(-t L2)."""
-    if t < 0:
-        raise ValueError("Markov evolution requires t >= 0")
+    """Standard-form semigroup exp(-t L2).  Raises ValueError unless t is
+    finite and >= 0."""
+    _require_time(t)
     return superop_exp(gen.L2, t)
 
 
@@ -200,9 +205,12 @@ def chernoff_residual(gen: MarkovGenerator, t: float, n_steps: int) -> float:
     semigroup elements and the semigroup generated by the V-transform of L2:
 
         || (V(exp(-t/n L2)))^n - exp(-t V(L2)) ||.
+
+    Raises ValueError when n_steps < 1 or t is not finite and >= 0.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    _require_time(t)
     ctx = gen.ctx
     step = v_transform(evolve(gen, t / n_steps), ctx)
     target = superop_exp(v_transform(gen.L2, ctx), t)
@@ -251,7 +259,10 @@ def dirichlet_contraction_check(
     gen: MarkovGenerator, trials: int = 50, tol: float = 1e-8, seed: int = 0
 ) -> Report:
     """Markovianity of the Dirichlet form: E(a ^ rho^{1/2}) <= E(a) for
-    J-fixed a, together with J-invariance E(Ja) = E(a)."""
+    J-fixed a, together with J-invariance E(Ja) = E(a), each the worst over
+    ``trials`` random draws.  Raises ValueError when trials < 1."""
+    if trials < 1:
+        raise ValueError(f"dirichlet_contraction_check requires trials >= 1, got {trials}")
     ctx = gen.ctx
     n = gen.dim
     rng = np.random.default_rng(seed)

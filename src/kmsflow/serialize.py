@@ -99,19 +99,14 @@ def family_to_json(family) -> dict:
 
 
 def calculus_to_json(calc) -> dict:
-    """Dump of a calculus as its standard-form data: dim H, the delta images
-    keyed by matrix-unit labels 'ab' and the m x m block K_J of the
-    involution, from which ``FirstOrderCalculus`` rebuilds it."""
-    n = calc.dim
+    """Dump of a calculus as its standard-form data: dim H, the inner vector
+    X as an (m, n, n) array and the m x m block K_J of the involution, from
+    which ``FirstOrderCalculus`` rebuilds it."""
 
     def cvec(v):
         return {"re": v.real.tolist(), "im": v.imag.tolist()}
 
-    return {
-        "dimH": calc.dim_h,
-        "delta": {f"{a}{b}": cvec(calc.delta[a, b]) for a in range(n) for b in range(n)},
-        "K_J": cvec(calc.k_j),
-    }
+    return {"dimH": calc.dim_h, "X": cvec(calc.x), "K_J": cvec(calc.k_j)}
 
 
 def load_json(path: str):

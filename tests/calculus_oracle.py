@@ -1,7 +1,7 @@
 """Dense reference implementations for the calculus layer.
 
-The library reads every calculus through its standard-form data (the delta
-coefficients and the m x m block K_J).  The functions here work on the dense
+The library reads every calculus through its standard-form data (the inner
+vector X, the delta coefficients rendered from it and the m x m block K_J).  The functions here work on the dense
 dim_h x dim_h fields instead and are the oracles those paths are gated
 against at n <= 3.  They take a ``FirstOrderCalculus``, whose dense fields
 are the rendering of its data, or a ``DenseCalculus``, which holds any dense
@@ -18,8 +18,8 @@ the standard form (``as_dense`` copies a calculus into one).
   calculi, in standard form or not; ``loop_witness_defects`` is the per-unit
   intertwining defect of a witness on the spanning family, and
   ``render_theta`` renders the library witness W as I (x) W (x) I.
-- ``lstsq_inner_vector`` is the dense least-squares solve of
-  ``inner_vector``.
+- ``lstsq_inner_vector`` is the dense least-squares solve of the innerness
+  equation, the independent recovery of ``inner_vector``'s QX from delta.
 - ``standard_form_defect`` measures how far the dense fields are from the
   rendering of the standard-form data read off them; ``kron_render``
   renders those fields with ``np.kron``, the oracle for the scatter of the
@@ -29,8 +29,8 @@ the standard form (``as_dense`` copies a calculus into one).
 - ``loop_commutator_form_matrix`` sums the commutator form over the family
   with n^2 x n^2 ``lmul``/``rmul`` superoperators, the oracle for the
   batched ``commutator_form_matrix``; ``tensor_leibniz_defect`` evaluates
-  the twisted Leibniz rule on the full n^6 m tensor of unit triples, the
-  oracle for the blocked check of ``calculus_invariants_report``.
+  the twisted Leibniz rule on the full n^6 m tensor of unit triples, which
+  holds by type for delta = inner(X).
 - ``dense_gns_calculus`` is the GNS quotient built on the full
   n^4-dimensional tensor square, the oracle for the factored
   ``gns_calculus``; ``einsum_gns_actions`` is the plain-einsum form of its
@@ -42,7 +42,9 @@ the standard form (``as_dense`` copies a calculus into one).
   spanning family, the oracle for the native ``commutator_calculus``;
   ``kron_commutator_actions`` is the Kronecker-product construction of the
   untrimmed calculus, against which the blockwise actions of the trimmed one
-  are checked.
+  are checked; ``commutator_delta`` forms rho^{1/4} [V_k, E] rho^{1/4}
+  directly, the oracle for the delta that ``commutator_calculus`` renders
+  from its inner vector.
 - ``leibniz_bilinear_residual`` evaluates the six-term bilinear identity of
   a bounded first-order calculus on standard-form vectors through the
   structural actions ``delta_of`` and ``pi_r_of``, with the right action of
@@ -63,8 +65,8 @@ from kmsflow.derivation import (
     kms_form_of_generator,
 )
 from kmsflow.errors import (
+    DimensionMismatch,
     GramNotPSD,
-    NonIntegralMultiplicity,
     ReconstructionFailure,
 )
 from kmsflow.generator import MarkovGenerator
@@ -130,11 +132,11 @@ def dense_k_j(calc):
     """(m, K_J) of a dense calculus on C^n (x) C^m (x) C^n: the multiplicity
     m = dim H / n^2 and the block K_J[k, l] = jmat[(0, k, 0), (0, l, 0)].
 
-    Raises NonIntegralMultiplicity when n^2 does not divide dim H.
+    Raises DimensionMismatch when n^2 does not divide dim H.
     """
     n = calc.dim
     if calc.dim_h % (n * n):
-        raise NonIntegralMultiplicity(
+        raise DimensionMismatch(
             f"dim H = {calc.dim_h} is not a multiple of n^2 = {n * n}"
         )
     m = calc.dim_h // (n * n)
@@ -772,8 +774,8 @@ def dense_uniqueness_witness(
 
 
 def kron_render(ctx, delta, k_j, meta) -> DenseCalculus:
-    """The dense fields of ``FirstOrderCalculus(ctx, delta, k_j, meta)``
-    rendered by Kronecker products: pi_l(E) = E (x) I_{mn},
+    """The dense fields of a ``FirstOrderCalculus`` with delta coefficients
+    ``delta`` and block ``k_j``, rendered by Kronecker products: pi_l(E) = E (x) I_{mn},
     pi_r(E) = I_{nm} (x) E^T and J = (outer swap) (x) K_J."""
     n = delta.shape[0]
     m = k_j.shape[0]
@@ -834,12 +836,23 @@ def tensor_leibniz_defect(calc) -> float:
     over the whole (n, n, n, n, m, n, n) tensor of unit pairs and
     components at once."""
     n = calc.dim
-    c = calc.delta.reshape(n, n, n, calc.m, n)
+    c = calc.delta.reshape(n, n, n, calc.dim_h // (n * n), n)
     s_m4, s_p4 = _quarter_units(calc.ctx)
     dk = c.transpose(0, 1, 3, 2, 4)
     rhs = s_m4[:, :, None, None, None] @ dk + dk[:, :, None, None] @ s_p4[:, :, None]
     rhs[:, np.arange(n), np.arange(n)] -= dk[:, None]  # E_ab E_cd = delta_bc E_ad
     return _maxabs(rhs)
+
+
+def commutator_delta(herm: np.ndarray, ctx: DensityContext) -> np.ndarray:
+    """delta(E_pq)[a, k, d] = (rho^{1/4} [V_k, E_pq] rho^{1/4})[a, d] for the
+    stack ``herm`` (m, n, n), of shape (n, n, n^2 m): the commutators with
+    the matrix units sandwiched by rho^{1/4}, without the inner vector."""
+    n = ctx.dim
+    units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)  # units[p, q] = E_pq
+    v = herm[:, None, None]
+    blocks = ctx.quarter_rho @ (v @ units - units @ v) @ ctx.quarter_rho  # [k, p, q]
+    return blocks.transpose(1, 2, 3, 0, 4).reshape(n, n, n * n * len(herm))
 
 
 def right_bounded_rep(ctx: DensityContext, b) -> np.ndarray:

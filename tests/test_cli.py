@@ -251,6 +251,26 @@ class TestGeneratorCommands:
         assert rep["results"]["contraction"]["pass"]
         assert abs(rep["results"]["cyclic_energy"]) < 1e-10
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
+    def test_simulate_rejects_t_not_finite_nonnegative(self, capsys, t):
+        code, rep = run(capsys, "simulate", "--seed", "9", "--n", "2", "--t", t)
+        assert code == 2
+        assert rep["error"] == {
+            "type": "usage",
+            "message": f"Markov evolution requires a finite t >= 0, got t = {float(t)}",
+        }
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_dirichlet_check_rejects_no_trials(self, capsys, trials):
+        code, rep = run(capsys, "dirichlet-check", "--seed", "10", "--n", "2",
+                        "--trials", trials)
+        assert code == 2
+        assert rep["error"] == {
+            "type": "usage",
+            "message": f"dirichlet_contraction_check requires trials >= 1, got {trials}",
+        }
+        assert rep["results"] == {}
+
     def test_dirichlet_check_n4_fifty_trials(self, capsys):
         code, rep = run(capsys, "dirichlet-check", "--seed", "10", "--n", "4",
                         "--trials", "50")
@@ -271,8 +291,7 @@ class TestGeneratorCommands:
         assert rep["results"]["kms_symmetric"]["pass"]
 
 
-# every stage `derive --method both` (and so `uniqueness`) times; the inner
-# vector is solved inside calculus_invariants
+# every stage `derive --method both` (and so `uniqueness`) times
 BOTH_STAGES = {
     "gns_calculus", "calculus_invariants", "extract_commutators_gns", "gns_form",
     "kraus_route", "kraus_form", "commutator_calculus", "uniqueness_witness", "total",
@@ -318,10 +337,13 @@ class TestDerive:
         assert check_values(rep)["uniqueness", "gram_mismatch_max"][0] <= 1e-6
         assert rep["results"]["uniqueness"]["pass"]
         assert rep["results"]["calculus_invariants"]["pass"]
-        # innerness is a check of the invariants report, not a report of its own
+        # innerness and the Leibniz rule hold by type: neither is a check
         assert "innerness" not in rep["results"]
-        value, bound, _ = check_values(rep)["calculus_invariants", "inner_vector_residual"]
-        assert value <= bound == derivation.INNER_RESIDUAL_TOL == 1e-7
+        names = [c["name"] for c in rep["results"]["calculus_invariants"]["checks"]]
+        assert names == [
+            "j_antiunitary_defect", "j_involution_defect", "j_delta_defect",
+            "cyclic_rank_deficit", "form_identity_defect",
+        ]
         for key in ("gns_form", "kraus_form"):
             assert list(rep["results"][key]["metrics"]) == ["family_size"]
         assert set(rep["timings_s"]) == BOTH_STAGES
@@ -329,15 +351,16 @@ class TestDerive:
     @pytest.mark.parametrize(
         "argv,want",
         [
-            (["derive", "--method", "both"], (2, 3, 1)),
-            (["uniqueness"], (2, 3, 1)),
+            (["derive", "--method", "both"], (2, 3, 0)),
+            (["uniqueness"], (2, 3, 0)),
             (["derive", "--method", "kraus"], (1, 1, 0)),
         ],
         ids=["both", "uniqueness", "kraus"],
     )
     def test_each_identity_measured_once(self, capsys, monkeypatch, argv, want):
-        # the invariants report measures the GNS form identity and innerness,
-        # and each family's report its commutator form: one measurement each
+        # the invariants report measures the GNS form identity, and each
+        # family's report its commutator form: one measurement each; no
+        # inner vector is recovered, the calculus is built from it
         calls = {"verify_commutator_form": 0, "kms_form_of_generator": 0, "inner_vector": 0}
         for name in calls:
             fn = getattr(derivation, name)
@@ -350,22 +373,6 @@ class TestDerive:
         code, _ = run(capsys, *argv, "--n", "3", "--seed", "0")
         assert code == 0
         assert tuple(calls.values()) == want
-
-    def test_innerness_residual_is_gated(self, capsys, monkeypatch):
-        # the residual is a check of the invariants report: a large one fails
-        # that report alone, with the measured value, and the run exits 1
-        inner_vector = derivation.inner_vector
-        monkeypatch.setattr(
-            derivation, "inner_vector", lambda calc: (inner_vector(calc)[0], 1e-3)
-        )
-        code, rep = run(capsys, "derive", "--method", "gns", "--seed", "1", "--n", "2")
-        assert code == 1
-        assert rep["pass"] is False and "error" not in rep
-        assert [k for k, r in reports(rep).items() if not r["pass"]] == ["calculus_invariants"]
-        checks = rep["results"]["calculus_invariants"]["checks"]
-        assert [c["name"] for c in checks if c["value"] > c["bound"]] == ["inner_vector_residual"]
-        value, bound, _ = check_values(rep)["calculus_invariants", "inner_vector_residual"]
-        assert (value, bound) == (1e-3, 1e-7)
 
     @pytest.mark.parametrize("method,key", [("gns", "gns_form"), ("kraus", "kraus_form")])
     def test_family_form_failure_is_a_failing_report(self, capsys, monkeypatch, method, key):
@@ -467,26 +474,27 @@ class TestDerive:
         assert code == 0
         doc = json.loads(dump.read_text())
         assert doc["gns_calculus"]["dimH"] > 0
-        assert set(doc["gns_calculus"]["delta"]) == {"00", "01", "10", "11"}
+        x = np.asarray(doc["gns_calculus"]["X"]["re"])
+        assert x.shape == (doc["gns_calculus"]["dimH"] // 4, 2, 2)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_dump_round_trip(self, capsys, tmp_path, n):
-        # the dumped delta and K_J rebuild the calculus: its invariants report
+        # the dumped X and K_J rebuild the calculus: its invariants report
         # reproduces every stored check value bit for bit
         dump = tmp_path / "calc.json"
         code, rep = run(capsys, "derive", "--method", "both", "--seed", "1",
                         "--n", str(n), "--dump", str(dump))
         assert code == 0
         doc = json.loads(dump.read_text())["gns_calculus"]
-        assert set(doc) == {"dimH", "delta", "K_J"}
+        assert set(doc) == {"dimH", "X", "K_J"}
         def array(v):
             return np.asarray(v["re"]) + 1j * np.asarray(v["im"])
 
-        delta = np.array([[array(doc["delta"][f"{a}{b}"]) for b in range(n)] for a in range(n)])
         m = doc["dimH"] // n**2
-        assert m > 0 and array(doc["K_J"]).shape == (m, m)
+        assert m > 0 and array(doc["X"]).shape == (m, n, n)
+        assert array(doc["K_J"]).shape == (m, m)
         gen, _ = kf.random_generator(n, 1)
-        calc = kf.FirstOrderCalculus(gen.ctx, delta, array(doc["K_J"]))
+        calc = kf.FirstOrderCalculus(gen.ctx, array(doc["X"]), array(doc["K_J"]))
         recomputed = kf.calculus_invariants_report(calc, gen).to_json_dict()
         assert recomputed["checks"] == rep["results"]["calculus_invariants"]["checks"]
 
@@ -662,17 +670,17 @@ class TestVerify:
         assert code2 == 0
         assert rep2["results"]["idempotent"]["pass"]
 
-    def test_innerness_is_rechecked(self, capsys, tmp_path):
+    def test_invariants_check_is_rechecked(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code = main(["derive", "--method", "gns", "--seed", "4", "--n", "2", "--out", str(out)])
         capsys.readouterr()
         assert code == 0
         doc = json.loads(out.read_text())
-        (inner,) = [
+        (cyclic,) = [
             c for c in doc["results"]["calculus_invariants"]["checks"]
-            if c["name"] == "inner_vector_residual"
+            if c["name"] == "cyclic_rank_deficit"
         ]
-        inner["value"] = 1e-3  # above its bound
+        cyclic["value"] = 4.0  # above its bound 0
         out.write_text(json.dumps(doc))
         code2, rep2 = run(capsys, "verify", "--report", str(out))
         assert code2 == 1

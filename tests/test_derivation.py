@@ -21,7 +21,6 @@ from kmsflow.errors import (
     DimensionMismatch,
     GramNotPSD,
     InconsistentPsi,
-    NonIntegralMultiplicity,
     ReconstructionFailure,
 )
 from kmsflow.generator import MarkovGenerator, modular_resolvent
@@ -39,6 +38,8 @@ from kmsflow.superop import (
 from calculus_oracle import (
     DenseCalculus,
     as_dense,
+    commutator_delta,
+    dense_invariants_report,
     grid_invariants_report,
     kron_commutator_actions,
     kron_render,
@@ -47,6 +48,7 @@ from calculus_oracle import (
     loop_commutator_form_matrix,
     loop_standard_form_defect,
     loop_witness_defects,
+    lstsq_inner_vector,
     render_theta,
     spanning_family,
     standard_form_defect,
@@ -131,8 +133,10 @@ class TestGnsCalculus:
 
     def test_delta_outside_constraint_fails_reports(self, monkeypatch):
         # sigma_{i/4}(E) off by 1e-6 I moves delta's ambient representative
-        # out of the constraint subspace; gns_calculus builds it, and the
-        # reports, run with the true modular units, fail it with its values
+        # out of the constraint subspace; the constructor renders it from the
+        # class map, and the report, run with the true modular units, fails
+        # it with its values.  Cyclicity reads X and passes.  inner_vector
+        # renders QX with the true units and measures the skew.
         gen, _ = cached_generator(2, 0)
         quarter_units = derivation._quarter_units
 
@@ -145,12 +149,10 @@ class TestGnsCalculus:
             calc = kf.gns_calculus(gen)
         rep = kf.calculus_invariants_report(calc, gen)
         failed = [c for c in rep.checks if not c.passed()]
-        assert [c.name for c in failed] == [
-            "j_delta_defect", "inner_vector_residual", "twisted_leibniz_defect",
-            "form_identity_defect",
-        ]
+        assert [c.name for c in failed] == ["j_delta_defect", "form_identity_defect"]
         assert all(c.value > c.bound for c in failed)
-        assert rep.check("inner_vector_residual").bound == derivation.INNER_RESIDUAL_TOL
+        assert kf.inner_vector(calc)[1] > 1e-7
+        assert kf.inner_vector(kf.gns_calculus(gen))[1] < 1e-14
 
     def test_form_identity_failure_rejected(self, monkeypatch):
         # gns_calculus builds the calculus; the invariants report is the one
@@ -236,15 +238,15 @@ def _padded_with_corner(calc):
     )
 
 
-def _padded_multiplicity(calc):
-    """calc with one more multiplicity index, on which delta vanishes and
-    K_J is -1: the delta coefficients keep their Gram, dim H grows by n^2."""
-    n, m = calc.dim, calc.m
-    c_pad = np.zeros((n, n, n, m + 1, n), dtype=complex)
-    c_pad[:, :, :, :m] = calc.delta.reshape(n, n, n, m, n)
-    k_pad = -np.eye(m + 1, dtype=complex)
-    k_pad[:m, :m] = calc.k_j
-    return FirstOrderCalculus(calc.ctx, c_pad.reshape(n, n, -1), k_pad)
+def _padded_multiplicity(calc, x_extra=None):
+    """calc with one more multiplicity index, on which X is ``x_extra``
+    (default 0, so delta vanishes there) and K_J is -1: with X_extra = 0 the
+    delta coefficients keep their Gram and dim H grows by n^2."""
+    n = calc.dim
+    x_extra = np.zeros((n, n)) if x_extra is None else x_extra
+    k_pad = -np.eye(calc.m + 1, dtype=complex)
+    k_pad[:-1, :-1] = calc.k_j
+    return FirstOrderCalculus(calc.ctx, np.concatenate([calc.x, x_extra[None]]), k_pad)
 
 
 def _columns_swapped(k_j):
@@ -255,14 +257,20 @@ def _columns_swapped(k_j):
 
 class TestFirstOrderCalculusType:
     """The calculus is its standard-form data: the constructor validates
-    delta and K_J, and the dense fields are its read-only rendering."""
+    X and K_J, and delta and the dense fields are its read-only rendering."""
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
     def test_non_integral_multiplicity_rejected(self, n, seed):
+        # X of shape (m, n, n) gives dim H = n^2 m; the delta of a calculus
+        # whose dim H is not a multiple of n^2 is no such stack
         calc = cached_gns(n, seed)
         padded = _padded_with_corner(calc)
-        with pytest.raises(NonIntegralMultiplicity):
+        assert padded.dim_h % (n * n)
+        with pytest.raises(DimensionMismatch, match="X has shape"):
             FirstOrderCalculus(calc.ctx, padded.delta, calc.k_j)
+        for m in (0, 1, 5):
+            built = FirstOrderCalculus(calc.ctx, np.zeros((m, n, n)), np.eye(m))
+            assert built.dim_h == built.delta.shape[2] == n * n * m
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
     def test_bad_shapes_rejected(self, n, seed):
@@ -270,22 +278,39 @@ class TestFirstOrderCalculusType:
         m = calc.m
         for k_j in (np.zeros((m, m + 1)), np.eye(m + 1), np.eye(m)[0]):
             with pytest.raises(DimensionMismatch, match="K_J"):
-                FirstOrderCalculus(calc.ctx, calc.delta, k_j)
-        for delta in (calc.delta[:1], calc.delta.reshape(n, -1), calc.delta[..., None]):
-            with pytest.raises(DimensionMismatch, match="delta"):
-                FirstOrderCalculus(calc.ctx, delta, calc.k_j)
+                FirstOrderCalculus(calc.ctx, calc.x, k_j)
+        for x in (calc.x[:, :1], calc.x.reshape(m, -1), calc.x[..., None], calc.x[0]):
+            with pytest.raises(DimensionMismatch, match="X has shape"):
+                FirstOrderCalculus(calc.ctx, x, calc.k_j)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_empty_multiplicity_builds(self, n):
         ctx = cached_generator(n, 0)[0].ctx
-        calc = FirstOrderCalculus(ctx, np.zeros((n, n, 0)), np.zeros((0, 0)))
+        calc = FirstOrderCalculus(ctx, np.zeros((0, n, n)), np.zeros((0, 0)))
         assert (calc.dim, calc.m, calc.dim_h) == (n, 0, 0)
+        assert calc.delta.shape == (n, n, 0)
         assert calc.pi_l.shape == calc.pi_r.shape == (n, n, 0, 0)
         assert calc.jmat.shape == (0, 0) and calc.k_j.dtype == complex
 
+    @pytest.mark.parametrize("route", ["gns", "kraus"])
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+    def test_x_is_taken_modulo_sqrt_rho(self, n, seed, route):
+        # inner(rho^{1/2}) = 0: shifting each X_k by a multiple of rho^{1/2}
+        # moves delta and the inner vector only at rounding level
+        calc = cached_gns(n, seed) if route == "gns" else _kraus_calculus(n, seed)
+        shifts = np.random.default_rng(seed).standard_normal(calc.m)
+        shifted = dataclasses.replace(
+            calc, x=calc.x + shifts[:, None, None] * calc.ctx.sqrt_rho
+        )
+        scale = np.abs(calc.delta).max()
+        assert np.abs(shifted.delta - calc.delta).max() <= 1e-14 * scale
+        xi0, _ = kf.inner_vector(calc)
+        xi0_shifted, _ = kf.inner_vector(shifted)
+        assert np.abs(xi0_shifted - xi0).max() <= 1e-14 * max(1.0, np.abs(xi0).max())
+
     def test_dense_fields_cannot_be_set(self):
         calc = cached_gns(2, 0)
-        for name in ("pi_l", "pi_r", "jmat", "dim_h", "m"):
+        for name in ("delta", "pi_l", "pi_r", "jmat", "dim_h", "m"):
             with pytest.raises(ValueError, match="init=False"):
                 dataclasses.replace(calc, **{name: getattr(calc, name)})
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -294,13 +319,14 @@ class TestFirstOrderCalculusType:
     def test_arrays_are_read_only_copies(self):
         gen, _ = cached_generator(2, 0)
         source = cached_gns(2, 0)
-        delta, k_j = source.delta.copy(), source.k_j.copy()
-        calc = FirstOrderCalculus(gen.ctx, delta, k_j)
-        delta[0, 0, 0] += 1.0
+        x, k_j = source.x.copy(), source.k_j.copy()
+        calc = FirstOrderCalculus(gen.ctx, x, k_j)
+        x[0, 0, 0] += 1.0
         k_j[0, 0] += 1.0
-        assert np.array_equal(calc.delta, source.delta)
+        assert np.array_equal(calc.x, source.x)
         assert np.array_equal(calc.k_j, source.k_j)
-        for name in ("delta", "k_j", "pi_l", "pi_r", "jmat"):
+        assert np.array_equal(calc.delta, source.delta)
+        for name in ("x", "delta", "k_j", "pi_l", "pi_r", "jmat"):
             arr = getattr(calc, name)
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1.0
@@ -341,7 +367,7 @@ class TestSharedActions:
 
     def test_other_dims_render_their_own(self):
         calc = cached_gns(2, 0)
-        empty = FirstOrderCalculus(calc.ctx, np.zeros((2, 2, 0)), np.zeros((0, 0)))
+        empty = FirstOrderCalculus(calc.ctx, np.zeros((0, 2, 2)), np.zeros((0, 0)))
         for other in (cached_gns(3, 1), _padded_multiplicity(calc), empty):
             assert (other.dim, other.m) != (calc.dim, calc.m)
             assert other.pi_l.shape == other.pi_r.shape == (
@@ -359,7 +385,7 @@ class TestSharedActions:
         n, m = 2, 6
         ctx = cached_generator(n, 0)[0].ctx
         rng = np.random.default_rng(3)
-        calc = FirstOrderCalculus(ctx, rng.standard_normal((n, n, n * n * m)), -np.eye(m))
+        calc = FirstOrderCalculus(ctx, rng.standard_normal((m, n, n)), -np.eye(m))
         flipped = dataclasses.replace(calc, k_j=np.eye(m))
         assert flipped.pi_l is calc.pi_l
         pi_l, pi_r = weakref.ref(calc.pi_l), weakref.ref(calc.pi_r)
@@ -471,7 +497,7 @@ class TestInvariantsNegativeControls:
         # constructor does, and the grid oracle measures the broken product
         gen, _ = cached_generator(n, seed)
         broken = _padded_with_corner(cached_gns(n, seed))
-        with pytest.raises(NonIntegralMultiplicity):
+        with pytest.raises(DimensionMismatch):
             standard_form_defect(broken)
         oracle = grid_invariants_report(broken, gen, tol=1e-9)
         assert not oracle.check("pi_l_homomorphism_defect").passed()
@@ -520,9 +546,9 @@ class TestStandardFormAgainstOracles:
         rng = np.random.default_rng(10 * n + m)
         ctx = cached_generator(n, 0)[0].ctx
         k_j = rng_matrix(rng, m) if m else np.zeros((0, 0), dtype=complex)
-        delta = rng.standard_normal((n, n, n * n * m)) + 0j
-        calc = FirstOrderCalculus(ctx, delta, k_j)
-        ref = kron_render(ctx, delta, k_j, {})
+        x = rng.standard_normal((m, n, n)) + 0j
+        calc = FirstOrderCalculus(ctx, x, k_j)
+        ref = kron_render(ctx, calc.delta, k_j, {})
         assert calc.dim_h == ref.dim_h == n * n * m
         for name in ("pi_l", "pi_r", "jmat"):
             got, want = getattr(calc, name), getattr(ref, name)
@@ -564,7 +590,7 @@ class TestStandardFormAgainstOracles:
     def test_empty_multiplicity(self, n):
         ctx = cached_generator(n, 0)[0].ctx
         calc = FirstOrderCalculus(
-            ctx, np.zeros((n, n, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
+            ctx, np.zeros((0, n, n), dtype=complex), np.zeros((0, 0), dtype=complex)
         )
         assert standard_form_defect(calc) == loop_standard_form_defect(calc) == 0.0
 
@@ -576,8 +602,10 @@ LEIBNIZ_ENSEMBLES = {
 
 class TestBatchedChecksAgainstOracles:
     """The one-contraction commutator form against the member-by-member sum,
-    and the twisted-Leibniz bound through innerness against the full
-    unit-pair tensor."""
+    and the properties that hold by type for delta = inner(X) against their
+    dense oracles: the twisted Leibniz rule on the full unit-pair tensor, the
+    inner vector by dense least squares, and cyclicity through the spanning
+    family."""
 
     @pytest.mark.parametrize("route", ["gns", "kraus", "empty"])
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2), (5, 3)])
@@ -598,25 +626,57 @@ class TestBatchedChecksAgainstOracles:
     @pytest.mark.parametrize("ensemble", list(LEIBNIZ_ENSEMBLES))
     @pytest.mark.parametrize("n,seed", [(n, s) for n in (2, 3, 4) for s in range(8)])
     def test_leibniz_bound_covers_tensor(self, n, seed, ensemble):
-        # on both routes the bound is at least the tensor's largest entry;
-        # at (2, 2), default ensemble, GNS route, only its rounding term
-        # keeps it there (2.9e-16 without it, against 8.3e-16)
+        # delta = inner(X) satisfies the rule by type: on both routes the
+        # tensor's largest entry is within the report's bound
+        # INVARIANTS_TOL * max(1, ||L||)
+        gen, psi = kf.random_generator(n, seed, **LEIBNIZ_ENSEMBLES[ensemble])
+        calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
+        bound = derivation.INVARIANTS_TOL * max(1.0, gen.L.norm)
+        for calc in (kf.gns_calculus(gen), calc_k):
+            assert tensor_leibniz_defect(calc) <= bound
+
+    @pytest.mark.parametrize("ensemble", list(LEIBNIZ_ENSEMBLES))
+    @pytest.mark.parametrize("n,seed", [(n, s) for n in (2, 3, 4) for s in range(8)])
+    def test_lstsq_recovers_inner_vector(self, n, seed, ensemble):
+        # the dense least-squares solve from delta alone finds QX, and
+        # inner_vector's evaluated residual stays at rounding level
         gen, psi = kf.random_generator(n, seed, **LEIBNIZ_ENSEMBLES[ensemble])
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
         for calc in (kf.gns_calculus(gen), calc_k):
-            check = kf.calculus_invariants_report(calc, gen).check("twisted_leibniz_defect")
-            assert check.value >= tensor_leibniz_defect(calc)
-            assert check.passed()
+            xi0, res = kf.inner_vector(calc)
+            ref, _ = lstsq_inner_vector(calc)
+            assert np.linalg.norm(xi0 - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert res <= 1e-14
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2)])
     def test_perturbed_delta_fails(self, n, seed):
+        # a delta off the rendering of every X cannot be held by a
+        # FirstOrderCalculus; on the dense container the tensor oracle and
+        # the dense report measure the broken rule
         gen, _ = cached_generator(n, seed)
-        broken = _perturbed(cached_gns(n, seed), "delta", eps=1e-4, at=n + 1)
-        rep = kf.calculus_invariants_report(broken, gen)
-        check = rep.check("twisted_leibniz_defect")
-        assert not check.passed()
+        broken = _perturbed(as_dense(cached_gns(n, seed)), "delta", eps=1e-4, at=n + 1)
+        bound = derivation.INVARIANTS_TOL * max(1.0, gen.L.norm)
+        assert tensor_leibniz_defect(broken) > bound
+        check = dense_invariants_report(broken, gen).check("twisted_leibniz_defect")
         assert check.value > check.bound
-        assert check.value >= tensor_leibniz_defect(broken)
+
+    @pytest.mark.parametrize("extra", ["repeat", "sqrt_rho"])
+    @pytest.mark.parametrize("route", ["gns", "kraus"])
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2)])
+    def test_deficient_x_fails_cyclicity(self, n, seed, route, extra):
+        # X_1 appended again, or rho^{1/2}, on which delta vanishes: the
+        # delta-image misses n^2 dimensions of H, which the report reads off
+        # rank(QX) and the dense oracle off the spanning family; without the
+        # extra component both deficits are 0
+        gen, _ = cached_generator(n, seed)
+        calc = cached_gns(n, seed) if route == "gns" else _kraus_calculus(n, seed)
+        x_extra = calc.x[0] if extra == "repeat" else calc.ctx.sqrt_rho
+        deficient = _padded_multiplicity(calc, x_extra=x_extra)
+        for c, want in ((calc, 0.0), (deficient, float(n * n))):
+            check = kf.calculus_invariants_report(c, gen).check("cyclic_rank_deficit")
+            dense = dense_invariants_report(c, gen).check("cyclic_rank_deficit")
+            assert check.value == dense.value == want
+        assert not check.passed()
 
 
 class TestExtractGns:
@@ -858,6 +918,19 @@ class TestCommutatorCalculus:
         _, rep = kf.uniqueness_witness(calc, calc_dep, gen)
         assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]
 
+    @pytest.mark.parametrize("n,seed", [(n, s) for n in (2, 3, 4, 5) for s in range(4)])
+    def test_delta_is_the_commutator_form(self, n, seed):
+        # the delta rendered from X_k = -rho^{1/4} V_k rho^{1/4} is
+        # rho^{1/4} [V_k, E] rho^{1/4}, formed directly by the oracle
+        gen, psi = cached_generator(n, seed)
+        fam = kf.extract_commutators_kraus(gen, psi)
+        herm, _, _ = derivation._hermitian_normal_form(
+            derivation._traceless(np.array(fam.ops))
+        )
+        delta = kf.commutator_calculus(fam, gen).delta
+        want = commutator_delta(herm, gen.ctx)
+        assert np.linalg.norm(delta - want) <= 1e-14 * np.linalg.norm(want)
+
     def test_dimension_matches_gns(self):
         gen, psi = cached_generator(3, 4)
         calc = kf.gns_calculus(gen)
@@ -996,3 +1069,53 @@ class TestDegenerateSpectrum:
         calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
         _, wit = kf.uniqueness_witness(calc, calc_k, gen)
         assert wit.passed
+
+
+# Every (n, seed) at n <= 4, seeds 0-7, whose `derive --method both` reports
+# fail, with the (report, check) pairs that fail.  Each failure is the
+# witness's W unitarity at the cutoff of an ill-conditioned multiplicity
+# spectrum (ROADMAP item 3); the rest pass.
+LOW_RANK_CENSUS = {
+    1: {
+        (3, 5): [("uniqueness", "w_unitarity_defect")],
+        (4, 0): [("uniqueness", "w_unitarity_defect")],
+        (4, 1): [("uniqueness", "w_unitarity_defect")],
+        (4, 5): [("uniqueness", "w_unitarity_defect")],
+        (4, 6): [("uniqueness", "w_unitarity_defect")],
+    },
+    2: {
+        (4, 1): [("uniqueness", "w_unitarity_defect")],
+        (4, 6): [("uniqueness", "w_unitarity_defect")],
+    },
+}
+
+
+class TestLowRankCensus:
+    """The low Kraus-rank witness census at n = 2..4, seeds 0-7: the same
+    instances fail, each on the same checks (about 0.3 s for both ranks)."""
+
+    @pytest.mark.parametrize("rank", sorted(LOW_RANK_CENSUS))
+    def test_failing_instances_and_checks(self, rank):
+        failing = {}
+        for n in (2, 3, 4):
+            for seed in range(8):
+                gen, psi = kf.random_generator(n, seed, kraus_rank=rank)
+                calc = kf.gns_calculus(gen)
+                fam_k = kf.extract_commutators_kraus(gen, psi)
+                reps = {
+                    "calculus_invariants": kf.calculus_invariants_report(calc, gen),
+                    "gns_form": kf.verify_commutator_form(
+                        kf.extract_commutators_gns(calc, gen), gen
+                    ),
+                    "kraus_form": kf.verify_commutator_form(fam_k, gen),
+                    "uniqueness": kf.uniqueness_witness(
+                        calc, kf.commutator_calculus(fam_k, gen), gen
+                    )[1],
+                }
+                failed = [
+                    (key, c.name) for key, rep in reps.items() for c in rep.checks
+                    if not c.passed()
+                ]
+                if failed:
+                    failing[n, seed] = failed
+        assert failing == LOW_RANK_CENSUS[rank]

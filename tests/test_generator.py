@@ -220,6 +220,14 @@ class TestEvolveChernoff:
         with pytest.raises(ValueError):
             kf.evolve(gen, -0.1)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_time_rejected(self, t):
+        gen, _ = cached_generator(2, 5)
+        with pytest.raises(ValueError, match=f"finite t >= 0, got t = {t}"):
+            kf.evolve(gen, t)
+        with pytest.raises(ValueError, match=f"finite t >= 0, got t = {t}"):
+            kf.chernoff_residual(gen, t, 8)
+
     def test_tracial_residual_zero(self, ctx_tracial2):
         gen = kf.generator_from_cp(sigma_x_psi(ctx_tracial2), ctx_tracial2)
         for steps in (1, 8):
@@ -384,6 +392,14 @@ class TestDirichletContraction:
         gen, _ = cached_generator(n, seed)
         rep = kf.dirichlet_contraction_check(gen, trials=25, tol=1e-8, seed=seed)
         assert rep.passed
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        # no draw leaves the worst energy increase at -inf, which is no
+        # measurement and no valid JSON number
+        gen, _ = cached_generator(2, 14)
+        with pytest.raises(ValueError, match=f"trials >= 1, got {trials}"):
+            kf.dirichlet_contraction_check(gen, trials=trials)
 
     def test_corrupted_generator_negative_control(self):
         # flip the sign of one Choi eigenvalue of -L (the most negative one,
