@@ -37,7 +37,6 @@ from .superop import (
     Superoperator,
     choi,
     from_kraus,
-    identity_superop,
     is_ccn,
     is_cp,
     is_kms_symmetric,
@@ -82,7 +81,7 @@ from .derivation import (
     uniqueness_witness,
     verify_commutator_form,
 )
-from .instances import random_generator, random_instance, random_markov_operator
+from .instances import random_generator, random_instance
 from .reports import Check, Report
 
 __version__ = "0.1.0"

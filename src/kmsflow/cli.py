@@ -4,7 +4,11 @@ One command is one process; every run emits a single JSON report on stdout
 containing a schema version, timings, seeds, tolerances and every metric
 produced.  Exit codes: 0 all certifications passed, 1 certification failure,
 2 schema or parse error, 3 infeasible recovery (no admissible CP map: -L is
-not CCN).
+not CCN).  Input files whose dimensions disagree (--rho against --superop,
+--psi or --gen, or --psi against the generator) and a report for ``verify``
+whose checks are malformed are schema errors; an --n that contradicts
+--rho is a usage error.  The top-level ``n`` of a seeded command is the
+dimension that ran.
 
 ``uniqueness`` is ``derive --method both``: the same pipeline, reports and
 timing keys.  Each certificate is measured once, by its report, and a
@@ -65,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rho", default=None, help="density context JSON file")
         if seeded:
             p.add_argument("--seed", type=int, default=0, help="instance seed")
-            p.add_argument("--n", type=int, default=2, help="matrix dimension")
+            p.add_argument("--n", type=int, default=None,
+                           help="matrix dimension (default: that of --rho, else 2)")
             p.add_argument("--kraus-rank", type=int, default=None)
             p.add_argument(
                 "--cond-bound",
@@ -149,13 +154,31 @@ def _check_tol(args) -> None:
 
 
 def _load_context(args, serialize):
-    """Density context from --rho when given, else None (seeded draw)."""
+    """Density context from --rho when given, else None (seeded draw).
+    Raises ValueError when --n is given and differs from its dimension."""
     if getattr(args, "rho", None):
-        return serialize.density_from_json(serialize.load_json(args.rho), args.rho)
+        ctx = serialize.density_from_json(serialize.load_json(args.rho), args.rho)
+        if getattr(args, "n", None) not in (None, ctx.dim):
+            raise ValueError(f"--n {args.n} contradicts --rho {args.rho} of dimension {ctx.dim}")
+        return ctx
     return None
 
 
-def _seeded_generator(args, serialize):
+def _load_superop(path, dim, against, serialize):
+    """The superoperator JSON file ``path``; a SchemaError when ``dim`` is
+    given and differs from its dimension (``against`` names where ``dim``
+    came from)."""
+    s = serialize.superop_from_json(serialize.load_json(path), path)
+    if dim is not None and s.dim != dim:
+        raise serialize.SchemaError(
+            f"{path}: dimension {s.dim} differs from {against} of dimension {dim}"
+        )
+    return s
+
+
+def _seeded_generator(args, serialize, report):
+    """(generator, Psi or None) from --gen or the seeded ensemble, with
+    --psi when given; records the dimension that ran as the report's n."""
     from . import generator as generator_mod
     from . import instances
 
@@ -164,16 +187,17 @@ def _seeded_generator(args, serialize):
     if getattr(args, "gen", None):
         if ctx is None:
             raise serialize.SchemaError("--gen requires --rho")
-        lgen = serialize.superop_from_json(serialize.load_json(args.gen), args.gen)
+        lgen = _load_superop(args.gen, ctx.dim, f"--rho {args.rho}", serialize)
         gen = generator_mod.certify_generator(lgen, ctx, tol=args.tol)
     else:
-        n = ctx.dim if ctx is not None else args.n
+        n = ctx.dim if ctx is not None else (2 if args.n is None else args.n)
         gen, psi = instances.random_generator(
             n, args.seed, kraus_rank=args.kraus_rank,
             cond_bound=args.cond_bound, ctx=ctx,
         )
+    report["n"] = gen.dim
     if getattr(args, "psi", None):
-        psi = serialize.superop_from_json(serialize.load_json(args.psi), args.psi)
+        psi = _load_superop(args.psi, gen.dim, "the generator", serialize)
     return gen, psi
 
 
@@ -268,14 +292,15 @@ def _dispatch(args, report: dict, serialize) -> int:
     tol = args.tol
 
     if args.command == "check":
-        s = serialize.superop_from_json(serialize.load_json(args.superop), args.superop)
+        ctx = _load_context(args, serialize)
+        dim = None if ctx is None else ctx.dim
+        s = _load_superop(args.superop, dim, f"--rho {args.rho}", serialize)
         map_tol = 1e-9 if tol is None else tol
         if args.generator:  # a nonzero generator is never CP
             rep = superop.unital_kernel_report(s, map_tol)
         else:
             rep = superop.is_cp(s, tol=map_tol)
         results[rep.name] = rep.to_json_dict()
-        ctx = _load_context(args, serialize)
         # a generator is certified in certify_generator's order, up to the
         # first certificate that fails
         if ctx is not None and (rep.passed or not args.generator):
@@ -288,8 +313,8 @@ def _dispatch(args, report: dict, serialize) -> int:
     if args.command == "vtransform":
         if not getattr(args, "rho", None):
             raise serialize.SchemaError("vtransform requires --rho")
-        ctx = serialize.density_from_json(serialize.load_json(args.rho), args.rho)
-        s = serialize.superop_from_json(serialize.load_json(args.superop), args.superop)
+        ctx = _load_context(args, serialize)
+        s = _load_superop(args.superop, ctx.dim, f"--rho {args.rho}", serialize)
         transformed = timed("v_transform", lambda: vtransform.v_transform(s, ctx))
         results["transformed"] = serialize.superop_to_json(transformed)
         inverse = vtransform.w_transform(transformed, ctx)
@@ -305,8 +330,8 @@ def _dispatch(args, report: dict, serialize) -> int:
     if args.command == "gen-from-cp":
         if not getattr(args, "rho", None):
             raise serialize.SchemaError("gen-from-cp requires --rho")
-        ctx = serialize.density_from_json(serialize.load_json(args.rho), args.rho)
-        psi = serialize.superop_from_json(serialize.load_json(args.psi), args.psi)
+        ctx = _load_context(args, serialize)
+        psi = _load_superop(args.psi, ctx.dim, f"--rho {args.rho}", serialize)
         gen = timed("generator", lambda: generator_mod.generator_from_cp(psi, ctx, tol=tol))
         for name, rep in gen.certificates.items():
             results[name] = rep.to_json_dict()
@@ -315,7 +340,7 @@ def _dispatch(args, report: dict, serialize) -> int:
         return EXIT_PASS
 
     if args.command == "recover-cp":
-        gen, _ = _seeded_generator(args, serialize)
+        gen, _ = _seeded_generator(args, serialize, report)
         psi, rep = timed(
             "recover",
             lambda: generator_mod.recover_cp_from_generator(gen, tol=1e-8 if tol is None else tol),
@@ -329,7 +354,7 @@ def _dispatch(args, report: dict, serialize) -> int:
     if args.command in ("derive", "uniqueness"):  # uniqueness is derive --method both
         method = getattr(args, "method", "both")
         dump_path = getattr(args, "dump", None)
-        gen, psi = _seeded_generator(args, serialize)
+        gen, psi = _seeded_generator(args, serialize, report)
         dims = results["dims"] = {"n": gen.dim}
         dump = {}
         if method in ("gns", "both"):
@@ -372,7 +397,7 @@ def _dispatch(args, report: dict, serialize) -> int:
         return EXIT_PASS
 
     if args.command == "simulate":
-        gen, _ = _seeded_generator(args, serialize)
+        gen, _ = _seeded_generator(args, serialize, report)
         for t in (0.1, 1.0, 10.0):
             rep = superop.is_markov_l2(generator_mod.evolve(gen, t), gen.ctx,
                                        tol=1e-8 if tol is None else tol)
@@ -384,7 +409,7 @@ def _dispatch(args, report: dict, serialize) -> int:
         return EXIT_PASS
 
     if args.command == "dirichlet-check":
-        gen, _ = _seeded_generator(args, serialize)
+        gen, _ = _seeded_generator(args, serialize, report)
         tol = 1e-8 if tol is None else tol
         results["contraction"] = generator_mod.dirichlet_contraction_check(
             gen, trials=args.trials, tol=tol, seed=args.seed
@@ -405,7 +430,8 @@ def _dispatch(args, report: dict, serialize) -> int:
         return EXIT_PASS
 
     if args.command == "random":
-        n, seed, kraus_rank, ctx0 = args.n, args.seed, args.kraus_rank, None
+        n = 2 if args.n is None else args.n
+        seed, kraus_rank, ctx0 = args.seed, args.kraus_rank, None
         if args.config:
             cfg = serialize.load_json(args.config)
             if not isinstance(cfg, dict):
@@ -425,6 +451,7 @@ def _dispatch(args, report: dict, serialize) -> int:
         ctx, psi = instances.random_instance(
             n, seed, kraus_rank=kraus_rank, cond_bound=args.cond_bound, ctx=ctx0
         )
+        report["n"] = ctx.dim
         rho_doc = serialize.density_to_json(ctx)
         psi_doc = serialize.superop_to_json(psi)
         if args.rho_out:
@@ -444,7 +471,12 @@ def _dispatch(args, report: dict, serialize) -> int:
         def walk(node, path):
             if isinstance(node, dict):
                 if "checks" in node and "pass" in node:
-                    rep = Report.from_json_dict(node)
+                    try:
+                        rep = Report.from_json_dict(node)
+                    except serialize.SchemaError as exc:
+                        raise serialize.SchemaError(
+                            f"{args.report}: report at {path or '/'}: {exc}"
+                        ) from exc
                     if bool(rep.passed) != bool(node["pass"]):
                         mismatches.append(path)
                     results[path or rep.name] = {

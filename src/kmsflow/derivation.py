@@ -34,14 +34,16 @@ builds the calculus of a family in the coordinates C^n (x) C^m (x) C^n.
 The routes differ only in the multiplicity space C^m, and a calculus is its
 data there: ``FirstOrderCalculus`` is built from the inner vector X, m
 matrices X_k with delta_k(E) = sigma_{-i/4}(E) X_k - X_k sigma_{i/4}(E), and
-the m x m block K_J of the involution.  X is defined modulo rho^{1/2}, on
-which this map vanishes.  The GNS route passes its class map, the Kraus
-route X_k = -rho^{1/4} V_k rho^{1/4}.  The constructor renders the delta
-coefficients from X, in one place, and every consumer reads those or X.  The
-uniqueness witness is the m_b x m_a matrix W of the isometry I (x) W (x) I.
-The dense actions and involution are rendered by the constructor, and
-nothing here reads them, so no check compares a calculus with its own
-rendering.  The actions depend on (n, m) alone and are rendered once per
+the m x m block K_J of the involution.  X is defined modulo rho^{1/2}, the
+kernel of this map, and QX, X projected off rho^{1/2}, is the representative
+on which it is injective.  The GNS route passes its class map, the Kraus
+route X_k = -rho^{1/4} V_k rho^{1/4}.  Every certificate reads (X, K_J), in
+O(n^4 m): one form function, ``_form_matrix``, serves the report and
+``verify_commutator_form``, and the rest reads QX.  The uniqueness witness
+is the m_b x m_a matrix W of the isometry I (x) W (x) I.  The constructor
+renders delta and the dense actions and involution, and only
+``inner_vector`` reads any of them (delta), so no check compares a calculus
+with its own rendering.  The actions depend on (n, m) alone and are rendered once per
 (n, m): every calculus of that (n, m) holds the same read-only arrays while
 any of them is alive.
 
@@ -53,8 +55,8 @@ the calculus claims is measured once, by its report.  The form identity
 two calculi by ``uniqueness_witness``, whose Gram comparison is one of its
 checks.  Innerness and the twisted Leibniz rule hold by type: delta is
 inner(X), and an inner derivation satisfies the rule exactly, because
-sigma_{-i/4} and sigma_{i/4} are homomorphisms.  Their dense oracles stay
-with the tests.
+sigma_{-i/4} and sigma_{i/4} are homomorphisms.  Their dense oracles, and
+the delta-space forms of the certificates, stay with the tests.
 
 Every bound here is a fixed module constant, relative to max(1, ||L||)
 where it scales: GRAM_PSD_TOL for Gram positivity, NULL_CUTOFF for rank
@@ -85,7 +87,6 @@ from .generator import (
 )
 from .matrix_core import (
     DensityContext,
-    as_matrix,
     dagger,
     hermitian_basis,
     kron,
@@ -167,7 +168,7 @@ class FirstOrderCalculus:
     which are freed with the last of them.  None of these is a constructor
     argument, so ``dataclasses.replace`` cannot set them and they are the
     rendering of X and K_J by construction.  The library never reads the
-    dense pi_l, pi_r and jmat; ``pi_l_of`` and ``pi_r_of`` act structurally.
+    dense pi_l, pi_r and jmat, and reads delta only in ``inner_vector``.
 
     Raises DimensionMismatch when X is not (m, n, n) with n = ctx.dim or
     K_J is not m x m.
@@ -219,17 +220,6 @@ class FirstOrderCalculus:
     def dim(self) -> int:
         return self.ctx.dim
 
-    def pi_l_of(self, x) -> np.ndarray:
-        """pi_l(x) = x (x) I_{mn}."""
-        return kron(as_matrix(x, self.dim), np.eye(self.m * self.dim))
-
-    def pi_r_of(self, x) -> np.ndarray:
-        """pi_r(x) = I_{nm} (x) x^T."""
-        return kron(np.eye(self.dim * self.m), as_matrix(x, self.dim).T)
-
-    def delta_of(self, a) -> np.ndarray:
-        return np.tensordot(as_matrix(a, self.dim), self.delta, axes=2)
-
 
 @dataclass(frozen=True, eq=False)
 class CommutatorFamily:
@@ -270,20 +260,39 @@ def _render_delta(ctx: DensityContext, x: np.ndarray) -> np.ndarray:
     return delta.reshape(n, n, n * n * len(x))
 
 
-def _off_sqrt_rho(calc: FirstOrderCalculus) -> np.ndarray:
-    """QX, each X_k minus its Hilbert-Schmidt projection on rho^{1/2}: the
-    representative of X orthogonal to the kernel of the innerness map."""
-    r = calc.ctx.sqrt_rho
-    coef = np.tensordot(calc.x, np.conj(r), axes=2) / np.vdot(r, r).real
-    return calc.x - coef[:, None, None] * r
+def _off_sqrt_rho(ctx: DensityContext, x: np.ndarray) -> np.ndarray:
+    """QX, each X_k of the stack ``x`` minus its Hilbert-Schmidt projection on
+    rho^{1/2}: the representative orthogonal to the innerness map's kernel."""
+    r = ctx.sqrt_rho
+    coef = x.reshape(len(x), r.size) @ np.conj(r).ravel() / np.vdot(r, r).real
+    return x - coef[:, None, None] * r
 
 
-def _unit_commutators(vs: np.ndarray) -> np.ndarray:
-    """comm[k, p, q] = [V_k, E_pq] for the stack ``vs`` (N, n, n)."""
-    n = vs.shape[-1]
-    units = np.eye(n * n).reshape(n, n, n, n)  # units[p, q] = E_pq
-    v = vs[:, None, None]
-    return v @ units - units @ v
+def _form_matrix(ctx: DensityContext, x: np.ndarray) -> np.ndarray:
+    """F[(p, q), (r, s)] = sum_k <inner(X_k)(E_pq), inner(X_k)(E_rs)> over
+    matrix-unit pairs (row-major unit labels) for the stack ``x`` (m, n, n),
+    Hermitian or not, from X alone.
+
+    With A = rho^{1/4}, R = rho^{1/2}, Y_k = rho^{-1/4} X_k and
+    Z_k = X_k rho^{-1/4}, inner(X_k)(E_pq)[a, d] = A[a, p] Y_k[q, d]
+    - Z_k[a, p] A[q, d], so
+
+        F = R (x) conj(sum_k Y_k Y_k*) + (sum_k Z_k* Z_k) (x) R^T - H - H*,
+        H[(p, q), (r, s)] = sum_k (A Z_k)[p, r] conj(Y_k A)[q, s],
+
+    where H* = sum_k (Z_k* A)[p, r] (conj(A) Y_k^T)[q, s]: two Kronecker
+    products and one (n^2 x m)(m x n^2) product, O(n^4 m)."""
+    n = ctx.dim
+    n2 = n * n
+    a, qi, r = ctx.quarter_rho, ctx.inv_quarter_rho, ctx.sqrt_rho
+    xw = x.transpose(1, 0, 2).reshape(n, -1)  # [a, (k, d)] = X_k[a, d]
+    xv = x.reshape(-1, n)  # [(k, a), d] = X_k[a, d]
+    yy = qi @ (xw @ dagger(xw)) @ qi
+    zz = qi @ (dagger(xv) @ xv) @ qi
+    az = (a @ x @ qi).reshape(-1, n2)
+    ya = (qi @ x @ a).reshape(-1, n2)
+    h = (az.T @ np.conj(ya)).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n2, n2)
+    return kron(r, np.conj(yy)) + kron(zz, r.T) - h - dagger(h)
 
 
 def _unit_perm(n: int) -> np.ndarray:
@@ -423,14 +432,14 @@ def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
 
 def calculus_invariants_report(calc: FirstOrderCalculus, gen: MarkovGenerator) -> Report:
     """Certify the defining properties of a first-order calculus from its
-    standard-form data (X, K_J) and the delta it renders.
+    standard-form data (X, K_J).
 
     The actions pi_l(E) = E (x) I (x) I and pi_r(E) = I (x) I (x) E^T and
     J = (outer swap) (x) K_J are standard by the type, which makes pi_l a
     unital *-homomorphism, pi_r a unital *-antihomomorphism, the actions
     commute and J exchanges them.  delta = inner(X) by the type too, so it is
     inner and satisfies the twisted Leibniz rule.  The rest is certified on
-    the data: J antiunitary and involutive
+    (X, K_J): J antiunitary and involutive
     (jmat* jmat = I (x) K_J* K_J and jmat conj(jmat) = I (x) K_J conj(K_J),
     so the m x m defects equal the dim H ones), delta(A*) = J delta(A),
     cyclicity of the delta-image under the left action, and the form identity
@@ -440,25 +449,24 @@ def calculus_invariants_report(calc: FirstOrderCalculus, gen: MarkovGenerator) -
     FORM_TOL * max(1, ||L||)); the report records INVARIANTS_TOL as its
     ``tol``.
 
-    Cyclicity: the delta-image generates the sub-bimodule
+    With Q the projection off rho^{1/2}, the kernel of the innerness map,
+    J delta(A) = inner(X')(A*) with X'_k = -sum_l K_J[k, l] X_l*, so
+    ``j_delta_defect`` records max |Q(X - X')|.  The delta-image generates
     C^n (x) K' (x) C^n, and z in C^m is orthogonal to K' iff
-    inner(sum_k conj(z_k) X_k) = 0, that is iff sum_k conj(z_k) QX_k = 0,
-    with Q the projection off rho^{1/2}, the kernel of the innerness map.
-    So dim K' is the rank of QX read as the n^2 x m matrix, from one SVD
-    with cutoff NULL_CUTOFF relative to the largest singular value, and
-    ``cyclic_rank_deficit`` records dim H - n^2 rank(QX).
+    sum_k conj(z_k) QX_k = 0, so ``cyclic_rank_deficit`` records
+    dim H - n^2 rank(QX), the rank of QX read as the n^2 x m matrix by one
+    SVD with cutoff NULL_CUTOFF relative to its largest singular value.
+    ``form_identity_defect`` reads ``_form_matrix`` of X.
 
     For the GNS calculus K_J is a product of isometries, so
     ``j_antiunitary_defect`` measures only the rounding of that product; the
-    checks that carry the measurement of J are ``j_delta_defect``, which
-    reads delta, and the uniqueness witness's ``j_intertwine_defect``.
+    checks that carry the measurement of J are ``j_delta_defect`` and the
+    uniqueness witness's ``j_intertwine_defect``.
     """
-    n = calc.dim
-    d = calc.dim_h
+    ctx = calc.ctx
+    n2 = calc.dim**2
     m = calc.m
-    n2 = n * n
-    c = calc.delta.reshape(n, n, n, m, n)
-    k_j = calc.k_j
+    x, k_j = calc.x, calc.k_j
     tol = INVARIANTS_TOL
     rep = Report(name="calculus_invariants", tol=tol)
     scale = max(1.0, gen.L.norm)
@@ -469,42 +477,32 @@ def calculus_invariants_report(calc: FirstOrderCalculus, gen: MarkovGenerator) -
     rep.checks.append(Check("j_antiunitary_defect", j_unitary, tol * scale, "le"))
     rep.checks.append(Check("j_involution_defect", j_invol, tol * scale, "le"))
 
-    # delta(E_qp)[a, k, d] = (J delta(E_pq))[a, k, d] = sum_l K_J[k, l] conj(delta(E_pq)[d, l, a])
-    j_image = np.tensordot(k_j, np.conj(c), axes=([1], [3]))  # [k, p, q, d, a]
-    j_delta = _maxabs(c.transpose(1, 0, 2, 3, 4) - j_image.transpose(1, 2, 4, 0, 3))
+    x_j = -(k_j @ np.conj(x).transpose(0, 2, 1).reshape(m, n2)).reshape(x.shape)  # X'
+    j_delta = _maxabs(_off_sqrt_rho(ctx, x - x_j))
     rep.checks.append(Check("j_delta_defect", j_delta, tol * scale, "le"))
 
     if m > 0:
-        sv = np.linalg.svd(_off_sqrt_rho(calc).reshape(m, n2).T, compute_uv=False)
+        sv = np.linalg.svd(_off_sqrt_rho(ctx, x).reshape(m, n2).T, compute_uv=False)
         rank = n2 * int((sv > NULL_CUTOFF * sv.max()).sum())
     else:
         rank = 0
-    rep.checks.append(Check("cyclic_rank_deficit", float(d - rank), 0.0, "le"))
-    dmat = calc.delta.reshape(n2, d)
-    form = _maxabs(np.conj(dmat) @ dmat.T - kms_form_of_generator(gen))
+    rep.checks.append(Check("cyclic_rank_deficit", float(calc.dim_h - rank), 0.0, "le"))
+    form = _maxabs(_form_matrix(ctx, x) - kms_form_of_generator(gen))
     rep.checks.append(Check("form_identity_defect", form, FORM_TOL * scale, "le"))
     return rep
-
-
-def commutator_form_matrix(family: CommutatorFamily, ctx: DensityContext) -> np.ndarray:
-    """The matrix sum_j <[V_j, E_ab], [V_j, E_cd]>_rho over matrix-unit pairs
-    (row-major unit labels): the commutators [V_j, E_ab] are stacked as one
-    (N, n, n, n, n) array and contracted with their images under
-    rho^{1/2} (.) rho^{1/2} in one tensordot over (j, x, y); n = ctx.dim."""
-    n = ctx.dim
-    comm = _unit_commutators(np.array(family.ops, dtype=complex).reshape(-1, n, n))
-    sqrt_rho = ctx.sqrt_rho
-    form = np.tensordot(np.conj(comm), sqrt_rho @ comm @ sqrt_rho, axes=([0, 3, 4], [0, 3, 4]))
-    return form.reshape(n * n, n * n)
 
 
 def verify_commutator_form(family: CommutatorFamily, gen: MarkovGenerator) -> Report:
     """Evaluate <A, L(B)>_rho against sum_j <[V_j, A], [V_j, B]>_rho on all
     matrix-unit pairs, bounded by COMMUTATOR_FORM_TOL * max(1, ||L||); the
     report records COMMUTATOR_FORM_TOL as its ``tol`` and the family size.
-    This is the one certificate of a family's form: the extractions do not
-    run it."""
-    dev = _maxabs(kms_form_of_generator(gen) - commutator_form_matrix(family, gen.ctx))
+    rho^{1/4} [V, E] rho^{1/4} = inner(X)(E) with X = -rho^{1/4} V rho^{1/4},
+    so the family's form is ``_form_matrix`` of that stack.  This is the one
+    certificate of a family's form: the extractions do not run it."""
+    ctx = gen.ctx
+    qr = ctx.quarter_rho
+    ops = np.array(family.ops, dtype=complex).reshape(-1, ctx.dim, ctx.dim)
+    dev = _maxabs(kms_form_of_generator(gen) - _form_matrix(ctx, -(qr @ ops @ qr)))
     tol = COMMUTATOR_FORM_TOL
     rep = Report(name="commutator_form", tol=tol)
     rep.checks.append(Check("max_form_deviation", dev, tol * max(1.0, gen.L.norm), "le"))
@@ -627,7 +625,7 @@ def inner_vector(calc: FirstOrderCalculus):
     inner(QX) rendered as the constructor renders delta, relative to |delta|
     (absolute when delta vanishes).
     """
-    qx = _off_sqrt_rho(calc)
+    qx = _off_sqrt_rho(calc.ctx, calc.x)
     resid = np.linalg.norm(calc.delta - _render_delta(calc.ctx, qx))
     denom = np.linalg.norm(calc.delta)
     xi0 = qx.transpose(1, 0, 2).ravel()
@@ -642,34 +640,28 @@ def uniqueness_witness(
     multiplicity spaces.
 
     The isometry is theta = I_n (x) W (x) I_n, which commutes with the
-    standard actions, with W^T = pinv(M_a) M_b for M[(p, q, a, d), k] =
-    delta_k(E_pq)[a, d], so that theta delta_a(E) = delta_b(E) wherever
-    M_a W^T = M_b.  The report certifies Gram agreement of the spanning
-    families pi_l(E_ab) delta(E_cd) (``gram_mismatch_max``, the worst
-    entry): that Gram is delta_aa' times N N* (conjugated), with N the
-    delta coefficients read as the n^3 x mn matrix with rows (p, q, a), so
-    the n^3 x n^3 matrices N N* are compared.  Both calculi are in standard
-    form by their type, so theta intertwines both actions exactly; the report
-    also certifies W unitary (``w_unitarity_defect``; calculi of different
-    multiplicity fail it with a measured value), W K_a = K_b conj(W)
+    standard actions.  The innerness map is injective off rho^{1/2}, so with
+    M = QX read as the n^2 x m matrix M[(a, d), k] = (QX_k)[a, d] (Q the
+    projection off rho^{1/2}), theta delta_a = delta_b iff M_a W^T = M_b, and
+    W^T = pinv(M_a) M_b.  The spanning families pi_l(E_ab) delta(E_cd) have
+    equal Grams iff M_a M_a* = M_b M_b*, and ``gram_mismatch_max`` records
+    the worst entry of that n^2 x n^2 difference.  Both calculi are in
+    standard form by their type, so theta intertwines both actions exactly;
+    the report also certifies W unitary (``w_unitarity_defect``; calculi of
+    different multiplicity fail it with a measured value), W K_a = K_b conj(W)
     (``j_intertwine_defect``, theta J_a = J_b theta) and M_a W^T = M_b
-    (``delta_match_defect``).  Every bound is WITNESS_TOL, relative to the
-    largest Gram entry for the Gram check, and the report records WITNESS_TOL
-    as its ``tol``.
+    (``delta_match_defect``).  Every bound is WITNESS_TOL, relative to
+    max(1, max |M_a M_a*|) for the Gram check, and the report records
+    WITNESS_TOL as its ``tol``.  ``gen`` is not read.
     """
     tol = WITNESS_TOL
-    n = gen.dim
     m_a, k_a = calc_a.m, calc_a.k_j
     m_b, k_b = calc_b.m, calc_b.k_j
-    c_a = calc_a.delta.reshape(n, n, n, m_a, n)
-    c_b = calc_b.delta.reshape(n, n, n, m_b, n)
-    n_a = c_a.reshape(n**3, m_a * n)
-    n_b = c_b.reshape(n**3, m_b * n)
-    ga = n_a @ dagger(n_a)
-    max_dev = _maxabs(ga - n_b @ dagger(n_b))
+    cols_a = _off_sqrt_rho(calc_a.ctx, calc_a.x).reshape(m_a, calc_a.dim**2).T
+    cols_b = _off_sqrt_rho(calc_b.ctx, calc_b.x).reshape(m_b, calc_b.dim**2).T
+    ga = cols_a @ dagger(cols_a)
+    max_dev = _maxabs(ga - cols_b @ dagger(cols_b))
     gram_bound = tol * max(1.0, _maxabs(ga))
-    cols_a = c_a.transpose(0, 1, 2, 4, 3).reshape(n**4, m_a)
-    cols_b = c_b.transpose(0, 1, 2, 4, 3).reshape(n**4, m_b)
     w = (np.linalg.pinv(cols_a, rcond=1e-12) @ cols_b).T
     unitarity = max(
         _maxabs(dagger(w) @ w - np.eye(m_a)), _maxabs(w @ dagger(w) - np.eye(m_b))

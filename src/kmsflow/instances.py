@@ -14,7 +14,7 @@ import numpy as np
 
 from .generator import generator_from_cp
 from .matrix_core import DensityContext, dagger
-from .superop import from_kraus, kms_adjoint, superop_exp
+from .superop import from_kraus, kms_adjoint
 
 DEFAULT_COND_BOUND = 100.0
 
@@ -82,12 +82,3 @@ def random_generator(
     ctx, psi = random_instance(n, seed, kraus_rank=kraus_rank, cond_bound=cond_bound, ctx=ctx)
     gen = generator_from_cp(psi, ctx)
     return gen, psi
-
-
-def random_markov_operator(n: int, seed: int):
-    """A seeded symmetric Markov operator on the standard form, produced as
-    exp(-t L2) of a seeded generator, t drawn from the seed."""
-    gen, _ = random_generator(n, seed)
-    t = float(np.random.default_rng(seed + 7919).uniform(0.2, 2.0))
-    return gen.ctx, superop_exp(gen.L2, t)
-

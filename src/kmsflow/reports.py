@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import SchemaError
+
 
 @dataclass(frozen=True)
 class Check:
@@ -75,12 +77,34 @@ class Report:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Report":
-        checks = [
-            Check(c["name"], float(c["value"]), float(c["bound"]), c["kind"])
-            for c in d.get("checks", [])
-        ]
-        return Report(name=d.get("name", ""), tol=float(d.get("tol", 0.0)),
-                      checks=checks, metrics=d.get("metrics", {}))
+        """The report of a JSON object written by ``to_json_dict``.  Raises
+        SchemaError when ``checks`` is not a list of objects, a check lacks a
+        string name, a numeric value or bound, or a kind "le" or "ge", or
+        ``tol`` is not a number."""
+        checks = d.get("checks", [])
+        if not isinstance(checks, list):
+            raise SchemaError("'checks' must be a list of check objects")
+        tol = d.get("tol", 0.0)
+        if not _is_number(tol):
+            raise SchemaError("'tol' must be a number")
+        parsed = []
+        for i, c in enumerate(checks):
+            if not isinstance(c, dict):
+                raise SchemaError(f"check {i} is not an object")
+            if not isinstance(c.get("name"), str):
+                raise SchemaError(f"check {i}: 'name' must be a string")
+            for key in ("value", "bound"):
+                if not _is_number(c.get(key)):
+                    raise SchemaError(f"check {i} ({c['name']!r}): {key!r} must be a number")
+            if c.get("kind") not in ("le", "ge"):
+                raise SchemaError(f"check {i} ({c['name']!r}): 'kind' must be 'le' or 'ge'")
+            parsed.append(Check(c["name"], float(c["value"]), float(c["bound"]), c["kind"]))
+        return Report(name=d.get("name", ""), tol=float(tol),
+                      checks=parsed, metrics=d.get("metrics", {}))
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _jsonable(obj):

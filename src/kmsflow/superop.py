@@ -131,14 +131,6 @@ class Superoperator:
         return opnorm(self.mat)
 
 
-def identity_superop(n: int, level: str = ALGEBRA) -> Superoperator:
-    return Superoperator(np.eye(n * n, dtype=complex), n, level)
-
-
-def zero_superop(n: int, level: str = ALGEBRA) -> Superoperator:
-    return Superoperator(np.zeros((n * n, n * n), dtype=complex), n, level)
-
-
 def lmul(a, level: str = ALGEBRA) -> Superoperator:
     """Left multiplication X -> A X."""
     a = as_matrix(a)

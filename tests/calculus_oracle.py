@@ -1,9 +1,10 @@
 """Dense reference implementations for the calculus layer.
 
-The library reads every calculus through its standard-form data (the inner
-vector X, the delta coefficients rendered from it and the m x m block K_J).  The functions here work on the dense
-dim_h x dim_h fields instead and are the oracles those paths are gated
-against at n <= 3.  They take a ``FirstOrderCalculus``, whose dense fields
+The library certifies every calculus through its standard-form data, the
+inner vector X and the m x m block K_J.  The functions here work on the
+dense fields instead (the delta coefficients and the dim_h x dim_h actions
+and involution) and are the oracles those paths are gated against at small
+n.  They take a ``FirstOrderCalculus``, whose dense fields
 are the rendering of its data, or a ``DenseCalculus``, which holds any dense
 fields: the non-standard oracle builds and the negative controls that break
 the standard form (``as_dense`` copies a calculus into one).
@@ -27,8 +28,14 @@ the standard form (``as_dense`` copies a calculus into one).
   compares them one matrix unit at a time, the oracle for the one-pass
   ``standard_form_defect``.
 - ``loop_commutator_form_matrix`` sums the commutator form over the family
-  with n^2 x n^2 ``lmul``/``rmul`` superoperators, the oracle for the
-  batched ``commutator_form_matrix``; ``tensor_leibniz_defect`` evaluates
+  with n^2 x n^2 ``lmul``/``rmul`` superoperators, and ``delta_form_matrix``
+  forms a calculus's form as one GEMM of its delta coefficients: the two
+  oracles for ``_form_matrix`` of X.  ``delta_j_defect`` measures
+  delta(A*) = J delta(A) on the delta coefficients, the oracle for the
+  report's ``j_delta_defect`` on X, and ``delta_uniqueness_witness`` is the
+  witness on the delta coefficients (the n^3 x n^3 Gram and the n^4 x m
+  least squares), the oracle for the witness on QX.
+  ``tensor_leibniz_defect`` evaluates
   the twisted Leibniz rule on the full n^6 m tensor of unit triples, which
   holds by type for delta = inner(X).
 - ``dense_gns_calculus`` is the GNS quotient built on the full
@@ -45,10 +52,11 @@ the standard form (``as_dense`` copies a calculus into one).
   are checked; ``commutator_delta`` forms rho^{1/4} [V_k, E] rho^{1/4}
   directly, the oracle for the delta that ``commutator_calculus`` renders
   from its inner vector.
-- ``leibniz_bilinear_residual`` evaluates the six-term bilinear identity of
-  a bounded first-order calculus on standard-form vectors through the
-  structural actions ``delta_of`` and ``pi_r_of``, with the right action of
-  a vector read off by ``right_bounded_rep``.
+- ``pi_l_of``, ``pi_r_of`` and ``delta_of`` apply the actions and the
+  derivation of a calculus to one matrix structurally, and
+  ``leibniz_bilinear_residual`` evaluates the six-term bilinear identity of
+  a bounded first-order calculus on standard-form vectors through them,
+  with the right action of a vector read off by ``right_bounded_rep``.
 """
 
 from dataclasses import dataclass, field
@@ -76,6 +84,7 @@ from kmsflow.matrix_core import (
     dagger,
     descend,
     hilbert_algebra_product,
+    kron,
     opnorm,
 )
 from kmsflow.reports import Check, Report
@@ -830,6 +839,53 @@ def loop_commutator_form_matrix(family, ctx, n: int) -> np.ndarray:
     return rhs[np.ix_(perm, perm)]
 
 
+def delta_form_matrix(calc) -> np.ndarray:
+    """F[(p, q), (r, s)] = <delta(E_pq), delta(E_rs)> as one GEMM of the
+    n^2 x dim_h delta coefficients (row-major unit labels)."""
+    dmat = calc.delta.reshape(calc.dim**2, calc.dim_h)
+    return np.conj(dmat) @ dmat.T
+
+
+def delta_j_defect(calc) -> float:
+    """Largest entrywise deviation of delta(E_qp) from J delta(E_pq), on the
+    delta coefficients of a ``FirstOrderCalculus``:
+    (J xi)[a, k, d] = sum_l K_J[k, l] conj(xi[d, l, a])."""
+    n, m = calc.dim, calc.m
+    c = calc.delta.reshape(n, n, n, m, n)
+    j_image = np.tensordot(calc.k_j, np.conj(c), axes=([1], [3]))  # [k, p, q, d, a]
+    return _maxabs(c.transpose(1, 0, 2, 3, 4) - j_image.transpose(1, 2, 4, 0, 3))
+
+
+def delta_uniqueness_witness(calc_a, calc_b, gen: MarkovGenerator, tol: float = 1e-6):
+    """The standard-form witness on the delta coefficients of two
+    ``FirstOrderCalculus`` objects.  Returns (W, report) with the checks of
+    ``uniqueness_witness``: the n^3 x n^3 Grams N N* of the coefficients read
+    with rows (p, q, a) and columns (k, d), W^T = pinv(C_a) C_b by least
+    squares on the n^4 x m coefficient columns C[(p, q, a, d), k] =
+    delta_k(E_pq)[a, d], and max |C_a W^T - C_b| as ``delta_match_defect``."""
+    n = gen.dim
+    m_a, k_a = calc_a.m, calc_a.k_j
+    m_b, k_b = calc_b.m, calc_b.k_j
+    c_a = calc_a.delta.reshape(n, n, n, m_a, n)
+    c_b = calc_b.delta.reshape(n, n, n, m_b, n)
+    n_a = c_a.reshape(n**3, m_a * n)
+    n_b = c_b.reshape(n**3, m_b * n)
+    ga = n_a @ dagger(n_a)
+    max_dev = _maxabs(ga - n_b @ dagger(n_b))
+    cols_a = c_a.transpose(0, 1, 2, 4, 3).reshape(n**4, m_a)
+    cols_b = c_b.transpose(0, 1, 2, 4, 3).reshape(n**4, m_b)
+    w = (np.linalg.pinv(cols_a, rcond=1e-12) @ cols_b).T
+    unitarity = max(
+        _maxabs(dagger(w) @ w - np.eye(m_a)), _maxabs(w @ dagger(w) - np.eye(m_b))
+    )
+    rep = Report(name="uniqueness_witness", tol=tol)
+    rep.checks.append(Check("gram_mismatch_max", max_dev, tol * max(1.0, _maxabs(ga)), "le"))
+    rep.checks.append(Check("w_unitarity_defect", unitarity, tol, "le"))
+    rep.checks.append(Check("j_intertwine_defect", _maxabs(w @ k_a - k_b @ np.conj(w)), tol, "le"))
+    rep.checks.append(Check("delta_match_defect", _maxabs(cols_a @ w.T - cols_b), tol, "le"))
+    return w, rep
+
+
 def tensor_leibniz_defect(calc) -> float:
     """Largest entrywise deviation of delta_k(E_ab E_cd) from
     sigma_{-i/4}(E_ab) delta_k(E_cd) + delta_k(E_ab) sigma_{+i/4}(E_cd),
@@ -855,6 +911,21 @@ def commutator_delta(herm: np.ndarray, ctx: DensityContext) -> np.ndarray:
     return blocks.transpose(1, 2, 3, 0, 4).reshape(n, n, n * n * len(herm))
 
 
+def pi_l_of(calc, x) -> np.ndarray:
+    """pi_l(x) = x (x) I_{mn} of a standard-form calculus."""
+    return kron(as_matrix(x, calc.dim), np.eye(calc.dim_h // calc.dim))
+
+
+def pi_r_of(calc, x) -> np.ndarray:
+    """pi_r(x) = I_{nm} (x) x^T of a standard-form calculus."""
+    return kron(np.eye(calc.dim_h // calc.dim), as_matrix(x, calc.dim).T)
+
+
+def delta_of(calc, a) -> np.ndarray:
+    """delta(a) in H, from the delta coefficients of the matrix units."""
+    return np.tensordot(as_matrix(a, calc.dim), calc.delta, axes=2)
+
+
 def right_bounded_rep(ctx: DensityContext, b) -> np.ndarray:
     """The matrix y with b = rho^{1/2} y; right multiplication by y is the
     right action of the vector b."""
@@ -878,10 +949,10 @@ def leibniz_bilinear_residual(calc, a, b, c) -> float:
         return ctx.power(s) @ x @ ctx.power(-s)
 
     def dl2(x):
-        return calc.delta_of(descend(ctx, x))
+        return delta_of(calc, descend(ctx, x))
 
     def right_act(xi, y):
-        return calc.pi_r_of(right_bounded_rep(ctx, y)) @ xi
+        return pi_r_of(calc, right_bounded_rep(ctx, y)) @ xi
 
     def ip(x, y):
         return complex(np.vdot(x, y))

@@ -27,6 +27,9 @@ the functions here are the plain forms those paths are gated against:
 - ``delta_superop`` is the modular operator Delta^power as a dense
   superoperator, against which the eigenbasis multipliers of V and W are
   checked.
+- ``identity_superop`` and ``zero_superop`` are the identity and zero
+  superoperators at either level, and ``random_markov_operator`` a seeded
+  symmetric Markov operator exp(-t L2): inputs that only the tests build.
 """
 
 import numpy as np
@@ -51,7 +54,8 @@ from kmsflow.matrix_core import (
     opnorm,
 )
 from kmsflow.reports import Check, Report
-from kmsflow.superop import L2, Superoperator, choi, kms_adjoint, unvec, vec
+from kmsflow.instances import random_generator
+from kmsflow.superop import ALGEBRA, L2, Superoperator, choi, kms_adjoint, superop_exp, unvec, vec
 from kmsflow.vtransform import TRACE_TRIALS, _w_multiplier
 
 
@@ -250,3 +254,19 @@ def delta_superop(ctx: DensityContext, power: float = 1.0, level: str = L2) -> S
     rp = ctx.power(power)
     rm = ctx.power(-power)
     return Superoperator(kron(rm.T, rp), ctx.dim, level)
+
+
+def identity_superop(n: int, level: str = ALGEBRA) -> Superoperator:
+    return Superoperator(np.eye(n * n, dtype=complex), n, level)
+
+
+def zero_superop(n: int, level: str = ALGEBRA) -> Superoperator:
+    return Superoperator(np.zeros((n * n, n * n), dtype=complex), n, level)
+
+
+def random_markov_operator(n: int, seed: int):
+    """A seeded symmetric Markov operator on the standard form, produced as
+    exp(-t L2) of a seeded generator, t drawn from the seed."""
+    gen, _ = random_generator(n, seed)
+    t = float(np.random.default_rng(seed + 7919).uniform(0.2, 2.0))
+    return gen.ctx, superop_exp(gen.L2, t)

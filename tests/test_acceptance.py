@@ -18,12 +18,15 @@ import kmsflow as kf
 from calculus_oracle import (
     dense_gns_calculus,
     dense_invariants_report,
+    delta_of,
     dense_uniqueness_witness,
     einsum_gns_actions,
     lift_k_j,
     loop_witness_defects,
     lstsq_inner_vector,
     pairwise_grid_defects,
+    pi_l_of,
+    pi_r_of,
     render_theta,
     spanning_family,
     trimmed_commutator_calculus,
@@ -659,8 +662,8 @@ def test_criterion_13_tracial_degeneration():
         for _ in range(10):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            lhs = calc.delta_of(a @ b)
-            rhs = calc.pi_l_of(a) @ calc.delta_of(b) + calc.pi_r_of(b) @ calc.delta_of(a)
+            lhs = delta_of(calc, a @ b)
+            rhs = pi_l_of(calc, a) @ delta_of(calc, b) + pi_r_of(calc, b) @ delta_of(calc, a)
             worst_leibniz = max(worst_leibniz, np.linalg.norm(lhs - rhs))
         fam = kf.extract_commutators_kraus(gen, psi)
         for a_idx in range(n):

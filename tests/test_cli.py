@@ -12,6 +12,8 @@ from kmsflow import derivation
 from kmsflow.cli import _build_parser, main
 from kmsflow.serialize import density_to_json, dump_json, superop_to_json
 
+from certify_oracle import identity_superop
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -169,7 +171,7 @@ class TestCheck:
         # certificate fails and is the only one computed, as in
         # certify_generator
         f = tmp_path / "identity.json"
-        dump_json(superop_to_json(kf.identity_superop(2)), str(f))
+        dump_json(superop_to_json(identity_superop(2)), str(f))
         code, rep = run(capsys, "check", "--superop", str(f), "--generator")
         assert code == 1
         assert list(rep["results"]) == ["unital_kernel"]
@@ -203,7 +205,7 @@ class TestVTransformCommand:
     def test_identity_passes_through(self, capsys, tmp_path):
         rho, _ = write_instance(tmp_path, capsys, seed=5)
         f = tmp_path / "id.json"
-        dump_json(superop_to_json(kf.identity_superop(2, "l2")), str(f))
+        dump_json(superop_to_json(identity_superop(2, "l2")), str(f))
         code, rep = run(capsys, "vtransform", "--superop", str(f), "--rho", str(rho))
         assert code == 0
         out = rep["results"]["transformed"]
@@ -326,6 +328,65 @@ def expected_dims(method, n):
     if method == "both":
         dims["kraus"].update(calc)
     return dims
+
+
+class TestDimensionMismatch:
+    """Inputs that disagree on n are a schema error naming the file that
+    disagrees, an --n that contradicts --rho a usage error, and the top-level
+    n of a report is the dimension that ran."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        rho3, _ = write_instance(tmp_path, capsys, seed=1, n=3)
+        _, psi2 = write_instance(tmp_path, capsys, seed=0, n=2)
+        gen2 = tmp_path / "gen2.json"
+        dump_json(superop_to_json(kf.random_generator(2, 0)[0].L), str(gen2))
+        return {"rho": str(rho3), "psi": str(psi2), "gen": str(gen2)}
+
+    @pytest.mark.parametrize(
+        "argv,culprit",
+        [
+            (["check", "--superop", "{psi}"], "psi"),
+            (["vtransform", "--superop", "{psi}"], "psi"),
+            (["gen-from-cp", "--psi", "{psi}"], "psi"),
+            (["recover-cp", "--gen", "{gen}"], "gen"),
+            (["simulate", "--gen", "{gen}"], "gen"),
+            (["derive", "--method", "gns", "--gen", "{gen}"], "gen"),
+            (["derive", "--method", "kraus", "--psi", "{psi}"], "psi"),
+        ],
+        ids=["check", "vtransform", "gen-from-cp", "recover-cp", "simulate",
+             "derive-gen", "derive-psi"],
+    )
+    def test_mismatch_is_schema_error(self, capsys, files, argv, culprit):
+        argv = [a.format(**files) for a in argv]
+        code, rep = run(capsys, *argv, "--rho", files["rho"])
+        assert code == 2
+        assert rep["error"]["type"] == "schema"
+        assert files[culprit] in rep["error"]["message"]
+        assert "dimension 2" in rep["error"]["message"]
+        assert "dimension 3" in rep["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["recover-cp", "simulate", "derive", "dirichlet-check"])
+    def test_n_contradicting_rho_is_usage_error(self, capsys, files, command):
+        code, rep = run(capsys, command, "--n", "2", "--rho", files["rho"])
+        assert code == 2
+        assert rep["error"] == {
+            "type": "usage",
+            "message": f"--n 2 contradicts --rho {files['rho']} of dimension 3",
+        }
+        assert rep["results"] == {}
+
+    def test_top_level_n_is_the_dimension_that_ran(self, capsys, files, tmp_path):
+        for argv in (["--rho", files["rho"]], ["--n", "3", "--rho", files["rho"]]):
+            code, rep = run(capsys, "derive", "--method", "gns", *argv)
+            assert code == 0
+            assert rep["n"] == rep["results"]["dims"]["n"] == 3
+        code, rep = run(capsys, "derive", "--method", "gns")
+        assert code == 0 and rep["n"] == rep["results"]["dims"]["n"] == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 3}))
+        code, rep = run(capsys, "random", "--config", str(cfg))
+        assert code == 0 and rep["n"] == rep["results"]["rho"]["n"] == 3
 
 
 class TestDerive:
@@ -707,3 +768,34 @@ class TestVerify:
         ctx, psi_obj = kf.random_instance(2, 13)
         mat = np.asarray(doc["re"]) + 1j * np.asarray(doc["im"])
         np.testing.assert_array_equal(mat, psi_obj.mat)
+
+
+class TestVerifyMalformed:
+    """A report whose checks cannot be read is a schema error that names the
+    report file and the report inside it, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda rep: rep["checks"][0].update(value=None),
+            lambda rep: rep["checks"][0].pop("name"),
+            lambda rep: rep.update(checks="oops"),
+            lambda rep: rep["checks"][0].update(bound="1e-9"),
+            lambda rep: rep["checks"][0].update(kind=None),
+            lambda rep: rep["checks"].append(3.0),
+        ],
+        ids=["value_null", "no_name", "checks_str", "bound_str", "kind_null", "check_not_object"],
+    )
+    def test_malformed_check_is_schema_error(self, capsys, tmp_path, tamper):
+        out = tmp_path / "report.json"
+        code = main(["derive", "--method", "gns", "--seed", "4", "--n", "2", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        doc = json.loads(out.read_text())
+        tamper(doc["results"]["calculus_invariants"])
+        out.write_text(json.dumps(doc))
+        code, rep = run(capsys, "verify", "--report", str(out))
+        assert code == 2
+        assert rep["error"]["type"] == "schema"
+        assert str(out) in rep["error"]["message"]
+        assert "results/calculus_invariants" in rep["error"]["message"]

@@ -13,7 +13,7 @@ from kmsflow import derivation
 from kmsflow.derivation import (
     CommutatorFamily,
     FirstOrderCalculus,
-    commutator_form_matrix,
+    _form_matrix,
     kms_form_of_generator,
     xi_map,
 )
@@ -28,17 +28,19 @@ from kmsflow.matrix_core import dagger, opnorm
 from kmsflow.superop import (
     choi,
     from_kraus,
-    identity_superop,
     kms_adjoint,
     kraus_from_choi,
     to_l2,
-    zero_superop,
 )
 
 from calculus_oracle import (
     DenseCalculus,
     as_dense,
     commutator_delta,
+    delta_form_matrix,
+    delta_j_defect,
+    delta_of,
+    delta_uniqueness_witness,
     dense_invariants_report,
     grid_invariants_report,
     kron_commutator_actions,
@@ -49,15 +51,26 @@ from calculus_oracle import (
     loop_standard_form_defect,
     loop_witness_defects,
     lstsq_inner_vector,
+    pi_l_of,
+    pi_r_of,
     render_theta,
     spanning_family,
     standard_form_defect,
     tensor_leibniz_defect,
     trimmed_commutator_calculus,
 )
+from certify_oracle import identity_superop, random_markov_operator, zero_superop
 from conftest import cached_generator, cached_gns, rng_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def family_form(family, ctx):
+    """The form matrix of a commutator family, through the inner vector
+    X_k = -rho^{1/4} V_k rho^{1/4} as ``verify_commutator_form`` forms it."""
+    qr = ctx.quarter_rho
+    ops = np.array(family.ops, dtype=complex).reshape(-1, ctx.dim, ctx.dim)
+    return _form_matrix(ctx, -(qr @ ops @ qr))
 
 
 def tracial_sigma_x_generator():
@@ -132,11 +145,11 @@ class TestGnsCalculus:
         assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]
 
     def test_delta_outside_constraint_fails_reports(self, monkeypatch):
-        # sigma_{i/4}(E) off by 1e-6 I moves delta's ambient representative
-        # out of the constraint subspace; the constructor renders it from the
-        # class map, and the report, run with the true modular units, fails
-        # it with its values.  Cyclicity reads X and passes.  inner_vector
-        # renders QX with the true units and measures the skew.
+        # sigma_{i/4}(E) off by 1e-6 I moves the rendered delta off inner(X).
+        # The report reads (X, K_J), which the skew does not touch, and
+        # passes; the render is caught by inner_vector, which renders QX with
+        # the true units, and by the delta-space oracles of j_delta_defect
+        # and the form identity.
         gen, _ = cached_generator(2, 0)
         quarter_units = derivation._quarter_units
 
@@ -147,12 +160,17 @@ class TestGnsCalculus:
         with monkeypatch.context() as patch:
             patch.setattr(derivation, "_quarter_units", skewed)
             calc = kf.gns_calculus(gen)
-        rep = kf.calculus_invariants_report(calc, gen)
-        failed = [c for c in rep.checks if not c.passed()]
-        assert [c.name for c in failed] == ["j_delta_defect", "form_identity_defect"]
-        assert all(c.value > c.bound for c in failed)
+        true = kf.gns_calculus(gen)
+        assert np.array_equal(calc.x, true.x) and np.array_equal(calc.k_j, true.k_j)
+        assert kf.calculus_invariants_report(calc, gen).passed
         assert kf.inner_vector(calc)[1] > 1e-7
-        assert kf.inner_vector(kf.gns_calculus(gen))[1] < 1e-14
+        assert kf.inner_vector(true)[1] < 1e-14
+        bound = derivation.INVARIANTS_TOL * max(1.0, gen.L.norm)
+        assert delta_j_defect(calc) > bound >= delta_j_defect(true)
+        form_bound = derivation.FORM_TOL * max(1.0, gen.L.norm)
+        form = kms_form_of_generator(gen)
+        assert np.abs(delta_form_matrix(calc) - form).max() > form_bound
+        assert np.abs(delta_form_matrix(true) - form).max() <= form_bound
 
     def test_form_identity_failure_rejected(self, monkeypatch):
         # gns_calculus builds the calculus; the invariants report is the one
@@ -307,6 +325,16 @@ class TestFirstOrderCalculusType:
         xi0, _ = kf.inner_vector(calc)
         xi0_shifted, _ = kf.inner_vector(shifted)
         assert np.abs(xi0_shifted - xi0).max() <= 1e-14 * max(1.0, np.abs(xi0).max())
+        # every certificate reads X through Q or through inner(X): the shift
+        # moves no check beyond rounding, and the witness finds W = I
+        gen, _ = cached_generator(n, seed)
+        rep = kf.calculus_invariants_report(calc, gen)
+        rep_shifted = kf.calculus_invariants_report(shifted, gen)
+        for check, moved in zip(rep.checks, rep_shifted.checks):
+            assert abs(moved.value - check.value) <= 1e-12 * max(1.0, gen.L.norm), check.name
+        assert rep_shifted.passed
+        w, wit = kf.uniqueness_witness(calc, shifted, gen)
+        assert wit.passed and np.abs(w - np.eye(calc.m)).max() <= 1e-10
 
     def test_dense_fields_cannot_be_set(self):
         calc = cached_gns(2, 0)
@@ -343,8 +371,8 @@ class TestFirstOrderCalculusType:
     def test_structural_actions_match_dense_fields(self):
         calc = cached_gns(3, 1)
         x = rng_matrix(np.random.default_rng(5), 3)
-        assert np.array_equal(calc.pi_l_of(x), np.tensordot(x, calc.pi_l, axes=2))
-        assert np.array_equal(calc.pi_r_of(x), np.tensordot(x, calc.pi_r, axes=2))
+        assert np.array_equal(pi_l_of(calc, x), np.tensordot(x, calc.pi_l, axes=2))
+        assert np.array_equal(pi_r_of(calc, x), np.tensordot(x, calc.pi_r, axes=2))
 
 
 class TestSharedActions:
@@ -395,22 +423,30 @@ class TestSharedActions:
         assert not [key for key in derivation._ACTIONS if key[:2] == (n, m)]
 
 
+DENSE_FIELDS = ("pi_l", "pi_r", "jmat", "delta")
+
+
 def _dense_field_reads(source: str) -> list:
-    """Line numbers of the reads of an attribute ``pi_l``, ``pi_r`` or
-    ``jmat`` in ``source``, outside ``FirstOrderCalculus.__post_init__``."""
+    """Line numbers of the reads of an attribute ``pi_l``, ``pi_r``, ``jmat``
+    or ``delta`` in ``source``, outside ``FirstOrderCalculus.__post_init__``;
+    ``delta`` may also be read in the module-level function ``inner_vector``."""
     tree = ast.parse(source)
-    allowed = set()
-    for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and cls.name == "FirstOrderCalculus":
-            for fn in cls.body:
+    allowed = {name: set() for name in DENSE_FIELDS}
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef) and top.name == "FirstOrderCalculus":
+            for fn in top.body:
                 if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
-                    allowed.update(id(node) for node in ast.walk(fn))
+                    inside = {id(node) for node in ast.walk(fn)}
+                    for ids in allowed.values():
+                        ids.update(inside)
+        elif isinstance(top, ast.FunctionDef) and top.name == "inner_vector":
+            allowed["delta"].update(id(node) for node in ast.walk(top))
     return [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
-        and node.attr in ("pi_l", "pi_r", "jmat")
-        and id(node) not in allowed
+        and node.attr in allowed
+        and id(node) not in allowed[node.attr]
     ]
 
 
@@ -423,10 +459,10 @@ class TestFixedBounds:
             (derivation.extract_commutators_gns, "tol"),
             (derivation.extract_commutators_kraus, "tol"),
             (derivation.uniqueness_witness, "tol"),
-            (derivation.commutator_form_matrix, "n"),
+            (derivation._form_matrix, "n"),
             (kf.random_instance, "tol"),
             (kf.random_generator, "tol"),
-            (kf.random_markov_operator, "t"),
+            (random_markov_operator, "t"),
         ],
     )
     def test_parameter_stays_removed(self, fn, name):
@@ -443,8 +479,9 @@ class TestFixedBounds:
 
 
 class TestDenseFieldSourceGuard:
-    """Nothing in the library reads the rendered dense fields, so deleting
-    them touches only the constructor."""
+    """Nothing in the library reads the rendered dense fields, and only
+    ``inner_vector`` reads the rendered delta, so deleting them touches only
+    the constructor and that function."""
 
     def test_guard_flags_a_read(self):
         snippet = (
@@ -457,6 +494,22 @@ class TestDenseFieldSourceGuard:
             "    return calc.jmat @ calc.pi_r\n"
         )
         assert sorted(_dense_field_reads(snippet)) == [5, 7, 7]
+
+    def test_guard_flags_a_delta_read(self):
+        # delta is allowed in __post_init__ and in the module-level
+        # inner_vector only; the other dense fields are not allowed there
+        snippet = (
+            "class FirstOrderCalculus:\n"
+            "    def __post_init__(self):\n"
+            "        self.delta\n"
+            "    def inner_vector(self):\n"
+            "        return self.delta\n"
+            "def inner_vector(calc):\n"
+            "    return calc.delta, calc.jmat\n"
+            "def calculus_invariants_report(calc, gen):\n"
+            "    return calc.delta.reshape(-1)\n"
+        )
+        assert sorted(_dense_field_reads(snippet)) == [5, 7, 9]
 
     def test_no_dense_field_reads_in_sources(self):
         src = Path(kf.__file__).resolve().parent
@@ -508,7 +561,7 @@ class TestInvariantsNegativeControls:
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
     def test_wrong_k_j_fails_j_delta(self, n, seed, breaker):
         # K_J is a product of isometries, so its own unitarity says little;
-        # delta(A*) = J delta(A) reads delta and catches a wrong K_J.  -J
+        # delta(A*) = J delta(A), measured on X, catches a wrong K_J.  -J
         # intertwines the bimodule exactly as J does; only this check fixes
         # the sign.  The grid oracle's dense check agrees.
         gen, _ = cached_generator(n, seed)
@@ -518,6 +571,24 @@ class TestInvariantsNegativeControls:
         assert not rep.check("j_delta_defect").passed()
         assert not grid_invariants_report(broken, gen, tol=1e-9).check("j_delta_defect").passed()
         assert kf.calculus_invariants_report(calc, gen).passed
+
+    @pytest.mark.parametrize(
+        "breaker",
+        [lambda k: k, np.conj, np.negative, _columns_swapped],
+        ids=["native", "conj", "sign", "columns"],
+    )
+    @pytest.mark.parametrize("route", ["gns", "kraus"])
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2), (5, 3)])
+    def test_j_delta_on_x_agrees_with_delta_oracle(self, n, seed, route, breaker):
+        # Q(X - X') = 0 iff delta(A*) = J delta(A) on the delta coefficients:
+        # both verdicts agree, and exactly the K_J that differ from the
+        # native one fail (conj leaves the Kraus route's K_J = -I alone)
+        gen, _ = cached_generator(n, seed)
+        calc = cached_gns(n, seed) if route == "gns" else _kraus_calculus(n, seed)
+        broken = dataclasses.replace(calc, k_j=breaker(calc.k_j))
+        check = kf.calculus_invariants_report(broken, gen).check("j_delta_defect")
+        native = np.array_equal(broken.k_j, calc.k_j)
+        assert check.passed() == (delta_j_defect(broken) <= check.bound) == native
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
     def test_native_calculi_conform_exactly(self, n, seed):
@@ -617,11 +688,27 @@ class TestBatchedChecksAgainstOracles:
             fam = kf.extract_commutators_kraus(gen, psi)
         else:
             fam = CommutatorFamily(ops=())
-        got = commutator_form_matrix(fam, gen.ctx)
+        got = family_form(fam, gen.ctx)
         want = loop_commutator_form_matrix(fam, gen.ctx, n)
         assert got.shape == want.shape == (n * n, n * n)
         scale = max(1.0, np.abs(want).max(initial=0.0))
         assert np.abs(got - want).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("route", ["gns", "kraus", "empty"])
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2), (5, 3)])
+    def test_form_matrix_matches_delta_gemm(self, n, seed, route):
+        # the form of X in O(n^4 m) against one GEMM of the rendered delta
+        gen, _ = cached_generator(n, seed)
+        if route == "gns":
+            calc = cached_gns(n, seed)
+        elif route == "kraus":
+            calc = _kraus_calculus(n, seed)
+        else:
+            calc = FirstOrderCalculus(gen.ctx, np.zeros((0, n, n)), np.zeros((0, 0)))
+        got = _form_matrix(calc.ctx, calc.x)
+        want = delta_form_matrix(calc)
+        assert got.shape == want.shape == (n * n, n * n)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-14 * np.abs(want).max(initial=0.0)
 
     @pytest.mark.parametrize("ensemble", list(LEIBNIZ_ENSEMBLES))
     @pytest.mark.parametrize("n,seed", [(n, s) for n in (2, 3, 4) for s in range(8)])
@@ -695,8 +782,8 @@ class TestExtractGns:
         calc = kf.gns_calculus(gen)
         fam = kf.extract_commutators_gns(calc, gen)
         reference = CommutatorFamily(ops=(SX / np.sqrt(2.0),))
-        f1 = commutator_form_matrix(fam, gen.ctx)
-        f2 = commutator_form_matrix(reference, gen.ctx)
+        f1 = family_form(fam, gen.ctx)
+        f2 = family_form(reference, gen.ctx)
         np.testing.assert_allclose(f1, f2, atol=1e-10)
 
     def test_multiplicity_integer(self):
@@ -727,8 +814,8 @@ class TestExtractKraus:
         fam = kf.extract_commutators_kraus(gen, psi)
         xi = xi_map(gen, psi)
         assert opnorm(xi.mat - psi.mat) < 1e-12
-        f1 = commutator_form_matrix(fam, gen.ctx)
-        f2 = commutator_form_matrix(CommutatorFamily(ops=(SX / np.sqrt(2.0),)), gen.ctx)
+        f1 = family_form(fam, gen.ctx)
+        f2 = family_form(CommutatorFamily(ops=(SX / np.sqrt(2.0),)), gen.ctx)
         np.testing.assert_allclose(f1, f2, atol=1e-10)
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (2, 5), (3, 2)])
@@ -847,10 +934,10 @@ class TestInnerVector:
         xi0, _ = kf.inner_vector(calc)
         rng = np.random.default_rng(2)
         a = rng_matrix(rng, 2)
-        act = calc.pi_l_of(kf.sigma_z(gen.ctx, -0.25j, a)) - calc.pi_r_of(
-            kf.sigma_z(gen.ctx, 0.25j, a)
+        act = pi_l_of(calc, kf.sigma_z(gen.ctx, -0.25j, a)) - pi_r_of(
+            calc, kf.sigma_z(gen.ctx, 0.25j, a)
         )
-        assert np.linalg.norm(act @ xi0 - calc.delta_of(a)) < 1e-8
+        assert np.linalg.norm(act @ xi0 - delta_of(calc, a)) < 1e-8
 
 
 class TestCommutatorCalculus:
@@ -1022,20 +1109,48 @@ class TestUniquenessWitness:
         _, rep = kf.uniqueness_witness(calc, calc_k, gen)
         assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]
 
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2), (5, 3)])
+    def test_matches_delta_oracle(self, n, seed):
+        # the witness on QX and the witness on the delta coefficients give
+        # the same W and the same verdicts
+        gen, psi = cached_generator(n, seed)
+        calc, calc_k = cached_gns(n, seed), _kraus_calculus(n, seed)
+        w, rep = kf.uniqueness_witness(calc, calc_k, gen)
+        w_ref, ref = delta_uniqueness_witness(calc, calc_k, gen)
+        assert np.abs(w - w_ref).max() <= 1e-12
+        assert rep.passed and ref.passed
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2), (5, 3)])
+    def test_stretched_target_fails_unitarity(self, n, seed):
+        # M_b = QX_b stretched by 1 + 1e-2 along its smallest right-singular
+        # direction: W = pinv(M_a) M_b is off unitary by that stretch, on QX
+        # and on the delta coefficients
+        gen, _ = cached_generator(n, seed)
+        calc, calc_k = cached_gns(n, seed), _kraus_calculus(n, seed)
+        cols = derivation._off_sqrt_rho(calc_k.ctx, calc_k.x).reshape(calc_k.m, n * n).T
+        v = np.linalg.svd(cols)[2][-1].conj()
+        stretch = np.eye(calc_k.m) + 1e-2 * np.outer(v, v.conj())
+        stretched = dataclasses.replace(calc_k, x=np.tensordot(stretch.T, calc_k.x, axes=1))
+        for witness in (kf.uniqueness_witness, delta_uniqueness_witness):
+            _, rep = witness(calc, stretched, gen)
+            assert rep.check("w_unitarity_defect").value > 1e-2
+
     def test_different_generators_mismatch(self):
-        gen_a, _ = cached_generator(2, 0)
-        gen_b, _ = cached_generator(2, 1)
-        calc_a = cached_gns(2, 0)
-        calc_b = cached_gns(2, 1)
         # a mismatch is measured, not raised: the report fails with the Gram
-        # deviation and keeps the other three measurements
-        _, rep = kf.uniqueness_witness(calc_a, calc_b, gen_a)
-        assert not rep.passed
-        gram = rep.check("gram_mismatch_max")
-        assert gram.value > gram.bound >= derivation.WITNESS_TOL
-        assert [c.name for c in rep.checks] == [
-            "gram_mismatch_max", "w_unitarity_defect", "j_intertwine_defect", "delta_match_defect"
-        ]
+        # deviation and keeps the other three measurements; the witness on
+        # the delta coefficients fails the Gram check too
+        for n in (2, 4):
+            gen_a, _ = cached_generator(n, 0)
+            calc_a, calc_b = cached_gns(n, 0), cached_gns(n, 1)
+            for witness in (kf.uniqueness_witness, delta_uniqueness_witness):
+                _, rep = witness(calc_a, calc_b, gen_a)
+                assert not rep.passed
+                gram = rep.check("gram_mismatch_max")
+                assert gram.value > gram.bound >= derivation.WITNESS_TOL
+                assert [c.name for c in rep.checks] == [
+                    "gram_mismatch_max", "w_unitarity_defect", "j_intertwine_defect",
+                    "delta_match_defect",
+                ]
 
 
 class TestBilinearIdentity:

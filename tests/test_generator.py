@@ -24,14 +24,15 @@ from kmsflow.superop import (
     superop_from_choi,
     to_l2,
     vec,
-    zero_superop,
 )
 
 from certify_oracle import (
     dykstra_recover_cp,
+    identity_superop,
     projected_gradient_cone_project,
     random_cone_point,
     variational_inequality_report,
+    zero_superop,
 )
 from conftest import cached_generator, rng_matrix
 
@@ -75,7 +76,7 @@ class TestGeneratorFromCp:
         np.testing.assert_allclose(gen.L.mat, expect, atol=1e-12)
 
     def test_identity_gives_zero(self, ctx2):
-        gen = kf.generator_from_cp(kf.identity_superop(2), ctx2)
+        gen = kf.generator_from_cp(identity_superop(2), ctx2)
         assert gen.L.norm < 1e-13
 
     def test_nontracial_certified_and_consistent(self, ctx2):
@@ -103,7 +104,7 @@ class TestGeneratorFromCp:
         np.testing.assert_allclose(gen.L2.mat, to_l2(gen.L, ctx2).mat, atol=1e-13)
 
     def test_non_cp_rejected(self, ctx2):
-        bad = -1.0 * kf.identity_superop(2)
+        bad = -1.0 * identity_superop(2)
         with pytest.raises(PreconditionFailed):
             kf.generator_from_cp(bad, ctx2)
 
@@ -124,7 +125,7 @@ class TestCertifyGenerator:
         # the identity fixes I: the kernel certificate fails first, with its
         # report, before is_ccn's precondition can raise on the same bound
         with pytest.raises(CertificationFailed, match="unital_kernel") as err:
-            kf.certify_generator(kf.identity_superop(2), ctx2)
+            kf.certify_generator(identity_superop(2), ctx2)
         check = err.value.report.check("kernel_defect")
         assert err.value.report.name == "unital_kernel"
         assert (check.value, check.bound) == (1.0, 1e-9)

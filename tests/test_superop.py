@@ -22,6 +22,7 @@ from kmsflow.superop import (
     vec,
 )
 
+from certify_oracle import identity_superop, zero_superop
 from conftest import rng_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -137,15 +138,15 @@ class TestBasicMaps:
             from_kraus([])
 
     def test_level_mismatch_raises(self):
-        a = kf.identity_superop(2, "algebra")
-        b = kf.identity_superop(2, "l2")
+        a = identity_superop(2, "algebra")
+        b = identity_superop(2, "l2")
         with pytest.raises(WrongLevel):
             a @ b
 
 
 class TestChoiKraus:
     def test_choi_of_identity(self):
-        c = choi(kf.identity_superop(2))
+        c = choi(identity_superop(2))
         omega = vec(np.eye(2))
         np.testing.assert_allclose(c, np.outer(omega, omega.conj()), atol=1e-15)
 
@@ -234,7 +235,7 @@ class TestIsCp:
         assert abs(rep.check("min_choi_eig").value + 1.0) < 1e-12
 
     def test_identity_passes(self):
-        assert kf.is_cp(kf.identity_superop(3)).passed
+        assert kf.is_cp(identity_superop(3)).passed
 
 
 class TestKmsAdjoint:
@@ -290,7 +291,7 @@ class TestKmsAdjoint:
 
     def test_wrong_level(self, ctx2):
         with pytest.raises(WrongLevel):
-            kf.kms_adjoint(kf.identity_superop(2, "l2"), ctx2)
+            kf.kms_adjoint(identity_superop(2, "l2"), ctx2)
 
 
 class TestIsKmsSymmetric:
@@ -306,36 +307,34 @@ class TestIsKmsSymmetric:
         assert not kf.is_kms_symmetric(s, ctx2).passed
 
     def test_identity_passes(self, ctx2):
-        assert kf.is_kms_symmetric(kf.identity_superop(2), ctx2).passed
+        assert kf.is_kms_symmetric(identity_superop(2), ctx2).passed
 
 
 class TestIsCcn:
     def test_unitary_conjugation_generator_passes(self, ctx_tracial2):
         # L = id - Psi with Psi(X) = sx X sx, tracially symmetric and unital
-        lgen = kf.identity_superop(2) - from_kraus([SX])
+        lgen = identity_superop(2) - from_kraus([SX])
         rep = kf.is_ccn(lgen)
         assert rep.passed
         assert rep.metrics["exp_probe_pass"]
 
     def test_sign_flip_fails_and_criteria_agree(self):
-        lgen = -1.0 * (kf.identity_superop(2) - from_kraus([SX]))
+        lgen = -1.0 * (identity_superop(2) - from_kraus([SX]))
         rep = kf.is_ccn(lgen)
         assert not rep.passed
         assert not rep.metrics["exp_probe_pass"]
         assert rep.check("criteria_agree").passed()
 
     def test_zero_passes(self):
-        from kmsflow.superop import zero_superop
-
         assert kf.is_ccn(zero_superop(2)).passed
 
     def test_unitality_gate(self):
         with pytest.raises(UnitalityViolated):
-            kf.is_ccn(kf.identity_superop(2))
+            kf.is_ccn(identity_superop(2))
 
     def test_hermiticity_gate(self):
         # X -> i(X - tr(X) I/2) annihilates I but is not Hermiticity-preserving
-        s = 1j * (kf.identity_superop(2) - depolarizing(2))
+        s = 1j * (identity_superop(2) - depolarizing(2))
         with pytest.raises(NotHermiticityPreserving):
             kf.is_ccn(s)
 
@@ -343,11 +342,11 @@ class TestIsCcn:
         from kmsflow.superop import unital_kernel_report
 
         with pytest.raises(UnitalityViolated) as err:
-            kf.is_ccn(kf.identity_superop(2), tol=1e-9)
+            kf.is_ccn(identity_superop(2), tol=1e-9)
         assert (err.value.value, err.value.bound) == (1.0, 1e-9)
-        kernel = unital_kernel_report(kf.identity_superop(2), 1e-9).check("kernel_defect")
+        kernel = unital_kernel_report(identity_superop(2), 1e-9).check("kernel_defect")
         assert (err.value.value, err.value.bound) == (kernel.value, kernel.bound)
-        s = 1j * (kf.identity_superop(2) - depolarizing(2))
+        s = 1j * (identity_superop(2) - depolarizing(2))
         with pytest.raises(NotHermiticityPreserving) as err:
             kf.is_ccn(s, tol=1e-9)
         assert err.value.value > err.value.bound == 1e-9 * max(1.0, s.norm)
@@ -355,7 +354,7 @@ class TestIsCcn:
 
 class TestIsMarkovL2:
     def test_identity_passes(self, ctx2):
-        assert kf.is_markov_l2(kf.identity_superop(2, "l2"), ctx2).passed
+        assert kf.is_markov_l2(identity_superop(2, "l2"), ctx2).passed
 
     def test_semigroup_element_passes(self):
         gen, _ = kf.random_generator(2, 17)
@@ -405,7 +404,7 @@ class TestSuperopExp:
     def test_depolarizing_spectrum(self):
         # L = n(id - depolarizing)/1 acts as n on traceless matrices, 0 on I
         n = 2
-        lgen = float(n) * (kf.identity_superop(n) - depolarizing(n))
+        lgen = float(n) * (identity_superop(n) - depolarizing(n))
         e = kf.superop_exp(lgen, 0.7)
         np.testing.assert_allclose(e.apply(np.eye(n)), np.eye(n), atol=1e-12)
         x = np.array([[1.0, 2.0], [0.5, -1.0]])

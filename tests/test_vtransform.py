@@ -12,7 +12,13 @@ from kmsflow.vtransform import (
     v_transform_quadrature,
 )
 
-from certify_oracle import delta_superop, loop_trace_defect, trapezoid_coefficients
+from certify_oracle import (
+    delta_superop,
+    identity_superop,
+    loop_trace_defect,
+    random_markov_operator,
+    trapezoid_coefficients,
+)
 from conftest import cached_generator, rng_matrix
 
 
@@ -97,7 +103,7 @@ class TestDenseMultiplierOracle:
 
 class TestWTransform:
     def test_identity_fixed(self, ctx2):
-        s = kf.identity_superop(2, "l2")
+        s = identity_superop(2, "l2")
         np.testing.assert_allclose(kf.w_transform(s, ctx2).mat, s.mat, atol=1e-14)
 
     def test_commuting_with_delta_unchanged(self, ctx2):
@@ -117,7 +123,7 @@ class TestWTransform:
 
 class TestVTransform:
     def test_identity_fixed(self, ctx2):
-        s = kf.identity_superop(2, "l2")
+        s = identity_superop(2, "l2")
         np.testing.assert_allclose(kf.v_transform(s, ctx2).mat, s.mat, atol=1e-14)
 
     def test_tracial_is_identity_exactly(self, ctx_tracial2):
@@ -200,7 +206,7 @@ class TestVTransform:
 
 class TestQuadratureOracle:
     def test_identity(self, ctx2):
-        s = kf.identity_superop(2, "l2")
+        s = identity_superop(2, "l2")
         q, info = v_transform_quadrature(s, ctx2, steps=400000)
         assert opnorm(q.mat - s.mat) < 1e-8
         assert info["tail_bound"] < 1e-8
@@ -289,7 +295,7 @@ class TestQuadratureOracle:
 
     def test_rejects_too_few_steps(self, ctx2):
         with pytest.raises(ValueError):
-            v_transform_quadrature(kf.identity_superop(2, "l2"), ctx2, steps=100)
+            v_transform_quadrature(identity_superop(2, "l2"), ctx2, steps=100)
 
 
 class TestCptpCertificate:
@@ -320,16 +326,16 @@ class TestCptpCertificate:
 
 class TestMarkovPreservation:
     def test_identity(self, ctx2):
-        assert markov_preservation_check(kf.identity_superop(2, "l2"), ctx2).passed
+        assert markov_preservation_check(identity_superop(2, "l2"), ctx2).passed
 
     @pytest.mark.parametrize("seed", range(5))
     def test_seeded_markov_operators(self, seed):
-        ctx, t = kf.random_markov_operator(2, seed)
+        ctx, t = random_markov_operator(2, seed)
         rep = markov_preservation_check(t, ctx)
         assert rep.passed
 
     def test_precondition_gate(self):
-        ctx, t = kf.random_markov_operator(2, 12)
+        ctx, t = random_markov_operator(2, 12)
         skew = kf.Superoperator(t.mat + 0.2j * np.eye(4), 2, "l2")
         rep = markov_preservation_check(skew, ctx)
         assert not rep.passed
