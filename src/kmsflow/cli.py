@@ -5,10 +5,14 @@ containing a schema version, timings, seeds, tolerances and every metric
 produced.  Exit codes: 0 all certifications passed, 1 certification failure,
 2 schema or parse error, 3 infeasible recovery (no admissible CP map: -L is
 not CCN).  Input files whose dimensions disagree (--rho against --superop,
---psi or --gen, or --psi against the generator) and a report for ``verify``
+--psi or --gen, or --psi against the generator), an input map at a level
+its command cannot read (--psi or --gen at the L2 level, or an L2-level
+``check --superop`` with --rho or --generator), and a report for ``verify``
 whose checks are malformed are schema errors; an --n that contradicts
---rho is a usage error.  The top-level ``n`` of a seeded command is the
-dimension that ran.
+--rho, and an --n, --seed or --kraus-rank that contradicts the ``random
+--config`` file, are usage errors.  The top-level ``n`` of a seeded
+command is the dimension that ran, and the top-level ``seed`` of ``random``
+the seed that ran, from --config when the file sets one.
 
 ``uniqueness`` is ``derive --method both``: the same pipeline, reports and
 timing keys.  Each certificate is measured once, by its report, and a
@@ -128,6 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help='instance config JSON: {"n", "seed", "rho": "random"|matrix,'
                         ' "kraus_rank"}')
     add_common(p, seeded=True)
+    p.set_defaults(seed=None)  # None: no --seed given, so a config seed may set it
 
     p = sub.add_parser("verify", help="re-evaluate the verdicts of a report JSON")
     p.add_argument("--report", required=True)
@@ -164,15 +169,17 @@ def _load_context(args, serialize):
     return None
 
 
-def _load_superop(path, dim, against, serialize):
+def _load_superop(path, dim, level, against, serialize):
     """The superoperator JSON file ``path``; a SchemaError when ``dim`` is
     given and differs from its dimension (``against`` names where ``dim``
-    came from)."""
+    came from), or when ``level`` is given and differs from its level."""
     s = serialize.superop_from_json(serialize.load_json(path), path)
     if dim is not None and s.dim != dim:
         raise serialize.SchemaError(
             f"{path}: dimension {s.dim} differs from {against} of dimension {dim}"
         )
+    if level is not None and s.level != level:
+        raise serialize.SchemaError(f"{path}: level {s.level!r}, where {level!r} is needed")
     return s
 
 
@@ -181,13 +188,14 @@ def _seeded_generator(args, serialize, report):
     --psi when given; records the dimension that ran as the report's n."""
     from . import generator as generator_mod
     from . import instances
+    from .superop import ALGEBRA
 
     ctx = _load_context(args, serialize)
     psi = None
     if getattr(args, "gen", None):
         if ctx is None:
             raise serialize.SchemaError("--gen requires --rho")
-        lgen = _load_superop(args.gen, ctx.dim, f"--rho {args.rho}", serialize)
+        lgen = _load_superop(args.gen, ctx.dim, ALGEBRA, f"--rho {args.rho}", serialize)
         gen = generator_mod.certify_generator(lgen, ctx, tol=args.tol)
     else:
         n = ctx.dim if ctx is not None else (2 if args.n is None else args.n)
@@ -197,7 +205,7 @@ def _seeded_generator(args, serialize, report):
         )
     report["n"] = gen.dim
     if getattr(args, "psi", None):
-        psi = _load_superop(args.psi, gen.dim, "the generator", serialize)
+        psi = _load_superop(args.psi, gen.dim, ALGEBRA, "the generator", serialize)
     return gen, psi
 
 
@@ -294,7 +302,9 @@ def _dispatch(args, report: dict, serialize) -> int:
     if args.command == "check":
         ctx = _load_context(args, serialize)
         dim = None if ctx is None else ctx.dim
-        s = _load_superop(args.superop, dim, f"--rho {args.rho}", serialize)
+        # KMS symmetry and the generator certificates read an algebra-level map
+        level = superop.ALGEBRA if ctx is not None or args.generator else None
+        s = _load_superop(args.superop, dim, level, f"--rho {args.rho}", serialize)
         map_tol = 1e-9 if tol is None else tol
         if args.generator:  # a nonzero generator is never CP
             rep = superop.unital_kernel_report(s, map_tol)
@@ -314,7 +324,7 @@ def _dispatch(args, report: dict, serialize) -> int:
         if not getattr(args, "rho", None):
             raise serialize.SchemaError("vtransform requires --rho")
         ctx = _load_context(args, serialize)
-        s = _load_superop(args.superop, ctx.dim, f"--rho {args.rho}", serialize)
+        s = _load_superop(args.superop, ctx.dim, None, f"--rho {args.rho}", serialize)
         transformed = timed("v_transform", lambda: vtransform.v_transform(s, ctx))
         results["transformed"] = serialize.superop_to_json(transformed)
         inverse = vtransform.w_transform(transformed, ctx)
@@ -331,7 +341,7 @@ def _dispatch(args, report: dict, serialize) -> int:
         if not getattr(args, "rho", None):
             raise serialize.SchemaError("gen-from-cp requires --rho")
         ctx = _load_context(args, serialize)
-        psi = _load_superop(args.psi, ctx.dim, f"--rho {args.rho}", serialize)
+        psi = _load_superop(args.psi, ctx.dim, superop.ALGEBRA, f"--rho {args.rho}", serialize)
         gen = timed("generator", lambda: generator_mod.generator_from_cp(psi, ctx, tol=tol))
         for name, rep in gen.certificates.items():
             results[name] = rep.to_json_dict()
@@ -430,27 +440,32 @@ def _dispatch(args, report: dict, serialize) -> int:
         return EXIT_PASS
 
     if args.command == "random":
-        n = 2 if args.n is None else args.n
-        seed, kraus_rank, ctx0 = args.seed, args.kraus_rank, None
+        cfg, ctx0 = {}, None
         if args.config:
             cfg = serialize.load_json(args.config)
             if not isinstance(cfg, dict):
                 raise serialize.SchemaError(f"{args.config}: expected an object")
             for key in ("n", "seed", "kraus_rank"):
                 value = cfg.get(key, 0)  # an absent key keeps its default
-                if value is None and key == "kraus_rank":  # full Kraus rank
-                    continue
-                if isinstance(value, bool) or not isinstance(value, int):
+                full_rank = value is None and key == "kraus_rank"
+                if not full_rank and (isinstance(value, bool) or not isinstance(value, int)):
                     raise serialize.SchemaError(f"{args.config}: {key!r} must be an integer")
-            n = cfg.get("n", n)
-            seed = cfg.get("seed", seed)
-            kraus_rank = cfg.get("kraus_rank", kraus_rank)
+                flag = getattr(args, key)
+                if key in cfg and flag not in (None, value):
+                    raise ValueError(
+                        f"--{key.replace('_', '-')} {flag} contradicts {key!r} = {value!r}"
+                        f" in --config {args.config}"
+                    )
             rho_spec = cfg.get("rho", "random")
             if rho_spec != "random":
                 ctx0 = serialize.density_from_json(rho_spec, f"{args.config}:rho")
+        n = cfg.get("n", 2 if args.n is None else args.n)
+        seed = cfg.get("seed", 0 if args.seed is None else args.seed)
         ctx, psi = instances.random_instance(
-            n, seed, kraus_rank=kraus_rank, cond_bound=args.cond_bound, ctx=ctx0
+            n, seed, kraus_rank=cfg.get("kraus_rank", args.kraus_rank),
+            cond_bound=args.cond_bound, ctx=ctx0,
         )
+        report["seed"] = seed
         report["n"] = ctx.dim
         rho_doc = serialize.density_to_json(ctx)
         psi_doc = serialize.superop_to_json(psi)

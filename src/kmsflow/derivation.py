@@ -26,8 +26,8 @@ null space of T, and the calculus is built directly in these coordinates.
 Because the bimodule is a multiple of the standard M_n bimodule, the
 derivation decomposes into components delta_j(A) = rho^{1/4} [V_j, A] rho^{1/4}
 for matrices V_1..V_N; the same family is reachable through the Kraus
-decomposition of Xi(A) = rho^{1/4} Pv(rho^{-1/4} A rho^{-1/4}) rho^{1/4} for
-an admissible completely positive Psi (Pv its V-transform).  Both routes are
+decomposition of Xi = to_l2(V(Psi)), the L2 implementation of the
+V-transform of an admissible completely positive Psi.  Both routes are
 implemented, each returning a Hermitian family, and ``commutator_calculus``
 builds the calculus of a family in the coordinates C^n (x) C^m (x) C^n.
 
@@ -98,8 +98,8 @@ from .superop import (
     choi,
     kms_gram,
     kraus_from_choi,
-    sandwich,
     to_algebra,
+    to_l2,
 )
 from .vtransform import v_transform
 
@@ -529,18 +529,12 @@ def extract_commutators_gns(calc: FirstOrderCalculus, gen: MarkovGenerator) -> C
     return CommutatorFamily(ops=tuple(herm))
 
 
-def xi_map(gen: MarkovGenerator, psi: Superoperator) -> Superoperator:
-    """Xi(A) = rho^{1/4} Pv(rho^{-1/4} A rho^{-1/4}) rho^{1/4} with Pv the
-    V-transform of Psi; symmetric for the trace pairing."""
-    ctx = gen.ctx
-    mat = sandwich(v_transform(psi, ctx).mat, ctx.quarter_rho, ctx.inv_quarter_rho)
-    return Superoperator(mat, gen.dim, psi.level)
-
-
 def extract_commutators_kraus(
     gen: MarkovGenerator, psi: Superoperator | None = None
 ) -> CommutatorFamily:
-    """Extract the commutator family through the Kraus decomposition of Xi.
+    """Extract the commutator family through the Kraus decomposition of
+    Xi = to_l2(V(Psi)), the L2 implementation of the V-transform of Psi:
+    Xi(A) = rho^{1/4} V(Psi)(rho^{-1/4} A rho^{-1/4}) rho^{1/4}.
 
     If no Psi is supplied, one is recovered from the generator; infeasible
     recovery aborts with InconsistentPsi rather than guessing.  The raw Kraus
@@ -551,8 +545,9 @@ def extract_commutators_kraus(
     the resolvent sum identities.
 
     Raises only when the family cannot be built: InconsistentPsi when Psi
-    does not reproduce the generator or Xi is not trace-symmetric, and
-    NotPSD from Xi's Choi matrix.  The family's form identity is certified
+    does not reproduce the generator or Xi is not trace-symmetric, NotPSD
+    from Xi's Choi matrix, and WrongLevel, from the resolvent check, when
+    Psi is not an algebra-level map.  The family's form identity is certified
     by ``verify_commutator_form``, not here.
     """
     ctx = gen.ctx
@@ -570,7 +565,7 @@ def extract_commutators_kraus(
             f"Psi does not reproduce the generator (residual {defect:.3e})"
         )
 
-    xi = xi_map(gen, psi)
+    xi = to_l2(v_transform(psi, ctx), ctx)
     # trace symmetry tr(A Xi(B)) = tr(Xi(A) B): t2[a n + b, c n + d] = Xi(E_cd)[b, a]
     t2 = xi.mat[:, _unit_perm(n)]
     sym_defect = np.abs(t2 - t2.T).max()

@@ -18,9 +18,14 @@ the functions here are the plain forms those paths are gated against:
   of ``v_transform_quadrature`` separately.  The library sums the same
   rules in closed form as geometric series; both evaluate the rule, not the
   integral, and neither reads the closed-form multiplier of V.
-- ``loop_trace_defect`` is the trace check of
-  ``v_transform_cptp_certificate`` with one application of V per probe, the
-  oracle for the certificate's batched probes.
+- ``dense_schur_choi`` is the Choi matrix of the Schur map
+  T -> b (mult o (b* T b)) b* in the eigenbasis b of Delta, built as a dense
+  n^4 x n^4 matrix for n <= 3.  With V's multiplier it is the Choi matrix of
+  V, the oracle for ``v_transform_cptp_certificate``'s ``min_choi_eig``,
+  which reads the multiplier alone.
+- ``loop_trace_defect`` measures tr V(T) against tr T on random probes, one
+  application of V per probe, the oracle for the certificate's
+  ``trace_defect``, which reads the multiplier's diagonal alone.
 - ``variational_inequality_report`` is the optimality witness of the cone
   projection, Re<a - proj, c - proj> <= tol over random cone points
   (``random_cone_point``).
@@ -56,7 +61,9 @@ from kmsflow.matrix_core import (
 from kmsflow.reports import Check, Report
 from kmsflow.instances import random_generator
 from kmsflow.superop import ALGEBRA, L2, Superoperator, choi, kms_adjoint, superop_exp, unvec, vec
-from kmsflow.vtransform import TRACE_TRIALS, _w_multiplier
+from kmsflow.vtransform import _w_multiplier
+
+TRACE_TRIALS = 20  # probe pairs of loop_trace_defect
 
 
 def projected_gradient_cone_project(
@@ -203,8 +210,18 @@ def trapezoid_coefficients(lam: np.ndarray, nodes: np.ndarray, h: float) -> np.n
     return 2.0 * (e.T @ e)
 
 
+def dense_schur_choi(ctx: DensityContext, mult: np.ndarray) -> np.ndarray:
+    """Choi matrix of T -> b (mult o (b* T b)) b*, b = ``ctx.superop_basis``,
+    through the dense n^4 x n^4 superoperator of the map; n <= 3."""
+    if ctx.dim > 3:
+        raise ValueError(f"the dense Choi oracle is gated at n <= 3, got n = {ctx.dim}")
+    q = kron(ctx.superop_basis.conj(), ctx.superop_basis)
+    m = q @ np.diag(vec(mult)) @ dagger(q)
+    return choi(Superoperator(m, ctx.dim**2, L2))
+
+
 def loop_trace_defect(ctx: DensityContext) -> float:
-    """max |tr V(P) - 1| and |tr V(T) - tr T| over the certificate's probes:
+    """max |tr V(P) - 1| and |tr V(T) - tr T| over TRACE_TRIALS probe pairs:
     per trial a random rank-one projector P, then a random matrix T, drawn in
     that order from the seed-0 generator and each passed through V alone."""
     n2 = ctx.dim**2

@@ -155,9 +155,9 @@ def test_criterion_02_quadrature_oracle():
 
 
 def test_criterion_03_v_transform_cptp():
-    """Choi matrix of V itself is PSD down to -1e-10 for n = 2, 3."""
+    """Choi matrix of V itself is PSD down to -1e-10 for n = 2..5."""
     worst = np.inf
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         for seed in range(5):
             ctx = gen_cache(n, seed)[0].ctx
             rep = v_transform_cptp_certificate(ctx, tol=1e-10)

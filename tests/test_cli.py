@@ -71,6 +71,32 @@ class TestRandom:
         assert code == 0
         np.testing.assert_allclose(rep["results"]["rho"]["re"], [[0.75, 0], [0, 0.25]])
 
+    def test_config_seed_and_n_are_reported(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3, "n": 2}))
+        code, rep = run(capsys, "random", "--config", str(cfg))
+        assert code == 0
+        assert (rep["seed"], rep["n"]) == (3, 2)
+        _, flags = run(capsys, "random", "--n", "2", "--seed", "3")
+        assert rep["results"] == flags["results"]
+
+    @pytest.mark.parametrize(
+        "flag,value,key",
+        [("--n", "3", "n"), ("--seed", "0", "seed"), ("--kraus-rank", "1", "kraus_rank")],
+    )
+    def test_flag_contradicting_config_is_usage_error(self, capsys, tmp_path, flag, value, key):
+        config = {"seed": 3, "n": 2, "kraus_rank": 2}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, rep = run(capsys, "random", "--config", str(cfg), flag, value)
+        assert code == 2
+        assert rep["error"] == {
+            "type": "usage",
+            "message": f"{flag} {value} contradicts {key!r} = {config[key]} in --config {cfg}",
+        }
+        code, rep = run(capsys, "random", "--config", str(cfg), "--seed", "3", "--n", "2")
+        assert code == 0 and (rep["seed"], rep["n"]) == (3, 2)
+
     @pytest.mark.parametrize(
         "cfg", [{"n": "3"}, {"n": 2.5}, {"seed": "x"}, {"kraus_rank": "2"}],
         ids=["n_str", "n_float", "seed_str", "kraus_rank_str"],
@@ -387,6 +413,55 @@ class TestDimensionMismatch:
         cfg.write_text(json.dumps({"n": 3}))
         code, rep = run(capsys, "random", "--config", str(cfg))
         assert code == 0 and rep["n"] == rep["results"]["rho"]["n"] == 3
+
+
+class TestLevelMismatch:
+    """An input map at a level its command cannot read is a schema error
+    naming the file; vtransform and a plain check read either level."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        gen, psi = kf.random_generator(2, 0)
+        files = {name: str(tmp_path / f"{name}.json") for name in ("rho", "psi", "gen")}
+        dump_json(density_to_json(gen.ctx), files["rho"])
+        dump_json(superop_to_json(kf.to_l2(psi, gen.ctx)), files["psi"])
+        dump_json(superop_to_json(gen.L2), files["gen"])
+        return files
+
+    @pytest.mark.parametrize(
+        "argv,culprit",
+        [
+            (["derive", "--method", "kraus", "--rho", "{rho}", "--psi", "{psi}"], "psi"),
+            (["gen-from-cp", "--rho", "{rho}", "--psi", "{psi}"], "psi"),
+            (["check", "--rho", "{rho}", "--superop", "{psi}"], "psi"),
+            (["check", "--generator", "--superop", "{gen}"], "gen"),
+            (["derive", "--method", "gns", "--gen", "{gen}"], "gen"),
+            (["recover-cp", "--gen", "{gen}"], "gen"),
+            (["simulate", "--gen", "{gen}"], "gen"),
+            (["dirichlet-check", "--gen", "{gen}"], "gen"),
+        ],
+        ids=["derive-psi", "gen-from-cp", "check-rho", "check-generator", "derive-gen",
+             "recover-cp", "simulate", "dirichlet-check"],
+    )
+    def test_l2_input_is_schema_error(self, capsys, files, argv, culprit):
+        argv = [a.format(**files) for a in argv]
+        if "--gen" in argv:
+            argv += ["--rho", files["rho"]]
+        code, rep = run(capsys, *argv)
+        assert code == 2
+        assert rep["error"] == {
+            "type": "schema",
+            "message": f"{files[culprit]}: level 'l2', where 'algebra' is needed",
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["vtransform", "--rho", "{rho}", "--superop", "{psi}"], ["check", "--superop", "{psi}"]],
+        ids=["vtransform", "check"],
+    )
+    def test_either_level_accepted(self, capsys, files, argv):
+        code, rep = run(capsys, *[a.format(**files) for a in argv])
+        assert code == 0 and "error" not in rep
 
 
 class TestDerive:

@@ -15,7 +15,6 @@ from kmsflow.derivation import (
     FirstOrderCalculus,
     _form_matrix,
     kms_form_of_generator,
-    xi_map,
 )
 from kmsflow.errors import (
     DimensionMismatch,
@@ -812,7 +811,7 @@ class TestExtractKraus:
         # is the Kraus family of Psi up to the 1/sqrt2 normalization
         gen, psi = tracial_sigma_x_generator()
         fam = kf.extract_commutators_kraus(gen, psi)
-        xi = xi_map(gen, psi)
+        xi = to_l2(kf.v_transform(psi, gen.ctx), gen.ctx)
         assert opnorm(xi.mat - psi.mat) < 1e-12
         f1 = family_form(fam, gen.ctx)
         f2 = family_form(CommutatorFamily(ops=(SX / np.sqrt(2.0),)), gen.ctx)
@@ -992,7 +991,7 @@ class TestCommutatorCalculus:
         def herm(x):
             return 0.5 * (x + dagger(x))
 
-        kraus = kraus_from_choi(choi(xi_map(gen, psi)))
+        kraus = kraus_from_choi(choi(to_l2(kf.v_transform(psi, gen.ctx), gen.ctx)))
         parts = [herm(p * k) / np.sqrt(2.0) for k in kraus for p in (1, -1j)]
         dependent = CommutatorFamily(
             ops=tuple(c * h for h in parts for c in (0.6, 0.8)) + (0.3 * np.eye(n),)

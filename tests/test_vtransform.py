@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 import kmsflow as kf
 from kmsflow.errors import InsufficientRange
 from kmsflow.matrix_core import dagger, eigenbasis_multiply, opnorm
+from kmsflow import vtransform
 from kmsflow.superop import superop_exp
 from kmsflow.vtransform import (
+    _w_multiplier,
     markov_preservation_check,
     v_transform_cptp_certificate,
     v_transform_quadrature,
@@ -14,6 +16,7 @@ from kmsflow.vtransform import (
 
 from certify_oracle import (
     delta_superop,
+    dense_schur_choi,
     identity_superop,
     loop_trace_defect,
     random_markov_operator,
@@ -45,12 +48,17 @@ def dense_w_multiplier(lam):
     return 0.5 * (ratio + 1.0 / ratio)
 
 
+def spectrum_context(p, seed):
+    """rho with spectrum proportional to p in a random eigenbasis."""
+    n = p.size
+    u, _ = np.linalg.qr(rng_matrix(np.random.default_rng(seed), n))
+    return kf.DensityContext.from_rho(u @ np.diag(p / p.sum()) @ dagger(u))
+
+
 def conditioned_context(n, cond):
     """rho with eigenvalues in geometric progression, p_max / p_min = cond,
     in a random eigenbasis."""
-    p = np.geomspace(1.0, 1.0 / cond, n)
-    u, _ = np.linalg.qr(rng_matrix(np.random.default_rng(n), n))
-    return kf.DensityContext.from_rho(u @ np.diag(p / p.sum()) @ dagger(u))
+    return spectrum_context(np.geomspace(1.0, 1.0 / cond, n), seed=n)
 
 
 def node_by_node_rules(s, ctx, info):
@@ -310,18 +318,64 @@ class TestCptpCertificate:
         assert rep.check("min_choi_eig").value >= -1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_batched_trace_probes_match_loop(self, n):
+    def test_trace_defect_reads_multiplier_diagonal(self, n):
         contexts = [cached_generator(n, seed)[0].ctx for seed in range(3)]
         contexts.append(conditioned_context(n, 1e5))
         for ctx in contexts:
             rep = v_transform_cptp_certificate(ctx)
-            assert abs(rep.check("trace_defect").value - loop_trace_defect(ctx)) <= 1e-14
+            diag = np.diagonal(1.0 / _w_multiplier(ctx))
+            assert rep.check("trace_defect").value == np.abs(diag - 1.0).max()
+            assert loop_trace_defect(ctx) <= rep.check("trace_defect").bound
 
-    def test_choi_skipped_for_large_n(self):
-        gen, _ = cached_generator(4, 3)
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_min_choi_eig_certified_beyond_dense_oracle(self, n):
+        gen, _ = cached_generator(n, 3)
         rep = v_transform_cptp_certificate(gen.ctx)
         assert rep.passed
-        assert "choi_skipped" in rep.metrics
+        assert rep.check("min_choi_eig").value >= -1e-13
+        assert not rep.metrics
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_min_choi_eig_matches_dense_oracle(self, n, monkeypatch):
+        contexts = [cached_generator(n, seed)[0].ctx for seed in range(5)]
+        contexts += [kf.random_generator(n, seed, cond_bound=1e6)[0].ctx for seed in range(5)]
+        contexts.append(spectrum_context(np.array([2.0] * (n - 1) + [1.0]), seed=n))
+        contexts.append(spectrum_context(np.ones(n), seed=n))
+        for ctx in contexts:
+            rep = v_transform_cptp_certificate(ctx)
+            c = dense_schur_choi(ctx, 1.0 / _w_multiplier(ctx))
+            dense_min = np.linalg.eigvalsh(0.5 * (c + dagger(c)))[0]
+            assert rep.passed
+            assert abs(rep.check("min_choi_eig").value - dense_min) <= 1e-13
+        # negative control: the same certificate on W's multiplier, which is
+        # indefinite unless rho is tracial
+        monkeypatch.setattr(vtransform, "_w_multiplier", lambda ctx: 1.0 / _w_multiplier(ctx))
+        for ctx in contexts[:-1]:
+            rep = v_transform_cptp_certificate(ctx)
+            assert not rep.check("min_choi_eig").passed()
+        assert v_transform_cptp_certificate(contexts[-1]).passed
+
+    @given(
+        st.sampled_from([2, 3]),
+        st.floats(1.0, 1e6),
+        st.sampled_from(["distinct", "repeated", "tracial"]),
+        st.integers(0, 10_000),
+    )
+    @settings(derandomize=True)
+    def test_schur_choi_spectrum_is_multiplier_spectrum(self, n, cond, kind, seed):
+        rng = np.random.default_rng(seed)
+        p = np.exp(rng.uniform(0.0, np.log(cond), n))
+        if kind == "repeated":
+            p[1] = p[0]
+        elif kind == "tracial":
+            p = np.ones(n)
+        ctx = spectrum_context(p, seed)
+        w = _w_multiplier(ctx)
+        for mult in (1.0 / w, w):
+            c = dense_schur_choi(ctx, mult)
+            dense = np.linalg.eigvalsh(0.5 * (c + dagger(c)))
+            expect = np.sort(np.concatenate([np.linalg.eigvalsh(mult), np.zeros(n**4 - n**2)]))
+            assert np.abs(dense - expect).max() <= 1e-13 * max(1.0, opnorm(mult))
 
 
 class TestMarkovPreservation:
