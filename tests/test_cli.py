@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kmsflow as kf
 from kmsflow import derivation
@@ -108,6 +112,24 @@ class TestRandom:
         assert code == 2
         assert rep["error"]["type"] == "schema"
         assert repr(next(iter(cfg))) in rep["error"]["message"]
+
+    def test_config_rho_sets_n(self, capsys, tmp_path):
+        # n defaults to the dimension of the config's rho; an n that
+        # contradicts it is a usage error
+        ctx, _ = kf.random_instance(3, 1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rho": density_to_json(ctx), "seed": 2}))
+        code, rep = run(capsys, "random", "--config", str(cfg))
+        assert code == 0
+        assert (rep["seed"], rep["n"]) == (2, 3)
+        np.testing.assert_array_equal(rep["results"]["rho"]["re"], ctx.rho.real)
+        assert rep["results"]["psi"]["n"] == 3
+        contradiction = {"type": "usage", "message": "supplied density has dimension 3, expected 2"}
+        code, rep = run(capsys, "random", "--config", str(cfg), "--n", "2")
+        assert (code, rep["error"]) == (2, contradiction)
+        cfg.write_text(json.dumps({"rho": density_to_json(ctx), "n": 2}))
+        code, rep = run(capsys, "random", "--config", str(cfg))
+        assert (code, rep["error"]) == (2, contradiction)
 
     def test_seeded_command_honors_given_rho(self, capsys, tmp_path):
         rho, _ = write_instance(tmp_path, capsys, seed=20)
@@ -321,7 +343,7 @@ class TestGeneratorCommands:
 
 # every stage `derive --method both` (and so `uniqueness`) times
 BOTH_STAGES = {
-    "gns_calculus", "calculus_invariants", "extract_commutators_gns", "gns_form",
+    "generator", "gns_calculus", "calculus_invariants", "extract_commutators_gns", "gns_form",
     "kraus_route", "kraus_form", "commutator_calculus", "uniqueness_witness", "total",
 }
 
@@ -709,16 +731,6 @@ class TestUniqueness:
 
 
 class TestTol:
-    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1", "0"])
-    def test_invalid_tol_is_usage_error(self, capsys, tmp_path, tol):
-        # at inf the transpose map would pass cp against a bound of -inf
-        f = write_transpose_map(tmp_path)
-        code, rep = run(capsys, "check", "--superop", str(f), f"--tol={tol}")
-        assert code == 2
-        assert rep["error"]["type"] == "usage"
-        assert "--tol" in rep["error"]["message"]
-        assert rep["results"] == {} and "tol" not in rep
-
     def test_given_tol_is_read(self, capsys, tmp_path):
         rho, psi = write_instance(tmp_path, capsys, seed=3)
         code, rep = run(capsys, "check", "--superop", str(psi), "--rho", str(rho),
@@ -728,24 +740,60 @@ class TestTol:
         assert rep["results"]["cp"]["tol"] == 1e-6
         assert rep["results"]["kms_symmetric"]["tol"] == 1e-6
 
-    @pytest.mark.parametrize("argv", [
-        ["derive", "--n", "2"],
-        ["uniqueness", "--n", "2"],
-        ["random", "--n", "2"],
-    ])
-    def test_unread_tol_is_usage_error(self, capsys, argv):
-        code, rep = run(capsys, *argv, "--tol", "123")
-        assert code == 2
-        assert rep["error"]["type"] == "usage"
-        assert "--tol" in rep["error"]["message"]
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("tol")
+        gen, psi = kf.random_generator(2, 1)
+        files = {name: str(tmp / f"{name}.json") for name in ("rho", "psi", "gen")}
+        dump_json(density_to_json(gen.ctx), files["rho"])
+        dump_json(superop_to_json(psi), files["psi"])
+        dump_json(superop_to_json(gen.L), files["gen"])
+        return files
 
-    def test_unread_tol_on_file_commands(self, capsys, tmp_path):
-        rho, psi = write_instance(tmp_path, capsys, seed=3)
-        code, rep = run(capsys, "vtransform", "--superop", str(psi), "--rho", str(rho),
-                        "--tol", "1e-8")
-        assert (code, rep["error"]["type"]) == (2, "usage")
-        code, rep = run(capsys, "verify", "--report", str(psi), "--tol", "1e-8")
-        assert (code, rep["error"]["type"]) == (2, "usage")
+    # a cheap command line per command; derive and uniqueness read --tol
+    # only with --gen
+    TOL_ARGV = {
+        "check": ["check", "--superop", "{psi}", "--rho", "{rho}"],
+        "vtransform": ["vtransform", "--superop", "{psi}", "--rho", "{rho}"],
+        "gen-from-cp": ["gen-from-cp", "--psi", "{psi}", "--rho", "{rho}"],
+        "recover-cp": ["recover-cp", "--n", "2"],
+        "derive": ["derive", "--method", "gns", "--n", "2"],
+        "derive-gen": ["derive", "--method", "gns", "--gen", "{gen}", "--rho", "{rho}"],
+        "uniqueness": ["uniqueness", "--n", "2"],
+        "uniqueness-gen": ["uniqueness", "--gen", "{gen}", "--rho", "{rho}"],
+        "simulate": ["simulate", "--n", "2"],
+        "dirichlet-check": ["dirichlet-check", "--n", "2", "--trials", "2"],
+        "random": ["random", "--n", "2"],
+        "verify": ["verify", "--report", "{psi}"],
+    }
+    READS_TOL = ("check", "gen-from-cp", "recover-cp", "derive-gen", "uniqueness-gen",
+                 "simulate", "dirichlet-check")
+
+    @pytest.mark.parametrize("case", list(TOL_ARGV))
+    def test_tol_accepted_only_where_read(self, capsys, files, case):
+        argv = [a.format(**files) for a in self.TOL_ARGV[case]]
+        code, rep = run(capsys, *argv, "--tol", "1e-8")
+        if case in self.READS_TOL:
+            assert code == 0 and "error" not in rep
+            assert rep["tol"] == 1e-8
+        else:
+            assert code == 2
+            assert rep["error"]["type"] == "usage"
+            assert "--tol" in rep["error"]["message"]
+            assert rep["results"] == {}
+
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1", "0"])
+    @pytest.mark.parametrize("case", READS_TOL)
+    def test_invalid_tol_is_usage_error(self, capsys, files, case, tol):
+        # at inf, cp would pass any map against a bound of -inf
+        argv = [a.format(**files) for a in self.TOL_ARGV[case]]
+        code, rep = run(capsys, *argv, f"--tol={tol}")
+        assert code == 2
+        assert rep["error"] == {
+            "type": "usage",
+            "message": f"argument --tol: must be finite and > 0, got {float(tol)!r}",
+        }
+        assert rep["results"] == {} and "tol" not in rep
 
     def test_derive_with_gen_reads_tol(self, capsys, tmp_path):
         rho, psi = write_instance(tmp_path, capsys, seed=1)
@@ -774,10 +822,17 @@ class TestParserCache:
         assert set(rep["results"]["chernoff_residuals"]) == {"8", "64"}
 
     def test_rejected_argv_leaves_parser_intact(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["derive", "--method", "nope"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        # a command line the parser rejects is a usage report, not an exit
+        code, rep = run(capsys, "derive", "--method", "nope")
+        assert code == 2
+        assert rep == {
+            "schema_version": 1, "command": "derive", "results": {}, "timings_s": {},
+            "error": {
+                "type": "usage",
+                "message": "argument --method: invalid choice: 'nope'"
+                           " (choose from 'gns', 'kraus', 'both')",
+            },
+        }
         code, rep = run(capsys, "derive", "--method", "gns", "--n", "2")
         assert code == 0
         assert rep["results"]["gns_form"]["pass"]
@@ -874,3 +929,123 @@ class TestVerifyMalformed:
         assert rep["error"]["type"] == "schema"
         assert str(out) in rep["error"]["message"]
         assert "results/calculus_invariants" in rep["error"]["message"]
+
+
+# The CLI's vocabulary: each option with valid and invalid values, as
+# token lists; "{name}" is a file in a fresh directory, written from
+# TestEveryArgv.documents or left absent.  Sizes stay small (n <= 3,
+# --trials <= 2, --quadrature in {0, 5, 1000}) so that a run is cheap.
+ARGV_FILES = ("{rho}", "{rho3}", "{psi}", "{psi_l2}", "{gen}", "{malformed}", "{missing}")
+ARGV_VALUES = {
+    "--superop": ARGV_FILES,
+    "--rho": ARGV_FILES,
+    "--psi": ARGV_FILES,
+    "--gen": ARGV_FILES,
+    "--report": ("{report}", "{psi}", "{malformed}", "{missing}"),
+    "--config": ("{cfg}", "{cfg_rho3}", "{cfg_bad}", "{cfg_list}", "{cfg_rho_str}",
+                 "{malformed}", "{missing}"),
+    "--out": ("{out}",),
+    "--dump": ("{dump}",),
+    "--rho-out": ("{rho_out}",),
+    "--psi-out": ("{psi_out}",),
+    "--generator": (),
+    "--tol": ("1e-8", "1e-6", "inf", "nan", "0", "-1", "x"),
+    "--seed": ("0", "1", "-1", "x"),
+    "--n": ("2", "3", "1", "0", "-1", "x"),
+    "--kraus-rank": ("1", "2", "0", "x"),
+    "--cond-bound": ("1", "100", "0.5", "nan", "inf"),
+    "--method": ("gns", "kraus", "both", "nope"),
+    "--quadrature": ("0", "5", "1000"),
+    "--t": ("0", "1", "-1", "nan", "inf"),
+    "--steps": ("1", "8 64", "0", "-1"),
+    "--trials": ("1", "2", "0", "-3"),
+}
+SEEDED = ("--rho", "--gen", "--tol", "--seed", "--n", "--kraus-rank", "--cond-bound", "--out")
+ARGV_COMMANDS = {
+    "check": ("--superop", "--generator", "--rho", "--tol", "--out"),
+    "vtransform": ("--superop", "--quadrature", "--rho", "--out"),
+    "gen-from-cp": ("--psi", "--rho", "--tol", "--out"),
+    "recover-cp": SEEDED,
+    "derive": (*SEEDED, "--method", "--psi", "--dump"),
+    "uniqueness": (*SEEDED, "--psi"),
+    "simulate": (*SEEDED, "--t", "--steps"),
+    "dirichlet-check": (*SEEDED, "--trials"),
+    "random": ("--seed", "--n", "--kraus-rank", "--cond-bound", "--config", "--rho-out",
+               "--psi-out", "--out"),
+    "verify": ("--report", "--out"),
+}
+# drawn first, so that most command lines get past the parser; --trials
+# because it defaults to 50
+ARGV_LEADING = {"check": "--superop", "vtransform": "--superop", "gen-from-cp": "--psi",
+                "verify": "--report", "dirichlet-check": "--trials"}
+
+
+@st.composite
+def command_lines(draw):
+    """A command line from the CLI's vocabulary: a command or a stray word,
+    then options, mostly the command's own, each with a value or none."""
+    command = draw(st.sampled_from([*ARGV_COMMANDS, "nope", "--tol"]))
+    own = ARGV_COMMANDS.get(command, ())
+    options = [ARGV_LEADING[command]] if command in ARGV_LEADING else []
+    for _ in range(draw(st.integers(0, 4))):
+        pool = own if own and draw(st.integers(0, 5)) else tuple(ARGV_VALUES)
+        options.append(draw(st.sampled_from(pool)))
+    argv = [command]
+    for option in options:
+        argv.append(option)
+        if ARGV_VALUES[option] and draw(st.integers(0, 9)):
+            argv += draw(st.sampled_from(ARGV_VALUES[option])).split()
+    return argv
+
+
+class TestEveryArgv:
+    """Every command line (--help aside) yields exactly one JSON report and
+    an exit code in 0..3, and exit 2 is exactly a schema or usage error."""
+
+    @pytest.fixture(scope="class")
+    def documents(self):
+        """File name -> JSON text of the inputs; the rest are paths only."""
+        gen, psi = kf.random_generator(2, 1)
+        ctx3, _ = kf.random_instance(3, 1)
+        docs = {
+            "rho": density_to_json(gen.ctx),
+            "rho3": density_to_json(ctx3),
+            "psi": superop_to_json(psi),
+            "psi_l2": superop_to_json(kf.to_l2(psi, gen.ctx)),
+            "gen": superop_to_json(gen.L),
+            "cfg": {"n": 2, "seed": 1},
+            "cfg_rho3": {"rho": density_to_json(ctx3)},
+            "cfg_bad": {"n": "3"},
+            "cfg_list": [2, 1],
+            "cfg_rho_str": {"rho": "fixed"},
+        }
+        texts = {name: dump_json(doc) for name, doc in docs.items()}
+        texts["malformed"] = "{not json"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["derive", "--n", "2"]) == 0
+        texts["report"] = out.getvalue()
+        return texts
+
+    @settings(derandomize=True)
+    @given(argv=st.one_of(st.just([]), command_lines()))
+    def test_one_json_report(self, documents, argv):
+        # fresh files for each command line: an output option may name an input
+        # (random --rho is argparse's abbreviation of --rho-out)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: os.path.join(tmp, f"{name}.json") for name in (
+                *documents, "missing", "out", "dump", "rho_out", "psi_out")}
+            for name, text in documents.items():
+                Path(paths[name]).write_text(text)
+            argv = [a.format(**paths) for a in argv]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    raise AssertionError(f"main exited with {exc.code!r}") from exc
+        rep = json.loads(out.getvalue())  # exactly one document
+        assert rep["schema_version"] == 1
+        assert rep["command"] == (argv[0] if argv else None)
+        assert code in (0, 1, 2, 3)
+        assert (code == 2) == (rep.get("error", {}).get("type") in ("schema", "usage"))
