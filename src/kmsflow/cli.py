@@ -5,15 +5,17 @@ included, emits a single JSON report on stdout containing a schema version,
 timings, seeds, tolerances and every metric produced.  Exit codes: 0 all
 certifications passed, 1 certification failure, 2 schema or usage error, 3
 infeasible recovery (no admissible CP map: -L is not CCN).  A rejected
-command line is a usage error whose ``command`` is the first argument, or
-null when there is none; only --help prints argparse's help instead of a
-report.  Input files whose dimensions disagree (--rho against --superop,
---psi or --gen, or --psi against the generator), an input map at a level
-its command cannot read (--psi or --gen at the L2 level, or an L2-level
-``check --superop`` with --rho or --generator), and a report for ``verify``
-whose checks are malformed are schema errors; an --n that contradicts
---rho, and an --n, --seed or --kraus-rank that contradicts the ``random
---config`` file or an n that contradicts its "rho", are usage errors.
+command line, an abbreviated option included, is a usage error whose
+``command`` is the first argument, or null when there is none; only --help
+prints argparse's help instead of a report.  Input files whose dimensions
+disagree (--rho against --superop, --psi or --gen, or --psi against the
+generator), an input map at a level its command cannot read (--psi or --gen
+at the L2 level, or an L2-level ``check --superop`` with --rho or
+--generator), an unknown ``random --config`` key, and a report for
+``verify`` whose checks or "pass" are malformed are schema errors; an --n
+that contradicts --rho, an --n, --seed or --kraus-rank that contradicts the
+``random --config`` file or an n that contradicts its "rho", and an output
+file that cannot be written are usage errors.
 
 The seeded commands and ``random`` read their inputs the same way: the
 values of a ``random --config`` file are the defaults of the flags not
@@ -35,7 +37,7 @@ per route that ran, dim H, m and the family size; it is not a report, so
 --tol must be finite and > 0, and only the commands that read it declare
 it: check, gen-from-cp, recover-cp, simulate and dirichlet-check, and derive
 and uniqueness, which read it only with --gen.  Anything else is a usage
-error (exit 2).
+error (exit 2), and so is --psi with ``derive --method gns``.
 
 The argument parser is built once per process and reused by every later
 :func:`main` call, which saves its set-up for in-process callers that run
@@ -76,8 +78,11 @@ _ERRORS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Rejects a command line with a usage error (ValueError) instead of
-    exiting; its subparsers inherit the class."""
+    """Rejects a command line, an abbreviated option included, with a usage
+    error (ValueError) instead of exiting; its subparsers inherit the class."""
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message):
         raise ValueError(message)
@@ -209,7 +214,14 @@ def main(argv=None) -> int:
             r.get("pass", True) for r in report["results"].values() if isinstance(r, dict)
         )
         code = EXIT_PASS if report["pass"] else EXIT_FAIL
-    print(serialize.dump_json(report, out))
+    try:
+        text = serialize.dump_json(report, out)
+    except ValueError as exc:  # --out cannot be written
+        report.pop("pass", None)
+        report["error"] = {"type": "usage", "message": str(exc)}
+        code = EXIT_SCHEMA
+        text = serialize.dump_json(report)
+    print(text)
     return code
 
 
@@ -253,6 +265,9 @@ def _seeded_inputs(args) -> tuple:
         cfg = serialize.load_json(args.config)
         if not isinstance(cfg, dict):
             raise SchemaError(f"{args.config}: expected an object")
+        unknown = sorted(set(cfg) - {*given, "rho"})
+        if unknown:
+            raise SchemaError(f"{args.config}: unknown keys {unknown}")
         for key, flag in given.items():
             if key not in cfg:
                 continue
@@ -355,13 +370,14 @@ def _recover_cp(args, report) -> None:
                       gen, tol=1e-8 if args.tol is None else args.tol)
     results["recover_cp"] = rep.to_json_dict()
     results["psi"] = serialize.superop_to_json(psi)
-    results["cp"] = superop.is_cp(psi, tol=gen.ctx.tol).to_json_dict()
     results["kms_symmetric"] = superop.is_kms_symmetric(psi, gen.ctx).to_json_dict()
 
 
 def _derive(args, report) -> None:  # uniqueness is derive --method both
     if args.tol is not None and not args.gen:
         raise ValueError(f"{args.command} reads --tol only with --gen")
+    if args.psi and args.method == "gns":
+        raise ValueError("derive --method gns reads no --psi: only the Kraus route does")
     results = report["results"]
     timed = functools.partial(_timed, report["timings_s"])
     gen, psi = _seeded_generator(args, report)
@@ -463,12 +479,11 @@ def _verify(args, report) -> None:
                     rep = Report.from_json_dict(node)
                 except SchemaError as exc:
                     raise SchemaError(f"{args.report}: report at {path or '/'}: {exc}") from exc
-                if bool(rep.passed) != bool(node["pass"]):
+                agree = rep.passed == node["pass"]
+                if not agree:
                     mismatches.append(path)
                 results[path or rep.name] = {
-                    "stored_pass": bool(node["pass"]),
-                    "recomputed_pass": bool(rep.passed),
-                    "pass": bool(rep.passed) == bool(node["pass"]),
+                    "stored_pass": node["pass"], "recomputed_pass": rep.passed, "pass": agree,
                 }
             else:
                 for k, v in node.items():

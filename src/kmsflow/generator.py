@@ -165,8 +165,9 @@ def recover_cp_from_generator(gen: MarkovGenerator, tol: float = 1e-8):
     round trip is exact.
 
     Returns (psi, report) with the checks ``roundtrip_residual`` and
-    ``min_choi_eig``.  Raises Infeasible, carrying the report, when Choi
-    positivity fails: then no admissible Psi exists.
+    ``min_choi_eig``, the latter ``is_cp``'s check of psi at ``ctx.tol``.
+    Raises Infeasible, carrying the report, when Choi positivity fails: then
+    no admissible Psi exists.
     """
     ctx = gen.ctx
     c_psi = compressed_choi(gen.L)
@@ -176,8 +177,7 @@ def recover_cp_from_generator(gen: MarkovGenerator, tol: float = 1e-8):
     # Round trip through the public representation: recompute k from psi.
     roundtrip = opnorm(resolvent_generator(psi, ctx).mat - gen.L.mat)
     rep.checks.append(Check("roundtrip_residual", roundtrip, tol * max(1.0, gen.L.norm), "le"))
-    min_eig = Check("min_choi_eig", float(np.linalg.eigvalsh(c_psi).min()),
-                    -ctx.tol * max(1.0, opnorm(c_psi)), "ge")
+    min_eig = is_cp(psi, tol=ctx.tol).check("min_choi_eig")
     rep.checks.append(min_eig)
     if not min_eig.passed():
         raise Infeasible(

@@ -79,8 +79,10 @@ class Report:
     def from_json_dict(d: dict) -> "Report":
         """The report of a JSON object written by ``to_json_dict``.  Raises
         SchemaError when ``checks`` is not a list of objects, a check lacks a
-        string name, a numeric value or bound, or a kind "le" or "ge", or
-        ``tol`` is not a number."""
+        string name, a numeric value or bound, or a kind "le" or "ge",
+        ``tol`` is not a number, or a stored ``pass`` is not a boolean."""
+        if not isinstance(d.get("pass", False), bool):
+            raise SchemaError(f"'pass' must be a boolean, got {d['pass']!r}")
         checks = d.get("checks", [])
         if not isinstance(checks, list):
             raise SchemaError("'checks' must be a list of check objects")

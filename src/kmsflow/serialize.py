@@ -120,8 +120,13 @@ def load_json(path: str):
 
 
 def dump_json(obj, path: str | None = None) -> str:
+    """The JSON text of ``obj``, also written to ``path`` when given; a path
+    that cannot be written raises ValueError naming it."""
     text = json.dumps(obj, indent=2, sort_keys=False)
     if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
     return text

@@ -46,8 +46,6 @@ ALGEBRA = "algebra"
 L2 = "l2"
 _LEVELS = (ALGEBRA, L2)
 
-# times t at which ``is_ccn`` probes exp(-t L) for complete positivity
-EXP_PROBE_TIMES = (1e-3, 1e-2, 1e-1, 1.0)
 # relative eigenvalue floor of ``kraus_from_choi``: the rank decision and the
 # clamp of negative rounding; equal to the derivation layer's NULL_CUTOFF
 KRAUS_RANK_TOL = 1e-10
@@ -315,11 +313,10 @@ def is_ccn(lgen: Superoperator, tol: float = 1e-9) -> Report:
     ``unital_kernel_report``, whose value and bound UnitalityViolated
     carries, and Hermiticity preservation on the matrix-unit basis.
 
-    Primary criterion: the Choi matrix of -L, compressed to the orthogonal
-    complement of vec(I), is positive semidefinite down to -tol * ||L||.
-    Secondary witness: exp(-t L) is completely positive at EXP_PROBE_TIMES.
-    Both verdicts are recorded and a disagreement is flagged; the verdict of
-    the report is the primary criterion together with the agreement flag.
+    Criterion: the Choi matrix of -L, compressed to the orthogonal
+    complement of vec(I), is PSD down to -tol * max(||L||, 1), which holds
+    exactly when every exp(-t L), t >= 0, is completely positive (Lindblad
+    1976, Evans 1977), so it certifies the semigroup too.
     """
     if lgen.level != ALGEBRA:
         raise WrongLevel("is_ccn expects an algebra-level generator")
@@ -340,29 +337,9 @@ def is_ccn(lgen: Superoperator, tol: float = 1e-9) -> Report:
         )
 
     min_eig = float(np.linalg.eigvalsh(compressed_choi(lgen)).min())
-
-    probe = {}
-    probe_pass = True
-    for t in EXP_PROBE_TIMES:
-        r = is_cp(superop_exp(lgen, t), tol=tol)
-        probe[f"exp_probe_min_eig_t={t:g}"] = r.check("min_choi_eig").value
-        probe_pass = probe_pass and r.passed
-
     rep = Report(name="ccn", tol=tol)
     rep.checks.append(Check("min_projected_choi_eig", min_eig, -tol * scale, "ge"))
-    primary_pass = min_eig >= -tol * scale
-    rep.checks.append(
-        Check("criteria_agree", 1.0 if probe_pass == primary_pass else 0.0, 1.0, "ge")
-    )
-    rep.metrics.update(probe)
-    rep.metrics.update(
-        {
-            "unital_defect": unital.value,
-            "hermiticity_defect": herm_defect,
-            "exp_probe_pass": probe_pass,
-            "norm": lgen.norm,
-        }
-    )
+    rep.metrics.update({"hermiticity_defect": herm_defect, "norm": lgen.norm})
     return rep
 
 

@@ -14,8 +14,8 @@ element coupling Delta-eigenvalues (lam_a, lam_b) is multiplied by
 Since w >= 1 the closed-form V is unconditionally stable and contractive;
 it is the production path.  V is thus the Schur multiplier v in the
 eigenbasis of Delta, and its CPTP certificate reads v directly: V is
-completely positive iff v is positive semidefinite, and trace preserving iff
-diag(v) = 1, at every n.  The integral representation
+completely positive iff v is positive semidefinite, and trace preserving and
+unital iff diag(v) = 1, at every n.  The integral representation
 
     V(S) = 2 int_0^inf Delta^{1/4} e^{-r Delta^{1/2}} S
                        Delta^{1/4} e^{-r Delta^{1/2}} dr
@@ -155,14 +155,12 @@ def v_transform_cptp_certificate(ctx: DensityContext, tol: float = 1e-9) -> Repo
     is unitarily congruent to sum_ij v_ij E_ij (x) E_ij, whose spectrum is
     eig(v) and n^4 - n^2 zeros: ``min_choi_eig`` is min(lambda_min(v), 0)
     (Paulsen, Completely Bounded Maps and Operator Algebras, Thm 3.7).
-    tr V(T) = sum_i v_ii (b* T b)_ii for every T, so ``trace_defect`` is
-    max_i |v_ii - 1|.  ``unital_defect`` applies V to the identity.
+    ``trace_defect`` is max_i |v_ii - 1|, which certifies both trace
+    preservation and unitality: tr V(T) = sum_i v_ii (b* T b)_ii for every
+    T, and V(I) = b diag(v) b*, so ||V(I) - I|| is the same max_i |v_ii - 1|.
     """
-    n2 = ctx.dim**2
     v = 1.0 / _w_multiplier(ctx)
     rep = Report(name="v_cptp", tol=tol)
-    unital = eigenbasis_multiply(ctx.superop_basis, v, np.eye(n2, dtype=complex))
-    rep.checks.append(Check("unital_defect", opnorm(unital - np.eye(n2)), tol, "le"))
     trace_defect = float(np.abs(np.diagonal(v) - 1.0).max())
     rep.checks.append(Check("trace_defect", trace_defect, tol, "le"))
     min_eig = min(float(np.linalg.eigvalsh(v)[0]), 0.0)

@@ -3,6 +3,9 @@
 The library computes each of these in closed form or in one batched pass;
 the functions here are the plain forms those paths are gated against:
 
+- ``exp_probe_ccn`` tests conditional complete negativity of a generator L
+  through its semigroup, as complete positivity of exp(-t L) at
+  EXP_PROBE_TIMES, the oracle for ``is_ccn``'s compressed-Choi criterion.
 - ``projected_gradient_cone_project`` solves the cone projection
   a ^ rho^{1/2} as min_{v >= 0} ||a - rho^{1/2} + rho^{1/4} v rho^{1/4}||_F^2
   by projected gradient, the oracle for the closed-form ``cone_project``.
@@ -60,10 +63,28 @@ from kmsflow.matrix_core import (
 )
 from kmsflow.reports import Check, Report
 from kmsflow.instances import random_generator
-from kmsflow.superop import ALGEBRA, L2, Superoperator, choi, kms_adjoint, superop_exp, unvec, vec
+from kmsflow.superop import (
+    ALGEBRA,
+    L2,
+    Superoperator,
+    choi,
+    is_cp,
+    kms_adjoint,
+    superop_exp,
+    unvec,
+    vec,
+)
 from kmsflow.vtransform import _w_multiplier
 
 TRACE_TRIALS = 20  # probe pairs of loop_trace_defect
+# times t at which ``exp_probe_ccn`` probes exp(-t L) for complete positivity
+EXP_PROBE_TIMES = (1e-3, 1e-2, 1e-1, 1.0)
+
+
+def exp_probe_ccn(lgen: Superoperator, tol: float = 1e-9) -> bool:
+    """Whether exp(-t L) passes ``is_cp`` at ``tol`` at every time in
+    EXP_PROBE_TIMES: a semigroup probe of conditional complete negativity."""
+    return all(is_cp(superop_exp(lgen, t), tol=tol).passed for t in EXP_PROBE_TIMES)
 
 
 def projected_gradient_cone_project(

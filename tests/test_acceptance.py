@@ -31,6 +31,7 @@ from calculus_oracle import (
     spanning_family,
     trimmed_commutator_calculus,
 )
+from certify_oracle import exp_probe_ccn
 from kmsflow.derivation import FORM_TOL, kms_form_of_generator
 from kmsflow.generator import cone_project
 from kmsflow.matrix_core import dagger, opnorm
@@ -183,8 +184,8 @@ def test_criterion_04_markov_preservation():
 
 def test_criterion_05_generator_certification():
     """Every generator built from certified CP data passes kernel, KMS
-    symmetry and CND; the two CND criteria agree on instances and on 100
-    sign-flipped negative controls."""
+    symmetry and CND; the CND verdict agrees with the semigroup probe oracle
+    on instances and on 100 sign-flipped negative controls."""
     worst_kernel = worst_kms = 0.0
     worst_cnd = 0.0
     for n in DIMS:
@@ -195,7 +196,8 @@ def test_criterion_05_generator_certification():
             kms = gen.certificates["kms_symmetric"].check("kms_defect").value / scale
             cnd = gen.certificates["ccn"].check("min_projected_choi_eig").value / scale
             assert kernel <= 1e-10 and kms <= 1e-10 and cnd >= -1e-8, (n, seed)
-            assert gen.certificates["ccn"].check("criteria_agree").passed()
+            ccn = gen.certificates["ccn"]
+            assert ccn.passed and exp_probe_ccn(gen.L, tol=ccn.tol), (n, seed)
             worst_kernel = max(worst_kernel, kernel)
             worst_kms = max(worst_kms, kms)
             worst_cnd = min(worst_cnd, cnd)
@@ -205,8 +207,7 @@ def test_criterion_05_generator_certification():
             gen, _ = gen_cache(n, seed)
             rep = kf.is_ccn(-1.0 * gen.L, tol=1e-8)
             assert rep.check("min_projected_choi_eig").value < 0
-            assert not rep.metrics["exp_probe_pass"]
-            assert rep.check("criteria_agree").passed(), (n, seed)
+            assert not rep.passed and not exp_probe_ccn(-1.0 * gen.L, tol=1e-8), (n, seed)
             controls += 1
             if controls >= 100:
                 break

@@ -113,6 +113,15 @@ class TestRandom:
         assert rep["error"]["type"] == "schema"
         assert repr(next(iter(cfg))) in rep["error"]["message"]
 
+    def test_unknown_config_key_is_schema_error(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 3, "kraus-rank": 1, "cond_bound": 1e6}))
+        code, rep = run(capsys, "random", "--config", str(path))
+        assert code == 2
+        assert rep["error"]["type"] == "schema"
+        assert str(path) in rep["error"]["message"]
+        assert "['cond_bound', 'kraus-rank']" in rep["error"]["message"]
+
     def test_config_rho_sets_n(self, capsys, tmp_path):
         # n defaults to the dimension of the config's rho; an n that
         # contradicts it is a usage error
@@ -285,7 +294,9 @@ class TestGeneratorCommands:
         code, rep = run(capsys, "recover-cp", "--seed", "8", "--n", "2")
         assert code == 0
         assert rep["results"]["recover_cp"]["pass"]
-        assert rep["results"]["cp"]["pass"]
+        # Psi's Choi positivity is recorded once, as recover_cp's min_choi_eig
+        assert ("recover_cp", "min_choi_eig") in check_values(rep)
+        assert "cp" not in rep["results"]
 
     def test_simulate(self, capsys):
         code, rep = run(capsys, "simulate", "--seed", "9", "--n", "2",
@@ -330,14 +341,13 @@ class TestGeneratorCommands:
     def test_recover_cp_kraus_rank_one(self, capsys):
         code, rep = run(capsys, "recover-cp", "--n", "3", "--seed", "1", "--kraus-rank", "1")
         assert code == 0
-        for name in ("recover_cp", "cp", "kms_symmetric"):
+        for name in ("recover_cp", "kms_symmetric"):
             assert rep["results"][name]["pass"]
 
     def test_recover_cp_n4(self, capsys):
         code, rep = run(capsys, "recover-cp", "--seed", "1", "--n", "4")
         assert code == 0
         assert rep["results"]["recover_cp"]["pass"]
-        assert rep["results"]["cp"]["pass"]
         assert rep["results"]["kms_symmetric"]["pass"]
 
 
@@ -609,6 +619,16 @@ class TestDerive:
                         "--cond-bound", "1.0")
         assert code == 0
         assert rep["pass"]
+
+    def test_unread_psi_is_usage_error(self, capsys, tmp_path):
+        _, psi = write_instance(tmp_path, capsys, seed=5)
+        code, rep = run(capsys, "derive", "--method", "gns", "--n", "2", "--psi", str(psi))
+        assert code == 2
+        assert rep["error"] == {
+            "type": "usage",
+            "message": "derive --method gns reads no --psi: only the Kraus route does",
+        }
+        assert rep["results"] == {}
 
     def test_single_route(self, capsys):
         code, rep = run(capsys, "derive", "--method", "gns", "--seed", "2", "--n", "2")
@@ -901,8 +921,9 @@ class TestVerify:
 
 
 class TestVerifyMalformed:
-    """A report whose checks cannot be read is a schema error that names the
-    report file and the report inside it, not a traceback."""
+    """A report whose checks cannot be read, or whose stored verdict is not a
+    boolean, is a schema error that names the report file and the report
+    inside it, not a traceback."""
 
     @pytest.mark.parametrize(
         "tamper",
@@ -930,6 +951,54 @@ class TestVerifyMalformed:
         assert str(out) in rep["error"]["message"]
         assert "results/calculus_invariants" in rep["error"]["message"]
 
+    @pytest.mark.parametrize("stored", ["false", 0])
+    def test_non_boolean_pass_is_schema_error(self, capsys, tmp_path, stored):
+        out = tmp_path / "report.json"
+        code = main(["derive", "--n", "2", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        doc = json.loads(out.read_text())
+        doc["results"]["uniqueness"]["pass"] = stored
+        out.write_text(json.dumps(doc))
+        code, rep = run(capsys, "verify", "--report", str(out))
+        assert code == 2
+        assert rep["error"]["type"] == "schema"
+        assert str(out) in rep["error"]["message"]
+        assert "results/uniqueness" in rep["error"]["message"]
+        assert "'pass' must be a boolean" in rep["error"]["message"]
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("option", ["--rho", "--psi"])
+    def test_abbreviated_option_is_usage_error(self, capsys, tmp_path, option):
+        # argparse would read --rho as --rho-out and overwrite the input
+        rho, psi = write_instance(tmp_path, capsys, seed=2)
+        given = {"--rho": rho, "--psi": psi}[option]
+        before = given.read_bytes()
+        code, rep = run(capsys, "random", option, str(given))
+        assert code == 2
+        assert rep["error"]["type"] == "usage"
+        assert given.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["random", "--out"],
+            ["random", "--rho-out"],
+            ["random", "--psi-out"],
+            ["derive", "--method", "gns", "--dump"],
+        ],
+        ids=["out", "rho_out", "psi_out", "dump"],
+    )
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "missing" / "x.json")
+        code, rep = run(capsys, *argv, path)
+        assert code == 2
+        assert rep["error"]["type"] == "usage"
+        assert path in rep["error"]["message"]
+        assert rep["command"] == argv[0]
+        assert "pass" not in rep
+
 
 # The CLI's vocabulary: each option with valid and invalid values, as
 # token lists; "{name}" is a file in a fresh directory, written from
@@ -943,11 +1012,11 @@ ARGV_VALUES = {
     "--gen": ARGV_FILES,
     "--report": ("{report}", "{psi}", "{malformed}", "{missing}"),
     "--config": ("{cfg}", "{cfg_rho3}", "{cfg_bad}", "{cfg_list}", "{cfg_rho_str}",
-                 "{malformed}", "{missing}"),
-    "--out": ("{out}",),
-    "--dump": ("{dump}",),
-    "--rho-out": ("{rho_out}",),
-    "--psi-out": ("{psi_out}",),
+                 "{cfg_unknown}", "{malformed}", "{missing}"),
+    "--out": ("{out}", "{unwritable}"),
+    "--dump": ("{dump}", "{unwritable}"),
+    "--rho-out": ("{rho_out}", "{unwritable}"),
+    "--psi-out": ("{psi_out}", "{unwritable}"),
     "--generator": (),
     "--tol": ("1e-8", "1e-6", "inf", "nan", "0", "-1", "x"),
     "--seed": ("0", "1", "-1", "x"),
@@ -1018,6 +1087,7 @@ class TestEveryArgv:
             "cfg_bad": {"n": "3"},
             "cfg_list": [2, 1],
             "cfg_rho_str": {"rho": "fixed"},
+            "cfg_unknown": {"n": 2, "cond_bound": 1e6},
         }
         texts = {name: dump_json(doc) for name, doc in docs.items()}
         texts["malformed"] = "{not json"
@@ -1031,10 +1101,10 @@ class TestEveryArgv:
     @given(argv=st.one_of(st.just([]), command_lines()))
     def test_one_json_report(self, documents, argv):
         # fresh files for each command line: an output option may name an input
-        # (random --rho is argparse's abbreviation of --rho-out)
         with tempfile.TemporaryDirectory() as tmp:
             paths = {name: os.path.join(tmp, f"{name}.json") for name in (
                 *documents, "missing", "out", "dump", "rho_out", "psi_out")}
+            paths["unwritable"] = os.path.join(tmp, "missing", "x.json")
             for name, text in documents.items():
                 Path(paths[name]).write_text(text)
             argv = [a.format(**paths) for a in argv]

@@ -22,7 +22,7 @@ from kmsflow.superop import (
     vec,
 )
 
-from certify_oracle import identity_superop, zero_superop
+from certify_oracle import exp_probe_ccn, identity_superop, zero_superop
 from conftest import rng_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -316,14 +316,33 @@ class TestIsCcn:
         lgen = identity_superop(2) - from_kraus([SX])
         rep = kf.is_ccn(lgen)
         assert rep.passed
-        assert rep.metrics["exp_probe_pass"]
+        assert exp_probe_ccn(lgen)
 
     def test_sign_flip_fails_and_criteria_agree(self):
         lgen = -1.0 * (identity_superop(2) - from_kraus([SX]))
         rep = kf.is_ccn(lgen)
         assert not rep.passed
-        assert not rep.metrics["exp_probe_pass"]
-        assert rep.check("criteria_agree").passed()
+        assert not exp_probe_ccn(lgen)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["kraus_rank_1", "cond_1e6", "repeated_eig", "tracial"])
+    def test_verdict_matches_exp_probe_on_stress_inputs(self, kind, n):
+        # the repeated-eigenvalue density is p ~ (1, 1, 2, ..., n - 1) in a
+        # random basis, which at n = 2 is the tracial state
+        p = np.array([1.0, *range(1, n)])
+        u = np.linalg.qr(rng_matrix(np.random.default_rng(n), n))[0]
+        densities = {"repeated_eig": (u * (p / p.sum())) @ dagger(u), "tracial": np.eye(n) / n}
+        options = {"kraus_rank_1": {"kraus_rank": 1}, "cond_1e6": {"cond_bound": 1e6}}
+        for seed in range(3):
+            if kind in densities:
+                ctx = kf.DensityContext.from_rho(densities[kind])
+                gen, _ = kf.random_generator(n, seed, ctx=ctx)
+            else:
+                gen, _ = kf.random_generator(n, seed, **options[kind])
+            rep = gen.certificates["ccn"]
+            assert rep.passed and exp_probe_ccn(gen.L, tol=rep.tol), (seed, rep)
+            flipped = kf.is_ccn(-1.0 * gen.L, tol=rep.tol)
+            assert not flipped.passed and not exp_probe_ccn(-1.0 * gen.L, tol=rep.tol), seed
 
     def test_zero_passes(self):
         assert kf.is_ccn(zero_superop(2)).passed

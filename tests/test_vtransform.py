@@ -326,6 +326,10 @@ class TestCptpCertificate:
             diag = np.diagonal(1.0 / _w_multiplier(ctx))
             assert rep.check("trace_defect").value == np.abs(diag - 1.0).max()
             assert loop_trace_defect(ctx) <= rep.check("trace_defect").bound
+            # V(I) = b diag(v) b*: the same defect is V's unitality defect
+            assert [c.name for c in rep.checks] == ["trace_defect", "min_choi_eig"]
+            unital = kf.v_transform(identity_superop(n, "l2"), ctx).mat - np.eye(n * n)
+            assert abs(opnorm(unital) - rep.check("trace_defect").value) <= 1e-13
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_min_choi_eig_certified_beyond_dense_oracle(self, n):
