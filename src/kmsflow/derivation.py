@@ -59,14 +59,16 @@ sigma_{-i/4} and sigma_{i/4} are homomorphisms.  Their dense oracles, and
 the delta-space forms of the certificates, stay with the tests.
 
 Every bound here is a fixed module constant, relative to max(1, ||L||)
-where it scales: GRAM_PSD_TOL for Gram positivity, NULL_CUTOFF for rank
-decisions, FORM_TOL for the form identity, INVARIANTS_TOL for the invariants
-report, COMMUTATOR_FORM_TOL for the commutator form and WITNESS_TOL for the
-uniqueness witness.  Each report records its constant as ``tol``.
+where it scales: GRAM_PSD_TOL for Gram positivity, NULL_CUTOFF for the one
+rank decision of each calculus (``_kept``), NOISE_FLOOR for the noise the
+Hermitian normal form drops, FORM_TOL for the form identity, INVARIANTS_TOL
+for the invariants report, COMMUTATOR_FORM_TOL for the commutator form and
+WITNESS_TOL for the uniqueness witness.  Each report records it as ``tol``.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -78,6 +80,7 @@ from .errors import (
     GramNotPSD,
     InconsistentPsi,
     Infeasible,
+    NotPSD,
     ReconstructionFailure,
 )
 from .generator import (
@@ -94,10 +97,10 @@ from .matrix_core import (
 )
 from .reports import Check, Report
 from .superop import (
+    KRAUS_RANK_TOL,
     Superoperator,
     choi,
     kms_gram,
-    kraus_from_choi,
     to_algebra,
     to_l2,
 )
@@ -105,6 +108,7 @@ from .vtransform import v_transform
 
 GRAM_PSD_TOL = 1e-8
 NULL_CUTOFF = 1e-10
+NOISE_FLOOR = 1e-15
 FORM_TOL = 1e-8
 COMMUTATOR_FORM_TOL = 1e-7
 INVARIANTS_TOL = 1e-9
@@ -304,34 +308,26 @@ def _maxabs(x) -> float:
     return float(np.abs(x).max(initial=0.0))
 
 
-def _traceless(ops: np.ndarray) -> np.ndarray:
-    """The stack of matrices ``ops`` (N, n, n) shifted by multiples of I to trace 0."""
-    n = ops.shape[-1]
-    return ops - np.trace(ops, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
+def _kept(eigs: np.ndarray, gen: MarkovGenerator):
+    """The rank rule of every calculus on the spectrum ``eigs`` of M*M, M = QX:
+    (mask, cutoff), cutoff = NULL_CUTOFF max|eigs| + 1e-13 max(1, ||L||), the
+    generator's noise floor, so a numerically zero L gives an empty calculus."""
+    cutoff = NULL_CUTOFF * np.abs(eigs).max(initial=0.0) + 1e-13 * max(1.0, gen.L.norm)
+    return eigs > cutoff, cutoff
 
 
-def _hermitian_normal_form(ops: np.ndarray):
-    """Hermitian family with the commutator form of the stack ``ops`` (N, n, n).
-
-    With X[j, l] = tr(B_l V_j) in an HS-orthonormal Hermitian basis B_l of
-    M_n and Re(X* X) = W diag(lam) W^T, returns (O, lam, cutoff) where
+def _hermitian_normal_form(gram: np.ndarray, b: np.ndarray):
+    """(O, lam) for a Gram = W diag(lam) W^T over the HS-orthonormal
+    Hermitian basis B_l of M_n, ``b`` the matrix of columns vec(B_l):
     O_i = sqrt(lam_i) sum_l W[l, i] B_l for the lam_i above
-    cutoff = NULL_CUTOFF * max(lam).  Re(X* X) is the Gram of the doubled family
-    {V_j / sqrt2} + {V_j* / sqrt2}, so up to the dropped eigenvalues
-    sum_i O_i Y O_i = sum_j (V_j* Y V_j + V_j Y V_j*) / 2 for every Y.  For a
-    family whose span is closed under adjoints X* X is real, so this is
-    sum_j V_j* Y V_j and the commutator form is that of the family.
-    """
-    n = ops.shape[-1]
-    n2 = n * n
-    basis = hermitian_basis(n).reshape(n2, n2)
-    x = ops.reshape(-1, n2) @ np.conj(basis).T  # tr(B_l V) with B_l Hermitian
-    eigs, w = np.linalg.eigh((dagger(x) @ x).real)
-    cutoff = NULL_CUTOFF * eigs.max()
-    keep = eigs > cutoff
-    herm = ((np.sqrt(eigs[keep]) * w[:, keep]).T @ basis).reshape(-1, n, n)
+    NOISE_FLOOR * max(lam), so sum_i O_i Y O_i is the map of that Gram up to
+    rounding.  It makes no rank decision; the calculus does."""
+    n = math.isqrt(len(b))
+    eigs, w = np.linalg.eigh(gram)
+    keep = eigs > NOISE_FLOOR * eigs.max(initial=0.0)
+    herm = ((np.sqrt(eigs[keep]) * w[:, keep]).T @ dagger(b)).reshape(-1, n, n)
     # bit-exact Hermitian, as ``CommutatorFamily`` requires
-    return 0.5 * (herm + np.conj(herm).transpose(0, 2, 1)), eigs, cutoff
+    return 0.5 * (herm + np.conj(herm).transpose(0, 2, 1)), eigs
 
 
 def kms_form_of_generator(gen: MarkovGenerator) -> np.ndarray:
@@ -347,8 +343,8 @@ def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
     GNS quotient of the V-transformed generator, in H = C^n (x) K (x) C^n.
 
     With P an orthonormal basis of (rho^{1/2})^perp and P* T P = W g W*, the
-    m eigenvalues above ``NULL_CUTOFF`` * ||g|| give K = C^m and the class
-    map C_mid = sqrt(g) W* P*.  In the coordinates (a, k, d), indexed
+    m eigenvalues that ``_kept`` keeps give K = C^m and the class map
+    C_mid = sqrt(g) W* P*.  In the coordinates (a, k, d), indexed
     (a m + k) n + d, pi_l(E) = E (x) I (x) I, pi_r(E) = I (x) I (x) E^T,
     J is the swap of a and d tensored with K_J, composed with conjugation,
     the class of sigma_{-i/4}(E) (x) I - I (x) sigma_{i/4}(E) is
@@ -369,9 +365,9 @@ def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
     through certification), and ReconstructionFailure when Lv misses I in
     its kernel.  That delta reproduces <A, L(B)>_rho and is compatible with
     J is certified by ``calculus_invariants_report``.
-    ``meta["gram_eigs"]`` is the (n^2 - 1) middle spectrum of P* T P; the
-    Gram form restricted to N has each of these eigenvalues n^2 times.  No
-    quotient map is stored.
+    ``meta["gram_eigs"]`` is the (n^2 - 1) middle spectrum g of P* T P, and
+    M*M = diag(g) on the kept directions for M = QX = C_mid; the Gram form
+    on N has each g n^2 times.  No quotient map is stored.
     """
     ctx = gen.ctx
     n = gen.dim
@@ -397,8 +393,7 @@ def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
     pbasis = scipy.linalg.null_space(sqrt_rho.reshape(1, n2))
     t_p = dagger(pbasis) @ tmid @ pbasis
     eigs, w = np.linalg.eigh(0.5 * (t_p + dagger(t_p)))
-    gnorm = max(abs(eigs).max(initial=0.0), 0.0)
-    psd_bound = GRAM_PSD_TOL * max(gnorm, 1e-300)
+    psd_bound = GRAM_PSD_TOL * max(abs(eigs).max(initial=0.0), 1e-300)
     if eigs.min(initial=0.0) < -psd_bound:
         raise GramNotPSD(
             f"restricted Gram form has eigenvalue {eigs.min():.3e} "
@@ -406,11 +401,7 @@ def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
             value=float(eigs.min()),
             bound=float(psd_bound),
         )
-    # Anchor the cutoff both to ||G|| (relative rank decision) and to the
-    # assembly noise floor of the generator, so a numerically-zero L yields
-    # an empty calculus instead of amplified rounding junk.
-    cutoff = NULL_CUTOFF * gnorm + 1e-13 * max(1.0, gen.L.norm)
-    keep = eigs > cutoff
+    keep, cutoff = _kept(eigs, gen)
     m = int(keep.sum())
     sqrt_g = np.sqrt(eigs[keep])
     pw = pbasis @ w[:, keep]
@@ -517,15 +508,21 @@ def extract_commutators_gns(calc: FirstOrderCalculus, gen: MarkovGenerator) -> C
     rho^{1/4} [V, E] rho^{1/4} = inner(-rho^{1/4} V rho^{1/4})(E), so
     V_k = -rho^{-1/4} X_k rho^{-1/4}.  The V_k are shifted to trace 0, which
     fixes the additive-identity gauge and removes the rho^{1/2} freedom of X,
-    and brought to the Hermitian normal form: the family is m = dim H / n^2
-    Hermitian operators, independent modulo I (none when dim H = 0).  ``gen``
-    is not read.
+    and brought to the Hermitian normal form, which truncates nothing the
+    calculus kept: the family is m = dim H / n^2 Hermitian operators,
+    independent modulo I (none when dim H = 0).  ``gen`` is not read.
 
     Never raises on a measurement; the family's form identity is certified
     by ``verify_commutator_form``.
     """
+    n = calc.dim
     qi = calc.ctx.inv_quarter_rho
-    herm, _, _ = _hermitian_normal_form(_traceless(-(qi @ calc.x @ qi)))
+    ops = -(qi @ calc.x @ qi)
+    ops -= np.trace(ops, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
+    b = np.conj(hermitian_basis(n).reshape(n * n, -1)).T  # columns vec(B_l)
+    # x[k, l] = tr(B_l V_k); Re(x* x) is the Gram of {V_k / sqrt2} + {V_k* / sqrt2}
+    x = ops.reshape(-1, n * n) @ b
+    herm, _ = _hermitian_normal_form((dagger(x) @ x).real, b)
     return CommutatorFamily(ops=tuple(herm))
 
 
@@ -537,16 +534,16 @@ def extract_commutators_kraus(
     Xi(A) = rho^{1/4} V(Psi)(rho^{-1/4} A rho^{-1/4}) rho^{1/4}.
 
     If no Psi is supplied, one is recovered from the generator; infeasible
-    recovery aborts with InconsistentPsi rather than guessing.  The raw Kraus
-    operators of Xi carry twice the generator form (the W-average of the two
-    modular rotations contributes a factor 1/2), so the family is normalized
-    by 1/sqrt(2).  It is returned in the Hermitian normal form, without a
-    gauge shift: Xi's Kraus gauge keeps Y -> sum_j V_j* Y V_j, and with it
-    the resolvent sum identities.
+    recovery aborts with InconsistentPsi rather than guessing.  Xi's Kraus
+    operators carry twice the generator form (the W-average of the two
+    modular rotations contributes a factor 1/2).  The family is the Hermitian
+    normal form of G = B* C(Xi) B / 2 (B's columns the vec(B_l)), the Gram of
+    the Kraus family scaled by 1/sqrt(2), read off the Choi matrix C(Xi).
 
     Raises only when the family cannot be built: InconsistentPsi when Psi
     does not reproduce the generator or Xi is not trace-symmetric, NotPSD
-    from Xi's Choi matrix, and WrongLevel, from the resolvent check, when
+    when G has an eigenvalue below -KRAUS_RANK_TOL ||G|| (G is unitarily
+    congruent to C(Xi) / 2), and WrongLevel, from the resolvent check, when
     Psi is not an algebra-level map.  The family's form identity is certified
     by ``verify_commutator_form``, not here.
     """
@@ -574,35 +571,37 @@ def extract_commutators_kraus(
             f"Xi is not symmetric for the trace pairing (defect {sym_defect:.3e})"
         )
 
-    raw = np.array(kraus_from_choi(choi(xi)), dtype=complex)
-    herm, _, _ = _hermitian_normal_form(raw.reshape(-1, n, n) / np.sqrt(2.0))
+    b = np.conj(hermitian_basis(n).reshape(n * n, -1)).T  # columns vec(B_l)
+    gram = dagger(b) @ choi(xi) @ b / 2.0
+    herm, eigs = _hermitian_normal_form(0.5 * (gram + dagger(gram)).real, b)
+    if eigs.min(initial=0.0) < -KRAUS_RANK_TOL * np.abs(eigs).max(initial=0.0):
+        raise NotPSD(f"Choi(Xi) has eigenvalue {2 * eigs.min():.3e} < -{KRAUS_RANK_TOL:.0e} ||C||")
     return CommutatorFamily(ops=tuple(herm))
 
 
 def commutator_calculus(family: CommutatorFamily, gen: MarkovGenerator) -> FirstOrderCalculus:
     """The calculus carried by a commutator family, in H = C^n (x) C^m (x) C^n.
 
-    The traceless parts of the family, in the Hermitian normal form, give
-    m Hermitian operators V_1..V_m independent modulo I, and the inner
-    vector X_k = -rho^{1/4} V_k rho^{1/4} with K_J = -I_m, so that
-
-        delta(E)[a, k, d] = (rho^{1/4} [V_k, E] rho^{1/4})[a, d]
-
-    and J delta(A) = -(rho^{1/4} [V_k, A] rho^{1/4})* = delta(A*).  The
-    delta-image is cyclic without trimming: if sum_k [V_k, B] z_k = 0 for
-    every B, then sum_k (w* z_k) V_k is a multiple of I for every w, so z = 0.
-    ``meta["gram_eigs"]`` is the spectrum of the traceless Re(X* X) of
-    ``_hermitian_normal_form`` and ``meta["null_cutoff"]`` its cutoff.
+    X_j = -rho^{1/4} V_j rho^{1/4} gives delta_j(E) = rho^{1/4} [V_j, E] rho^{1/4}.
+    With M = QX, the real N x N Gram M*M = U diag(g) U^T (each QX_j is
+    Hermitian); X is rotated by the columns of U that pass ``_kept``.  The
+    rotation is real, so each X'_i comes from a Hermitian V'_i and K_J = -I_m
+    gives J delta(A) = delta(A*); Q removes the identity gauge (V + cI shifts
+    X by c rho^{1/2}), and the kept QX' are orthogonal, so the delta-image is
+    cyclic.  ``meta`` holds g and the cutoff, as in ``gns_calculus``.
     """
     ctx = gen.ctx
-    n = gen.dim
-    ops = np.array(family.ops, dtype=complex).reshape(-1, n, n)
-    herm, eigs, cutoff = _hermitian_normal_form(_traceless(ops))
+    n2 = gen.dim**2
     qr = ctx.quarter_rho
+    x = -(qr @ np.array(family.ops, dtype=complex).reshape(-1, gen.dim, gen.dim) @ qr)
+    qx = _off_sqrt_rho(ctx, x).reshape(-1, n2)
+    gram = (np.conj(qx) @ qx.T).real
+    eigs, u = np.linalg.eigh(0.5 * (gram + gram.T))
+    keep, cutoff = _kept(eigs, gen)
     return FirstOrderCalculus(
         ctx,
-        -(qr @ herm @ qr),
-        -np.eye(len(herm), dtype=complex),
+        (u[:, keep].T @ x.reshape(-1, n2)).reshape(-1, gen.dim, gen.dim),
+        -np.eye(int(keep.sum()), dtype=complex),
         meta={"gram_eigs": eigs, "null_cutoff": cutoff, "family_size": len(family)},
     )
 
@@ -647,7 +646,10 @@ def uniqueness_witness(
     (``j_intertwine_defect``, theta J_a = J_b theta) and M_a W^T = M_b
     (``delta_match_defect``).  Every bound is WITNESS_TOL, relative to
     max(1, max |M_a M_a*|) for the Gram check, and the report records
-    WITNESS_TOL as its ``tol``.  ``gen`` is not read.
+    WITNESS_TOL as its ``tol``.  Its metrics record the extreme singular
+    values of M_a and M_b (``sigma_min_a`` ... ``sigma_max_b``, 0 for an
+    empty calculus): W's defects are amplified by about 1/sigma_min_a.
+    ``gen`` is not read.
     """
     tol = WITNESS_TOL
     m_a, k_a = calc_a.m, calc_a.k_j
@@ -667,4 +669,7 @@ def uniqueness_witness(
     rep.checks.append(Check("j_intertwine_defect", _maxabs(w @ k_a - k_b @ np.conj(w)), tol, "le"))
     rep.checks.append(Check("delta_match_defect", _maxabs(cols_a @ w.T - cols_b), tol, "le"))
     rep.metrics.update({"dim_h_a": calc_a.dim_h, "dim_h_b": calc_b.dim_h})
+    for side, cols in (("a", cols_a), ("b", cols_b)):
+        sv = np.linalg.svd(cols, compute_uv=False) if cols.size else np.zeros(1)
+        rep.metrics.update({f"sigma_min_{side}": sv.min(), f"sigma_max_{side}": sv.max()})
     return w, rep

@@ -46,8 +46,8 @@ ALGEBRA = "algebra"
 L2 = "l2"
 _LEVELS = (ALGEBRA, L2)
 
-# relative eigenvalue floor of ``kraus_from_choi``: the rank decision and the
-# clamp of negative rounding; equal to the derivation layer's NULL_CUTOFF
+# relative eigenvalue floor of ``kraus_from_choi`` (its rank decision and the
+# clamp of negative rounding), and the bound of each NotPSD check on a Choi matrix
 KRAUS_RANK_TOL = 1e-10
 
 

@@ -1006,16 +1006,38 @@ class TestCommutatorCalculus:
 
     @pytest.mark.parametrize("n,seed", [(n, s) for n in (2, 3, 4, 5) for s in range(4)])
     def test_delta_is_the_commutator_form(self, n, seed):
-        # the delta rendered from X_k = -rho^{1/4} V_k rho^{1/4} is
-        # rho^{1/4} [V_k, E] rho^{1/4}, formed directly by the oracle
+        # basis-free: the Gram of the calculus's delta over the matrix units,
+        # D D* with D the rendering of inner(X), equals that of
+        # rho^{1/4} [V_k, E] rho^{1/4} over the family as given, formed
+        # directly by the oracle, up to the directions the rank rule drops
         gen, psi = cached_generator(n, seed)
         fam = kf.extract_commutators_kraus(gen, psi)
-        herm, _, _ = derivation._hermitian_normal_form(
-            derivation._traceless(np.array(fam.ops))
-        )
-        delta = kf.commutator_calculus(fam, gen).delta
-        want = commutator_delta(herm, gen.ctx)
-        assert np.linalg.norm(delta - want) <= 1e-14 * np.linalg.norm(want)
+        calc = kf.commutator_calculus(fam, gen)
+        got = calc.delta.reshape(n * n, -1)
+        want = commutator_delta(np.array(fam.ops), gen.ctx).reshape(n * n, -1)
+        gram_want = want @ dagger(want)
+        dev = np.abs(got @ dagger(got) - gram_want).max()
+        assert dev <= 1e-9 * np.abs(gram_want).max()
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2)])
+    def test_null_cutoff_is_the_rank_rule(self, n, seed):
+        # both calculi truncate their M*M spectrum, M = QX, by ``_kept``
+        gen, psi = cached_generator(n, seed)
+        calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
+        for calc in (cached_gns(n, seed), calc_k):
+            keep, cutoff = derivation._kept(calc.meta["gram_eigs"], gen)
+            assert calc.meta["null_cutoff"] == cutoff
+            assert calc.m == int(keep.sum())
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2)])
+    def test_qx_gram_is_diagonal(self, n, seed):
+        # the kept directions are eigenvectors of M*M, so M*M = diag(g)
+        gen, psi = cached_generator(n, seed)
+        calc = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
+        qx = derivation._off_sqrt_rho(gen.ctx, calc.x).reshape(calc.m, n * n)
+        gram = np.conj(qx) @ qx.T
+        kept = calc.meta["gram_eigs"][calc.meta["gram_eigs"] > calc.meta["null_cutoff"]]
+        assert np.abs(gram - np.diag(kept)).max() <= 1e-13 * kept.max()
 
     def test_dimension_matches_gns(self):
         gen, psi = cached_generator(3, 4)
@@ -1186,50 +1208,62 @@ class TestDegenerateSpectrum:
 
 
 # Every (n, seed) at n <= 4, seeds 0-7, whose `derive --method both` reports
-# fail, with the (report, check) pairs that fail.  Each failure is the
-# witness's W unitarity at the cutoff of an ill-conditioned multiplicity
-# spectrum (ROADMAP item 3); the rest pass.
+# fail, with the (report, check) pairs that fail, by Kraus rank and by
+# `cond_bound`.  Each failure is the witness at a near-cutoff direction of an
+# ill-conditioned multiplicity spectrum, with the routes' m equal (ROADMAP
+# item 3); the rest pass.
 LOW_RANK_CENSUS = {
-    1: {
-        (3, 5): [("uniqueness", "w_unitarity_defect")],
-        (4, 0): [("uniqueness", "w_unitarity_defect")],
-        (4, 1): [("uniqueness", "w_unitarity_defect")],
-        (4, 5): [("uniqueness", "w_unitarity_defect")],
-        (4, 6): [("uniqueness", "w_unitarity_defect")],
-    },
-    2: {
-        (4, 1): [("uniqueness", "w_unitarity_defect")],
-        (4, 6): [("uniqueness", "w_unitarity_defect")],
+    1: {(4, 1): [("uniqueness", "w_unitarity_defect")]},
+    2: {},
+}
+CONDITIONING_CENSUS = {
+    1e7: {(4, 1): [("uniqueness", "w_unitarity_defect")]},
+    1e8: {
+        (4, 4): [
+            ("uniqueness", "w_unitarity_defect"),
+            ("uniqueness", "j_intertwine_defect"),
+        ]
     },
 }
 
 
+def failing_census(**kwargs):
+    """{(n, seed): failing (report, check) pairs} of `derive --method both`
+    over n = 2..4, seeds 0-7, for ``kf.random_generator(n, seed, **kwargs)``."""
+    failing = {}
+    for n in (2, 3, 4):
+        for seed in range(8):
+            gen, psi = kf.random_generator(n, seed, **kwargs)
+            calc = kf.gns_calculus(gen)
+            fam_k = kf.extract_commutators_kraus(gen, psi)
+            reps = {
+                "calculus_invariants": kf.calculus_invariants_report(calc, gen),
+                "gns_form": kf.verify_commutator_form(
+                    kf.extract_commutators_gns(calc, gen), gen
+                ),
+                "kraus_form": kf.verify_commutator_form(fam_k, gen),
+                "uniqueness": kf.uniqueness_witness(
+                    calc, kf.commutator_calculus(fam_k, gen), gen
+                )[1],
+            }
+            failed = [
+                (key, c.name) for key, rep in reps.items() for c in rep.checks
+                if not c.passed()
+            ]
+            if failed:
+                failing[n, seed] = failed
+    return failing
+
+
 class TestLowRankCensus:
-    """The low Kraus-rank witness census at n = 2..4, seeds 0-7: the same
-    instances fail, each on the same checks (about 0.3 s for both ranks)."""
+    """The witness census at n = 2..4, seeds 0-7, at low Kraus rank and at
+    `cond_bound` 1e7 and 1e8: the same instances fail, each on the same
+    checks (under 0.1 s per census)."""
 
     @pytest.mark.parametrize("rank", sorted(LOW_RANK_CENSUS))
     def test_failing_instances_and_checks(self, rank):
-        failing = {}
-        for n in (2, 3, 4):
-            for seed in range(8):
-                gen, psi = kf.random_generator(n, seed, kraus_rank=rank)
-                calc = kf.gns_calculus(gen)
-                fam_k = kf.extract_commutators_kraus(gen, psi)
-                reps = {
-                    "calculus_invariants": kf.calculus_invariants_report(calc, gen),
-                    "gns_form": kf.verify_commutator_form(
-                        kf.extract_commutators_gns(calc, gen), gen
-                    ),
-                    "kraus_form": kf.verify_commutator_form(fam_k, gen),
-                    "uniqueness": kf.uniqueness_witness(
-                        calc, kf.commutator_calculus(fam_k, gen), gen
-                    )[1],
-                }
-                failed = [
-                    (key, c.name) for key, rep in reps.items() for c in rep.checks
-                    if not c.passed()
-                ]
-                if failed:
-                    failing[n, seed] = failed
-        assert failing == LOW_RANK_CENSUS[rank]
+        assert failing_census(kraus_rank=rank) == LOW_RANK_CENSUS[rank]
+
+    @pytest.mark.parametrize("cond", sorted(CONDITIONING_CENSUS))
+    def test_failing_instances_at_conditioning(self, cond):
+        assert failing_census(cond_bound=cond) == CONDITIONING_CENSUS[cond]
