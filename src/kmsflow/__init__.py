@@ -18,7 +18,6 @@ from .errors import (
     PreconditionFailed,
     ReconstructionFailure,
     SchemaError,
-    UnitalityViolated,
     WrongLevel,
 )
 from .matrix_core import (

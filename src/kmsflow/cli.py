@@ -37,7 +37,10 @@ per route that ran, dim H, m and the family size; it is not a report, so
 --tol must be finite and > 0, and only the commands that read it declare
 it: check, gen-from-cp, recover-cp, simulate and dirichlet-check, and derive
 and uniqueness, which read it only with --gen.  Anything else is a usage
-error (exit 2), and so is --psi with ``derive --method gns``.
+error (exit 2), and so is --psi with ``derive --method gns``.  It bounds
+every report of check and gen-from-cp, of simulate and of dirichlet-check,
+and recover-cp's roundtrip_residual and Psi's kms_symmetric, not its
+min_choi_eig (is_cp at the density's tol); with --gen, also the generator.
 
 The argument parser is built once per process and reused by every later
 :func:`main` call, which saves its set-up for in-process callers that run
@@ -370,7 +373,8 @@ def _recover_cp(args, report) -> None:
                       gen, tol=1e-8 if args.tol is None else args.tol)
     results["recover_cp"] = rep.to_json_dict()
     results["psi"] = serialize.superop_to_json(psi)
-    results["kms_symmetric"] = superop.is_kms_symmetric(psi, gen.ctx).to_json_dict()
+    psi_tol = 1e-9 if args.tol is None else args.tol
+    results["kms_symmetric"] = superop.is_kms_symmetric(psi, gen.ctx, tol=psi_tol).to_json_dict()
 
 
 def _derive(args, report) -> None:  # uniqueness is derive --method both

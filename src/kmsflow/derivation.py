@@ -100,9 +100,9 @@ from .superop import (
     KRAUS_RANK_TOL,
     Superoperator,
     choi,
-    kms_gram,
     to_algebra,
     to_l2,
+    unit_images,
 )
 from .vtransform import v_transform
 
@@ -191,8 +191,8 @@ class FirstOrderCalculus:
 
     def __post_init__(self):
         n = self.ctx.dim
-        x = np.array(self.x, dtype=complex, order="C")
-        k_j = np.array(self.k_j, dtype=complex, order="C")
+        x = np.asarray(self.x, dtype=complex).copy()
+        k_j = np.asarray(self.k_j, dtype=complex).copy()
         if x.ndim != 3 or x.shape[1:] != (n, n):
             raise DimensionMismatch(f"X has shape {x.shape}, expected (m, {n}, {n})")
         m = x.shape[0]
@@ -299,11 +299,6 @@ def _form_matrix(ctx: DensityContext, x: np.ndarray) -> np.ndarray:
     return kron(r, np.conj(yy)) + kron(zz, r.T) - h - dagger(h)
 
 
-def _unit_perm(n: int) -> np.ndarray:
-    """Permutation from row-major unit labels (a n + b) to vec indices (b n + a)."""
-    return np.arange(n * n).reshape(n, n).T.ravel()
-
-
 def _maxabs(x) -> float:
     return float(np.abs(x).max(initial=0.0))
 
@@ -330,12 +325,17 @@ def _hermitian_normal_form(gram: np.ndarray, b: np.ndarray):
     return 0.5 * (herm + np.conj(herm).transpose(0, 2, 1)), eigs
 
 
+def _kms_unit_form(s: Superoperator, ctx: DensityContext) -> np.ndarray:
+    """The KMS form of S over matrix units: rho^{1/2} S(E_ab) rho^{1/2} at
+    [a, b], so entry [a, b, p, q] is <E_pq, S(E_ab)>_rho."""
+    return ctx.sqrt_rho @ unit_images(s) @ ctx.sqrt_rho
+
+
 def kms_form_of_generator(gen: MarkovGenerator) -> np.ndarray:
     """The matrix F[(ab),(cd)] = <E_ab, L(E_cd)>_rho over matrix-unit pairs
     (row-major unit labels)."""
-    perm = _unit_perm(gen.dim)
-    f_vec = kms_gram(gen.ctx) @ gen.L.mat
-    return f_vec[np.ix_(perm, perm)]
+    n2 = gen.dim**2
+    return _kms_unit_form(gen.L, gen.ctx).transpose(2, 3, 0, 1).reshape(n2, n2)
 
 
 def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
@@ -384,13 +384,10 @@ def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
             bound=float(kernel_bound),
         )
 
-    # T[(b, c), (B, C)] = -1/2 (rho^{1/2} Lv(E_bB) rho^{1/2})[c, C]; column
-    # B n + b of lcheck.mat is vec(Lv(E_bB)), column-stacked
-    sqrt_rho = ctx.sqrt_rho
-    lv_units = lcheck.mat.reshape(n, n, n, n).transpose(3, 2, 1, 0)  # [b, B] = Lv(E_bB)
-    tmid = -0.5 * (sqrt_rho @ lv_units @ sqrt_rho).transpose(0, 2, 1, 3).reshape(n2, n2)
+    # T[(b, c), (B, C)] = -1/2 (rho^{1/2} Lv(E_bB) rho^{1/2})[c, C]
+    tmid = -0.5 * _kms_unit_form(lcheck, ctx).transpose(0, 2, 1, 3).reshape(n2, n2)
 
-    pbasis = scipy.linalg.null_space(sqrt_rho.reshape(1, n2))
+    pbasis = scipy.linalg.null_space(ctx.sqrt_rho.reshape(1, n2))
     t_p = dagger(pbasis) @ tmid @ pbasis
     eigs, w = np.linalg.eigh(0.5 * (t_p + dagger(t_p)))
     psd_bound = GRAM_PSD_TOL * max(abs(eigs).max(initial=0.0), 1e-300)
@@ -563,9 +560,9 @@ def extract_commutators_kraus(
         )
 
     xi = to_l2(v_transform(psi, ctx), ctx)
-    # trace symmetry tr(A Xi(B)) = tr(Xi(A) B): t2[a n + b, c n + d] = Xi(E_cd)[b, a]
-    t2 = xi.mat[:, _unit_perm(n)]
-    sym_defect = np.abs(t2 - t2.T).max()
+    # trace symmetry tr(A Xi(B)) = tr(Xi(A) B): Xi(E_ab)[p, q] = Xi(E_qp)[b, a]
+    units = unit_images(xi)
+    sym_defect = np.abs(units - units.transpose(3, 2, 1, 0)).max()
     if sym_defect > 1e-8 * max(1.0, xi.norm):
         raise InconsistentPsi(
             f"Xi is not symmetric for the trace pairing (defect {sym_defect:.3e})"

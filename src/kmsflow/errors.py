@@ -77,10 +77,6 @@ class MeasuredFailure(KmsflowError):
         self.bound = bound
 
 
-class UnitalityViolated(MeasuredFailure):
-    """The map does not annihilate (or fix) the identity within tolerance."""
-
-
 class NotHermiticityPreserving(MeasuredFailure):
     """The map does not satisfy S(X*) = S(X)* on the matrix-unit basis."""
 

@@ -58,7 +58,6 @@ from .superop import (
     superop_from_choi,
     to_l2,
     unital_kernel_report,
-    vec,
 )
 from .vtransform import v_transform
 
@@ -110,9 +109,9 @@ def certify_generator(lgen: Superoperator, ctx: DensityContext, tol: float | Non
     and attach the KMS implementation L2.
 
     The certificates run in that order, and the first that fails raises
-    CertificationFailed carrying its report before the next is computed:
-    ``is_ccn`` raises UnitalityViolated on the bound ``unital_kernel``
-    checks, so the kernel must be certified first.
+    CertificationFailed carrying its report before the next is computed.
+    L(I) = 0 is measured once, by ``unital_kernel``: ``is_ccn``'s criterion
+    does not read it.
     """
     tol = ctx.tol if tol is None else tol
     certify = {
@@ -221,8 +220,7 @@ def dirichlet_energy(gen: MarkovGenerator, a) -> float:
     """Dirichlet form E(a) = <a, L2 a> on the standard form (real part; the
     imaginary part vanishes for a certified generator)."""
     a = as_matrix(a, gen.dim)
-    va = vec(a)
-    return float(np.real(va.conj() @ (gen.L2.mat @ va)))
+    return float(np.real(np.vdot(a, gen.L2.apply(a))))
 
 
 def et_energy(gen: MarkovGenerator, a, t: float) -> float:
@@ -231,9 +229,7 @@ def et_energy(gen: MarkovGenerator, a, t: float) -> float:
     if t <= 0:
         raise ValueError("t must be positive")
     a = as_matrix(a, gen.dim)
-    va = vec(a)
-    tt = superop_exp(gen.L2, t)
-    return float(np.real(va.conj() @ (va - tt.mat @ va)) / t)
+    return float(np.real(np.vdot(a, a - superop_exp(gen.L2, t).apply(a))) / t)
 
 
 def cone_project(ctx: DensityContext, a):

@@ -203,8 +203,14 @@ class DensityContext:
     def superop_basis(self) -> np.ndarray:
         """kron(conj u, u): its column b n + a is vec(u E_ab u*), so it
         diagonalizes the modular operator as an n^2 x n^2 matrix, with
-        eigenvalues exp(log_ratio) in vec order."""
+        eigenvalues exp(superop_log_spectrum)."""
         return kron(self.u.conj(), self.u)
+
+    @cached_property
+    def superop_log_spectrum(self) -> np.ndarray:
+        """``log_ratio`` in the order of ``superop_basis``'s columns: entry
+        b n + a is log(p_a / p_b), the log-eigenvalue of that column."""
+        return self.log_ratio.ravel(order="F")
 
 
 def kms_inner(ctx: DensityContext, a, b) -> complex:

@@ -48,7 +48,7 @@ TAIL_BOUND_LIMIT = 1e-8
 def _w_multiplier(ctx: DensityContext) -> np.ndarray:
     """Entrywise multiplier of W in the eigenbasis of Delta:
     w = cosh(log(lam_a / lam_b) / 4) for the coupled eigenvalues."""
-    q = ctx.log_ratio.ravel(order="F")  # log lam, vec order
+    q = ctx.superop_log_spectrum
     return np.cosh((q[:, None] - q[None, :]) / 4.0)
 
 
@@ -110,7 +110,7 @@ def v_transform_quadrature(
             f"condition number {ctx.condition:.3e} exceeds "
             f"{QUADRATURE_CONDITION_LIMIT:.0e}; quadrature would under-resolve the tail"
         )
-    log_lam = ctx.log_ratio.ravel(order="F")
+    log_lam = ctx.superop_log_spectrum
     lam = np.exp(-log_lam if invert_delta else log_lam)
     sq = np.sqrt(lam)
     if r_max is None:

@@ -88,7 +88,7 @@ from kmsflow.matrix_core import (
     opnorm,
 )
 from kmsflow.reports import Check, Report
-from kmsflow.superop import kms_gram, lmul, rmul, to_algebra, unvec, vec
+from kmsflow.superop import lmul, rmul, to_algebra, unvec, vec
 from kmsflow.vtransform import v_transform
 
 STRUCTURE_CHECKS = (
@@ -829,9 +829,9 @@ def loop_standard_form_defect(calc) -> float:
 def loop_commutator_form_matrix(family, ctx, n: int) -> np.ndarray:
     """sum_j <[V_j, E_ab], [V_j, E_cd]>_rho summed member by member over the
     vectorized commutator superoperators lmul(V_j) - rmul(V_j) and the KMS
-    Gram, permuted to row-major unit labels."""
+    Gram (rho^{1/2})^T (x) rho^{1/2}, permuted to row-major unit labels."""
     perm = np.arange(n * n).reshape(n, n).T.ravel()
-    gk = kms_gram(ctx)
+    gk = np.kron(ctx.sqrt_rho.T, ctx.sqrt_rho)
     rhs = np.zeros((n * n, n * n), dtype=complex)
     for v in family.ops:
         k = lmul(v).mat - rmul(v).mat  # columns are vec([V, E]) in vec order

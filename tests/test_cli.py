@@ -298,6 +298,19 @@ class TestGeneratorCommands:
         assert ("recover_cp", "min_choi_eig") in check_values(rep)
         assert "cp" not in rep["results"]
 
+    def test_recover_cp_tol_sets_psi_kms_bound(self, capsys):
+        # --tol bounds Psi's KMS defect; min_choi_eig stays is_cp's check at
+        # the density's tol
+        code, rep = run(capsys, "recover-cp", "--n", "2", "--seed", "3", "--tol", "1e-4")
+        assert code == 0
+        kms = rep["results"]["kms_symmetric"]
+        assert kms["tol"] == 1e-4
+        assert check_values(rep)[("kms_symmetric", "kms_defect")][1] == (
+            1e-4 * max(1.0, kms["metrics"]["norm"])
+        )
+        assert check_values(rep)[("recover_cp", "roundtrip_residual")][1] >= 1e-4
+        assert check_values(rep)[("recover_cp", "min_choi_eig")][1] == -1e-9
+
     def test_simulate(self, capsys):
         code, rep = run(capsys, "simulate", "--seed", "9", "--n", "2",
                         "--t", "1.0", "--steps", "8", "64")

@@ -272,6 +272,21 @@ def _columns_swapped(k_j):
     return out
 
 
+class TestKmsFormOfGenerator:
+    @pytest.mark.parametrize(
+        "n,seed,options", [(2, 0, {}), (3, 1, {}), (3, 2, {"cond_bound": 1e6})]
+    )
+    def test_matches_the_kms_inner_loop(self, n, seed, options):
+        # F[(p, q), (a, b)] = <E_pq, L(E_ab)>_rho, one kms_inner per unit pair
+        gen, _ = kf.random_generator(n, seed, **options)
+        units = np.eye(n * n).reshape(n * n, n, n)  # row-major labels
+        loop = np.array(
+            [[kf.kms_inner(gen.ctx, e, gen.L.apply(f)) for f in units] for e in units]
+        )
+        form = kms_form_of_generator(gen)
+        assert np.abs(form - loop).max() <= 1e-14 * max(1.0, gen.L.norm)
+
+
 class TestFirstOrderCalculusType:
     """The calculus is its standard-form data: the constructor validates
     X and K_J, and delta and the dense fields are its read-only rendering."""

@@ -123,7 +123,8 @@ class TestGeneratorFromCp:
 class TestCertifyGenerator:
     def test_unital_kernel_failure_is_reported(self, ctx2):
         # the identity fixes I: the kernel certificate fails first, with its
-        # report, before is_ccn's precondition can raise on the same bound
+        # report, and is the one measurement of L(I) (is_ccn passes the
+        # identity, whose semigroup e^{-t} id is CP)
         with pytest.raises(CertificationFailed, match="unital_kernel") as err:
             kf.certify_generator(identity_superop(2), ctx2)
         check = err.value.report.check("kernel_defect")
@@ -405,10 +406,10 @@ class TestDirichletContraction:
     def test_corrupted_generator_negative_control(self):
         # flip the sign of one Choi eigenvalue of -L (the most negative one,
         # which lives off the projected block) and KMS-symmetrize: the result
-        # violates L(I) = 0 (||L(I)||_HS = 2.0, so is_ccn raises
-        # UnitalityViolated), not CND (its compressed Choi matrix is PSD,
-        # min eigenvalue -4.6e-17), and the cone contraction check fails on
-        # this frozen seed
+        # violates L(I) = 0 (||L(I)||_HS = 2.0, so unital_kernel_report
+        # fails and certify_generator stops there), not CND (its compressed
+        # Choi matrix is PSD, min eigenvalue -4.6e-17), and the cone
+        # contraction check fails on this frozen seed
         gen, _ = cached_generator(2, 15)
         ctx = gen.ctx
         c = choi(-1.0 * gen.L)

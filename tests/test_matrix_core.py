@@ -30,7 +30,7 @@ class TestKron:
         a, b = rng_matrix(rng, n), rng_matrix(rng, n)
         self.assert_bitwise(np.eye(n), a)  # lmul
         self.assert_bitwise(b.T, np.eye(n))  # rmul
-        self.assert_bitwise(a.T, b)  # sandwich, kms_gram, delta_superop
+        self.assert_bitwise(a.T, b)  # sandwich, delta_superop
         self.assert_bitwise(a.T, dagger(b))  # from_kraus
         self.assert_bitwise(a.conj(), b)  # superop_basis
 
