@@ -191,8 +191,8 @@ class FirstOrderCalculus:
 
     def __post_init__(self):
         n = self.ctx.dim
-        x = np.asarray(self.x, dtype=complex).copy()
-        k_j = np.asarray(self.k_j, dtype=complex).copy()
+        x = np.array(self.x, dtype=complex, order="C")
+        k_j = np.array(self.k_j, dtype=complex, order="C")
         if x.ndim != 3 or x.shape[1:] != (n, n):
             raise DimensionMismatch(f"X has shape {x.shape}, expected (m, {n}, {n})")
         m = x.shape[0]

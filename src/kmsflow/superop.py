@@ -3,8 +3,11 @@
 A superoperator is stored as an n^2 x n^2 complex matrix over the
 column-stacking vectorization  vec(X) = X.flatten(order="F"),  so that
 vec(A X B) = (B^T otimes A) vec(X).  This module owns that layout: other
-modules read a map through ``apply`` or :func:`unit_images`, never through
-the order of ``mat``.  The same storage serves two levels:
+modules read a map through ``apply`` or :func:`unit_images` and never index
+``mat``.  Two take ``mat`` whole: ``vtransform`` multiplies it in the
+coordinates of ``DensityContext.superop_basis``, built in the same order,
+and ``serialize`` writes it as the on-disk format.  The same storage serves
+two levels:
 
 * ``algebra`` -- maps on the matrix algebra itself (Phi, Psi, generators L),
 * ``l2``      -- maps on the standard-form Hilbert space (T, L_2).

@@ -1,4 +1,6 @@
 import functools
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,17 @@ import kmsflow as kf
 
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.load_profile("suite")
+
+
+@functools.cache
+def census_tool():
+    """``tools/census.py``, the verdict census of seeded instances, loaded
+    from its file: it is a script, not a module of the package."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "census.py"
+    spec = importlib.util.spec_from_file_location("kmsflow_census", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @functools.lru_cache(maxsize=None)

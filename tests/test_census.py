@@ -1,43 +1,30 @@
 """Smoke test of ``tools/census.py``, the verdict census of seeded
-instances, loaded from its file as the benchmark's self-test is."""
+instances."""
 
-import importlib.util
 import json
-from pathlib import Path
-
-import pytest
 
 from kmsflow.errors import CertificationFailed
-
-CENSUS_PATH = Path(__file__).resolve().parents[1] / "tools" / "census.py"
-
-
-@pytest.fixture(scope="module")
-def census():
-    spec = importlib.util.spec_from_file_location("kmsflow_census", CENSUS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import census_tool
 
 
-def test_default_ensemble_at_n2(census, capsys):
-    assert census.main(["--ensemble", "default", "--n", "2", "--seeds", "2"]) == 0
-    out = json.loads(capsys.readouterr().out)
+def test_default_ensemble_at_n2():
+    out = json.loads(json.dumps(census_tool().census(["default"], dims=[2], seeds=2)))
     # n = 2: both routes keep all n^2 - 1 directions, and every check passes
     assert out == {
         f"default/2/{seed}": {"failed": [], "m": {"gns": 3, "kraus": 3}} for seed in (0, 1)
     }
 
 
-def test_default_range_has_760_instances(census):
-    assert sum(len(dims) * seeds for _, dims, seeds in census.ENSEMBLES.values()) == 760
+def test_default_range_has_760_instances():
+    ensembles = census_tool().ENSEMBLES.values()
+    assert sum(len(dims) * seeds for _, dims, seeds in ensembles) == 760
 
 
-def test_an_instance_that_cannot_be_built_is_named(census, monkeypatch):
+def test_an_instance_that_cannot_be_built_is_named(monkeypatch):
     def refuse(n, seed, **options):
         raise CertificationFailed("generator failed ccn certification")
 
-    monkeypatch.setattr(census.instances, "random_generator", refuse)
-    assert census.census(["cond_1e8"], dims=[3], seeds=1) == {
-        "cond_1e8/3/0": {"error": "CertificationFailed"}
+    monkeypatch.setattr("kmsflow.instances.random_generator", refuse)
+    assert census_tool().census(["cond_1e8"], dims=[3], seeds=1) == {
+        "cond_1e8/3/0": {"error": "certification"}
     }

@@ -59,7 +59,7 @@ from calculus_oracle import (
     trimmed_commutator_calculus,
 )
 from certify_oracle import identity_superop, random_markov_operator, zero_superop
-from conftest import cached_generator, cached_gns, rng_matrix
+from conftest import cached_generator, cached_gns, census_tool, rng_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -1223,51 +1223,27 @@ class TestDegenerateSpectrum:
 
 
 # Every (n, seed) at n <= 4, seeds 0-7, whose `derive --method both` reports
-# fail, with the (report, check) pairs that fail, by Kraus rank and by
+# fail, with its failing checks as `result.check`, by Kraus rank and by
 # `cond_bound`.  Each failure is the witness at a near-cutoff direction of an
 # ill-conditioned multiplicity spectrum, with the routes' m equal (ROADMAP
 # item 3); the rest pass.
 LOW_RANK_CENSUS = {
-    1: {(4, 1): [("uniqueness", "w_unitarity_defect")]},
+    1: {(4, 1): ["uniqueness.w_unitarity_defect"]},
     2: {},
 }
 CONDITIONING_CENSUS = {
-    1e7: {(4, 1): [("uniqueness", "w_unitarity_defect")]},
-    1e8: {
-        (4, 4): [
-            ("uniqueness", "w_unitarity_defect"),
-            ("uniqueness", "j_intertwine_defect"),
-        ]
-    },
+    1e7: {(4, 1): ["uniqueness.w_unitarity_defect"]},
+    1e8: {(4, 4): ["uniqueness.w_unitarity_defect", "uniqueness.j_intertwine_defect"]},
 }
 
 
-def failing_census(**kwargs):
-    """{(n, seed): failing (report, check) pairs} of `derive --method both`
-    over n = 2..4, seeds 0-7, for ``kf.random_generator(n, seed, **kwargs)``."""
-    failing = {}
-    for n in (2, 3, 4):
-        for seed in range(8):
-            gen, psi = kf.random_generator(n, seed, **kwargs)
-            calc = kf.gns_calculus(gen)
-            fam_k = kf.extract_commutators_kraus(gen, psi)
-            reps = {
-                "calculus_invariants": kf.calculus_invariants_report(calc, gen),
-                "gns_form": kf.verify_commutator_form(
-                    kf.extract_commutators_gns(calc, gen), gen
-                ),
-                "kraus_form": kf.verify_commutator_form(fam_k, gen),
-                "uniqueness": kf.uniqueness_witness(
-                    calc, kf.commutator_calculus(fam_k, gen), gen
-                )[1],
-            }
-            failed = [
-                (key, c.name) for key, rep in reps.items() for c in rep.checks
-                if not c.passed()
-            ]
-            if failed:
-                failing[n, seed] = failed
-    return failing
+def failing_census(flags):
+    """{(n, seed): failing checks} of `derive --method both ...flags` over
+    n = 2..4, seeds 0-7, read off ``tools/census.py``'s verdicts."""
+    verdicts = {
+        (n, seed): census_tool().verdict(n, seed, flags) for n in (2, 3, 4) for seed in range(8)
+    }
+    return {key: v["failed"] for key, v in verdicts.items() if v["failed"]}
 
 
 class TestLowRankCensus:
@@ -1277,8 +1253,8 @@ class TestLowRankCensus:
 
     @pytest.mark.parametrize("rank", sorted(LOW_RANK_CENSUS))
     def test_failing_instances_and_checks(self, rank):
-        assert failing_census(kraus_rank=rank) == LOW_RANK_CENSUS[rank]
+        assert failing_census(["--kraus-rank", str(rank)]) == LOW_RANK_CENSUS[rank]
 
     @pytest.mark.parametrize("cond", sorted(CONDITIONING_CENSUS))
     def test_failing_instances_at_conditioning(self, cond):
-        assert failing_census(cond_bound=cond) == CONDITIONING_CENSUS[cond]
+        assert failing_census(["--cond-bound", repr(cond)]) == CONDITIONING_CENSUS[cond]

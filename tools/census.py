@@ -1,31 +1,28 @@
-"""Census of the derivation pipeline's verdicts over seeded ensembles.
+"""Census of the verdicts of ``kmsflow derive --method both`` over seeded
+ensembles.
 
-    python3 tools/census.py [--ensemble NAME ...] [--n N ...] [--seeds K]
+    python3 tools/census.py > census.json
 
-For each instance the script draws ``random_generator(n, seed, **options)``
-and runs the library calls of ``kmsflow derive --method both`` in its order:
-``gns_calculus``, ``calculus_invariants_report``, ``extract_commutators_gns``
-and ``verify_commutator_form``, ``extract_commutators_kraus`` and
-``verify_commutator_form``, ``commutator_calculus`` and
-``uniqueness_witness``.  It prints one JSON object keyed
-``ensemble/n/seed``, whose value is
+For each instance the script runs ``derive --method both --n N --seed S``
+in-process, with the ensemble's ``--kraus-rank`` or ``--cond-bound``, and
+prints one JSON object keyed ``ensemble/n/seed``, whose value is
 
-    {"failed": ["report.check", ...], "m": {"gns": m, "kraus": m}}
+    {"failed": ["result.check", ...], "m": {"gns": m, "kraus": m}}
 
-or ``{"error": "ExceptionName"}`` when an object cannot be built.  Two runs
-are compared by comparing their output.
+where ``result`` is the key of the failing report under the derive report's
+``results``, or ``{"error": type}``, the derive report's error type, when an
+object cannot be built.  Two runs are compared by comparing their output.
 
-Without options it runs every ensemble over its default dimensions and
-seeds, 760 instances: the default ensemble at n = 2..4, seeds 0-199; Kraus
-rank 1 at n = 3..5 and ranks 2 and 3 at n = 3..6; ``cond_bound`` 1e6, 1e7
-and 1e8 at n = 3..5; each of the last six at seeds 0-7.  --n and --seeds
-replace the dimensions and the seed count of every ensemble chosen.  BLAS
-runs at 1 thread, so a run is reproducible on one machine.
+It covers 760 instances: the default ensemble at n = 2..4, seeds 0-199;
+Kraus rank 1 at n = 3..5 and ranks 2 and 3 at n = 3..6; ``cond_bound`` 1e6,
+1e7 and 1e8 at n = 3..5; each of the last six at seeds 0-7.  BLAS runs at 1
+thread, so a run is reproducible on one machine.
 """
 
 from __future__ import annotations
 
-import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -36,38 +33,39 @@ if __name__ == "__main__":
         os.environ[_var] = "1"
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from kmsflow import derivation, instances  # noqa: E402
-from kmsflow.errors import KmsflowError  # noqa: E402
+from kmsflow import cli  # noqa: E402
+from kmsflow.reports import Report  # noqa: E402
 
-# name -> (random_generator options, dimensions, seed count)
+# name -> (derive flags, dimensions, seed count)
 ENSEMBLES = {
-    "default": ({}, range(2, 5), 200),
-    "kraus_rank_1": ({"kraus_rank": 1}, range(3, 6), 8),
-    "kraus_rank_2": ({"kraus_rank": 2}, range(3, 7), 8),
-    "kraus_rank_3": ({"kraus_rank": 3}, range(3, 7), 8),
-    "cond_1e6": ({"cond_bound": 1e6}, range(3, 6), 8),
-    "cond_1e7": ({"cond_bound": 1e7}, range(3, 6), 8),
-    "cond_1e8": ({"cond_bound": 1e8}, range(3, 6), 8),
+    "default": ((), range(2, 5), 200),
+    "kraus_rank_1": (("--kraus-rank", "1"), range(3, 6), 8),
+    "kraus_rank_2": (("--kraus-rank", "2"), range(3, 7), 8),
+    "kraus_rank_3": (("--kraus-rank", "3"), range(3, 7), 8),
+    "cond_1e6": (("--cond-bound", "1e6"), range(3, 6), 8),
+    "cond_1e7": (("--cond-bound", "1e7"), range(3, 6), 8),
+    "cond_1e8": (("--cond-bound", "1e8"), range(3, 6), 8),
 }
 
 
-def verdict(n: int, seed: int, options: dict) -> dict:
-    """The failing checks and m per route of one instance, or the name of
-    the exception that stopped it."""
-    try:
-        gen, psi = instances.random_generator(n, seed, **options)
-        calc = derivation.gns_calculus(gen)
-        reports = [derivation.calculus_invariants_report(calc, gen)]
-        fam = derivation.extract_commutators_gns(calc, gen)
-        reports.append(derivation.verify_commutator_form(fam, gen))
-        fam_k = derivation.extract_commutators_kraus(gen, psi)
-        reports.append(derivation.verify_commutator_form(fam_k, gen))
-        calc_k = derivation.commutator_calculus(fam_k, gen)
-        reports.append(derivation.uniqueness_witness(calc, calc_k, gen)[1])
-    except KmsflowError as exc:
-        return {"error": type(exc).__name__}
-    failed = [f"{rep.name}.{c.name}" for rep in reports for c in rep.checks if not c.passed()]
-    return {"failed": failed, "m": {"gns": calc.m, "kraus": calc_k.m}}
+def verdict(n: int, seed: int, flags=()) -> dict:
+    """The failing checks and m per route of ``derive --method both`` on
+    one instance, or the error type of its report."""
+    argv = ["derive", "--method", "both", "--n", str(n), "--seed", str(seed), *flags]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.main(argv)
+    report = json.loads(out.getvalue())
+    if "error" in report:
+        return {"error": report["error"]["type"]}
+    results = dict(report["results"])
+    dims = results.pop("dims")
+    failed = [
+        f"{key}.{c.name}"
+        for key, rep in results.items()
+        for c in Report.from_json_dict(rep).checks
+        if not c.passed()
+    ]
+    return {"failed": failed, "m": {"gns": dims["gns"]["m"], "kraus": dims["kraus"]["m"]}}
 
 
 def census(names, dims=None, seeds=None) -> dict:
@@ -75,24 +73,12 @@ def census(names, dims=None, seeds=None) -> dict:
     ``ensemble/n/seed``; ``dims`` and ``seeds`` replace each ensemble's own."""
     out = {}
     for name in names:
-        options, own_dims, own_seeds = ENSEMBLES[name]
+        flags, own_dims, own_seeds = ENSEMBLES[name]
         for n in own_dims if dims is None else dims:
             for seed in range(own_seeds if seeds is None else seeds):
-                out[f"{name}/{n}/{seed}"] = verdict(n, seed, options)
+                out[f"{name}/{n}/{seed}"] = verdict(n, seed, flags)
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--ensemble", action="append", choices=sorted(ENSEMBLES),
-                        help="ensemble to run (repeatable; default all)")
-    parser.add_argument("--n", type=int, action="append", help="dimension (repeatable)")
-    parser.add_argument("--seeds", type=int, help="seeds 0..K-1 per dimension")
-    args = parser.parse_args(argv)
-    result = census(args.ensemble or list(ENSEMBLES), args.n, args.seeds)
-    print(json.dumps(result, indent=1))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    print(json.dumps(census(ENSEMBLES), indent=1))
