@@ -60,6 +60,7 @@ import numpy as np
 from . import derivation, instances, serialize, superop, vtransform
 from . import generator as generator_mod
 from .errors import Infeasible, KmsflowError, MeasuredFailure, ReportError, SchemaError
+from .matrix_core import opnorm
 from .reports import Report
 
 SCHEMA_VERSION = 1
@@ -345,10 +346,10 @@ def _vtransform(args, report) -> None:
     transformed = _timed(report["timings_s"], "v_transform", vtransform.v_transform, s, ctx)
     results["transformed"] = serialize.superop_to_json(transformed)
     inverse = vtransform.w_transform(transformed, ctx)
-    results["inverse_residual"] = float(np.linalg.norm(inverse.mat - s.mat, 2))
+    results["inverse_residual"] = opnorm(inverse.mat - s.mat)
     if args.quadrature:
         quad, info = vtransform.v_transform_quadrature(s, ctx, steps=args.quadrature)
-        info["closed_form_distance"] = float(np.linalg.norm(quad.mat - transformed.mat, 2))
+        info["closed_form_distance"] = opnorm(quad.mat - transformed.mat)
         results["quadrature"] = info
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .generator import generator_from_cp
-from .matrix_core import DensityContext, dagger
+from .matrix_core import DensityContext, dagger, opnorm
 from .superop import from_kraus, kms_adjoint
 
 DEFAULT_COND_BOUND = 100.0
@@ -65,7 +65,7 @@ def random_instance(
     ops = [ginibre(rng, n) / np.sqrt(n) for _ in range(kraus_rank)]
     phi = from_kraus(ops)
     psi = 0.5 * (phi + kms_adjoint(phi, ctx))
-    norm = np.linalg.norm(psi.apply(np.eye(n)), 2)
+    norm = opnorm(psi.apply(np.eye(n)))
     psi = (1.0 / norm) * psi
     return ctx, psi
 

@@ -39,15 +39,17 @@ class AnalyticContinuationWarning(UserWarning):
 
 
 def as_matrix(a, n: int | None = None) -> np.ndarray:
-    """Validate and return ``a`` as a square complex matrix.
+    """Return ``a`` as a square complex128 array, after checking it.
 
-    Rejects non-square shapes and non-finite entries; if ``n`` is given the
-    dimension must match.
+    Raises DimensionMismatch unless the array is 2-D and square, and, if
+    ``n`` is given, n x n; raises ValueError if any entry has a NaN or
+    infinite real or imaginary part (one ``isfinite`` pass over the complex
+    array, which tests both parts).
     """
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     if n is not None and m.shape[0] != n:
         raise DimensionMismatch(f"expected dimension {n}, got {m.shape[0]}")
@@ -55,10 +57,17 @@ def as_matrix(a, n: int | None = None) -> np.ndarray:
 
 
 def opnorm(a: np.ndarray) -> float:
-    """Operator (spectral) norm."""
+    """Operator (spectral) norm of a 2-D array: its largest singular value,
+    and 0.0 for an empty array.
+
+    The one spectral norm of the package.  It is the first value of one
+    LAPACK ``svd`` without vectors, which returns them in descending order:
+    bitwise ``np.linalg.norm(a, 2)``, which makes the same call, without its
+    generic axis and dtype handling.
+    """
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def hsnorm(a: np.ndarray) -> float:
@@ -111,7 +120,8 @@ def eig_hermitian(h, tol: float = DEFAULT_TOL):
     """Spectral decomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, unitary of eigenvectors as columns).
-    Raises NotHermitian if ||H - H*|| > tol * ||H||.
+    Raises NotHermitian if ||H - H*|| > tol * max(||H||, 1), in the
+    operator norm.
     """
     h = as_matrix(h)
     scale = max(opnorm(h), 1.0)

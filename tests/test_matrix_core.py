@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,14 @@ from hypothesis import given, strategies as st
 
 import kmsflow as kf
 from kmsflow.errors import DimensionMismatch, NotHermitian
-from kmsflow.matrix_core import dagger, eig_hermitian, hermitian_basis, kron, opnorm
+from kmsflow.matrix_core import (
+    as_matrix,
+    dagger,
+    eig_hermitian,
+    hermitian_basis,
+    kron,
+    opnorm,
+)
 
 from conftest import rng_matrix
 
@@ -43,6 +51,109 @@ class TestKron:
         src = Path(kf.__file__).resolve().parent
         users = [p.name for p in sorted(src.rglob("*.py")) if "np.kron(" in p.read_text()]
         assert users == []
+
+
+# module -> the functions in it that may call an SVD: opnorm, and the two
+# that read a whole singular spectrum (a rank cut-off, sigma_min / sigma_max)
+SVD_CALLERS = {
+    "matrix_core.py": {"opnorm"},
+    "derivation.py": {"calculus_invariants_report", "uniqueness_witness"},
+}
+
+
+def _spectral_norms(source: str, allowed=()) -> list:
+    """Line numbers in ``source`` that take a spectral norm other than
+    through ``opnorm``: a ``norm`` or ``matrix_norm`` call with an ord of
+    2 or -2 (or an ord that is not a literal), or an ``svd`` / ``svdvals``
+    call outside the functions named in ``allowed``."""
+    lines = []
+    stack = [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name in allowed:
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("svd", "svdvals"):
+            lines.append(node.lineno)
+        elif name in ("norm", "matrix_norm"):
+            ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+            if any(not isinstance(o, ast.Constant) or o.value in (2, -2) for o in ords):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestOpnorm:
+    """opnorm is bitwise np.linalg.norm(a, 2) and the package's one
+    spectral norm."""
+
+    @staticmethod
+    def assert_bitwise(a):
+        got = opnorm(a)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(np.linalg.norm(a, 2)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 4), (25, 25), (3, 5), (7, 2)])
+    def test_seeded_real_and_complex(self, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        real = rng.standard_normal(shape)
+        self.assert_bitwise(real)
+        self.assert_bitwise(real + 1j * rng.standard_normal(shape))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_random_instance_psi(self, n):
+        _, psi = kf.random_instance(n, n)
+        assert psi.mat.shape == (n * n, n * n)
+        self.assert_bitwise(psi.mat)
+
+    def test_zero_and_empty(self):
+        self.assert_bitwise(np.zeros((4, 4), dtype=complex))
+        for shape in [(0, 0), (0, 3), (3, 0)]:
+            got = opnorm(np.zeros(shape, dtype=complex))
+            assert type(got) is float and got == 0.0
+
+    def test_no_other_spectral_norm_in_sources(self):
+        src = Path(kf.__file__).resolve().parent
+        found = {
+            p.name: _spectral_norms(p.read_text(), SVD_CALLERS.get(p.name, ()))
+            for p in sorted(src.rglob("*.py"))
+        }
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    def test_guard_flags_a_planted_norm(self):
+        snippet = (
+            "def opnorm(a):\n"
+            "    return np.linalg.svd(a, compute_uv=False)[0]\n"
+            "def f(a, k):\n"
+            "    b = np.linalg.norm(a, 2) + scipy.linalg.norm(a, ord=-2)\n"
+            "    c = np.linalg.svd(a, compute_uv=False).max() + svdvals(a)[0]\n"
+            "    d = np.linalg.matrix_norm(a, ord=2) + np.linalg.norm(a, k)\n"
+            "    return np.linalg.norm(a) + np.linalg.norm(a, 'fro') + np.linalg.norm(a, axis=1)\n"
+        )
+        assert _spectral_norms(snippet, {"opnorm"}) == [4, 4, 5, 5, 6, 6]
+        assert _spectral_norms(snippet) == [2, 4, 4, 5, 5, 6, 6]
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+    def test_rejects_non_finite_part(self, part, value):
+        m = np.ones((3, 3), dtype=complex)
+        getattr(m, part)[1, 2] = value
+        other = m.imag if part == "real" else m.real
+        assert np.isfinite(other).all()  # only the one part is non-finite
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            as_matrix(m)
+
+    def test_accepts_finite_extremes(self):
+        big = np.finfo(float).max
+        tiny = np.finfo(float).smallest_subnormal
+        m = np.array([[big, -big * 1j], [tiny * 1j, complex(-big, big)]])
+        out = as_matrix(m, 2)
+        assert out.dtype == np.complex128 and np.array_equal(out, m)
 
 
 class TestEigHermitian:
