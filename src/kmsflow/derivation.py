@@ -73,7 +73,6 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -342,9 +341,10 @@ def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
     """Construct the first-order calculus of a certified generator by the
     GNS quotient of the V-transformed generator, in H = C^n (x) K (x) C^n.
 
-    With P an orthonormal basis of (rho^{1/2})^perp and P* T P = W g W*, the
-    m eigenvalues that ``_kept`` keeps give K = C^m and the class map
-    C_mid = sqrt(g) W* P*.  In the coordinates (a, k, d), indexed
+    With P an orthonormal basis of (rho^{1/2})^perp, the trailing right
+    singular vectors of one full SVD of the 1 x n^2 row rho^{1/2}, and
+    P* T P = W g W*, the m eigenvalues that ``_kept`` keeps give K = C^m
+    and the class map C_mid = sqrt(g) W* P*.  In the coordinates (a, k, d), indexed
     (a m + k) n + d, pi_l(E) = E (x) I (x) I, pi_r(E) = I (x) I (x) E^T,
     J is the swap of a and d tensored with K_J, composed with conjugation,
     the class of sigma_{-i/4}(E) (x) I - I (x) sigma_{i/4}(E) is
@@ -387,7 +387,11 @@ def gns_calculus(gen: MarkovGenerator) -> FirstOrderCalculus:
     # T[(b, c), (B, C)] = -1/2 (rho^{1/2} Lv(E_bB) rho^{1/2})[c, C]
     tmid = -0.5 * _kms_unit_form(lcheck, ctx).transpose(0, 2, 1, 3).reshape(n2, n2)
 
-    pbasis = scipy.linalg.null_space(ctx.sqrt_rho.reshape(1, n2))
+    # P: the right singular vectors of the row rho^{1/2} past its rank, the
+    # count of singular values above eps * n^2 * sigma_max
+    _, sv, vh = np.linalg.svd(ctx.sqrt_rho.reshape(1, n2), full_matrices=True)
+    rank = int((sv > np.finfo(float).eps * n2 * sv.max(initial=0.0)).sum())
+    pbasis = dagger(vh[rank:])
     t_p = dagger(pbasis) @ tmid @ pbasis
     eigs, w = np.linalg.eigh(0.5 * (t_p + dagger(t_p)))
     psd_bound = GRAM_PSD_TOL * max(abs(eigs).max(initial=0.0), 1e-300)

@@ -225,9 +225,9 @@ def dirichlet_energy(gen: MarkovGenerator, a) -> float:
 
 def et_energy(gen: MarkovGenerator, a, t: float) -> float:
     """Truncated form E_t(a) = <a, a - exp(-t L2) a> / t, increasing to E(a)
-    as t decreases to 0."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    as t decreases to 0.  Raises ValueError unless t is finite and > 0."""
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError(f"the truncated Dirichlet form requires a finite t > 0, got t = {t}")
     a = as_matrix(a, gen.dim)
     return float(np.real(np.vdot(a, a - superop_exp(gen.L2, t).apply(a))) / t)
 

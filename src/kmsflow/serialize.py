@@ -110,11 +110,16 @@ def calculus_to_json(calc) -> dict:
 
 
 def load_json(path: str):
+    """The JSON document at ``path``; a path that cannot be read (missing, a
+    directory, unreadable), text that is not UTF-8 and invalid JSON each
+    raise SchemaError naming the path."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise SchemaError(f"{path}: file not found") from exc
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
 

@@ -23,11 +23,11 @@ adjoint), matching the generator representation used throughout the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -241,9 +241,78 @@ def kms_adjoint(s: Superoperator, ctx: DensityContext) -> Superoperator:
     )
 
 
+# Higham (SIAM J. Matrix Anal. Appl. 26, 2005): theta_m is the largest
+# 1-norm of A at which the [m/m] Pade approximant of exp(A) has backward
+# error below the unit roundoff, for m = 3, 5, 7, 9, 13
+_THETA_3 = 1.495585217958292e-2
+_THETA_5 = 2.539398330063230e-1
+_THETA_7 = 9.504178996162932e-1
+_THETA_9 = 2.097847961257068e0
+_THETA_13 = 5.371920351148152e0
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square matrix by scaling and squaring (Higham 2005).
+
+    The Pade degree is the lowest m in 3, 5, 7, 9 with ||a||_1 <= theta_m;
+    above theta_9 it is 13, on a / 2^s with s the least such that
+    ||a / 2^s||_1 <= theta_13, and the result is squared s times.  With the
+    [m/m] approximant written as (V - U)^{-1} (V + U), U holding the odd
+    powers of a and V the even ones, each degree is one explicit U, V pair.
+    Raises ValueError when the 1-norm is not finite, as it is for a NaN or
+    infinite entry.
+    """
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise ValueError("matrix exponential of a matrix with non-finite 1-norm")
+    squarings = max(0, math.ceil(math.log2(norm / _THETA_13))) if norm > _THETA_9 else 0
+    if squarings:
+        a = a * 2.0**-squarings
+    ident = np.eye(a.shape[0], dtype=complex)
+    a2 = a @ a
+    if norm <= _THETA_3:
+        u = a @ (a2 + 60.0 * ident)
+        v = 12.0 * a2 + 120.0 * ident
+    elif norm <= _THETA_5:
+        a4 = a2 @ a2
+        u = a @ (a4 + 420.0 * a2 + 15120.0 * ident)
+        v = 30.0 * a4 + 3360.0 * a2 + 30240.0 * ident
+    elif norm <= _THETA_7:
+        a4 = a2 @ a2
+        a6 = a2 @ a4
+        u = a @ (a6 + 1512.0 * a4 + 277200.0 * a2 + 8648640.0 * ident)
+        v = 56.0 * a6 + 25200.0 * a4 + 1995840.0 * a2 + 17297280.0 * ident
+    elif norm <= _THETA_9:
+        a4 = a2 @ a2
+        a6 = a2 @ a4
+        a8 = a4 @ a4
+        u = a @ (a8 + 3960.0 * a6 + 2162160.0 * a4 + 302702400.0 * a2 + 8821612800.0 * ident)
+        v = (90.0 * a8 + 110880.0 * a6 + 30270240.0 * a4 + 2075673600.0 * a2
+             + 17643225600.0 * ident)
+    else:
+        a4 = a2 @ a2
+        a6 = a2 @ a4
+        u = a @ (
+            a6 @ (a6 + 16380.0 * a4 + 40840800.0 * a2)
+            + 33522128640.0 * a6 + 10559470521600.0 * a4 + 1187353796428800.0 * a2
+            + 32382376266240000.0 * ident
+        )
+        v = (
+            a6 @ (182.0 * a6 + 960960.0 * a4 + 1323241920.0 * a2)
+            + 670442572800.0 * a6 + 129060195264000.0 * a4 + 7771770303897600.0 * a2
+            + 64764752532480000.0 * ident
+        )
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
 def superop_exp(s: Superoperator, t: float) -> Superoperator:
-    """exp(-t S) by scaling-and-squaring."""
-    return Superoperator(scipy.linalg.expm(-float(t) * s.mat), s.dim, s.level)
+    """exp(-t S) by scaling and squaring with a Pade approximant (``_expm``).
+    Raises ValueError when -t S has a non-finite entry, as it has for t NaN
+    or infinite."""
+    return Superoperator(_expm(-float(t) * s.mat), s.dim, s.level)
 
 
 def _scale(x: float) -> float:

@@ -724,6 +724,40 @@ print(code, tracemalloc.get_traced_memory()[1], file=sys.stderr)
 """
 
 
+# the commands of one-shot processes, run in a fresh interpreter; prints
+# their exit codes and the scipy modules loaded by then
+SCIPY_FREE_RUN = """
+import contextlib, io, json, sys
+import kmsflow, kmsflow.cli
+rho, psi = sys.argv[1:]
+argvs = [
+    ["random", "--n", "2", "--rho-out", rho, "--psi-out", psi],
+    ["derive", "--method", "both", "--n", "2"],
+    ["simulate", "--n", "2"],
+    ["recover-cp", "--n", "2"],
+    ["dirichlet-check", "--n", "2"],
+    ["vtransform", "--superop", psi, "--rho", rho, "--quadrature", "20000"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [kmsflow.cli.main(argv) for argv in argvs]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+class TestImportFootprint:
+    def test_commands_load_no_scipy(self, tmp_path):
+        # numpy is the one runtime dependency: scipy would double start-up
+        env = {**os.environ, "PYTHONPATH": str(Path(kf.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path / "rho.json"),
+             str(tmp_path / "psi.json")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        codes, loaded = json.loads(proc.stdout)
+        assert codes == [0] * 6
+        assert loaded == []
+
+
 class TestDeriveMemory:
     def test_both_routes_hold_one_pair_of_actions(self, tmp_path):
         # the GNS and the commutator calculus share pi_l and pi_r, so the run
@@ -1012,20 +1046,43 @@ class TestOutputs:
         assert rep["command"] == argv[0]
         assert "pass" not in rep
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--report"],
+            ["check", "--superop"],
+            ["derive", "--rho"],
+            ["derive", "--psi"],
+            ["simulate", "--rho", "{rho}", "--gen"],
+            ["random", "--config"],
+        ],
+        ids=["report", "superop", "rho", "psi", "gen", "config"],
+    )
+    def test_directory_input_is_schema_error(self, capsys, tmp_path, argv):
+        rho, _ = write_instance(tmp_path, capsys, seed=2)
+        argv = [a.format(rho=rho) for a in argv]
+        code, rep = run(capsys, *argv, str(tmp_path))
+        assert code == 2
+        assert rep["error"]["type"] == "schema"
+        assert str(tmp_path) in rep["error"]["message"]
+        assert rep["command"] == argv[0]
+
 
 # The CLI's vocabulary: each option with valid and invalid values, as
 # token lists; "{name}" is a file in a fresh directory, written from
-# TestEveryArgv.documents or left absent.  Sizes stay small (n <= 3,
-# --trials <= 2, --quadrature in {0, 5, 1000}) so that a run is cheap.
-ARGV_FILES = ("{rho}", "{rho3}", "{psi}", "{psi_l2}", "{gen}", "{malformed}", "{missing}")
+# TestEveryArgv.documents or left absent, and "{dir}" is the directory.
+# Sizes stay small (n <= 3, --trials <= 2, --quadrature in {0, 5, 1000}) so
+# that a run is cheap.
+ARGV_FILES = ("{rho}", "{rho3}", "{psi}", "{psi_l2}", "{gen}", "{malformed}", "{missing}",
+              "{dir}")
 ARGV_VALUES = {
     "--superop": ARGV_FILES,
     "--rho": ARGV_FILES,
     "--psi": ARGV_FILES,
     "--gen": ARGV_FILES,
-    "--report": ("{report}", "{psi}", "{malformed}", "{missing}"),
+    "--report": ("{report}", "{psi}", "{malformed}", "{missing}", "{dir}"),
     "--config": ("{cfg}", "{cfg_rho3}", "{cfg_bad}", "{cfg_list}", "{cfg_rho_str}",
-                 "{cfg_unknown}", "{malformed}", "{missing}"),
+                 "{cfg_unknown}", "{malformed}", "{missing}", "{dir}"),
     "--out": ("{out}", "{unwritable}"),
     "--dump": ("{dump}", "{unwritable}"),
     "--rho-out": ("{rho_out}", "{unwritable}"),
@@ -1118,6 +1175,7 @@ class TestEveryArgv:
             paths = {name: os.path.join(tmp, f"{name}.json") for name in (
                 *documents, "missing", "out", "dump", "rho_out", "psi_out")}
             paths["unwritable"] = os.path.join(tmp, "missing", "x.json")
+            paths["dir"] = tmp
             for name, text in documents.items():
                 Path(paths[name]).write_text(text)
             argv = [a.format(**paths) for a in argv]

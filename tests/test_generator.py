@@ -275,6 +275,28 @@ class TestDirichletEnergies:
             assert all(x <= e + 1e-10 for x in ets)
             assert kf.et_energy(gen, a, 1.0) <= kf.et_energy(gen, a, 1 / 16) + 1e-10
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_et_rises_to_dirichlet_energy(self, n, seed):
+        # 1 - e^{-x} lies in [x - x^2 / 2, x] and (1 - e^{-x}) / x falls in x,
+        # so E_t rises as t falls and 0 <= E - E_t <= t ||L2 a||^2 / 2
+        gen, _ = cached_generator(n, seed)
+        a = rng_matrix(np.random.default_rng(seed), n)
+        e = kf.dirichlet_energy(gen, a)
+        tol = 1e-9 * max(1.0, e)
+        times = [2.0**-k for k in range(11)]
+        ets = [kf.et_energy(gen, a, t) for t in times]
+        assert all(x <= y + tol for x, y in zip(ets, ets[1:]))
+        la = np.linalg.norm(gen.L2.apply(a)) ** 2
+        for t, et in zip(times, ets):
+            assert -tol <= e - et <= t * la / 2 + tol
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_et_rejects_time(self, t):
+        gen, _ = cached_generator(2, 5)
+        with pytest.raises(ValueError, match=f"finite t > 0, got t = {t}"):
+            kf.et_energy(gen, np.eye(2), t)
+
     def test_energy_nonnegative(self):
         gen, _ = cached_generator(3, 11)
         rng = np.random.default_rng(1)

@@ -53,11 +53,12 @@ class TestKron:
         assert users == []
 
 
-# module -> the functions in it that may call an SVD: opnorm, and the two
-# that read a whole singular spectrum (a rank cut-off, sigma_min / sigma_max)
+# module -> the functions in it that may call an SVD: opnorm, and the three
+# that read a whole singular spectrum (a rank cut-off, sigma_min / sigma_max,
+# the rank of the row rho^{1/2} whose null space gns_calculus keeps)
 SVD_CALLERS = {
     "matrix_core.py": {"opnorm"},
-    "derivation.py": {"calculus_invariants_report", "uniqueness_witness"},
+    "derivation.py": {"calculus_invariants_report", "gns_calculus", "uniqueness_witness"},
 }
 
 
