@@ -41,10 +41,8 @@ from .superop import (
     is_kms_symmetric,
     is_markov_l2,
     kms_adjoint,
-    kraus_from_choi,
     lmul,
     rmul,
-    superop_exp,
     to_algebra,
     to_l2,
 )

@@ -17,6 +17,10 @@ are mutual adjoints, and the partial-fraction identity
 the compressed Choi matrix of -L that certifies conditional complete
 negativity is the Choi matrix of an admissible Psi.
 
+L2 is self-adjoint on the standard form, so the semigroup exp(-t L2) is
+U diag(e^{-t w}) U* by the spectral theorem, from one eigendecomposition
+that the generator caches.
+
 The quadratic form E(a) = <a, L2 a> on the standard form is the Dirichlet
 form of the semigroup; this module also provides the cone projection
 a -> a ^ rho^{1/2} (nearest point of rho^{1/2} - L2_+ in the real
@@ -27,6 +31,7 @@ contraction and product-inequality checks that characterize Dirichlet forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +52,7 @@ from .matrix_core import (
 )
 from .reports import Check, Report
 from .superop import (
+    L2,
     Superoperator,
     compressed_choi,
     is_ccn,
@@ -54,7 +60,6 @@ from .superop import (
     is_kms_symmetric,
     lmul,
     rmul,
-    superop_exp,
     superop_from_choi,
     to_l2,
     unital_kernel_report,
@@ -102,6 +107,23 @@ class MarkovGenerator:
     @property
     def tol(self) -> float:
         return self.ctx.tol
+
+    @cached_property
+    def l2_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, U) with (L2 + L2*)/2 = U diag(w) U*, from one eigh computed
+        on first use; ``evolve`` and ``et_energy`` read it."""
+        return _hermitian_spectrum(self.L2)
+
+
+def _hermitian_spectrum(s: Superoperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of the Hermitian part of S."""
+    return np.linalg.eigh(0.5 * (s.mat + dagger(s.mat)))
+
+
+def _semigroup(spectrum: tuple[np.ndarray, np.ndarray], t: float, dim: int) -> Superoperator:
+    """U diag(e^{-t w}) U* at the L2 level, for the spectrum (w, U)."""
+    w, u = spectrum
+    return Superoperator((u * np.exp(-t * w)) @ dagger(u), dim, L2)
 
 
 def certify_generator(lgen: Superoperator, ctx: DensityContext, tol: float | None = None) -> MarkovGenerator:
@@ -193,10 +215,13 @@ def _require_time(t: float) -> None:
 
 
 def evolve(gen: MarkovGenerator, t: float) -> Superoperator:
-    """Standard-form semigroup exp(-t L2).  Raises ValueError unless t is
-    finite and >= 0."""
+    """Standard-form semigroup exp(-t H) of the Hermitian part H of L2, read
+    off ``gen.l2_spectrum``.  What it leaves out is the skew part
+    K = (L2 - L2*)/2, which is rounding for a certified generator: for
+    H >= 0, || exp(-t H) - exp(-t L2) || <= t ||K|| (Duhamel's formula, both
+    semigroups contractive).  Raises ValueError unless t is finite and >= 0."""
     _require_time(t)
-    return superop_exp(gen.L2, t)
+    return _semigroup(gen.l2_spectrum, t, gen.dim)
 
 
 def chernoff_residual(gen: MarkovGenerator, t: float, n_steps: int) -> float:
@@ -205,14 +230,16 @@ def chernoff_residual(gen: MarkovGenerator, t: float, n_steps: int) -> float:
 
         || (V(exp(-t/n L2)))^n - exp(-t V(L2)) ||.
 
-    Raises ValueError when n_steps < 1 or t is not finite and >= 0.
+    Both exponentials are taken as ``evolve`` takes its own, on the
+    Hermitian part; the target from one eigh of V(L2).  Raises ValueError
+    when n_steps < 1 or t is not finite and >= 0.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     _require_time(t)
     ctx = gen.ctx
     step = v_transform(evolve(gen, t / n_steps), ctx)
-    target = superop_exp(v_transform(gen.L2, ctx), t)
+    target = _semigroup(_hermitian_spectrum(v_transform(gen.L2, ctx)), t, gen.dim)
     return opnorm(np.linalg.matrix_power(step.mat, n_steps) - target.mat)
 
 
@@ -225,11 +252,13 @@ def dirichlet_energy(gen: MarkovGenerator, a) -> float:
 
 def et_energy(gen: MarkovGenerator, a, t: float) -> float:
     """Truncated form E_t(a) = <a, a - exp(-t L2) a> / t, increasing to E(a)
-    as t decreases to 0.  Raises ValueError unless t is finite and > 0."""
+    as t decreases to 0, with exp(-t L2) that of ``evolve``.  Raises
+    ValueError unless t is finite and > 0."""
     if not (np.isfinite(t) and t > 0):
         raise ValueError(f"the truncated Dirichlet form requires a finite t > 0, got t = {t}")
     a = as_matrix(a, gen.dim)
-    return float(np.real(np.vdot(a, a - superop_exp(gen.L2, t).apply(a))) / t)
+    semigroup = _semigroup(gen.l2_spectrum, t, gen.dim)
+    return float(np.real(np.vdot(a, a - semigroup.apply(a))) / t)
 
 
 def cone_project(ctx: DensityContext, a):

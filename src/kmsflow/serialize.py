@@ -1,6 +1,7 @@
 """JSON schemas for matrices, density contexts, superoperators and reports.
 
-Matrix object: {"n": int, "re": [[float]], "im": [[float]]} (row-major).
+Matrix object: {"n": int, "re": [[float]], "im": [[float]]} (row-major),
+"re" and "im" each n x n.
 Density context adds {"tol": float}.  Superoperator:
 {"n": int, "level": "algebra"|"l2", "re": [[float]], "im": [[float]]} with
 the n^2 x n^2 matrix over the column-stacking vectorization.  Numbers are
@@ -34,12 +35,14 @@ def _array(d: dict, n_rows: int, where: str) -> np.ndarray:
         re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: entries are not numeric ({exc})") from exc
+    for key, part in (("re", re), ("im", im)):
+        if part.shape != (n_rows, n_rows):
+            raise SchemaError(
+                f"{where}: expected {key!r} of shape {(n_rows, n_rows)}, got {part.shape}"
+            )
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise SchemaError(f"{where}: entries must be finite (NaN or Infinity found)")
-    arr = re + 1j * im
-    if arr.shape != (n_rows, n_rows):
-        raise SchemaError(f"{where}: expected shape {(n_rows, n_rows)}, got {arr.shape}")
-    return arr
+    return re + 1j * im
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

@@ -13,7 +13,9 @@ two levels:
 * ``l2``      -- maps on the standard-form Hilbert space (T, L_2).
 
 The two levels are converted by conjugation with the symmetric embedding
-x -> rho^{1/4} x rho^{1/4}; composing mismatched levels is an error.
+x -> rho^{1/4} x rho^{1/4}; composing mismatched levels is an error.  The
+semigroup exp(-t L2) is self-adjoint: ``generator`` takes it from the
+spectrum of L2.
 
 The Choi matrix convention is  C = sum_ab E_ab otimes S(E_ab);  a map is
 completely positive iff its Choi matrix is positive semidefinite.  Kraus
@@ -23,7 +25,6 @@ adjoint), matching the generator representation used throughout the package.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +34,6 @@ from .errors import (
     DimensionMismatch,
     EmptyKrausList,
     NotHermiticityPreserving,
-    NotPSD,
     WrongLevel,
 )
 from .matrix_core import (
@@ -50,8 +50,8 @@ ALGEBRA = "algebra"
 L2 = "l2"
 _LEVELS = (ALGEBRA, L2)
 
-# relative eigenvalue floor of ``kraus_from_choi`` (its rank decision and the
-# clamp of negative rounding), and the bound of each NotPSD check on a Choi matrix
+# relative bound of the NotPSD check on a Choi matrix: an eigenvalue below
+# -KRAUS_RANK_TOL * ||C|| is not rounding
 KRAUS_RANK_TOL = 1e-10
 
 
@@ -185,30 +185,6 @@ def superop_from_choi(c: np.ndarray, level: str = ALGEBRA) -> Superoperator:
     return Superoperator(_choi_shuffle(c), int(round(np.sqrt(c.shape[0]))), level)
 
 
-def kraus_from_choi(c: np.ndarray) -> list[np.ndarray]:
-    """Kraus family {V_j} of a completely positive map from its Choi matrix.
-
-    Eigenvalues below KRAUS_RANK_TOL * ||C|| are discarded; small negatives
-    above -KRAUS_RANK_TOL * ||C|| are clamped to zero (rounding noise from
-    upstream eigendecompositions).  Raises NotPSD for anything more negative.
-    """
-    c = np.asarray(c, dtype=complex)
-    c = 0.5 * (c + dagger(c))
-    w, u = np.linalg.eigh(c)
-    scale = max(abs(w).max(initial=0.0), 1e-300)
-    if w.min(initial=0.0) < -KRAUS_RANK_TOL * scale:
-        raise NotPSD(
-            f"Choi matrix has eigenvalue {w.min():.3e} < -{KRAUS_RANK_TOL:.1e} * ||C||"
-        )
-    ops = []
-    n = int(round(np.sqrt(c.shape[0])))
-    for wi, ui in zip(w, u.T):
-        if wi > KRAUS_RANK_TOL * scale:
-            k = unvec(np.sqrt(wi) * ui, n)
-            ops.append(dagger(k))  # S(X) = sum K X K* = sum V* X V with V = K*
-    return ops
-
-
 def sandwich(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix of the map X -> a S(b X b) a, for S stored as ``s``."""
     return kron(a.T, a) @ s @ kron(b.T, b)
@@ -239,80 +215,6 @@ def kms_adjoint(s: Superoperator, ctx: DensityContext) -> Superoperator:
     return Superoperator(
         sandwich(dagger(s.mat), ctx.inv_sqrt_rho, ctx.sqrt_rho), s.dim, ALGEBRA
     )
-
-
-# Higham (SIAM J. Matrix Anal. Appl. 26, 2005): theta_m is the largest
-# 1-norm of A at which the [m/m] Pade approximant of exp(A) has backward
-# error below the unit roundoff, for m = 3, 5, 7, 9, 13
-_THETA_3 = 1.495585217958292e-2
-_THETA_5 = 2.539398330063230e-1
-_THETA_7 = 9.504178996162932e-1
-_THETA_9 = 2.097847961257068e0
-_THETA_13 = 5.371920351148152e0
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a square matrix by scaling and squaring (Higham 2005).
-
-    The Pade degree is the lowest m in 3, 5, 7, 9 with ||a||_1 <= theta_m;
-    above theta_9 it is 13, on a / 2^s with s the least such that
-    ||a / 2^s||_1 <= theta_13, and the result is squared s times.  With the
-    [m/m] approximant written as (V - U)^{-1} (V + U), U holding the odd
-    powers of a and V the even ones, each degree is one explicit U, V pair.
-    Raises ValueError when the 1-norm is not finite, as it is for a NaN or
-    infinite entry.
-    """
-    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
-    if not math.isfinite(norm):
-        raise ValueError("matrix exponential of a matrix with non-finite 1-norm")
-    squarings = max(0, math.ceil(math.log2(norm / _THETA_13))) if norm > _THETA_9 else 0
-    if squarings:
-        a = a * 2.0**-squarings
-    ident = np.eye(a.shape[0], dtype=complex)
-    a2 = a @ a
-    if norm <= _THETA_3:
-        u = a @ (a2 + 60.0 * ident)
-        v = 12.0 * a2 + 120.0 * ident
-    elif norm <= _THETA_5:
-        a4 = a2 @ a2
-        u = a @ (a4 + 420.0 * a2 + 15120.0 * ident)
-        v = 30.0 * a4 + 3360.0 * a2 + 30240.0 * ident
-    elif norm <= _THETA_7:
-        a4 = a2 @ a2
-        a6 = a2 @ a4
-        u = a @ (a6 + 1512.0 * a4 + 277200.0 * a2 + 8648640.0 * ident)
-        v = 56.0 * a6 + 25200.0 * a4 + 1995840.0 * a2 + 17297280.0 * ident
-    elif norm <= _THETA_9:
-        a4 = a2 @ a2
-        a6 = a2 @ a4
-        a8 = a4 @ a4
-        u = a @ (a8 + 3960.0 * a6 + 2162160.0 * a4 + 302702400.0 * a2 + 8821612800.0 * ident)
-        v = (90.0 * a8 + 110880.0 * a6 + 30270240.0 * a4 + 2075673600.0 * a2
-             + 17643225600.0 * ident)
-    else:
-        a4 = a2 @ a2
-        a6 = a2 @ a4
-        u = a @ (
-            a6 @ (a6 + 16380.0 * a4 + 40840800.0 * a2)
-            + 33522128640.0 * a6 + 10559470521600.0 * a4 + 1187353796428800.0 * a2
-            + 32382376266240000.0 * ident
-        )
-        v = (
-            a6 @ (182.0 * a6 + 960960.0 * a4 + 1323241920.0 * a2)
-            + 670442572800.0 * a6 + 129060195264000.0 * a4 + 7771770303897600.0 * a2
-            + 64764752532480000.0 * ident
-        )
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
-    return r
-
-
-def superop_exp(s: Superoperator, t: float) -> Superoperator:
-    """exp(-t S) by scaling and squaring with a Pade approximant (``_expm``).
-    Raises ValueError when -t S has a non-finite entry, as it has for t NaN
-    or infinite."""
-    return Superoperator(_expm(-float(t) * s.mat), s.dim, s.level)
 
 
 def _scale(x: float) -> float:

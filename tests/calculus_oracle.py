@@ -52,6 +52,11 @@ the standard form (``as_dense`` copies a calculus into one).
   are checked; ``commutator_delta`` forms rho^{1/4} [V_k, E] rho^{1/4}
   directly, the oracle for the delta that ``commutator_calculus`` renders
   from its inner vector.
+- ``kraus_from_choi`` is a Kraus family {V_j} of a completely positive map
+  read off the eigendecomposition of its Choi matrix, keeping eigenvalues
+  above KRAUS_RANK_TOL ||C||: a plain Kraus family to build commutator
+  families from, independent of the Hermitian normal form that
+  ``extract_commutators_kraus`` reads off B* C(Xi) B.
 - ``pi_l_of``, ``pi_r_of`` and ``delta_of`` apply the actions and the
   derivation of a calculus to one matrix structurally, and
   ``leibniz_bilinear_residual`` evaluates the six-term bilinear identity of
@@ -75,6 +80,7 @@ from kmsflow.derivation import (
 from kmsflow.errors import (
     DimensionMismatch,
     GramNotPSD,
+    NotPSD,
     ReconstructionFailure,
 )
 from kmsflow.generator import MarkovGenerator
@@ -88,7 +94,7 @@ from kmsflow.matrix_core import (
     opnorm,
 )
 from kmsflow.reports import Check, Report
-from kmsflow.superop import lmul, rmul, to_algebra, unvec, vec
+from kmsflow.superop import KRAUS_RANK_TOL, lmul, rmul, to_algebra, unvec, vec
 from kmsflow.vtransform import v_transform
 
 STRUCTURE_CHECKS = (
@@ -642,6 +648,27 @@ def trimmed_commutator_calculus(
             "isometry": q,
         },
     )
+
+
+def kraus_from_choi(c: np.ndarray) -> list[np.ndarray]:
+    """Kraus family {V_j}, S(X) = sum_j V_j* X V_j, of a completely positive
+    map from its Choi matrix C.
+
+    Eigenvalues at or below KRAUS_RANK_TOL * ||C|| are discarded, small
+    negatives above -KRAUS_RANK_TOL * ||C|| (rounding noise from upstream
+    eigendecompositions) included.  Raises NotPSD for anything more negative.
+    """
+    c = np.asarray(c, dtype=complex)
+    w, u = np.linalg.eigh(0.5 * (c + dagger(c)))
+    scale = max(abs(w).max(initial=0.0), 1e-300)
+    if w.min(initial=0.0) < -KRAUS_RANK_TOL * scale:
+        raise NotPSD(
+            f"Choi matrix has eigenvalue {w.min():.3e} < -{KRAUS_RANK_TOL:.1e} * ||C||"
+        )
+    n = int(round(np.sqrt(c.shape[0])))
+    # S(X) = sum K X K* = sum V* X V with V = K*
+    return [dagger(unvec(np.sqrt(wi) * ui, n)) for wi, ui in zip(w, u.T)
+            if wi > KRAUS_RANK_TOL * scale]
 
 
 def render_theta(w, n: int) -> np.ndarray:

@@ -4,8 +4,9 @@ The library computes each of these in closed form or in one batched pass;
 the functions here are the plain forms those paths are gated against:
 
 - ``exp_probe_ccn`` tests conditional complete negativity of a generator L
-  through its semigroup, as complete positivity of exp(-t L) at
-  EXP_PROBE_TIMES, the oracle for ``is_ccn``'s compressed-Choi criterion.
+  through its semigroup, as complete positivity of exp(-t L) (scipy's
+  ``expm``: L is not self-adjoint) at EXP_PROBE_TIMES, the oracle for
+  ``is_ccn``'s compressed-Choi criterion.
 - ``projected_gradient_cone_project`` solves the cone projection
   a ^ rho^{1/2} as min_{v >= 0} ||a - rho^{1/2} + rho^{1/4} v rho^{1/4}||_F^2
   by projected gradient, the oracle for the closed-form ``cone_project``.
@@ -37,16 +38,19 @@ the functions here are the plain forms those paths are gated against:
   checked.
 - ``identity_superop`` and ``zero_superop`` are the identity and zero
   superoperators at either level, and ``random_markov_operator`` a seeded
-  symmetric Markov operator exp(-t L2): inputs that only the tests build.
+  symmetric Markov operator exp(-t L2), from ``evolve``: inputs that only
+  the tests build.
 """
 
 import numpy as np
+import scipy.linalg
 
 from kmsflow.errors import Infeasible
 from kmsflow.generator import (
     MarkovGenerator,
     _psd_project,
     _resolvent_part,
+    evolve,
     resolvent_generator,
 )
 from kmsflow.matrix_core import (
@@ -70,7 +74,6 @@ from kmsflow.superop import (
     choi,
     is_cp,
     kms_adjoint,
-    superop_exp,
     unvec,
     vec,
 )
@@ -84,7 +87,10 @@ EXP_PROBE_TIMES = (1e-3, 1e-2, 1e-1, 1.0)
 def exp_probe_ccn(lgen: Superoperator, tol: float = 1e-9) -> bool:
     """Whether exp(-t L) passes ``is_cp`` at ``tol`` at every time in
     EXP_PROBE_TIMES: a semigroup probe of conditional complete negativity."""
-    return all(is_cp(superop_exp(lgen, t), tol=tol).passed for t in EXP_PROBE_TIMES)
+    def semigroup(t):
+        return Superoperator(scipy.linalg.expm(-t * lgen.mat), lgen.dim, lgen.level)
+
+    return all(is_cp(semigroup(t), tol=tol).passed for t in EXP_PROBE_TIMES)
 
 
 def projected_gradient_cone_project(
@@ -307,4 +313,4 @@ def random_markov_operator(n: int, seed: int):
     exp(-t L2) of a seeded generator, t drawn from the seed."""
     gen, _ = random_generator(n, seed)
     t = float(np.random.default_rng(seed + 7919).uniform(0.2, 2.0))
-    return gen.ctx, superop_exp(gen.L2, t)
+    return gen.ctx, evolve(gen, t)

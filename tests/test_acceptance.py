@@ -35,7 +35,7 @@ from certify_oracle import exp_probe_ccn
 from kmsflow.derivation import FORM_TOL, kms_form_of_generator
 from kmsflow.generator import cone_project
 from kmsflow.matrix_core import dagger, opnorm
-from kmsflow.superop import from_kraus, kms_adjoint, superop_exp
+from kmsflow.superop import from_kraus, kms_adjoint
 from kmsflow.vtransform import (
     markov_preservation_check,
     v_transform_cptp_certificate,
@@ -175,7 +175,7 @@ def test_criterion_04_markov_preservation():
         for seed in range(N_SEEDS):
             gen, _ = gen_cache(n, seed)
             t_par = float(np.random.default_rng(seed + 7919).uniform(0.2, 2.0))
-            t = superop_exp(gen.L2, t_par)
+            t = kf.evolve(gen, t_par)
             rep = markov_preservation_check(t, gen.ctx, tol=1e-8)
             assert rep.passed, (n, seed)
             checked += 1

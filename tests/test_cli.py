@@ -182,6 +182,22 @@ class TestCheck:
         assert str(target) in rep["error"]["message"]
         assert "finite" in rep["error"]["message"]
 
+    @pytest.mark.parametrize("im", [[[0.0]], 0.0, [0.0, 0.0], [[0, 0, 0]]], ids=str)
+    @pytest.mark.parametrize("reader", ["superop", "rho"])
+    def test_im_of_another_shape_is_schema_error(self, capsys, tmp_path, reader, im):
+        # "im" is read at its own shape, never broadcast against "re", and an
+        # "im" that cannot be broadcast is a schema error, not a usage error
+        rho, psi = write_instance(tmp_path, capsys, seed=2)
+        target = psi if reader == "superop" else rho
+        doc = json.loads(target.read_text())
+        doc["im"] = im
+        target.write_text(json.dumps(doc))
+        code, rep = run(capsys, "check", "--superop", str(psi), "--rho", str(rho))
+        assert code == 2
+        assert rep["error"]["type"] == "schema"
+        assert str(target) in rep["error"]["message"]
+        assert "'im' of shape" in rep["error"]["message"]
+
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), True], ids=str)
     def test_non_finite_density_tol_is_schema_error(self, capsys, tmp_path, tol):
         # with tol Infinity every KMS-symmetry defect would pass

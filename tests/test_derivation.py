@@ -28,7 +28,6 @@ from kmsflow.superop import (
     choi,
     from_kraus,
     kms_adjoint,
-    kraus_from_choi,
     to_l2,
 )
 
@@ -43,6 +42,7 @@ from calculus_oracle import (
     dense_invariants_report,
     grid_invariants_report,
     kron_commutator_actions,
+    kraus_from_choi,
     kron_render,
     leibniz_bilinear_residual,
     lift_k_j,

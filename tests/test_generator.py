@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 import kmsflow as kf
@@ -249,6 +250,91 @@ class TestEvolveChernoff:
         ratio = r64 / r8
         assert ratio <= 0.25
         assert ratio >= 1 / 32  # approximately first order, 1/8 within factor 2
+
+
+# bound on the relative 1-norm distance of the semigroup from the oracle
+# scipy.linalg.expm; the cases below measure at most 7.8e-15
+EXP_REL_TOL = 1e-13
+EXP_TIMES = (1 / 64, 1 / 8, 1.0, 10.0)
+
+
+def exp_defect(got: np.ndarray, exponent: np.ndarray, t: float) -> float:
+    """Relative 1-norm distance of ``got`` from the oracle exp(-t exponent)."""
+    want = scipy.linalg.expm(-t * exponent)
+    return np.abs(got - want).sum(axis=0).max() / np.abs(want).sum(axis=0).max()
+
+
+class TestSemigroupSpectrum:
+    @pytest.mark.parametrize("t", EXP_TIMES)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_evolve_matches_oracle(self, n, t):
+        gen, _ = cached_generator(n, 0)
+        assert exp_defect(kf.evolve(gen, t).mat, gen.L2.mat, t) <= EXP_REL_TOL
+
+    @pytest.mark.parametrize("t", EXP_TIMES)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_chernoff_target_matches_oracle(self, n, t):
+        # chernoff_residual's target exp(-t V(L2)), from one eigh of V(L2)
+        gen, _ = cached_generator(n, 0)
+        v = kf.v_transform(gen.L2, gen.ctx)
+        target = generator_mod._semigroup(generator_mod._hermitian_spectrum(v), t, n)
+        assert target.level == "l2"
+        assert exp_defect(target.mat, v.mat, t) <= EXP_REL_TOL
+
+    def test_t_zero_is_identity(self):
+        gen, _ = cached_generator(3, 0)
+        np.testing.assert_allclose(kf.evolve(gen, 0.0).mat, np.eye(9), atol=1e-15)
+
+    def test_semigroup_law(self):
+        gen, _ = cached_generator(2, 11)
+        lhs = kf.evolve(gen, 0.8).mat
+        rhs = kf.evolve(gen, 0.5).mat @ kf.evolve(gen, 0.3).mat
+        assert opnorm(lhs - rhs) < 1e-9 * max(1.0, opnorm(lhs))
+
+    def test_depolarizing_spectrum(self, ctx_tracial2):
+        # L = n id - omega omega* acts as n on traceless matrices and as 0 on
+        # I; at the tracial state L2 = L
+        n = 2
+        omega = vec(np.eye(n))
+        lgen = kf.Superoperator(n * np.eye(n * n) - np.outer(omega, omega), n)
+        e = kf.evolve(kf.certify_generator(lgen, ctx_tracial2), 0.7)
+        np.testing.assert_allclose(e.apply(np.eye(n)), np.eye(n), atol=1e-12)
+        x0 = np.array([[0.5, 2.0], [0.5, -0.5]])
+        np.testing.assert_allclose(e.apply(x0), np.exp(-0.7 * n) * x0, atol=1e-12)
+
+    @pytest.mark.parametrize("ratio", [1e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_planted_skew_part_is_bounded(self, n, ratio):
+        # evolve exponentiates the Hermitian part H of L2 and leaves out the
+        # skew part K; for H >= 0, ||exp(-t H) - exp(-t(H + K))|| <= t ||K||
+        # (measured at most 0.98 of the bound)
+        gen, _ = cached_generator(n, 0)
+        m = rng_matrix(np.random.default_rng(n), n * n)
+        k = 0.5 * (m - dagger(m))
+        k *= ratio * gen.L2.norm / opnorm(k)
+        l2k = gen.L2 + kf.Superoperator(k, n, "l2")
+        skewed = MarkovGenerator(L=gen.L, L2=l2k, ctx=gen.ctx)
+        skew = opnorm(0.5 * (l2k.mat - dagger(l2k.mat)))
+        for t in (0.1, 1.0, 10.0):
+            gap = opnorm(kf.evolve(skewed, t).mat - scipy.linalg.expm(-t * l2k.mat))
+            assert gap <= t * skew, (t, gap / (t * skew))
+
+    def test_one_eigh_per_generator(self, monkeypatch):
+        # the times of one certify instance's evolve calls, then the
+        # truncated form: one eigh of L2 serves them all; the Chernoff
+        # residual adds the one eigh of V(L2)
+        gen, _ = cached_generator(3, 0)
+        fresh = MarkovGenerator(L=gen.L, L2=gen.L2, ctx=gen.ctx)
+        kf.v_transform(gen.L2, gen.ctx)  # the context's modular basis, cached
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        for t in (1.0, 0.1, 1.0, 10.0, 1 / 8, 1 / 64):
+            kf.evolve(fresh, t)
+        kf.et_energy(fresh, np.eye(3), 0.5)
+        assert calls == [(9, 9)]
+        kf.chernoff_residual(fresh, 1.0, 8)
+        assert calls == [(9, 9)] * 2
 
 
 class TestDirichletEnergies:

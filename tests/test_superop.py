@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, strategies as st
 
 import kmsflow as kf
@@ -15,15 +14,15 @@ from kmsflow.superop import (
     choi,
     from_kraus,
     hermiticity_preservation_defect,
-    kraus_from_choi,
     superop_from_choi,
     unit_images,
     unvec,
     vec,
 )
 
+from calculus_oracle import kraus_from_choi
 from certify_oracle import exp_probe_ccn, identity_superop, zero_superop
-from conftest import cached_generator, rng_matrix
+from conftest import rng_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -387,7 +386,7 @@ class TestIsMarkovL2:
 
     def test_semigroup_element_passes(self):
         gen, _ = kf.random_generator(2, 17)
-        t = kf.superop_exp(gen.L2, 0.5)
+        t = kf.evolve(gen, 0.5)
         assert kf.is_markov_l2(t, gen.ctx).passed
 
     def test_transpose_sandwich_fails_cp(self, ctx2):
@@ -415,77 +414,6 @@ class TestIsMarkovL2:
         assert not rep.passed
         assert not rep.check("j_commutation_defect").passed()
         assert rep.check("j_commutation_defect").value > eps
-
-
-# bound on the relative 1-norm distance of superop_exp from the oracle
-# scipy.linalg.expm; the cases below measure at most 2.8e-14
-EXP_REL_TOL = 1e-13
-# 1-norms of the exponent: two or more per Pade degree (theta_3 = 0.015,
-# theta_5 = 0.25, theta_7 = 0.95, theta_9 = 2.1, theta_13 = 5.4) and, above
-# theta_13, exponents scaled by 2^-s and squared back s times
-EXP_NORMS = (1e-3, 1e-2, 0.1, 0.25, 0.5, 0.9, 1.5, 2.0, 3.0, 5.0, 20.0, 200.0)
-
-
-def exp_defect(s, t) -> float:
-    """Relative 1-norm distance of superop_exp(s, t) from the oracle."""
-    got = kf.superop_exp(s, t).mat
-    want = scipy.linalg.expm(-t * s.mat)
-    return np.abs(got - want).sum(axis=0).max() / np.abs(want).sum(axis=0).max()
-
-
-class TestSuperopExp:
-    @pytest.mark.parametrize("t", [1.0, -1.0])
-    @pytest.mark.parametrize("norm", EXP_NORMS)
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    @pytest.mark.parametrize("kind", ["non_normal", "hermitian"])
-    def test_matches_oracle(self, kind, n, norm, t):
-        m = rng_matrix(np.random.default_rng(n), n * n)
-        m = m + dagger(m) if kind == "hermitian" else m + 4.0 * np.triu(m, 1)
-        m *= norm / np.abs(m).sum(axis=0).max()
-        assert exp_defect(kf.Superoperator(m, n), t) <= EXP_REL_TOL
-
-    @pytest.mark.parametrize("t", [1 / 64, 1 / 8, 1.0, 10.0])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_evolve_matches_oracle(self, n, t):
-        # the semigroup exp(-t L2) of evolve: ||t L2||_1 runs from 0.02 to 18,
-        # through degrees 5 and 9 and the scaled degree 13
-        gen, _ = cached_generator(n, 0)
-        assert exp_defect(gen.L2, t) <= EXP_REL_TOL
-
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_zero_is_identity(self, n):
-        zero = kf.Superoperator(np.zeros((n * n, n * n)), n)
-        np.testing.assert_array_equal(kf.superop_exp(zero, 2.0).mat, np.eye(n * n))
-
-    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_time_rejected(self, t):
-        s = kf.Superoperator(rng_matrix(np.random.default_rng(12), 4), 2)
-        with pytest.raises(ValueError, match="non-finite"):
-            kf.superop_exp(s, t)
-
-    def test_t_zero_is_identity(self):
-        rng = np.random.default_rng(10)
-        s = kf.Superoperator(rng_matrix(rng, 4), 2)
-        np.testing.assert_allclose(kf.superop_exp(s, 0.0).mat, np.eye(4), atol=1e-15)
-
-    def test_semigroup_law(self):
-        rng = np.random.default_rng(11)
-        s = kf.Superoperator(rng_matrix(rng, 4), 2)
-        lhs = kf.superop_exp(s, 0.8).mat
-        rhs = kf.superop_exp(s, 0.5).mat @ kf.superop_exp(s, 0.3).mat
-        assert opnorm(lhs - rhs) < 1e-9 * max(1.0, opnorm(lhs))
-
-    def test_depolarizing_spectrum(self):
-        # L = n(id - depolarizing)/1 acts as n on traceless matrices, 0 on I
-        n = 2
-        lgen = float(n) * (identity_superop(n) - depolarizing(n))
-        e = kf.superop_exp(lgen, 0.7)
-        np.testing.assert_allclose(e.apply(np.eye(n)), np.eye(n), atol=1e-12)
-        x = np.array([[1.0, 2.0], [0.5, -1.0]])
-        x0 = x - np.trace(x) * np.eye(n) / n
-        np.testing.assert_allclose(
-            e.apply(x0), np.exp(-0.7 * n) * x0, atol=1e-12
-        )
 
 
 class TestSerialization:

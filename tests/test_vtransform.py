@@ -6,7 +6,6 @@ import kmsflow as kf
 from kmsflow.errors import InsufficientRange
 from kmsflow.matrix_core import dagger, eigenbasis_multiply, opnorm
 from kmsflow import vtransform
-from kmsflow.superop import superop_exp
 from kmsflow.vtransform import (
     _w_multiplier,
     markov_preservation_check,
@@ -206,7 +205,7 @@ class TestVTransform:
 
     def test_cyclic_vector_fixed(self):
         gen, _ = cached_generator(2, 6)
-        t = superop_exp(gen.L2, 0.9)
+        t = kf.evolve(gen, 0.9)
         tv = kf.v_transform(t, gen.ctx)
         s = gen.ctx.sqrt_rho
         assert np.linalg.norm(tv.apply(s) - s) < 1e-10

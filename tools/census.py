@@ -1,17 +1,21 @@
-"""Census of the verdicts of ``kmsflow derive --method both`` over seeded
-ensembles.
+"""Census of the verdicts of ``kmsflow derive --method both`` and
+``kmsflow simulate`` over seeded ensembles.
 
     python3 tools/census.py > census.json
 
 For each instance the script runs ``derive --method both --n N --seed S``
-in-process, with the ensemble's ``--kraus-rank`` or ``--cond-bound``, and
-prints one JSON object keyed ``ensemble/n/seed``, whose value is
+and ``simulate --n N --seed S`` in-process, each with the ensemble's
+``--kraus-rank`` or ``--cond-bound``, and prints one JSON object keyed
+``ensemble/n/seed``, whose value is
 
-    {"failed": ["result.check", ...], "m": {"gns": m, "kraus": m}}
+    {"failed": ["result.check", ...], "m": {"gns": m, "kraus": m},
+     "simulate": ["result.check", ...]}
 
-where ``result`` is the key of the failing report under the derive report's
-``results``, or ``{"error": type}``, the derive report's error type, when an
-object cannot be built.  Two runs are compared by comparing their output.
+where ``result`` is the key of the failing report under the command's
+``results``.  When a command's report carries an error, as when an object
+cannot be built, its part is ``{"error": type}``: in place of the derive
+fields, or of the simulate list.  Two runs are compared by comparing their
+output.
 
 It covers 760 instances: the default ensemble at n = 2..4, seeds 0-199;
 Kraus rank 1 at n = 3..5 and ranks 2 and 3 at n = 3..6; ``cond_bound`` 1e6,
@@ -48,35 +52,61 @@ ENSEMBLES = {
 }
 
 
-def verdict(n: int, seed: int, flags=()) -> dict:
-    """The failing checks and m per route of ``derive --method both`` on
-    one instance, or the error type of its report."""
-    argv = ["derive", "--method", "both", "--n", str(n), "--seed", str(seed), *flags]
+def _run(command: str, n: int, seed: int, flags) -> dict:
+    """The JSON report of one in-process ``command --n N --seed S`` run."""
+    argv = [command, "--n", str(n), "--seed", str(seed), *flags]
     with contextlib.redirect_stdout(io.StringIO()) as out:
         cli.main(argv)
-    report = json.loads(out.getvalue())
-    if "error" in report:
-        return {"error": report["error"]["type"]}
-    results = dict(report["results"])
-    dims = results.pop("dims")
-    failed = [
+    return json.loads(out.getvalue())
+
+
+def _failed(results: dict) -> list:
+    """``result.check`` of every failing check of the reports in ``results``;
+    entries that are not reports (no "checks") are skipped."""
+    return [
         f"{key}.{c.name}"
         for key, rep in results.items()
+        if isinstance(rep, dict) and "checks" in rep
         for c in Report.from_json_dict(rep).checks
         if not c.passed()
     ]
-    return {"failed": failed, "m": {"gns": dims["gns"]["m"], "kraus": dims["kraus"]["m"]}}
+
+
+def verdict(n: int, seed: int, flags=()) -> dict:
+    """The failing checks and m per route of ``derive --method both`` on
+    one instance, or the error type of its report."""
+    report = _run("derive", n, seed, ["--method", "both", *flags])
+    if "error" in report:
+        return {"error": report["error"]["type"]}
+    dims = report["results"]["dims"]
+    return {
+        "failed": _failed(report["results"]),
+        "m": {"gns": dims["gns"]["m"], "kraus": dims["kraus"]["m"]},
+    }
+
+
+def simulate_verdict(n: int, seed: int, flags=()):
+    """The failing checks of ``simulate`` on one instance, or the error type
+    of its report."""
+    report = _run("simulate", n, seed, flags)
+    if "error" in report:
+        return {"error": report["error"]["type"]}
+    return _failed(report["results"])
 
 
 def census(names, dims=None, seeds=None) -> dict:
-    """``verdict`` of every instance of the named ensembles, keyed
-    ``ensemble/n/seed``; ``dims`` and ``seeds`` replace each ensemble's own."""
+    """``verdict`` of every instance of the named ensembles, with its
+    ``simulate_verdict`` under "simulate", keyed ``ensemble/n/seed``;
+    ``dims`` and ``seeds`` replace each ensemble's own."""
     out = {}
     for name in names:
         flags, own_dims, own_seeds = ENSEMBLES[name]
         for n in own_dims if dims is None else dims:
             for seed in range(own_seeds if seeds is None else seeds):
-                out[f"{name}/{n}/{seed}"] = verdict(n, seed, flags)
+                out[f"{name}/{n}/{seed}"] = {
+                    **verdict(n, seed, flags),
+                    "simulate": simulate_verdict(n, seed, flags),
+                }
     return out
 
 
