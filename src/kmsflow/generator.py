@@ -17,9 +17,9 @@ are mutual adjoints, and the partial-fraction identity
 the compressed Choi matrix of -L that certifies conditional complete
 negativity is the Choi matrix of an admissible Psi.
 
-L2 is self-adjoint on the standard form, so the semigroup exp(-t L2) is
-U diag(e^{-t w}) U* by the spectral theorem, from one eigendecomposition
-that the generator caches.
+The semigroup exp(-t L2) is V diag(e^{-t w}) V^{-1} from one
+eigendecomposition of L2 that the generator caches.  L2 is self-adjoint on
+the standard form up to the certified KMS defect, so V is close to unitary.
 
 The quadratic form E(a) = <a, L2 a> on the standard form is the Dirichlet
 form of the semigroup; this module also provides the cone projection
@@ -109,21 +109,35 @@ class MarkovGenerator:
         return self.ctx.tol
 
     @cached_property
-    def l2_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, U) with (L2 + L2*)/2 = U diag(w) U*, from one eigh computed
-        on first use; ``evolve`` and ``et_energy`` read it."""
-        return _hermitian_spectrum(self.L2)
+    def l2_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_spectrum(L2)``, computed on first use; ``evolve`` reads it."""
+        return _spectrum(self.L2)
+
+    @cached_property
+    def v_l2_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_spectrum(V(L2))``, computed on first use; the target of
+        ``chernoff_residual`` reads it."""
+        return _spectrum(v_transform(self.L2, self.ctx))
 
 
-def _hermitian_spectrum(s: Superoperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of the Hermitian part of S."""
-    return np.linalg.eigh(0.5 * (s.mat + dagger(s.mat)))
+def _spectrum(s: Superoperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, V, V^{-1}) with S = V diag(w) V^{-1}, from one eig of S.
+
+    S itself, not its Hermitian part: a generator certified at tol may be
+    KMS-symmetric only up to tol, and then the semigroup of L2's Hermitian
+    part no longer fixes rho^{1/2}.  w is read back as the diagonal of
+    V^{-1} S V, which matches the computed V and V^{-1} more closely than
+    eig's own eigenvalues.
+    """
+    _, v = np.linalg.eig(s.mat)
+    v_inv = np.linalg.inv(v)
+    return np.einsum("ij,ji->i", v_inv, s.mat @ v), v, v_inv
 
 
-def _semigroup(spectrum: tuple[np.ndarray, np.ndarray], t: float, dim: int) -> Superoperator:
-    """U diag(e^{-t w}) U* at the L2 level, for the spectrum (w, U)."""
-    w, u = spectrum
-    return Superoperator((u * np.exp(-t * w)) @ dagger(u), dim, L2)
+def _semigroup(spectrum: tuple[np.ndarray, np.ndarray, np.ndarray], t: float, dim: int) -> Superoperator:
+    """V diag(e^{-t w}) V^{-1} at the L2 level, for the spectrum (w, V, V^{-1})."""
+    w, v, v_inv = spectrum
+    return Superoperator((v * np.exp(-t * w)) @ v_inv, dim, L2)
 
 
 def certify_generator(lgen: Superoperator, ctx: DensityContext, tol: float | None = None) -> MarkovGenerator:
@@ -215,11 +229,10 @@ def _require_time(t: float) -> None:
 
 
 def evolve(gen: MarkovGenerator, t: float) -> Superoperator:
-    """Standard-form semigroup exp(-t H) of the Hermitian part H of L2, read
-    off ``gen.l2_spectrum``.  What it leaves out is the skew part
-    K = (L2 - L2*)/2, which is rounding for a certified generator: for
-    H >= 0, || exp(-t H) - exp(-t L2) || <= t ||K|| (Duhamel's formula, both
-    semigroups contractive).  Raises ValueError unless t is finite and >= 0."""
+    """Standard-form semigroup exp(-t L2), read off ``gen.l2_spectrum``.  Its
+    rounding error grows with the condition number of L2's eigenvector
+    matrix, which is near 1 when L2 is near self-adjoint.  Raises ValueError
+    unless t is finite and >= 0."""
     _require_time(t)
     return _semigroup(gen.l2_spectrum, t, gen.dim)
 
@@ -230,16 +243,15 @@ def chernoff_residual(gen: MarkovGenerator, t: float, n_steps: int) -> float:
 
         || (V(exp(-t/n L2)))^n - exp(-t V(L2)) ||.
 
-    Both exponentials are taken as ``evolve`` takes its own, on the
-    Hermitian part; the target from one eigh of V(L2).  Raises ValueError
-    when n_steps < 1 or t is not finite and >= 0.
+    The target is taken as ``evolve`` takes exp(-t L2), from the eig of
+    V(L2) that the generator caches.  Raises ValueError when n_steps < 1 or
+    t is not finite and >= 0.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     _require_time(t)
-    ctx = gen.ctx
-    step = v_transform(evolve(gen, t / n_steps), ctx)
-    target = _semigroup(_hermitian_spectrum(v_transform(gen.L2, ctx)), t, gen.dim)
+    step = v_transform(evolve(gen, t / n_steps), gen.ctx)
+    target = _semigroup(gen.v_l2_spectrum, t, gen.dim)
     return opnorm(np.linalg.matrix_power(step.mat, n_steps) - target.mat)
 
 
@@ -252,13 +264,11 @@ def dirichlet_energy(gen: MarkovGenerator, a) -> float:
 
 def et_energy(gen: MarkovGenerator, a, t: float) -> float:
     """Truncated form E_t(a) = <a, a - exp(-t L2) a> / t, increasing to E(a)
-    as t decreases to 0, with exp(-t L2) that of ``evolve``.  Raises
-    ValueError unless t is finite and > 0."""
+    as t decreases to 0.  Raises ValueError unless t is finite and > 0."""
     if not (np.isfinite(t) and t > 0):
         raise ValueError(f"the truncated Dirichlet form requires a finite t > 0, got t = {t}")
     a = as_matrix(a, gen.dim)
-    semigroup = _semigroup(gen.l2_spectrum, t, gen.dim)
-    return float(np.real(np.vdot(a, a - semigroup.apply(a))) / t)
+    return float(np.real(np.vdot(a, a - evolve(gen, t).apply(a))) / t)
 
 
 def cone_project(ctx: DensityContext, a):

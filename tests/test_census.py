@@ -4,8 +4,9 @@ instances."""
 import json
 
 import numpy as np
+import pytest
 
-from kmsflow.errors import CertificationFailed
+from kmsflow.errors import CertificationFailed, SchemaError
 from kmsflow.superop import L2, Superoperator
 from conftest import census_tool
 
@@ -47,3 +48,13 @@ def test_failing_simulate_checks_are_named(monkeypatch):
     assert out["simulate"] == [
         f"markov_t={t}.cyclic_fix_defect" for t in ("0.1", "1", "10")
     ]
+
+
+def test_an_entry_that_is_no_report_raises():
+    # only the named non-report keys are passed over
+    failed = census_tool()._failed
+    assert failed({"dims": {"n": 2}, "chernoff_residuals": {"8": 0.1}}) == []
+    with pytest.raises(AttributeError):
+        failed({"cyclic_energy": 0.5})
+    with pytest.raises(SchemaError):
+        failed({"cp": {"checks": {"name": "min_choi_eig"}}})

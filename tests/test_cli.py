@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kmsflow as kf
-from kmsflow import derivation
+from kmsflow import derivation, instances
 from kmsflow.cli import _build_parser, main
 from kmsflow.serialize import density_to_json, dump_json, superop_to_json
 
@@ -333,6 +333,28 @@ class TestGeneratorCommands:
         assert code == 0
         res = rep["results"]["chernoff_residuals"]
         assert res["64"] <= res["8"]
+
+    @pytest.mark.parametrize("tol", ["1e-9", "1e-6"])
+    def test_simulate_gen_with_planted_kms_defect(self, capsys, tmp_path, tol):
+        # a generator whose KMS defect is 0.9 of its bound certifies at
+        # --tol; its L2 is not self-adjoint, and the semigroup of L2's
+        # Hermitian part moves the cyclic vector past the markov_t=10 bound
+        # at this instance, while exp(-t L2) fixes it
+        gen, _ = kf.random_generator(2, 2)
+        g = instances.ginibre(np.random.default_rng(102), 2)
+        gg = g.conj().T @ g
+        planted = kf.from_kraus([g]) - 0.5 * (kf.lmul(gg) + kf.rmul(gg))
+        defect = kf.is_kms_symmetric(planted, gen.ctx, tol=1.0).check("kms_defect").value
+        lgen = gen.L + (0.9 * float(tol) * max(gen.L.norm, 1.0) / defect) * planted
+        rho, f = tmp_path / "rho.json", tmp_path / "gen.json"
+        dump_json(density_to_json(gen.ctx), str(rho))
+        dump_json(superop_to_json(lgen), str(f))
+        code, rep = run(capsys, "simulate", "--gen", str(f), "--rho", str(rho), "--tol", tol)
+        assert code == 0, rep
+        kms = kf.is_kms_symmetric(lgen, gen.ctx, tol=float(tol)).check("kms_defect")
+        assert 0.8 * kms.bound <= kms.value <= kms.bound
+        for t in ("0.1", "1", "10"):
+            assert rep["results"][f"markov_t={t}"]["pass"], t
 
     def test_dirichlet_check(self, capsys):
         code, rep = run(capsys, "dirichlet-check", "--seed", "10", "--n", "2",

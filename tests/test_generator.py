@@ -253,8 +253,8 @@ class TestEvolveChernoff:
 
 
 # bound on the relative 1-norm distance of the semigroup from the oracle
-# scipy.linalg.expm; the generators below measure at most 7.8e-15, the
-# EXP_NORMS sweep at most 5.7e-14 (at norm 200)
+# scipy.linalg.expm; the generators below measure at most 4.1e-15, the
+# EXP_NORMS sweep at most 4.6e-14 (at norm 200)
 EXP_REL_TOL = 1e-13
 EXP_TIMES = (1 / 64, 1 / 8, 1.0, 10.0)
 EXP_NORMS = (1e-3, 1e-2, 0.1, 0.25, 0.5, 0.9, 1.5, 2.0, 3.0, 5.0, 20.0, 200.0)
@@ -272,19 +272,20 @@ class TestSemigroupSpectrum:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     @pytest.mark.parametrize("kind", ["non_normal", "hermitian"])
     def test_matches_oracle(self, kind, n, norm, t):
-        # the semigroup of the Hermitian part H, whose spectrum has both signs:
-        # exp(-t H) both decays and grows, up to e^{200 t}
+        # the semigroup helper on a non-normal exponent, and on a Hermitian
+        # one whose spectrum has both signs: exp(-t m) both decays and
+        # grows, up to e^{200 t}
         m = rng_matrix(np.random.default_rng(n), n * n)
         m = m + dagger(m) if kind == "hermitian" else m + 4.0 * np.triu(m, 1)
         m *= norm / np.abs(m).sum(axis=0).max()
         s = kf.Superoperator(m, n, "l2")
-        got = generator_mod._semigroup(generator_mod._hermitian_spectrum(s), t, n)
-        assert exp_defect(got.mat, 0.5 * (m + dagger(m)), t) <= EXP_REL_TOL
+        got = generator_mod._semigroup(generator_mod._spectrum(s), t, n)
+        assert exp_defect(got.mat, m, t) <= EXP_REL_TOL
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_zero_is_identity(self, n):
         zero = zero_superop(n, "l2")
-        got = generator_mod._semigroup(generator_mod._hermitian_spectrum(zero), 2.0, n)
+        got = generator_mod._semigroup(generator_mod._spectrum(zero), 2.0, n)
         np.testing.assert_allclose(got.mat, np.eye(n * n), atol=1e-15)
 
     @pytest.mark.parametrize("t", EXP_TIMES)
@@ -296,10 +297,10 @@ class TestSemigroupSpectrum:
     @pytest.mark.parametrize("t", EXP_TIMES)
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_chernoff_target_matches_oracle(self, n, t):
-        # chernoff_residual's target exp(-t V(L2)), from one eigh of V(L2)
+        # chernoff_residual's target exp(-t V(L2)), from the cached eig of V(L2)
         gen, _ = cached_generator(n, 0)
         v = kf.v_transform(gen.L2, gen.ctx)
-        target = generator_mod._semigroup(generator_mod._hermitian_spectrum(v), t, n)
+        target = generator_mod._semigroup(gen.v_l2_spectrum, t, n)
         assert target.level == "l2"
         assert exp_defect(target.mat, v.mat, t) <= EXP_REL_TOL
 
@@ -326,36 +327,34 @@ class TestSemigroupSpectrum:
 
     @pytest.mark.parametrize("ratio", [1e-9, 1e-6, 1e-3])
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_planted_skew_part_is_bounded(self, n, ratio):
-        # evolve exponentiates the Hermitian part H of L2 and leaves out the
-        # skew part K; for H >= 0, ||exp(-t H) - exp(-t(H + K))|| <= t ||K||
-        # (measured at most 0.98 of the bound)
+    def test_planted_skew_part_is_exponentiated(self, n, ratio):
+        # L2 + K, K skew-Hermitian, as a generator certified at tol may carry:
+        # evolve exponentiates all of it, not the Hermitian part
         gen, _ = cached_generator(n, 0)
         m = rng_matrix(np.random.default_rng(n), n * n)
         k = 0.5 * (m - dagger(m))
         k *= ratio * gen.L2.norm / opnorm(k)
         l2k = gen.L2 + kf.Superoperator(k, n, "l2")
         skewed = MarkovGenerator(L=gen.L, L2=l2k, ctx=gen.ctx)
-        skew = opnorm(0.5 * (l2k.mat - dagger(l2k.mat)))
         for t in (0.1, 1.0, 10.0):
-            gap = opnorm(kf.evolve(skewed, t).mat - scipy.linalg.expm(-t * l2k.mat))
-            assert gap <= t * skew, (t, gap / (t * skew))
+            assert exp_defect(kf.evolve(skewed, t).mat, l2k.mat, t) <= EXP_REL_TOL
 
-    def test_one_eigh_per_generator(self, monkeypatch):
+    def test_one_eig_per_generator(self, monkeypatch):
         # the times of one certify instance's evolve calls, then the
-        # truncated form: one eigh of L2 serves them all; the Chernoff
-        # residual adds the one eigh of V(L2)
+        # truncated form: one eig of L2 serves them all; the Chernoff
+        # residuals add the one eig of V(L2), whatever their step counts
         gen, _ = cached_generator(3, 0)
         fresh = MarkovGenerator(L=gen.L, L2=gen.L2, ctx=gen.ctx)
         kf.v_transform(gen.L2, gen.ctx)  # the context's modular basis, cached
         calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
         for t in (1.0, 0.1, 1.0, 10.0, 1 / 8, 1 / 64):
             kf.evolve(fresh, t)
         kf.et_energy(fresh, np.eye(3), 0.5)
         assert calls == [(9, 9)]
         kf.chernoff_residual(fresh, 1.0, 8)
+        kf.chernoff_residual(fresh, 1.0, 64)
         assert calls == [(9, 9)] * 2
 
 
