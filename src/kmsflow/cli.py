@@ -424,9 +424,13 @@ def _derive(args, report) -> None:  # uniqueness is derive --method both
 def _simulate(args, report) -> None:
     results = report["results"]
     gen, _ = _seeded_generator(args, report)
+    # cond(V) of the eig that evolve reads, the amplifier of its rounding
+    _, v, v_inv = gen.l2_spectrum
+    eig_condition = opnorm(v) * opnorm(v_inv)
     for t in (0.1, 1.0, 10.0):
         rep = superop.is_markov_l2(generator_mod.evolve(gen, t), gen.ctx,
                                    tol=1e-8 if args.tol is None else args.tol)
+        rep.metrics["eig_condition"] = eig_condition
         results[f"markov_t={t:g}"] = rep.to_json_dict()
     residuals = {}
     for steps in args.steps:

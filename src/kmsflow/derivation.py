@@ -41,11 +41,11 @@ route X_k = -rho^{1/4} V_k rho^{1/4}.  Every certificate reads (X, K_J), in
 O(n^4 m): one form function, ``_form_matrix``, serves the report and
 ``verify_commutator_form``, and the rest reads QX.  The uniqueness witness
 is the m_b x m_a matrix W of the isometry I (x) W (x) I.  The constructor
-renders delta and the dense actions and involution, and only
+renders delta, the actions and the dense involution, and only
 ``inner_vector`` reads any of them (delta), so no check compares a calculus
-with its own rendering.  The actions depend on (n, m) alone and are rendered once per
-(n, m): every calculus of that (n, m) holds the same read-only arrays while
-any of them is alive.
+with its own rendering.  The actions depend on (n, m) alone and are rendered
+once per (n, m), as read-only windows of one small array: every calculus of
+that (n, m) holds the same views while any of them is alive.
 
 Constructors raise only when they cannot build their object; each identity
 the calculus claims is measured once, by its report.  The form identity
@@ -73,6 +73,7 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatch,
@@ -119,29 +120,46 @@ WITNESS_TOL = 1e-6
 _ACTIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
+def _windows(ones: np.ndarray, side: int, dim_h: int) -> np.ndarray:
+    """The read-only grid of every dim_h x dim_h window of the complex
+    side x side array that is 1 at (ones, ones) and 0 elsewhere."""
+    base = np.zeros((side, side), dtype=complex)
+    base[ones, ones] = 1.0
+    base.flags.writeable = False  # and so every view of it
+    return sliding_window_view(base, (dim_h, dim_h))
+
+
 def _standard_actions(n: int, m: int):
     """(pi_l, pi_r), each (n, n, n^2 m, n^2 m) and read-only, of the standard
     bimodule on C^n (x) C^m (x) C^n: pi_l(E_pq) = E_pq (x) I on (a, (k, d))
     and pi_r(E_pq) = I (x) E_qp on ((a, k), d).  They depend on (n, m) alone,
     so every live calculus of that (n, m) shares one rendering; the table
-    holds them weakly, and they are freed with the last calculus."""
+    holds them weakly, and they are freed with the last calculus.
+
+    Each is a view, with no copy, of windows of one small array.  With
+    mn = m n, pi_l[p, q] is the window at block offset ((n-1-p) mn,
+    (n-1-q) mn) of the ((2n-1) mn)^2 array whose one nonzero part is the
+    mn x mn identity block at its centre.  pi_r[p, q] is the window at
+    (n-1-q, n-1-p) of the (dim_h + n - 1)^2 array with ones at (x, x) for
+    x = n-1 mod n.  The values, shape and dtype are those of the dense
+    (n, n, dim_h, dim_h) array, bit for bit, and numpy's ``nbytes`` of either
+    is that logical size; the bytes stored are the small array's, fewer than
+    4 dim_h^2 + n^2 entries against the n^2 dim_h^2 of a dense array."""
     mn = m * n
-    p = np.arange(n)[:, None, None]
-    q = np.arange(n)[None, :, None]
-    r = np.arange(mn)
+    dim_h = n * mn
+    step = max(mn, 1)  # m = 0 leaves H = 0, and any step gives empty windows
     actions = []
     for side in ("l", "r"):
         arr = _ACTIONS.get((n, m, side))
         if arr is None:
-            # zero arrays with the pattern entries scattered in
             if side == "l":
-                full = np.zeros((n, n, n, mn, n, mn), dtype=complex)
-                full[p, q, p, r, q, r] = 1.0
+                centre = np.arange((n - 1) * mn, n * mn)
+                grid = _windows(centre, (n - 1) * step + dim_h, dim_h)
+                arr = grid[::-step, ::-step]
             else:
-                full = np.zeros((n, n, mn, n, mn, n), dtype=complex)
-                full[p, q, r, q, r, p] = 1.0
-            full.flags.writeable = False  # and so every view of it
-            arr = full.reshape(n, n, n * mn, n * mn)
+                period = np.arange(n - 1, dim_h + n - 1, n)
+                grid = _windows(period, dim_h + n - 1, dim_h)
+                arr = grid[::-1, ::-1].swapaxes(0, 1)
             _ACTIONS[n, m, side] = arr
         actions.append(arr)
     return tuple(actions)
@@ -165,9 +183,11 @@ class FirstOrderCalculus:
     The constructor stores read-only copies of X and K_J, derives ``dim_h``
     and ``m``, and renders ``delta[a, b]`` = delta(E_ab) in H, of shape
     (n, n, dim_h), and the (dim_h, dim_h) ``jmat`` (J acts as
-    xi -> jmat @ conj(xi)), read-only as well.  The dense (n, n, dim_h,
-    dim_h) ``pi_l`` and ``pi_r`` depend on (n, m) alone: while any calculus
-    of that (n, m) is alive, every other one holds the same read-only arrays,
+    xi -> jmat @ conj(xi)), read-only as well.  The (n, n, dim_h, dim_h)
+    ``pi_l`` and ``pi_r`` depend on (n, m) alone: each is a read-only view of
+    windows of one small array (``_standard_actions``), so its ``nbytes`` is
+    the logical size of a dense array, not the bytes stored, and while any
+    calculus of that (n, m) is alive, every other one holds the same views,
     which are freed with the last of them.  None of these is a constructor
     argument, so ``dataclasses.replace`` cannot set them and they are the
     rendering of X and K_J by construction.  The library never reads the
@@ -649,8 +669,11 @@ def uniqueness_witness(
     max(1, max |M_a M_a*|) for the Gram check, and the report records
     WITNESS_TOL as its ``tol``.  Its metrics record the extreme singular
     values of M_a and M_b (``sigma_min_a`` ... ``sigma_max_b``, 0 for an
-    empty calculus): W's defects are amplified by about 1/sigma_min_a.
-    ``gen`` is not read.
+    empty calculus): W's defects are amplified by about 1/sigma_min_a.  For
+    each calculus whose ``meta`` holds its Gram spectrum g and cutoff, they
+    record the margin of its rank rule, ``kept_gap_a`` (smallest kept g over
+    the cutoff) and ``dropped_mass_a`` (sum of dropped |g| over sum |g|), and
+    the same for b; no check reads them.  ``gen`` is not read.
     """
     tol = WITNESS_TOL
     m_a, k_a = calc_a.m, calc_a.k_j
@@ -670,7 +693,15 @@ def uniqueness_witness(
     rep.checks.append(Check("j_intertwine_defect", _maxabs(w @ k_a - k_b @ np.conj(w)), tol, "le"))
     rep.checks.append(Check("delta_match_defect", _maxabs(cols_a @ w.T - cols_b), tol, "le"))
     rep.metrics.update({"dim_h_a": calc_a.dim_h, "dim_h_b": calc_b.dim_h})
-    for side, cols in (("a", cols_a), ("b", cols_b)):
+    for side, calc, cols in (("a", calc_a, cols_a), ("b", calc_b, cols_b)):
         sv = np.linalg.svd(cols, compute_uv=False) if cols.size else np.zeros(1)
         rep.metrics.update({f"sigma_min_{side}": sv.min(), f"sigma_max_{side}": sv.max()})
+        if "gram_eigs" in calc.meta and "null_cutoff" in calc.meta:
+            # the rank rule's margin: 0 gap when nothing is kept, 0 mass
+            # when the spectrum vanishes
+            g, cutoff = np.asarray(calc.meta["gram_eigs"]), calc.meta["null_cutoff"]
+            keep = g > cutoff
+            total = np.abs(g).sum()
+            rep.metrics[f"kept_gap_{side}"] = g[keep].min() / cutoff if keep.any() else 0.0
+            rep.metrics[f"dropped_mass_{side}"] = np.abs(g[~keep]).sum() / total if total else 0.0
     return w, rep

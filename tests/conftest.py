@@ -35,6 +35,26 @@ def cached_gns(n: int, seed: int):
     return kf.gns_calculus(gen)
 
 
+def stored_bytes(arr: np.ndarray) -> int:
+    """The bytes of the array that owns ``arr``'s memory, reached through
+    ``base``: a view's own ``nbytes`` is its logical size."""
+    owner = arr
+    while not (isinstance(owner, np.ndarray) and owner.flags.owndata):
+        owner = owner.base
+    return owner.nbytes
+
+
+def assert_window_layout(arr: np.ndarray, n: int, dim_h: int) -> None:
+    """pi_l or pi_r of a calculus on H of dimension dim_h: read-only for good
+    (its memory is read-only too, so the flag cannot be set back), and
+    stored in fewer than 4 dim_h^2 + n^2 entries, where the dense
+    (n, n, dim_h, dim_h) array holds n^2 dim_h^2."""
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr.flags.writeable = True
+    assert stored_bytes(arr) < arr.itemsize * (4 * dim_h**2 + n**2)
+
+
 def rng_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 

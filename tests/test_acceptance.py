@@ -32,6 +32,7 @@ from calculus_oracle import (
     trimmed_commutator_calculus,
 )
 from certify_oracle import exp_probe_ccn
+from conftest import assert_window_layout
 from kmsflow.derivation import FORM_TOL, kms_form_of_generator
 from kmsflow.generator import cone_project
 from kmsflow.matrix_core import dagger, opnorm
@@ -367,12 +368,14 @@ def test_criterion_06_batched_actions_match_einsum_oracle():
     """At n <= 3 the batched pi_l, pi_r and delta of the dense GNS oracle
     equal the plain-einsum contractions of its quotient maps to 1e-13
     relative to max(1, max |oracle|), on every pipeline instance and on one
-    rho conditioned at 1e6; pi_l and pi_r are C-contiguous, in the dense
-    oracle and in the factored calculus."""
+    rho conditioned at 1e6; pi_l and pi_r are C-contiguous in the dense
+    oracle, and read-only windows of one small array each in the factored
+    calculus."""
     for n in (2, 3):
         for seed in PIPELINE_SEEDS[n]:
             calc = pipeline_cache(n, seed)["calc"]
-            assert calc.pi_l.flags.c_contiguous and calc.pi_r.flags.c_contiguous
+            assert_window_layout(calc.pi_l, n, calc.dim_h)
+            assert_window_layout(calc.pi_r, n, calc.dim_h)
     calcs = [dense_cache(n, seed) for n in (2, 3) for seed in PIPELINE_SEEDS[n]]
     calcs.append(dense_gns_calculus(ill_conditioned_gen()))
     worst = 0.0

@@ -356,6 +356,33 @@ class TestGeneratorCommands:
         for t in ("0.1", "1", "10"):
             assert rep["results"][f"markov_t={t}"]["pass"], t
 
+    def test_simulate_records_eig_condition(self, capsys, tmp_path):
+        # cond(V) of L2's eig: 1 for the self-adjoint tracial depolarizing
+        # generator, and larger once a non-normal Lindblad part breaks KMS
+        # symmetry, the more so the larger that part; a metric, not a check
+        n = 2
+        ctx = kf.DensityContext.from_rho(np.eye(n) / n)
+        omega = np.eye(n).reshape(-1)
+        depol = kf.Superoperator(n * np.eye(n * n) - np.outer(omega, omega), n)
+        g = instances.ginibre(np.random.default_rng(102), n)
+        gg = g.conj().T @ g
+        lindblad = 0.5 * (kf.lmul(gg) + kf.rmul(gg)) - kf.from_kraus([g])
+        rho = tmp_path / "rho.json"
+        dump_json(density_to_json(ctx), str(rho))
+        conds = []
+        for eps in (0.0, 1e-3, 1e-1):
+            f = tmp_path / f"gen_{eps:g}.json"
+            dump_json(superop_to_json(depol + eps * lindblad), str(f))
+            _, rep = run(capsys, "simulate", "--gen", str(f), "--rho", str(rho),
+                         "--tol", "1")
+            markov = [rep["results"][f"markov_t={t}"] for t in ("0.1", "1", "10")]
+            assert {m["metrics"]["eig_condition"] for m in markov} == {
+                markov[0]["metrics"]["eig_condition"]}
+            assert "eig_condition" not in {c["name"] for m in markov for c in m["checks"]}
+            conds.append(markov[0]["metrics"]["eig_condition"])
+        assert abs(conds[0] - 1.0) <= 1e-12
+        assert 2.0 < conds[1] < conds[2]
+
     def test_dirichlet_check(self, capsys):
         code, rep = run(capsys, "dirichlet-check", "--seed", "10", "--n", "2",
                         "--trials", "10")
@@ -798,9 +825,10 @@ class TestImportFootprint:
 
 class TestDeriveMemory:
     def test_both_routes_hold_one_pair_of_actions(self, tmp_path):
-        # the GNS and the commutator calculus share pi_l and pi_r, so the run
-        # allocates one pair of them (30.6 MiB peak); a pair rendered per
-        # calculus peaks at 58.7 MiB, twice the pair
+        # the GNS and the commutator calculus share pi_l and pi_r; since the
+        # actions are windows of small arrays the run peaks at 6.6 MiB, far
+        # under this bound on their logical nbytes (dense actions peaked at
+        # 30.6 MiB, and 58.7 MiB with a pair per calculus)
         argv = ["derive", "--method", "both", "--n", "4", "--seed", "1",
                 "--out", str(tmp_path / "derive.json")]
         env = {**os.environ, "PYTHONPATH": str(Path(kf.__file__).resolve().parents[1])}
@@ -965,6 +993,10 @@ class TestVerify:
         code2, rep2 = run(capsys, "verify", "--report", str(out))
         assert code2 == 0
         assert rep2["results"]["idempotent"]["pass"]
+        # the witness's rank-rule margins ride along as metrics
+        metrics = json.loads(out.read_text())["results"]["uniqueness"]["metrics"]
+        assert {"kept_gap_a", "kept_gap_b", "dropped_mass_a", "dropped_mass_b"} <= set(metrics)
+        assert rep2["results"]["results/uniqueness"]["recomputed_pass"] is True
 
     def test_invariants_check_is_rechecked(self, capsys, tmp_path):
         out = tmp_path / "report.json"

@@ -2,6 +2,9 @@ import ast
 import dataclasses
 import gc
 import inspect
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -59,7 +62,13 @@ from calculus_oracle import (
     trimmed_commutator_calculus,
 )
 from certify_oracle import identity_superop, random_markov_operator, zero_superop
-from conftest import cached_generator, cached_gns, census_tool, rng_matrix
+from conftest import (
+    assert_window_layout,
+    cached_generator,
+    cached_gns,
+    census_tool,
+    rng_matrix,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -401,11 +410,9 @@ class TestSharedActions:
         assert calc.pi_l is calc_k.pi_l and calc.pi_r is calc_k.pi_r
         assert calc.jmat is not calc_k.jmat
         for arr in (calc.pi_l, calc.pi_r):
-            assert not arr.flags.writeable and not arr.base.flags.writeable
+            assert_window_layout(arr, n, calc.dim_h)
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1.0
-            with pytest.raises(ValueError):
-                arr.flags.writeable = True
 
     def test_other_dims_render_their_own(self):
         calc = cached_gns(2, 0)
@@ -435,6 +442,32 @@ class TestSharedActions:
         gc.collect()
         assert pi_l() is None and pi_r() is None
         assert not [key for key in derivation._ACTIONS if key[:2] == (n, m)]
+
+
+# the GNS calculus, the Kraus family and its calculus of one n = 5 instance
+# under tracemalloc, in a fresh process so that no calculus another test
+# holds can lend them its actions; prints both m and the traced peak in bytes
+TRACED_CALCULI = """
+import tracemalloc
+import kmsflow as kf
+gen, psi = kf.random_generator(5, 1)
+tracemalloc.start()
+calc = kf.gns_calculus(gen)
+calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
+print(calc.m, calc_k.m, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_n5_calculi_peak_within_64_mib():
+    # at (n, m) = (5, 24) the shared actions store 23.4 MiB as windows, where
+    # dense arrays stored 275 MiB: the three calls peak at 35.3 MiB, and at
+    # 286.6 MiB with dense actions; the run takes about 0.3 s
+    env = {**os.environ, "PYTHONPATH": str(Path(kf.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", TRACED_CALCULI], env=env,
+                          capture_output=True, text=True, check=True)
+    m_gns, m_kraus, peak = map(int, proc.stdout.split())
+    assert m_gns == m_kraus == 24
+    assert peak <= 64 * 2**20
 
 
 DENSE_FIELDS = ("pi_l", "pi_r", "jmat", "delta")
@@ -622,7 +655,7 @@ def _last(name):
 
 
 class TestStandardFormAgainstOracles:
-    """The constructor's scatter rendering and the test-side one-pass check
+    """The constructor's rendering and the test-side one-pass check
     against the Kronecker rendering and the per-unit loop."""
 
     @pytest.mark.parametrize("m", [0, 1, 2, 5])
@@ -638,7 +671,11 @@ class TestStandardFormAgainstOracles:
         for name in ("pi_l", "pi_r", "jmat"):
             got, want = getattr(calc, name), getattr(ref, name)
             assert got.shape == want.shape and got.dtype == want.dtype
-            assert got.flags.c_contiguous and want.flags.c_contiguous
+            assert want.flags.c_contiguous
+            if name == "jmat":
+                assert got.flags.c_contiguous  # one dense array per calculus
+            else:
+                assert_window_layout(got, n, calc.dim_h)
             assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize(
@@ -1079,6 +1116,36 @@ class TestUniquenessWitness:
         theta, rep = kf.uniqueness_witness(calc, calc_k, gen)
         assert rep.passed
         assert rep.check("gram_mismatch_max").value <= 1e-6
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (4, 2)])
+    def test_records_rank_margin(self, n, seed):
+        # each side's rank-rule margin, read off its meta; a calculus built
+        # without meta records neither, and no check reads them
+        gen, _ = cached_generator(n, seed)
+        calc, calc_k = cached_gns(n, seed), _kraus_calculus(n, seed)
+        _, rep = kf.uniqueness_witness(calc, calc_k, gen)
+        for side, c in (("a", calc), ("b", calc_k)):
+            g, cut = c.meta["gram_eigs"], c.meta["null_cutoff"]
+            assert int((g > cut).sum()) == c.m
+            assert rep.metrics[f"kept_gap_{side}"] == g[g > cut].min() / cut > 1.0
+            dropped = np.abs(g[g <= cut]).sum() / np.abs(g).sum()
+            assert rep.metrics[f"dropped_mass_{side}"] == dropped < 1e-12
+        bare = FirstOrderCalculus(calc.ctx, calc.x, calc.k_j)
+        _, rep_bare = kf.uniqueness_witness(bare, calc_k, gen)
+        assert not {"kept_gap_a", "dropped_mass_a"} & set(rep_bare.metrics)
+        assert rep_bare.metrics["kept_gap_b"] == rep.metrics["kept_gap_b"]
+        assert [c.to_json_dict() for c in rep_bare.checks] == [
+            c.to_json_dict() for c in rep.checks]
+
+    def test_rank_margin_of_an_empty_calculus(self):
+        # nothing kept: the gap reads 0 and the whole spectrum is dropped
+        gen, _ = cached_generator(2, 0)
+        empty = FirstOrderCalculus(gen.ctx, np.zeros((0, 2, 2)), np.zeros((0, 0)),
+                                   meta={"gram_eigs": np.array([-1e-20, 3e-20]),
+                                         "null_cutoff": 1e-13})
+        _, rep = kf.uniqueness_witness(empty, empty, gen)
+        assert rep.metrics["kept_gap_a"] == rep.metrics["kept_gap_b"] == 0.0
+        assert rep.metrics["dropped_mass_a"] == rep.metrics["dropped_mass_b"] == 1.0
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
     def test_broken_target_fails_intertwining(self, n, seed):
