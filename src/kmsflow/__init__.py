@@ -22,13 +22,8 @@ from .errors import (
 )
 from .matrix_core import (
     DensityContext,
-    descend,
     eig_hermitian,
-    embed,
     hilbert_algebra_product,
-    kms_inner,
-    modular_conjugation,
-    sigma_z,
 )
 from .superop import (
     ALGEBRA,
@@ -61,7 +56,6 @@ from .generator import (
     dirichlet_contraction_check,
     dirichlet_energy,
     energy_product_inequality,
-    et_energy,
     evolve,
     generator_from_cp,
     recover_cp_from_generator,

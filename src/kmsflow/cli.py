@@ -347,6 +347,7 @@ def _vtransform(args, report) -> None:
     results["transformed"] = serialize.superop_to_json(transformed)
     inverse = vtransform.w_transform(transformed, ctx)
     results["inverse_residual"] = opnorm(inverse.mat - s.mat)
+    results["v_cptp"] = vtransform.v_transform_cptp_certificate(ctx).to_json_dict()
     if args.quadrature:
         quad, info = vtransform.v_transform_quadrature(s, ctx, steps=args.quadrature)
         info["closed_form_distance"] = opnorm(quad.mat - transformed.mat)

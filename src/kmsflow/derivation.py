@@ -165,6 +165,17 @@ def _standard_actions(n: int, m: int):
     return tuple(actions)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A view of ``arr`` that stays read-only: numpy lets a view's flag be
+    set back while ``arr`` or any array under it is writeable, so all of
+    them are made read-only first."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        base.flags.writeable = False
+        base = base.base
+    return arr.view()
+
+
 @dataclass(frozen=True, eq=False)
 class FirstOrderCalculus:
     """A first-order differential calculus on H = C^n (x) C^m (x) C^n,
@@ -183,7 +194,8 @@ class FirstOrderCalculus:
     The constructor stores read-only copies of X and K_J, derives ``dim_h``
     and ``m``, and renders ``delta[a, b]`` = delta(E_ab) in H, of shape
     (n, n, dim_h), and the (dim_h, dim_h) ``jmat`` (J acts as
-    xi -> jmat @ conj(xi)), read-only as well.  The (n, n, dim_h, dim_h)
+    xi -> jmat @ conj(xi)); each of the four is a view of read-only memory
+    (``_read_only``), so its flag cannot be set back.  The (n, n, dim_h, dim_h)
     ``pi_l`` and ``pi_r`` depend on (n, m) alone: each is a read-only view of
     windows of one small array (``_standard_actions``), so its ``nbytes`` is
     the logical size of a dense array, not the bytes stored, and while any
@@ -226,15 +238,14 @@ class FirstOrderCalculus:
         jmat[a, :, d, d, :, a] = k_j
         pi_l, pi_r = _standard_actions(n, m)
         fields = {
-            "x": x,
-            "k_j": k_j,
-            "delta": _render_delta(self.ctx, x),
+            "x": _read_only(x),
+            "k_j": _read_only(k_j),
+            "delta": _read_only(_render_delta(self.ctx, x)),
             "pi_l": pi_l,
             "pi_r": pi_r,
-            "jmat": jmat.reshape(dim_h, dim_h),
+            "jmat": _read_only(jmat.reshape(dim_h, dim_h)),
         }
         for name, arr in fields.items():
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "dim_h", dim_h)
         object.__setattr__(self, "m", m)

@@ -2,8 +2,8 @@
 
 A certified :class:`MarkovGenerator` bundles the algebra-level generator L
 (annihilating the identity, KMS-symmetric, conditionally completely
-negative), its standard-form implementation L2 = embed o L o descend, and the
-certification reports.
+negative), its standard-form implementation L2, the conjugate of L by the
+embedding x -> rho^{1/4} x rho^{1/4}, and the certification reports.
 
 Generators are built from completely positive data through
 
@@ -260,15 +260,6 @@ def dirichlet_energy(gen: MarkovGenerator, a) -> float:
     imaginary part vanishes for a certified generator)."""
     a = as_matrix(a, gen.dim)
     return float(np.real(np.vdot(a, gen.L2.apply(a))))
-
-
-def et_energy(gen: MarkovGenerator, a, t: float) -> float:
-    """Truncated form E_t(a) = <a, a - exp(-t L2) a> / t, increasing to E(a)
-    as t decreases to 0.  Raises ValueError unless t is finite and > 0."""
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError(f"the truncated Dirichlet form requires a finite t > 0, got t = {t}")
-    a = as_matrix(a, gen.dim)
-    return float(np.real(np.vdot(a, a - evolve(gen, t).apply(a))) / t)
 
 
 def cone_project(ctx: DensityContext, a):

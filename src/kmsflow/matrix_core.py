@@ -2,15 +2,14 @@
 
 Everything downstream is driven by a :class:`DensityContext`: an invertible
 density matrix rho together with its spectral decomposition.  The context
-carries
-
-* the KMS inner product  <A, B> = tr(A* rho^{1/2} B rho^{1/2}),
-* the modular group  sigma_z(A) = rho^{iz} A rho^{-iz}  (analytically
-  continued to complex z),
-* the embedding x -> rho^{1/4} x rho^{1/4} of the algebra into its
-  standard-form Hilbert space (matrices with the Hilbert-Schmidt inner
-  product, cyclic vector rho^{1/2}),
-* the modular conjugation J(a) = a*.
+carries the powers rho^z, with rho^{+-1/4} and rho^{+-1/2} cached: the
+sandwiches that the rest of the package writes inline, such as the KMS inner
+product tr(A* rho^{1/2} B rho^{1/2}) and the embedding x -> rho^{1/4} x
+rho^{1/4} of the algebra into its standard form (matrices with the
+Hilbert-Schmidt inner product, cyclic vector rho^{1/2} and modular
+conjugation a -> a*).  It also caches the eigenbasis and log-spectrum of the
+modular operator a -> rho a rho^{-1}, in which ``eigenbasis_multiply``
+applies entrywise multipliers.
 
 Matrices are plain complex numpy arrays; fractional powers always go through
 the full spectral decomposition, never scalar interpolation, so all formulas
@@ -19,7 +18,6 @@ are invariant under the basis choice inside degenerate eigenspaces.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,14 +26,6 @@ import numpy as np
 from .errors import DimensionMismatch, NotHermitian
 
 DEFAULT_TOL = 1e-9
-
-# Public complex powers are restricted to |Im z| <= 1/2; conditioning of
-# sigma_z degrades like (p_max/p_min)^{|Im z|}.
-IM_Z_PUBLIC_LIMIT = 0.5 + 1e-12
-
-
-class AnalyticContinuationWarning(UserWarning):
-    """Raised when sigma_z is continued beyond |Im z| = 1/2."""
 
 
 def as_matrix(a, n: int | None = None) -> np.ndarray:
@@ -223,66 +213,13 @@ class DensityContext:
         return self.log_ratio.ravel(order="F")
 
 
-def kms_inner(ctx: DensityContext, a, b) -> complex:
-    """KMS inner product tr(A* rho^{1/2} B rho^{1/2}).
-
-    Conjugate-linear in the first argument, positive definite.
-    """
-    a = as_matrix(a, ctx.dim)
-    b = as_matrix(b, ctx.dim)
-    s = ctx.sqrt_rho
-    return complex(np.trace(dagger(a) @ s @ b @ s))
-
-
-def sigma_z(ctx: DensityContext, z: complex, a) -> np.ndarray:
-    """Modular group sigma_z(A) = rho^{iz} A rho^{-iz}.
-
-    Computed entrywise in rho's eigenbasis, where the (a, b) entry picks up
-    the factor (p_a/p_b)^{iz}.  Warns when continued beyond |Im z| = 1/2,
-    where conditioning degrades.
-    """
-    a = as_matrix(a, ctx.dim)
-    z = complex(z)
-    if abs(z.imag) > IM_Z_PUBLIC_LIMIT:
-        warnings.warn(
-            f"sigma_z continued to Im z = {z.imag:.3g}; conditioning degrades like "
-            f"(p_max/p_min)^|Im z|",
-            AnalyticContinuationWarning,
-            stacklevel=2,
-        )
-    return eigenbasis_multiply(ctx.u, np.exp(1j * z * ctx.log_ratio), a)
-
-
-def embed(ctx: DensityContext, x) -> np.ndarray:
-    """Symmetric embedding of the algebra into the standard form:
-    x -> rho^{1/4} x rho^{1/4}.  Sends the identity to the cyclic vector
-    rho^{1/2}; positive matrices land in the standard positive cone."""
-    x = as_matrix(x, ctx.dim)
-    return ctx.quarter_rho @ x @ ctx.quarter_rho
-
-
-def descend(ctx: DensityContext, a) -> np.ndarray:
-    """Exact inverse of :func:`embed`: a -> rho^{-1/4} a rho^{-1/4}."""
-    a = as_matrix(a, ctx.dim)
-    return ctx.inv_quarter_rho @ a @ ctx.inv_quarter_rho
-
-
-def modular_conjugation(ctx: DensityContext, a) -> np.ndarray:
-    """Modular conjugation of the standard form: J(a) = a*.
-
-    Antilinear, isometric for the Hilbert-Schmidt norm, involutive, and fixes
-    embed(x) for Hermitian x.
-    """
-    a = as_matrix(a, ctx.dim)
-    return dagger(a)
-
-
 def hilbert_algebra_product(ctx: DensityContext, a, b) -> np.ndarray:
     """Product of two standard-form vectors induced by the left Hilbert
     algebra: a . b = a rho^{-1/2} b.
 
     Under the GNS identification x -> x rho^{1/2} this is the algebra
-    product; equivalently descend(a . b) = descend(a) descend(b).
+    product; equivalently, with d(a) = rho^{-1/4} a rho^{-1/4} the inverse of
+    the embedding, d(a . b) = d(a) d(b).
     """
     a = as_matrix(a, ctx.dim)
     b = as_matrix(b, ctx.dim)

@@ -60,10 +60,9 @@ def vec(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=complex).flatten(order="F")
 
 
-def unvec(v: np.ndarray, n: int | None = None) -> np.ndarray:
+def unvec(v: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`vec` for an n x n matrix."""
     v = np.asarray(v, dtype=complex).ravel()
-    if n is None:
-        n = int(round(np.sqrt(v.size)))
     if n * n != v.size:
         raise DimensionMismatch(f"cannot reshape length {v.size} into a square matrix")
     return v.reshape((n, n), order="F")
@@ -73,8 +72,9 @@ def unvec(v: np.ndarray, n: int | None = None) -> np.ndarray:
 class Superoperator:
     """A linear map on n x n matrices at a fixed representation level.
 
-    ``mat`` is a read-only copy of the matrix passed in, so no alias can
-    change it after construction and ``norm`` is computed once.
+    ``mat`` is a read-only view of a read-only copy of the matrix passed in,
+    so neither an alias nor its ``writeable`` flag can change it after
+    construction, and ``norm`` is computed once.
     """
 
     mat: np.ndarray
@@ -90,15 +90,12 @@ class Superoperator:
                 f"superoperator matrix has shape {m.shape}, expected "
                 f"{(self.dim**2, self.dim**2)}"
             )
-        m.flags.writeable = False
-        object.__setattr__(self, "mat", m)
+        m.flags.writeable = False  # the owner, so the view's flag cannot be set back
+        object.__setattr__(self, "mat", m.view())
 
     def apply(self, x) -> np.ndarray:
         x = as_matrix(x, self.dim)
         return unvec(self.mat @ vec(x), self.dim)
-
-    def __call__(self, x) -> np.ndarray:
-        return self.apply(x)
 
     def _require_same(self, other: "Superoperator"):
         if self.dim != other.dim:
@@ -133,21 +130,21 @@ class Superoperator:
         return opnorm(self.mat)
 
 
-def lmul(a, level: str = ALGEBRA) -> Superoperator:
+def lmul(a) -> Superoperator:
     """Left multiplication X -> A X."""
     a = as_matrix(a)
     n = a.shape[0]
-    return Superoperator(kron(np.eye(n), a), n, level)
+    return Superoperator(kron(np.eye(n), a), n)
 
 
-def rmul(b, level: str = ALGEBRA) -> Superoperator:
+def rmul(b) -> Superoperator:
     """Right multiplication X -> X B."""
     b = as_matrix(b)
     n = b.shape[0]
-    return Superoperator(kron(b.T, np.eye(n)), n, level)
+    return Superoperator(kron(b.T, np.eye(n)), n)
 
 
-def from_kraus(ops, level: str = ALGEBRA) -> Superoperator:
+def from_kraus(ops) -> Superoperator:
     """The map X -> sum_j V_j* X V_j for the given family {V_j}."""
     ops = [as_matrix(v) for v in ops]
     if not ops:
@@ -158,7 +155,7 @@ def from_kraus(ops, level: str = ALGEBRA) -> Superoperator:
         if v.shape[0] != n:
             raise DimensionMismatch("Kraus operators must share one dimension")
         mat += kron(v.T, dagger(v))
-    return Superoperator(mat, n, level)
+    return Superoperator(mat, n)
 
 
 def _choi_shuffle(m: np.ndarray) -> np.ndarray:
@@ -179,10 +176,10 @@ def choi(s: Superoperator) -> np.ndarray:
     return _choi_shuffle(s.mat)
 
 
-def superop_from_choi(c: np.ndarray, level: str = ALGEBRA) -> Superoperator:
+def superop_from_choi(c: np.ndarray) -> Superoperator:
     """Inverse of :func:`choi`."""
     c = np.asarray(c, dtype=complex)
-    return Superoperator(_choi_shuffle(c), int(round(np.sqrt(c.shape[0]))), level)
+    return Superoperator(_choi_shuffle(c), int(round(np.sqrt(c.shape[0]))))
 
 
 def sandwich(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -316,8 +313,9 @@ def is_markov_l2(t: Superoperator, ctx: DensityContext, tol: float = 1e-9) -> Re
     """Markov-operator certification on the standard form.
 
     Checks (i) T fixes the cyclic vector rho^{1/2}; (ii) the descended map
-    x -> descend(T(embed(x))) is completely positive (the finite-dimensional
-    criterion for complete preservation of the cone rho^{1/4} PSD rho^{1/4});
+    ``to_algebra(T)``, x -> rho^{-1/4} T(rho^{1/4} x rho^{1/4}) rho^{-1/4}, is
+    completely positive (the finite-dimensional criterion for complete
+    preservation of the cone rho^{1/4} PSD rho^{1/4});
     (iii) T commutes with the modular conjugation.
     """
     if t.level != L2:

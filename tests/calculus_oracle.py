@@ -88,7 +88,6 @@ from kmsflow.matrix_core import (
     DensityContext,
     as_matrix,
     dagger,
-    descend,
     hilbert_algebra_product,
     kron,
     opnorm,
@@ -976,7 +975,7 @@ def leibniz_bilinear_residual(calc, a, b, c) -> float:
         return ctx.power(s) @ x @ ctx.power(-s)
 
     def dl2(x):
-        return delta_of(calc, descend(ctx, x))
+        return delta_of(calc, ctx.inv_quarter_rho @ x @ ctx.inv_quarter_rho)
 
     def right_act(xi, y):
         return pi_r_of(calc, right_bounded_rep(ctx, y)) @ xi

@@ -57,9 +57,7 @@ from kmsflow.matrix_core import (
     DensityContext,
     as_matrix,
     dagger,
-    descend,
     eigenbasis_multiply,
-    embed,
     hermitian_basis,
     hsnorm,
     kron,
@@ -108,14 +106,15 @@ def projected_gradient_cone_project(
     r = a - ctx.sqrt_rho
     quarter = ctx.quarter_rho
     step = 1.0 / (2.0 * ctx.p.max())
-    v = _psd_project(-descend(ctx, r))
+    inv_quarter = ctx.inv_quarter_rho
+    v = _psd_project(-(inv_quarter @ r @ inv_quarter))
     for _ in range(max_iter):
         grad = 2.0 * (quarter @ (r + quarter @ v @ quarter) @ quarter)
         v_new = _psd_project(v - step * grad)
         move = hsnorm(v_new - v)
         v = v_new
         if move <= tol * max(1.0, hsnorm(v)):
-            return ctx.sqrt_rho - embed(ctx, v)
+            return ctx.sqrt_rho - quarter @ v @ quarter
     raise RuntimeError(f"cone projection did not converge in {max_iter} iterations")
 
 
@@ -272,7 +271,7 @@ def random_cone_point(ctx: DensityContext, rng: np.random.Generator) -> np.ndarr
     n = ctx.dim
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     v = g @ dagger(g) * rng.uniform(0.1, 2.0)
-    return ctx.sqrt_rho - embed(ctx, v)
+    return ctx.sqrt_rho - ctx.quarter_rho @ v @ ctx.quarter_rho
 
 
 def variational_inequality_report(

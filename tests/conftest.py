@@ -44,6 +44,20 @@ def stored_bytes(arr: np.ndarray) -> int:
     return owner.nbytes
 
 
+# Python source that makes every later ``derivation.gns_calculus`` and
+# ``derivation.commutator_calculus`` call clear the table of shared actions
+# first, so that each calculus renders a pair of its own: prepended to a
+# traced run, it is the control that a memory guard must fail
+A_PAIR_PER_CALCULUS = """
+from kmsflow import derivation
+for _name in ("gns_calculus", "commutator_calculus"):
+    def _cleared(*args, _build=getattr(derivation, _name)):
+        derivation._ACTIONS.clear()
+        return _build(*args)
+    setattr(derivation, _name, _cleared)
+"""
+
+
 def assert_window_layout(arr: np.ndarray, n: int, dim_h: int) -> None:
     """pi_l or pi_r of a calculus on H of dimension dim_h: read-only for good
     (its memory is read-only too, so the flag cannot be set back), and

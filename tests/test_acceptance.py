@@ -414,8 +414,10 @@ def test_criterion_07_commutator_form():
             fam = pipe["fam_kraus"]
             m = psi.apply(np.eye(n))
             m = 0.5 * (m + dagger(m))
-            s1 = sum(dagger(v) @ kf.sigma_z(gen.ctx, -0.5j, v) for v in fam.ops)
-            s2 = sum(kf.sigma_z(gen.ctx, 0.5j, dagger(v)) @ v for v in fam.ops)
+            # sigma_{-i/2}(v) = rho^{1/2} v rho^{-1/2}, sigma_{i/2}(v) = rho^{-1/2} v rho^{1/2}
+            r, ri = gen.ctx.sqrt_rho, gen.ctx.inv_sqrt_rho
+            s1 = sum(dagger(v) @ r @ v @ ri for v in fam.ops)
+            s2 = sum(ri @ dagger(v) @ r @ v for v in fam.ops)
             d1 = opnorm(s1 - modular_resolvent(gen.ctx, m, -0.5))
             d2 = opnorm(s2 - modular_resolvent(gen.ctx, m, +0.5))
             assert max(d1, d2) <= 1e-8, (n, seed)
@@ -584,10 +586,11 @@ def test_criterion_11_dirichlet_properties():
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         a = g + dagger(g)
         target = a - ctx.sqrt_rho
+        q = ctx.quarter_rho
 
         def objective(p):
             r = np.array([[p[0], 0.0], [p[1] + 1j * p[2], p[3]]])
-            return np.linalg.norm(target + kf.embed(ctx, r @ dagger(r))) ** 2
+            return np.linalg.norm(target + q @ r @ dagger(r) @ q) ** 2
 
         grid = np.linspace(-2.0, 2.0, 9)
         best, best_val = None, np.inf
@@ -603,11 +606,11 @@ def test_criterion_11_dirichlet_properties():
             options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000},
         )
         r = np.array([[res.x[0], 0.0], [res.x[1] + 1j * res.x[2], res.x[3]]])
-        oracle = ctx.sqrt_rho - kf.embed(ctx, r @ dagger(r))
+        oracle = ctx.sqrt_rho - q @ r @ dagger(r) @ q
         worst_oracle = max(worst_oracle, np.abs(cone_project(ctx, a) - oracle).max())
     assert worst_oracle <= 1e-6
 
-    # E_t increases as t decreases, bounded by E
+    # E_t(a) = <a, a - exp(-t L2) a> / t increases as t decreases, bounded by E
     worst_mono = 0.0
     for n in (2, 3):
         gen, _ = gen_cache(n, 2)
@@ -615,7 +618,8 @@ def test_criterion_11_dirichlet_properties():
         for _ in range(10):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             e = kf.dirichlet_energy(gen, a)
-            ets = [kf.et_energy(gen, a, 2.0**-k) for k in range(7)]
+            ets = [np.vdot(a, a - kf.evolve(gen, t).apply(a)).real / t
+                   for t in 2.0 ** -np.arange(7)]
             for lo, hi in zip(ets, ets[1:]):
                 worst_mono = max(worst_mono, lo - hi)
             worst_mono = max(worst_mono, max(ets) - e)

@@ -17,6 +17,7 @@ from kmsflow.cli import _build_parser, main
 from kmsflow.serialize import density_to_json, dump_json, superop_to_json
 
 from certify_oracle import identity_superop
+from conftest import A_PAIR_PER_CALCULUS
 
 
 def run(capsys, *argv):
@@ -296,6 +297,46 @@ class TestVTransformCommand:
         q = rep["results"]["quadrature"]
         assert q["closed_form_distance"] < 1e-6
         assert q["tail_bound"] < 1e-8
+
+    @staticmethod
+    def write_density_instance(tmp_path, n, density):
+        """(rho, psi) files of a seed-1 instance on the named density."""
+        if density == "tracial":
+            ctx, psi = kf.random_instance(n, 1, ctx=kf.DensityContext.from_rho(np.eye(n) / n))
+        else:
+            cond_bound = {"default": 100.0, "cond_1e6": 1e6}[density]
+            ctx, psi = kf.random_instance(n, 1, cond_bound=cond_bound)
+        rho, f = tmp_path / "rho.json", tmp_path / "psi.json"
+        dump_json(density_to_json(ctx), str(rho))
+        dump_json(superop_to_json(psi), str(f))
+        return rho, f
+
+    @pytest.mark.parametrize("density", ["default", "tracial", "cond_1e6"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_reports_v_cptp(self, capsys, tmp_path, n, density):
+        # V's own CPTP certificate, which depends on rho alone, enters the verdict
+        rho, psi = self.write_density_instance(tmp_path, n, density)
+        code, rep = run(capsys, "vtransform", "--superop", str(psi), "--rho", str(rho))
+        assert code == 0 and rep["pass"] is True
+        v_cptp = rep["results"]["v_cptp"]
+        assert v_cptp["pass"] is True
+        assert [c["name"] for c in v_cptp["checks"]] == ["trace_defect", "min_choi_eig"]
+
+    def test_v_cptp_fails_on_w_multiplier(self, capsys, tmp_path, monkeypatch):
+        # negative control: read W's multiplier cosh(log(lam_a / lam_b) / 4)
+        # where V's is expected; it is not PSD, so min_choi_eig fails and the
+        # command exits 1
+        from kmsflow import vtransform
+
+        rho, psi = self.write_density_instance(tmp_path, 3, "default")
+        w_multiplier = vtransform._w_multiplier
+        monkeypatch.setattr(vtransform, "_w_multiplier", lambda ctx: 1.0 / w_multiplier(ctx))
+        code, rep = run(capsys, "vtransform", "--superop", str(psi), "--rho", str(rho))
+        assert code == 1 and rep["pass"] is False
+        checks = {c["name"]: c for c in rep["results"]["v_cptp"]["checks"]}
+        min_eig = checks["min_choi_eig"]
+        assert min_eig["value"] < min_eig["bound"] < 0
+        assert "error" not in rep
 
 
 class TestGeneratorCommands:
@@ -824,21 +865,33 @@ class TestImportFootprint:
 
 
 class TestDeriveMemory:
-    def test_both_routes_hold_one_pair_of_actions(self, tmp_path):
-        # the GNS and the commutator calculus share pi_l and pi_r; since the
-        # actions are windows of small arrays the run peaks at 6.6 MiB, far
-        # under this bound on their logical nbytes (dense actions peaked at
-        # 30.6 MiB, and 58.7 MiB with a pair per calculus)
+    """derive --method both --n 4 --seed 1 under tracemalloc peaks at
+    6.62 MiB, where the GNS and the commutator calculus share pi_l and pi_r,
+    and at 10.21 MiB when each renders a pair of its own (3.6 MiB stored);
+    the bound lies halfway between the two."""
+
+    PEAK_BOUND = 8.4 * 2**20
+
+    @staticmethod
+    def traced_peak(tmp_path, prelude=""):
         argv = ["derive", "--method", "both", "--n", "4", "--seed", "1",
                 "--out", str(tmp_path / "derive.json")]
         env = {**os.environ, "PYTHONPATH": str(Path(kf.__file__).resolve().parents[1])}
-        proc = subprocess.run([sys.executable, "-c", TRACED_DERIVE, *argv], env=env,
+        proc = subprocess.run([sys.executable, "-c", prelude + TRACED_DERIVE, *argv], env=env,
                               capture_output=True, text=True, check=True)
         code, peak = map(int, proc.stderr.split()[-2:])
         assert code == 0
+        return peak
+
+    def test_both_routes_hold_one_pair_of_actions(self, tmp_path):
+        assert self.traced_peak(tmp_path) <= self.PEAK_BOUND
         calc = kf.gns_calculus(kf.random_generator(4, 1)[0])
         assert calc.dim_h == 240
-        assert peak <= 1.25 * (calc.pi_l.nbytes + calc.pi_r.nbytes)
+
+    def test_a_pair_per_calculus_fails_the_bound(self, tmp_path):
+        # control: with the table cleared before each calculus the run holds
+        # two pairs of actions, and the guard must see it
+        assert self.traced_peak(tmp_path, A_PAIR_PER_CALCULUS) > self.PEAK_BOUND
 
 
 class TestUniqueness:

@@ -63,11 +63,13 @@ from calculus_oracle import (
 )
 from certify_oracle import identity_superop, random_markov_operator, zero_superop
 from conftest import (
+    A_PAIR_PER_CALCULUS,
     assert_window_layout,
     cached_generator,
     cached_gns,
     census_tool,
     rng_matrix,
+    stored_bytes,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -121,7 +123,8 @@ class TestGnsCalculus:
                 ea[a, b] = 1.0
                 ec = np.zeros((2, 2), complex)
                 ec[c, d] = 1.0
-                lhs[i, k] = kf.kms_inner(gen.ctx, ea, gen.L.apply(ec))
+                s = gen.ctx.sqrt_rho
+                lhs[i, k] = np.trace(dagger(ea) @ s @ gen.L.apply(ec) @ s)
                 rhs = np.vdot(calc.delta[a, b], calc.delta[c, d])
                 assert abs(lhs[i, k] - rhs) < 1e-12
 
@@ -286,11 +289,13 @@ class TestKmsFormOfGenerator:
         "n,seed,options", [(2, 0, {}), (3, 1, {}), (3, 2, {"cond_bound": 1e6})]
     )
     def test_matches_the_kms_inner_loop(self, n, seed, options):
-        # F[(p, q), (a, b)] = <E_pq, L(E_ab)>_rho, one kms_inner per unit pair
+        # F[(p, q), (a, b)] = <E_pq, L(E_ab)>_rho, one KMS inner product
+        # tr(A* rho^{1/2} B rho^{1/2}) per unit pair
         gen, _ = kf.random_generator(n, seed, **options)
+        s = gen.ctx.sqrt_rho
         units = np.eye(n * n).reshape(n * n, n, n)  # row-major labels
         loop = np.array(
-            [[kf.kms_inner(gen.ctx, e, gen.L.apply(f)) for f in units] for e in units]
+            [[np.trace(dagger(e) @ s @ gen.L.apply(f) @ s) for f in units] for e in units]
         )
         form = kms_form_of_generator(gen)
         assert np.abs(form - loop).max() <= 1e-14 * max(1.0, gen.L.norm)
@@ -382,6 +387,21 @@ class TestFirstOrderCalculusType:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1.0
 
+    @pytest.mark.parametrize("n,m", [(2, 0), (2, 3), (3, 8)])
+    def test_read_only_flags_cannot_be_set_back(self, n, m):
+        # each array views read-only memory, stored once at its logical size
+        ctx = cached_generator(n, 0)[0].ctx
+        rng = np.random.default_rng(m)
+        calc = FirstOrderCalculus(ctx, rng.standard_normal((m, n, n)), -np.eye(m))
+        dim_h = n * n * m
+        shapes = {"x": (m, n, n), "k_j": (m, m), "delta": (n, n, dim_h), "jmat": (dim_h, dim_h)}
+        for name, shape in shapes.items():
+            arr = getattr(calc, name)
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+            assert arr.shape == shape and arr.dtype == complex, name
+            assert stored_bytes(arr) == arr.nbytes, name
+
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
     def test_replace_k_j_rerenders_j(self, n, seed):
         calc = cached_gns(n, seed)
@@ -449,25 +469,37 @@ class TestSharedActions:
 # holds can lend them its actions; prints both m and the traced peak in bytes
 TRACED_CALCULI = """
 import tracemalloc
-import kmsflow as kf
-gen, psi = kf.random_generator(5, 1)
+from kmsflow import derivation, instances
+gen, psi = instances.random_generator(5, 1)
 tracemalloc.start()
-calc = kf.gns_calculus(gen)
-calc_k = kf.commutator_calculus(kf.extract_commutators_kraus(gen, psi), gen)
+calc = derivation.gns_calculus(gen)
+calc_k = derivation.commutator_calculus(derivation.extract_commutators_kraus(gen, psi), gen)
 print(calc.m, calc_k.m, tracemalloc.get_traced_memory()[1])
 """
 
+# at (n, m) = (5, 24) the shared actions store 23.4 MiB as windows, where
+# dense arrays stored 275 MiB: the three calls peak at 35.3 MiB, at 58.6 MiB
+# with a pair of actions per calculus and at 286.6 MiB with dense actions;
+# the bound lies halfway between the first two, and a run takes about 0.3 s
+N5_PEAK_BOUND = 47 * 2**20
 
-def test_n5_calculi_peak_within_64_mib():
-    # at (n, m) = (5, 24) the shared actions store 23.4 MiB as windows, where
-    # dense arrays stored 275 MiB: the three calls peak at 35.3 MiB, and at
-    # 286.6 MiB with dense actions; the run takes about 0.3 s
+
+def _traced_calculi_peak(prelude=""):
     env = {**os.environ, "PYTHONPATH": str(Path(kf.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", TRACED_CALCULI], env=env,
+    proc = subprocess.run([sys.executable, "-c", prelude + TRACED_CALCULI], env=env,
                           capture_output=True, text=True, check=True)
     m_gns, m_kraus, peak = map(int, proc.stdout.split())
     assert m_gns == m_kraus == 24
-    assert peak <= 64 * 2**20
+    return peak
+
+
+def test_n5_calculi_hold_one_pair_of_actions():
+    assert _traced_calculi_peak() <= N5_PEAK_BOUND
+
+
+def test_n5_pair_per_calculus_fails_the_bound():
+    # control: with the table cleared before each calculus, two pairs are held
+    assert _traced_calculi_peak(A_PAIR_PER_CALCULUS) > N5_PEAK_BOUND
 
 
 DENSE_FIELDS = ("pi_l", "pi_r", "jmat", "delta")
@@ -882,9 +914,11 @@ class TestExtractKraus:
         fam = kf.extract_commutators_kraus(gen, psi)
         m = psi.apply(np.eye(n))
         m = 0.5 * (m + dagger(m))
-        lhs1 = sum(dagger(v) @ kf.sigma_z(ctx, -0.5j, v) for v in fam.ops)
+        # sigma_{-i/2}(v) = rho^{1/2} v rho^{-1/2}, sigma_{i/2}(v) = rho^{-1/2} v rho^{1/2}
+        r, ri = ctx.sqrt_rho, ctx.inv_sqrt_rho
+        lhs1 = sum(dagger(v) @ r @ v @ ri for v in fam.ops)
         assert opnorm(lhs1 - modular_resolvent(ctx, m, -0.5)) < 1e-8
-        lhs2 = sum(kf.sigma_z(ctx, 0.5j, dagger(v)) @ v for v in fam.ops)
+        lhs2 = sum(ri @ dagger(v) @ r @ v for v in fam.ops)
         assert opnorm(lhs2 - modular_resolvent(ctx, m, +0.5)) < 1e-8
 
     def test_mismatched_psi_rejected(self):
@@ -985,9 +1019,9 @@ class TestInnerVector:
         xi0, _ = kf.inner_vector(calc)
         rng = np.random.default_rng(2)
         a = rng_matrix(rng, 2)
-        act = pi_l_of(calc, kf.sigma_z(gen.ctx, -0.25j, a)) - pi_r_of(
-            calc, kf.sigma_z(gen.ctx, 0.25j, a)
-        )
+        q, qi = gen.ctx.quarter_rho, gen.ctx.inv_quarter_rho
+        # sigma_{-i/4}(a) = rho^{1/4} a rho^{-1/4}, sigma_{i/4}(a) = rho^{-1/4} a rho^{1/4}
+        act = pi_l_of(calc, q @ a @ qi) - pi_r_of(calc, qi @ a @ q)
         assert np.linalg.norm(act @ xi0 - delta_of(calc, a)) < 1e-8
 
 

@@ -250,126 +250,23 @@ class TestFracPower:
         r = gen.ctx.power(0.25)
         assert opnorm(r - dagger(r)) < 1e-14
 
-
-class TestKmsInner:
-    def test_identity_gives_trace(self, ctx2):
-        assert abs(kf.kms_inner(ctx2, np.eye(2), np.eye(2)) - 1.0) < 1e-14
-
-    def test_e11(self, ctx2):
-        e11 = np.diag([1.0, 0.0])
-        # tr(E11 rho^1/2 E11 rho^1/2) = p_1 = 3/4
-        assert abs(kf.kms_inner(ctx2, e11, e11) - 0.75) < 1e-14
-
-    def test_e12_geometric_mean(self, ctx2):
-        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        # equals sqrt(p_1 p_2) = sqrt(3)/4
-        assert abs(kf.kms_inner(ctx2, e12, e12) - SQRT3 / 4) < 1e-14
-
-    def test_dimension_mismatch(self, ctx2):
-        with pytest.raises(DimensionMismatch):
-            kf.kms_inner(ctx2, np.eye(3), np.eye(3))
+    def test_quarter_sandwich_sends_identity_to_cyclic_vector(self, ctx2):
+        # the embedding x -> rho^{1/4} x rho^{1/4} sends I to rho^{1/2}
+        q = ctx2.quarter_rho
+        np.testing.assert_allclose(q @ np.eye(2) @ q, np.diag([SQRT3 / 2, 0.5]), atol=1e-15)
 
     @given(st.integers(0, 10_000))
-    def test_conjugate_symmetry(self, seed):
-        rng = np.random.default_rng(seed)
-        ctx = kf.DensityContext.from_rho(np.diag([0.75, 0.25]))
-        a, b = rng_matrix(rng, 2), rng_matrix(rng, 2)
-        assert abs(kf.kms_inner(ctx, a, b) - np.conj(kf.kms_inner(ctx, b, a))) < 1e-12
-
-    def test_positive_definite_gram(self):
-        # Gram matrix of the matrix units must be strictly positive definite
-        gen, _ = kf.random_generator(3, 23)
-        ctx = gen.ctx
-        n = 3
-        units = [np.zeros((n, n), complex) for _ in range(n * n)]
-        for k in range(n * n):
-            units[k][k // n, k % n] = 1.0
-        gram = np.array([[kf.kms_inner(ctx, a, b) for b in units] for a in units])
-        assert np.linalg.eigvalsh(gram).min() > 1e-6
-
-
-class TestSigmaZ:
-    def test_tracial_trivial(self, ctx_tracial2):
-        rng = np.random.default_rng(1)
-        a = rng_matrix(rng, 2)
-        np.testing.assert_allclose(kf.sigma_z(ctx_tracial2, 0.3 - 0.2j, a), a, atol=1e-14)
-
-    def test_z_zero(self, ctx2):
-        rng = np.random.default_rng(2)
-        a = rng_matrix(rng, 2)
-        np.testing.assert_allclose(kf.sigma_z(ctx2, 0.0, a), a, atol=1e-14)
-
-    def test_minus_i_half_on_unit(self, ctx2):
-        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        # rho^{1/2} E12 rho^{-1/2} = sqrt(p1/p2) E12 = sqrt(3) E12
-        np.testing.assert_allclose(
-            kf.sigma_z(ctx2, -0.5j, e12), SQRT3 * e12, atol=1e-14
-        )
-
-    @given(st.integers(0, 10_000), st.sampled_from([0.25j, -0.25j, 0.5j, -0.5j]))
-    def test_homomorphism(self, seed, z):
-        rng = np.random.default_rng(seed)
-        ctx = kf.DensityContext.from_rho(np.diag([0.75, 0.25]))
-        a, b = rng_matrix(rng, 2), rng_matrix(rng, 2)
-        lhs = kf.sigma_z(ctx, z, a @ b)
-        rhs = kf.sigma_z(ctx, z, a) @ kf.sigma_z(ctx, z, b)
-        assert opnorm(lhs - rhs) < 1e-10 * max(1.0, opnorm(lhs))
-
-    def test_group_law_and_star(self, ctx2):
-        rng = np.random.default_rng(3)
-        a = rng_matrix(rng, 2)
-        w, z = 0.3 - 0.1j, -0.2 + 0.25j
-        lhs = kf.sigma_z(ctx2, w, kf.sigma_z(ctx2, z, a))
-        rhs = kf.sigma_z(ctx2, w + z, a)
-        assert opnorm(lhs - rhs) < 1e-10
-        assert opnorm(dagger(kf.sigma_z(ctx2, z, a)) - kf.sigma_z(ctx2, np.conj(z), dagger(a))) < 1e-10
-
-    def test_analytic_continuation_warning(self, ctx2):
-        with pytest.warns(kf.matrix_core.AnalyticContinuationWarning):
-            kf.sigma_z(ctx2, 1j, np.eye(2))
-
-
-class TestEmbedDescend:
-    def test_embed_identity_is_cyclic_vector(self, ctx2):
-        np.testing.assert_allclose(
-            kf.embed(ctx2, np.eye(2)), np.diag([SQRT3 / 2, 0.5]), atol=1e-15
-        )
-
-    def test_tracial_scaling(self, ctx_tracial2):
-        rng = np.random.default_rng(4)
-        x = rng_matrix(rng, 2)
-        np.testing.assert_allclose(kf.embed(ctx_tracial2, x), x / np.sqrt(2), atol=1e-14)
-
-    @given(st.integers(0, 10_000))
-    def test_round_trip(self, seed):
+    def test_inverse_quarter_sandwich_round_trip(self, seed):
         rng = np.random.default_rng(seed)
         ctx = kf.DensityContext.from_rho(np.diag([0.75, 0.25]))
         x = rng_matrix(rng, 2)
-        np.testing.assert_allclose(
-            kf.descend(ctx, kf.embed(ctx, x)), x, atol=1e-10 * max(1, opnorm(x))
-        )
-
-
-class TestModularConjugation:
-    def test_matrix_unit(self, ctx2):
-        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_allclose(kf.modular_conjugation(ctx2, e12), e12.T)
-
-    def test_fixes_cyclic_vector(self, ctx2):
-        s = ctx2.sqrt_rho
-        np.testing.assert_allclose(kf.modular_conjugation(ctx2, s), s, atol=1e-15)
-
-    def test_involution(self, ctx2):
-        rng = np.random.default_rng(6)
-        a = rng_matrix(rng, 2)
-        np.testing.assert_allclose(
-            kf.modular_conjugation(ctx2, kf.modular_conjugation(ctx2, a)), a
-        )
+        q, qi = ctx.quarter_rho, ctx.inv_quarter_rho
+        np.testing.assert_allclose(qi @ (q @ x @ q) @ qi, x, atol=1e-10 * max(1, opnorm(x)))
 
 
 class TestModularStructure:
     def test_modular_flow_unitary(self):
-        # embed o sigma_t o descend is the unitary modular flow on the
+        # x -> rho^{it} x rho^{-it} is the unitary modular flow on the
         # standard form for real t
         gen, _ = kf.random_generator(3, 31)
         ctx = gen.ctx
@@ -394,6 +291,7 @@ class TestModularStructure:
     def test_hilbert_algebra_product_descends(self, ctx2):
         rng = np.random.default_rng(8)
         a, b = rng_matrix(rng, 2), rng_matrix(rng, 2)
-        lhs = kf.descend(ctx2, kf.hilbert_algebra_product(ctx2, a, b))
-        rhs = kf.descend(ctx2, a) @ kf.descend(ctx2, b)
+        qi = ctx2.inv_quarter_rho
+        lhs = qi @ kf.hilbert_algebra_product(ctx2, a, b) @ qi
+        rhs = (qi @ a @ qi) @ (qi @ b @ qi)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
