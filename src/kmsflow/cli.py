@@ -2,7 +2,10 @@
 
 One command is one process; every run, a command line the parser rejects
 included, emits a single JSON report on stdout containing a schema version,
-timings, seeds, tolerances and every metric produced.  Exit codes: 0 all
+timings, seeds, tolerances and every metric produced.  Reports and the
+documents a command writes (--out, --dump, --rho-out, --psi-out) are
+single-line JSON through ``serialize.dump_json``; ``python -m json.tool
+report.json`` prints one indented, with the same values.  Exit codes: 0 all
 certifications passed, 1 certification failure, 2 schema or usage error, 3
 infeasible recovery (no admissible CP map: -L is not CCN).  A rejected
 command line, an abbreviated option included, is a usage error whose
@@ -61,7 +64,7 @@ from . import derivation, instances, serialize, superop, vtransform
 from . import generator as generator_mod
 from .errors import Infeasible, KmsflowError, MeasuredFailure, ReportError, SchemaError
 from .matrix_core import opnorm
-from .reports import Report
+from .reports import Check, Report
 
 SCHEMA_VERSION = 1
 
@@ -345,8 +348,12 @@ def _vtransform(args, report) -> None:
     s = _load_superop(args.superop, ctx.dim, None, f"--rho {args.rho}")
     transformed = _timed(report["timings_s"], "v_transform", vtransform.v_transform, s, ctx)
     results["transformed"] = serialize.superop_to_json(transformed)
+    # W inverts V: ||W(V(S)) - S|| within the density's tol, relative to ||S||
     inverse = vtransform.w_transform(transformed, ctx)
-    results["inverse_residual"] = opnorm(inverse.mat - s.mat)
+    rep = Report(name="inverse_residual", tol=ctx.tol)
+    rep.checks.append(Check("wv_residual", opnorm(inverse.mat - s.mat),
+                            ctx.tol * max(1.0, s.norm), "le"))
+    results[rep.name] = rep.to_json_dict()
     results["v_cptp"] = vtransform.v_transform_cptp_certificate(ctx).to_json_dict()
     if args.quadrature:
         quad, info = vtransform.v_transform_quadrature(s, ctx, steps=args.quadrature)

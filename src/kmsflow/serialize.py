@@ -9,6 +9,11 @@ emitted through Python's repr, which round-trips doubles exactly.  Readers
 reject non-finite entries (``NaN``, ``Infinity``), which Python's json
 parser accepts, and a density ``tol`` that is not a finite number > 0
 (booleans included).
+
+:func:`dump_json` writes every document and report as single-line JSON:
+keys, their order and every value are those of the object; there are no
+newlines or indentation between tokens.  ``python -m json.tool report.json``
+prints one indented.
 """
 
 from __future__ import annotations
@@ -128,13 +133,16 @@ def load_json(path: str):
 
 
 def dump_json(obj, path: str | None = None) -> str:
-    """The JSON text of ``obj``, also written to ``path`` when given; a path
-    that cannot be written raises ValueError naming it."""
-    text = json.dumps(obj, indent=2, sort_keys=False)
+    """The JSON text of ``obj``, on one line, also written to ``path`` with a
+    trailing newline when given; a path that cannot be written raises
+    ValueError naming it.  It passes no ``indent``, which would make json
+    fall back from its C encoder to the pure-Python one."""
+    text = json.dumps(obj)
     if path is not None:
         try:
             with open(path, "w") as fh:
-                fh.write(text + "\n")
+                fh.write(text)
+                fh.write("\n")
         except OSError as exc:
             raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
     return text

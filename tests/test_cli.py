@@ -285,7 +285,10 @@ class TestVTransformCommand:
         out = rep["results"]["transformed"]
         mat = np.asarray(out["re"]) + 1j * np.asarray(out["im"])
         assert np.abs(mat - np.eye(4)).max() < 1e-12
-        assert rep["results"]["inverse_residual"] < 1e-12
+        inverse = rep["results"]["inverse_residual"]
+        assert inverse["pass"] is True
+        (check,) = inverse["checks"]
+        assert check["name"] == "wv_residual" and check["value"] < 1e-12
 
     def test_quadrature_report(self, capsys, tmp_path):
         rho, psi = write_instance(tmp_path, capsys, seed=6)
@@ -337,6 +340,29 @@ class TestVTransformCommand:
         min_eig = checks["min_choi_eig"]
         assert min_eig["value"] < min_eig["bound"] < 0
         assert "error" not in rep
+
+    def test_inverse_residual_fails_on_perturbed_w(self, capsys, tmp_path, monkeypatch):
+        # negative control: a W off by a relative 1e-6 no longer inverts V to
+        # within tol * max(1, ||S||), so the check fails, the command exits 1
+        # and verify recomputes the same failed verdict
+        from kmsflow import vtransform
+
+        rho, psi = self.write_density_instance(tmp_path, 3, "default")
+        w_transform = vtransform.w_transform
+        monkeypatch.setattr(vtransform, "w_transform",
+                            lambda s, ctx: (1.0 + 1e-6) * w_transform(s, ctx))
+        out = tmp_path / "report.json"
+        code, rep = run(capsys, "vtransform", "--superop", str(psi), "--rho", str(rho),
+                        "--out", str(out))
+        assert code == 1 and rep["pass"] is False and "error" not in rep
+        inverse = rep["results"]["inverse_residual"]
+        (check,) = inverse["checks"]
+        assert inverse["pass"] is False and check["value"] > check["bound"] > 0
+        assert rep["results"]["v_cptp"]["pass"] is True
+        code, checked = run(capsys, "verify", "--report", str(out))
+        assert code == 0
+        assert checked["results"]["results/inverse_residual"] == {
+            "stored_pass": False, "recomputed_pass": False, "pass": True}
 
 
 class TestGeneratorCommands:

@@ -50,10 +50,13 @@ def _reads(node: ast.AST) -> set:
 
 def _unreached(package: dict, readers: dict) -> set:
     """The names defined at the top level of the ``package`` modules (file
-    name -> source), and the names ``__init__.py`` imports, that no other
+    name -> source), and the names ``__init__.py`` imports, that no live
     top-level statement of a package module other than ``__init__.py``, and
-    no statement of a ``readers`` file, reads."""
-    defined, exported, reads = set(), set(), []
+    no statement of a ``readers`` file, reads.  A statement is dead when
+    every name it defines is unreached; its reads are dropped and the names
+    recounted until nothing changes, so a name read only by dead code is
+    unreached too, however long the chain."""
+    exported, statements, outside = set(), [], set()
     for name, source in package.items():
         tree = ast.parse(source)
         if name == "__init__.py":
@@ -66,10 +69,17 @@ def _unreached(package: dict, readers: dict) -> set:
         defs = _definitions(tree)
         for stmt in tree.body:
             own = defs.get(stmt, set())
-            defined |= own
-            reads.append(_reads(stmt) - own)
-    reads.extend(_reads(ast.parse(source)) for source in readers.values())
-    return (defined | exported) - set().union(*reads)
+            statements.append((own, _reads(stmt) - own))
+    for source in readers.values():
+        outside |= _reads(ast.parse(source))
+    candidates = exported.union(*(own for own, _ in statements))
+    unreached = set()
+    while True:
+        live = [reads for own, reads in statements if not own or own - unreached]
+        recount = candidates - outside.union(*live)
+        if recount == unreached:
+            return unreached
+        unreached = recount
 
 
 def test_every_name_is_reached_outside_the_tests():
@@ -101,12 +111,18 @@ def test_guard_flags_planted_names():
             "    return 0\n"
             "def caller():\n"
             "    return _helper()\n"
+            "def orphan():\n"
+            "    return _link()\n"
+            "def _link():\n"
+            "    return 1\n"
         ),
         "other.py": "class Exported:\n    pass\n",
     }
     tools = {"tool.py": "from kmsflow import caller, used\nused(caller())\n"}
-    assert _unreached(package, tools) == {"SPARE", "dead", "Lonely", "Exported"}
-    assert _unreached(package, {**tools, "bench.py": "m.Exported\n"}) == {"SPARE", "dead", "Lonely"}
+    # orphan is unreached, so _link, which only orphan reads, is too
+    dead = {"SPARE", "dead", "Lonely", "orphan", "_link"}
+    assert _unreached(package, tools) == dead | {"Exported"}
+    assert _unreached(package, {**tools, "bench.py": "m.Exported\n"}) == dead
 
 
 def test_readme_quick_start_runs():

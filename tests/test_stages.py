@@ -28,3 +28,15 @@ def test_one_line_per_run_at_n2(tmp_path):
     (tmp_path / "kmsflow" / "__init__.py").write_text("raise ImportError('broken tree')\n")
     (broken,) = _lines("--n", "2", "--src", str(tmp_path))
     assert broken["exit"] == 1 and broken["stderr"] == ["ImportError: broken tree"]
+
+
+def test_ensemble_flags_reach_derive():
+    # both flags in one run are recorded in its line and run derive's
+    # ensemble; a value derive rejects comes back as its usage error, so
+    # each flag is passed on, not dropped
+    (line,) = _lines("--n", "2", "--seed", "0", "--kraus-rank", "1", "--cond-bound", "10")
+    assert (line["kraus_rank"], line["cond_bound"], line["exit"]) == (1, 10.0, 0)
+    assert line["m"] == {"gns": 3, "kraus": 3} and line["failed"] == []
+    for flag, value in (("--kraus-rank", "0"), ("--cond-bound", "0.5")):
+        (bad,) = _lines("--n", "2", flag, value)
+        assert (bad["exit"], bad["error"]) == (2, "usage")

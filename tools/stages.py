@@ -1,15 +1,19 @@
 """Stage timings and peak memory of ``kmsflow derive --method both``, one
 fresh process per dimension.
 
-    python3 tools/stages.py --n 4 5 6 7 8 --seed 1 [--src PATH]
+    python3 tools/stages.py --n 4 5 6 7 8 --seed 1 [--kraus-rank R]
+        [--cond-bound C] [--src PATH]
 
 For each n the script starts a new Python process that imports kmsflow from
 ``--src`` (this checkout's ``src`` by default), runs ``derive --method both
---n N --seed S`` through ``cli.main`` and prints one JSON line:
+--n N --seed S`` through ``cli.main``, with ``--kraus-rank`` and
+``--cond-bound`` passed on when given, and prints one JSON line:
 
-    {"n": N, "seed": S, "exit": code, "wall_s": s, "ru_maxrss_mb": MB,
-     "timings_s": {stage: s, ...}, "m": {"gns": m, "kraus": m},
-     "failed": ["result.check", ...]}
+    {"n": N, "seed": S, "kraus_rank": R, "cond_bound": C, "exit": code,
+     "wall_s": s, "ru_maxrss_mb": MB, "timings_s": {stage: s, ...},
+     "m": {"gns": m, "kraus": m}, "failed": ["result.check", ...]}
+
+where a flag not given reads null (derive's own default ran).
 
 ``wall_s`` is the time of ``cli.main`` alone, ``ru_maxrss_mb`` the peak
 resident set of the whole process, import included, and ``timings_s`` the
@@ -29,14 +33,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-# one derive run in a fresh process, argv (n, seed): prints its JSON line
-# but for n and seed, with the failing checks recomputed by the tree's own
-# ``Report``
+# one derive run in a fresh process, argv the options after ``--method
+# both``: prints its JSON line but for the options, with the failing checks
+# recomputed by the tree's own ``Report``
 CHILD = """
 import contextlib, io, json, resource, sys, time
 from kmsflow import cli
 from kmsflow.reports import Report
-argv = ["derive", "--method", "both", "--n", sys.argv[1], "--seed", sys.argv[2]]
+argv = ["derive", "--method", "both", *sys.argv[1:]]
 with contextlib.redirect_stdout(io.StringIO()) as out:
     start = time.perf_counter()
     code = cli.main(argv)
@@ -57,19 +61,27 @@ print(json.dumps(line))
 """
 
 
-def stage(n: int, seed: int, src: Path) -> dict:
+def stage(n: int, seed: int, src: Path, kraus_rank: int | None,
+          cond_bound: float | None) -> dict:
     """The JSON line of one ``derive --method both`` run in a fresh process
-    importing kmsflow from ``src``."""
+    importing kmsflow from ``src``; a Kraus rank or condition bound of None
+    is not passed, so derive's default runs."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(n), str(seed)],
+    argv = ["--n", str(n), "--seed", str(seed)]
+    if kraus_rank is not None:
+        argv += ["--kraus-rank", str(kraus_rank)]
+    if cond_bound is not None:
+        argv += ["--cond-bound", repr(cond_bound)]
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv],
                           env=env, capture_output=True, text=True)
+    line = {"n": n, "seed": seed, "kraus_rank": kraus_rank, "cond_bound": cond_bound}
     if proc.returncode:
         # killed or crashed before its line: the exit status and last words
-        return {"n": n, "seed": seed, "exit": proc.returncode,
+        return {**line, "exit": proc.returncode,
                 "stderr": proc.stderr.strip().splitlines()[-1:]}
-    return {"n": n, "seed": seed, **json.loads(proc.stdout)}
+    return {**line, **json.loads(proc.stdout)}
 
 
 def main(argv=None) -> int:
@@ -77,11 +89,14 @@ def main(argv=None) -> int:
         description="derive --method both, one fresh process per n: one JSON line each")
     parser.add_argument("--n", type=int, nargs="+", required=True)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--kraus-rank", type=int, default=None)
+    parser.add_argument("--cond-bound", type=float, default=None)
     parser.add_argument("--src", type=Path,
                         default=Path(__file__).resolve().parents[1] / "src")
     args = parser.parse_args(argv)
     for n in args.n:
-        print(json.dumps(stage(n, args.seed, args.src.resolve())), flush=True)
+        line = stage(n, args.seed, args.src.resolve(), args.kraus_rank, args.cond_bound)
+        print(json.dumps(line), flush=True)
     return 0
 
 
