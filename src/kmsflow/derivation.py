@@ -43,7 +43,12 @@ O(n^4 m): one form function, ``_form_matrix``, serves the report and
 is the m_b x m_a matrix W of the isometry I (x) W (x) I.  The constructor
 renders delta, the actions and the dense involution, and only
 ``inner_vector`` reads any of them (delta), so no check compares a calculus
-with its own rendering.  The actions depend on (n, m) alone and are rendered
+with its own rendering.  Each term of delta_k(E_ab) is an outer product of a
+column of rho^{1/4} or of X_k rho^{-1/4} with a row of rho^{-1/4} X_k or of
+rho^{1/4}, so delta is rendered as two Kronecker products with no
+contraction (``_render_delta``); the einsum over the n^4 tensors
+sigma_{-+i/4}(E_ab) (``_quarter_units``) is the dense oracle it is gated
+against in the tests.  The actions depend on (n, m) alone and are rendered
 once per (n, m), as read-only windows of one small array: every calculus of
 that (n, m) holds the same views while any of them is alive.
 
@@ -193,8 +198,10 @@ class FirstOrderCalculus:
 
     The constructor stores read-only copies of X and K_J, derives ``dim_h``
     and ``m``, and renders ``delta[a, b]`` = delta(E_ab) in H, of shape
-    (n, n, dim_h), and the (dim_h, dim_h) ``jmat`` (J acts as
-    xi -> jmat @ conj(xi)); each of the four is a view of read-only memory
+    (n, n, dim_h), as two Kronecker products with no contraction
+    (``_render_delta``, gated in the tests against the einsum over the n^4
+    tensors of ``_quarter_units``), and the (dim_h, dim_h) ``jmat`` (J acts
+    as xi -> jmat @ conj(xi)); each of the four is a view of read-only memory
     (``_read_only``), so its flag cannot be set back.  The (n, n, dim_h, dim_h)
     ``pi_l`` and ``pi_r`` depend on (n, m) alone: each is a read-only view of
     windows of one small array (``_standard_actions``), so its ``nbytes`` is
@@ -260,38 +267,45 @@ class CommutatorFamily:
     """Hermitian matrices V_1..V_N, so closed under adjoints, with the
     generator form sum_j <[V_j,A],[V_j,B]>_rho: from the GNS route
     m = dim H / n^2 traceless operators, from the Kraus route the Hermitian
-    normal form of Xi's Kraus operators.  Raises ValueError for an operator
-    that is not exactly Hermitian."""
+    normal form of Xi's Kraus operators.  Raises ValueError, naming the first
+    such operator, when one is not exactly Hermitian, by one comparison of the
+    stacked family with its adjoint, and when the operators are not n x n
+    matrices of one shape."""
 
     ops: tuple
 
     def __post_init__(self):
         ops = tuple(np.asarray(v, dtype=complex) for v in self.ops)
         object.__setattr__(self, "ops", ops)
-        for j, v in enumerate(ops):
-            if not np.array_equal(v, dagger(v)):
-                raise ValueError(f"operator {j} of the family is not exactly Hermitian")
+        if not ops:
+            return
+        stack = np.stack(ops)  # raises ValueError for operators of unequal shape
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValueError(f"the family's operators have shape {stack.shape[1:]}, not n x n")
+        off = (stack != np.conj(stack).transpose(0, 2, 1)).any(axis=(1, 2))
+        if off.any():
+            raise ValueError(f"operator {off.argmax()} of the family is not exactly Hermitian")
 
     def __len__(self) -> int:
         return len(self.ops)
 
 
-def _quarter_units(ctx: DensityContext):
-    """(s_m4, s_p4) with s_m4[a, b] = sigma_{-i/4}(E_ab) = rho^{1/4} E_ab rho^{-1/4}
-    and s_p4[a, b] = sigma_{+i/4}(E_ab) = rho^{-1/4} E_ab rho^{1/4}."""
-    qr = ctx.quarter_rho
-    qi = ctx.inv_quarter_rho
-    return np.einsum("xa,by->abxy", qr, qi), np.einsum("xa,by->abxy", qi, qr)
-
-
 def _render_delta(ctx: DensityContext, x: np.ndarray) -> np.ndarray:
     """delta[a, b] = inner(X)(E_ab) in H's (a, k, d) order, of shape
-    (n, n, n^2 m), for the stack ``x`` (m, n, n)."""
+    (n, n, n^2 m), for the stack ``x`` (m, n, n).
+
+    With A = rho^{1/4} and B = rho^{-1/4}, sigma_{-i/4}(E_ab) = A E_ab B and
+    sigma_{i/4}(E_ab) = B E_ab A, so
+
+        delta_k(E_ab)[x, w] = A[x, a] (B X_k)[b, w] - (X_k B)[x, a] A[b, w]:
+
+    row (a, b) and column (x, k, w) of A^T (x) [b, (k, w)] minus
+    [a, (x, k)] (x) A, two Kronecker products and no contraction."""
     n = ctx.dim
-    s_m4, s_p4 = _quarter_units(ctx)
-    delta = np.einsum("abxy,kyw->abxkw", s_m4, x)
-    delta -= np.einsum("kxz,abzw->abxkw", x, s_p4)
-    return delta.reshape(n, n, n * n * len(x))
+    qr, qi = ctx.quarter_rho, ctx.inv_quarter_rho
+    left = (qi @ x).transpose(1, 0, 2).reshape(n, -1)  # [b, (k, w)] = (B X_k)[b, w]
+    right = (x @ qi).transpose(2, 1, 0).reshape(n, -1)  # [a, (x, k)] = (X_k B)[x, a]
+    return (kron(qr.T, left) - kron(right, qr)).reshape(n, n, -1)
 
 
 def _off_sqrt_rho(ctx: DensityContext, x: np.ndarray) -> np.ndarray:

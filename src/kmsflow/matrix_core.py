@@ -19,7 +19,7 @@ are invariant under the basis choice inside degenerate eigenspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -80,10 +80,14 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
 
 
+@cache
 def hermitian_basis(n: int) -> np.ndarray:
     """Hilbert-Schmidt orthonormal basis of the Hermitian n x n matrices, as
     an (n^2, n, n) array: E_aa for each a, then (E_ab + E_ba) / sqrt2 and
-    i (E_ab - E_ba) / sqrt2 for each a < b in row-major order."""
+    i (E_ab - E_ba) / sqrt2 for each a < b in row-major order.
+
+    Built once per n: every call with that n returns the same read-only
+    array, a view of read-only memory, so its flag cannot be set back."""
     basis = np.zeros((n * n, n, n), dtype=complex)
     diag = np.arange(n)
     basis[diag, diag, diag] = 1.0
@@ -93,7 +97,8 @@ def hermitian_basis(n: int) -> np.ndarray:
     basis[sym, a, b] = basis[sym, b, a] = inv_sqrt2
     basis[sym + 1, a, b] = 1j * inv_sqrt2
     basis[sym + 1, b, a] = -1j * inv_sqrt2
-    return basis
+    basis.flags.writeable = False  # so its view's flag cannot be set back
+    return basis.view()
 
 
 def eigenbasis_multiply(basis: np.ndarray, f: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -57,6 +57,10 @@ the standard form (``as_dense`` copies a calculus into one).
   above KRAUS_RANK_TOL ||C||: a plain Kraus family to build commutator
   families from, independent of the Hermitian normal form that
   ``extract_commutators_kraus`` reads off B* C(Xi) B.
+- ``_quarter_units`` renders the n^4 tensors sigma_{-+i/4}(E_ab) of the
+  rotated matrix units, and ``einsum_render_delta`` contracts them with the
+  inner vector by plain einsum: the oracle for the two Kronecker products of
+  ``derivation._render_delta``.
 - ``pi_l_of``, ``pi_r_of`` and ``delta_of`` apply the actions and the
   derivation of a calculus to one matrix structurally, and
   ``leibniz_bilinear_residual`` evaluates the six-term bilinear identity of
@@ -74,7 +78,6 @@ from kmsflow.derivation import (
     GRAM_PSD_TOL,
     NULL_CUTOFF,
     CommutatorFamily,
-    _quarter_units,
     kms_form_of_generator,
 )
 from kmsflow.errors import (
@@ -107,6 +110,26 @@ STRUCTURE_CHECKS = (
 
 def _maxabs(x) -> float:
     return float(np.abs(x).max(initial=0.0))
+
+
+def _quarter_units(ctx: DensityContext):
+    """(s_m4, s_p4) with s_m4[a, b] = sigma_{-i/4}(E_ab) = rho^{1/4} E_ab rho^{-1/4}
+    and s_p4[a, b] = sigma_{+i/4}(E_ab) = rho^{-1/4} E_ab rho^{1/4}."""
+    qr = ctx.quarter_rho
+    qi = ctx.inv_quarter_rho
+    return np.einsum("xa,by->abxy", qr, qi), np.einsum("xa,by->abxy", qi, qr)
+
+
+def einsum_render_delta(ctx: DensityContext, x: np.ndarray) -> np.ndarray:
+    """delta[a, b] = inner(X)(E_ab) in H's (a, k, d) order, of shape
+    (n, n, n^2 m), for the stack ``x`` (m, n, n): sigma_{-i/4}(E_ab) X_k -
+    X_k sigma_{i/4}(E_ab) contracted over the unit tensors of
+    ``_quarter_units``."""
+    n = ctx.dim
+    s_m4, s_p4 = _quarter_units(ctx)
+    delta = np.einsum("abxy,kyw->abxkw", s_m4, x)
+    delta -= np.einsum("kxz,abzw->abxkw", x, s_p4)
+    return delta.reshape(n, n, n * n * len(x))
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,7 +26,7 @@ from kmsflow.errors import (
     ReconstructionFailure,
 )
 from kmsflow.generator import MarkovGenerator, modular_resolvent
-from kmsflow.matrix_core import dagger, opnorm
+from kmsflow.matrix_core import dagger, hermitian_basis, opnorm
 from kmsflow.superop import (
     choi,
     from_kraus,
@@ -36,6 +36,7 @@ from kmsflow.superop import (
 
 from calculus_oracle import (
     DenseCalculus,
+    _quarter_units,
     as_dense,
     commutator_delta,
     delta_form_matrix,
@@ -43,6 +44,7 @@ from calculus_oracle import (
     delta_of,
     delta_uniqueness_witness,
     dense_invariants_report,
+    einsum_render_delta,
     grid_invariants_report,
     kron_commutator_actions,
     kraus_from_choi,
@@ -156,22 +158,29 @@ class TestGnsCalculus:
         assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed()]
 
     def test_delta_outside_constraint_fails_reports(self, monkeypatch):
-        # sigma_{i/4}(E) off by 1e-6 I moves the rendered delta off inner(X).
-        # The report reads (X, K_J), which the skew does not touch, and
-        # passes; the render is caught by inner_vector, which renders QX with
-        # the true units, and by the delta-space oracles of j_delta_defect
-        # and the form identity.
+        # sigma_{i/4}(E) off by 1e-6 I moves the rendered delta off inner(X):
+        # X_k (sigma_{i/4}(E_ab) + 1e-6 I) subtracts a further 1e-6 X_k from
+        # every delta(E_ab), which is what the patched render does to the
+        # constructor's render.  The report reads (X, K_J), which the skew does
+        # not touch, and passes; the render is caught by inner_vector, which
+        # renders QX with the true render, and by the delta-space oracles of
+        # j_delta_defect and the form identity.
         gen, _ = cached_generator(2, 0)
-        quarter_units = derivation._quarter_units
+        render = derivation._render_delta
 
-        def skewed(ctx):
-            s_m4, s_p4 = quarter_units(ctx)
-            return s_m4, s_p4 + 1e-6 * np.eye(2)
+        def skewed(ctx, x):
+            return render(ctx, x) - 1e-6 * x.transpose(1, 0, 2).reshape(1, 1, -1)
 
         with monkeypatch.context() as patch:
-            patch.setattr(derivation, "_quarter_units", skewed)
+            patch.setattr(derivation, "_render_delta", skewed)
             calc = kf.gns_calculus(gen)
         true = kf.gns_calculus(gen)
+        # the same skew as sigma_{i/4}(E_ab) + 1e-6 I in the einsum oracle
+        s_m4, s_p4 = _quarter_units(gen.ctx)
+        oracle = np.einsum("abxy,kyw->abxkw", s_m4, calc.x)
+        oracle -= np.einsum("kxz,abzw->abxkw", calc.x, s_p4 + 1e-6 * np.eye(2))
+        oracle = oracle.reshape(calc.delta.shape)
+        assert np.abs(calc.delta - oracle).max() <= 1e-14 * np.abs(oracle).max()
         assert np.array_equal(calc.x, true.x) and np.array_equal(calc.k_j, true.k_j)
         assert kf.calculus_invariants_report(calc, gen).passed
         assert kf.inner_vector(calc)[1] > 1e-7
@@ -942,6 +951,32 @@ class TestExtractKraus:
         assert kf.verify_commutator_form(fam, gen).passed
 
 
+class TestCachedHermitianBasis:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_families_equal_those_of_a_fresh_basis(self, n, monkeypatch):
+        # the cached basis changes no bit of either family: each equals the
+        # family extracted with a basis built afresh on every call
+        gen, psi = cached_generator(n, 1)
+        calc = cached_gns(n, 1)
+        cached = (kf.extract_commutators_gns(calc, gen), kf.extract_commutators_kraus(gen, psi))
+        build = hermitian_basis.__wrapped__
+        assert build(n) is not build(n)
+        monkeypatch.setattr(derivation, "hermitian_basis", build)
+        fresh = (kf.extract_commutators_gns(calc, gen), kf.extract_commutators_kraus(gen, psi))
+        for got, want in zip(cached, fresh):
+            assert len(got) == len(want) > 0
+            assert all(np.array_equal(v, w) for v, w in zip(got.ops, want.ops))
+
+    def test_extractions_build_no_basis(self):
+        gen, psi = cached_generator(3, 1)
+        calc = cached_gns(3, 1)
+        hermitian_basis(3)
+        misses = hermitian_basis.cache_info().misses
+        kf.extract_commutators_gns(calc, gen)
+        kf.extract_commutators_kraus(gen, psi)
+        assert hermitian_basis.cache_info().misses == misses
+
+
 class TestCommutatorFamilyType:
     def test_adjoint_closure_exact(self):
         # both routes return bit-exact Hermitian families: each is its own adjoint
@@ -964,6 +999,25 @@ class TestCommutatorFamilyType:
         with pytest.raises(ValueError, match="operator 0"):
             CommutatorFamily(ops=(off,))
         assert len(CommutatorFamily(ops=(herm, SX))) == 2
+
+    def test_first_bad_operator_named_at_one_ulp(self):
+        rng = np.random.default_rng(3)
+        ops = [0.5 * (v + dagger(v)) for v in (rng_matrix(rng, 3) for _ in range(3))]
+        ops[1][0, 2] = np.nextafter(ops[1][0, 2].real, np.inf) + 1j * ops[1][0, 2].imag
+        assert ops[1][0, 2] != np.conj(ops[1][2, 0])
+        ops[2][1, 0] += 1.0  # a later bad operator is not the one named
+        with pytest.raises(ValueError, match="^operator 1 of the family is not exactly Hermitian$"):
+            CommutatorFamily(ops=tuple(ops))
+
+    def test_empty_family(self):
+        fam = CommutatorFamily(ops=())
+        assert fam.ops == () and len(fam) == 0
+
+    def test_operators_of_other_shapes_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 3\), not n x n"):
+            CommutatorFamily(ops=(np.zeros((2, 3)),))
+        with pytest.raises(ValueError):
+            CommutatorFamily(ops=(SX, np.eye(3)))
 
 
 class TestVerifyCommutatorForm:
@@ -1023,6 +1077,53 @@ class TestInnerVector:
         # sigma_{-i/4}(a) = rho^{1/4} a rho^{-1/4}, sigma_{i/4}(a) = rho^{-1/4} a rho^{1/4}
         act = pi_l_of(calc, q @ a @ qi) - pi_r_of(calc, qi @ a @ q)
         assert np.linalg.norm(act @ xi0 - delta_of(calc, a)) < 1e-8
+
+
+def _render_gate_calculi():
+    """The calculi the Kronecker render of delta is gated on, as pytest
+    params: both routes at n = 2..5 and seeds 0-2, an ill-conditioned rho,
+    a Kraus-rank-1 Psi, a tracial rho, and the empty calculus."""
+    cases = []
+    for n in (2, 3, 4, 5):
+        for seed in (0, 1, 2):
+            cases += [
+                pytest.param(lambda n=n, s=seed: cached_gns(n, s), id=f"gns-n{n}-s{seed}"),
+                pytest.param(lambda n=n, s=seed: _kraus_calculus(n, s), id=f"kraus-n{n}-s{seed}"),
+            ]
+    instances = {
+        "cond1e6": {"cond_bound": 1e6},
+        "rank1": {"kraus_rank": 1},
+        "tracial": {"ctx": kf.DensityContext.from_rho(np.eye(3) / 3)},
+    }
+    for label, kwargs in instances.items():
+        make = lambda kw=kwargs: kf.gns_calculus(kf.random_generator(3, 0, **kw)[0])
+        cases.append(pytest.param(make, id=f"gns-{label}"))
+    cases.append(pytest.param(_empty_calculus, id="empty"))
+    return cases
+
+
+def _empty_calculus():
+    ctx, _ = kf.random_instance(3, 0)
+    return kf.gns_calculus(kf.certify_generator(zero_superop(3), ctx))
+
+
+class TestRenderAgainstOracle:
+    """The two Kronecker products of ``_render_delta`` against the einsum
+    over the n^4 unit tensors, on the calculi that reach it."""
+
+    @pytest.mark.parametrize("make", _render_gate_calculi())
+    def test_render_matches_einsum_oracle(self, make):
+        calc = make()
+        oracle = einsum_render_delta(calc.ctx, calc.x)
+        assert calc.delta.shape == oracle.shape and calc.delta.dtype == oracle.dtype
+        assert calc.delta.flags.c_contiguous
+        scale = np.abs(oracle).max(initial=0.0)
+        assert np.abs(calc.delta - oracle).max(initial=0.0) <= 1e-14 * scale
+        assert kf.inner_vector(calc)[1] <= 1e-14
+
+    def test_empty_calculus_renders_empty_delta(self):
+        calc = _empty_calculus()
+        assert calc.m == 0 and calc.delta.shape == (3, 3, 0)
 
 
 class TestCommutatorCalculus:

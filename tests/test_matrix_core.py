@@ -194,6 +194,25 @@ class TestHermitianBasis:
         flat = basis.reshape(n * n, n * n)
         np.testing.assert_allclose(np.conj(flat) @ flat.T, np.eye(n * n), atol=1e-15)
 
+    def test_built_once_per_n_and_read_only(self):
+        basis = hermitian_basis(3)
+        assert hermitian_basis(3) is basis
+        assert hermitian_basis(2) is not basis
+        with pytest.raises(ValueError):
+            basis[0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            basis.flags.writeable = True
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_inline_rebuild(self, n):
+        units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)  # units[a, b] = E_ab
+        s = 1.0 / np.sqrt(2.0)
+        want = [units[a, a] for a in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                want += [(units[a, b] + units[b, a]) * s, 1j * (units[a, b] - units[b, a]) * s]
+        assert np.array_equal(hermitian_basis(n), np.array(want))
+
     def test_ordering(self):
         # E_aa first, then each pair a < b in row-major order
         s = 1.0 / np.sqrt(2.0)
